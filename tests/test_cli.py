@@ -188,10 +188,37 @@ def test_config_output_file(tmp_path, capsys):
     assert len(data["points"]) == 11
 
 
+def test_config_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run(["config", "fig3", "--output", target], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert err.count("\n") == 1
+
+
+def test_enumerate_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = str(tmp_path / "missing" / "x")
+    code, out, err = run(["enumerate", "ovoids", "--output", target], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {target}")
+    assert err.count("\n") == 1
+
+
 def test_oracle_check_command(capsys):
-    code, out, _ = run(["oracle-check", "--n", "2", "--exhaustive-oracle"], capsys)
+    code, out, _ = run(["oracle-check", "--n", "2"], capsys)
     assert code == 0
-    assert "all agree" in out
+    assert "products on 225 pairs: all agree" in out
+
+
+@pytest.mark.parametrize("argv", [["oracle-check", "--samples", "-5"],
+                                  ["oracle-check", "--exhaustive-oracle"],
+                                  ["verify", "--exhaustive-oracle"]])
+def test_removed_oracle_flags_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_reports_are_byte_identical_across_jobs():

@@ -6,6 +6,7 @@ import pytest
 
 from pauligeom import matrix_oracle as mo
 from pauligeom import pauli_codec as pc
+from pauligeom.errors import InternalConsistencyError
 
 _DENSE = {
     "I": np.array([[1, 0], [0, 1]]),
@@ -50,6 +51,21 @@ def test_realize_matches_dense_all_two_qubit_words():
         assert np.array_equal(as_dense(mo.realize(word)), dense(word))
 
 
+def test_realize_matches_dense_all_four_qubit_words():
+    words = mo.all_words(4)
+    assert len(words) == 255
+    for word in words:
+        assert np.array_equal(as_dense(mo.realize(word)), dense(word))
+
+
+def test_realize_is_memoized():
+    words = mo.all_words(4)
+    first = [mo.realize(w) for w in words]
+    misses = mo.realize.cache_info().misses
+    assert all(mo.realize(w) is m for w, m in zip(words, first))
+    assert mo.realize.cache_info().misses == misses
+
+
 def test_matmul_matches_dense():
     rng = random.Random(3)
     words = ["".join(rng.choice("IXYZ") for _ in range(3)) for _ in range(40)]
@@ -79,19 +95,17 @@ def test_oracle_product_examples():
     assert mo.oracle_product("XZYI", "XZYI") == "IIII"
 
 
-def test_oracle_product_random_agreement():
-    rng = random.Random(5)
-    words = [pc.point_to_word(v, 4) for v in pc.GeometryContext(4).points()]
-    for _ in range(1000):
-        a, b = rng.choice(words), rng.choice(words)
+def test_oracle_product_agrees_on_all_rank3_pairs():
+    pairs = list(itertools.product(mo.all_words(3), repeat=2))
+    assert len(pairs) == 3969
+    for a, b in pairs:
         assert mo.oracle_product(a, b) == pc.word_product(a, b)
 
 
 def test_realize_is_homomorphism_up_to_sign():
-    rng = random.Random(9)
-    words = [pc.point_to_word(v, 3) for v in pc.GeometryContext(3).points()]
-    for _ in range(200):
-        a, b = rng.choice(words), rng.choice(words)
+    pairs = list(itertools.product(mo.all_words(3), repeat=2))
+    assert len(pairs) == 3969
+    for a, b in pairs:
         prod = mo.realize(a) @ mo.realize(b)
         expect = mo.realize(pc.word_product(a, b))
         assert prod == expect or prod == expect.negated()
@@ -99,8 +113,40 @@ def test_realize_is_homomorphism_up_to_sign():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_check_agreement_small(n):
-    stats = mo.check_agreement(n, exhaustive_products=True)
+    stats = mo.check_agreement(n)
     count = 4**n - 1
     assert stats["words"] == count
     assert stats["commutation_pairs"] == count * (count - 1) // 2
     assert stats["product_pairs"] == count * count
+
+
+def test_check_agreement_catches_one_wrong_product(monkeypatch):
+    # A single wrong ordered pair among the 65025.  YYYY*YYZY is one of
+    # the 13910 pairs that the former seeded sample of 100000 random
+    # products never drew, so only the exhaustive check catches it.
+    bad = ("YYYY", "YYZY")
+    real = pc.word_product
+
+    def word_product(a, b):
+        return a if (a, b) == bad else real(a, b)
+
+    monkeypatch.setattr(pc, "word_product", word_product)
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    assert "product" in str(exc.value)
+    assert f"{bad[0]},{bad[1]}" in str(exc.value)
+
+
+def test_check_agreement_catches_one_wrong_commutation(monkeypatch):
+    words = mo.all_words(4)
+    bad = {words[-2], words[-1]}
+    real = pc.commutes
+
+    def commutes(a, b):
+        return real(a, b) != ({a, b} == bad)
+
+    monkeypatch.setattr(pc, "commutes", commutes)
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    assert "commutation" in str(exc.value)
+    assert f"{words[-2]},{words[-1]}" in str(exc.value)
