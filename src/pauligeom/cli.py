@@ -8,7 +8,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 import time
 from collections import Counter
@@ -184,11 +183,11 @@ def _checks_rank3(ctx):
     return [("conwell_heptads", "8 heptads, pairwise [1]", heptads)]
 
 
-def _checks_rank4(ctx, level: str, jobs: int):
+def _checks_rank4(ctx, level: str):
     quadric = pg.Quadric.standard_hyperbolic(ctx)
     ost = pg.ostar()
     gens = lambda: pg.get_generators(ctx, "quadric")
-    ovoids = lambda: pg.get_ovoids(ctx, jobs=jobs)
+    ovoids = lambda: pg.get_ovoids(ctx)
 
     def edge_rows():
         imgs = [gf2_core.edge_to_standard(y) for y in pg.EDGE_OVOID_Y]
@@ -376,12 +375,12 @@ def _checks_rank4(ctx, level: str, jobs: int):
     ]
     if level == "full":
         def tetrad_global():
-            counts = pg.tetrad_census(ovoids(), jobs=jobs)
+            counts = pg.tetrad_census(ovoids())
             mult = set(counts.values())
             return f"{len(counts)} distinct, multiplicity {sorted(mult)}"
 
         def pairwise():
-            sizes = pg.pairwise_intersection_sizes(ovoids(), jobs=jobs)
+            sizes = pg.pairwise_intersection_sizes(ovoids())
             return _fmt_counter(sizes)
 
         checks += [
@@ -416,7 +415,7 @@ def _standard_split(o, p):
     return pg.rest_splits(o, p)[0]
 
 
-def cmd_verify(n: int, level: str, jobs: int = 1) -> VerificationReport:
+def cmd_verify(n: int, level: str) -> VerificationReport:
     """Run the verification suite for a rank and level."""
     ctx = GeometryContext(n)
     checks = _checks_common(n)
@@ -425,7 +424,7 @@ def cmd_verify(n: int, level: str, jobs: int = 1) -> VerificationReport:
     elif n == 3:
         checks += _checks_rank3(ctx)
     elif n == 4:
-        checks += _checks_rank4(ctx, level, jobs)
+        checks += _checks_rank4(ctx, level)
     else:
         raise UsageError("supported ranks are 2, 3, 4")
     return VerificationReport(n, level, _run_checks(checks))
@@ -471,76 +470,66 @@ def _open_output(path: str):
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _write_output(text: str, path: str | None) -> None:
+    """Write finished command output to `path`, or to stdout without one."""
+    if path:
+        with _open_output(path) as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_enumerate(args) -> int:
+    _write_output("".join(line + "\n" for line in _enumeration_lines(args)),
+                  args.output)
+    return 0
+
+
+def _enumeration_lines(args) -> list[str]:
     n = args.n
     ctx = GeometryContext(n)
-    out = args.output or sys.stdout
-    close = False
-    if isinstance(out, str):
-        out = _open_output(out)
-        close = True
-    try:
-        if args.what == "generators":
-            gens = pg.get_generators(ctx, args.space)
-            for i, flat in enumerate(gens.flats):
-                words = ",".join(
-                    point_to_word(p, n) for p in sorted(flat.points())
-                )
-                if gens.families is not None:
-                    out.write(f"{words}\tfamily={gens.families[i]}\n")
-                else:
-                    out.write(words + "\n")
-            return 0
-        if args.what == "heptads":
-            if n == 3:
-                for h in sorted(tuple(sorted(x)) for x in pg.conwell_heptads(ctx)):
-                    out.write(",".join(point_to_word(p, 3) for p in h) + "\n")
-                return 0
-            gens = pg.get_generators(ctx, "quadric")
+    if args.what == "generators":
+        gens = pg.get_generators(ctx, args.space)
+        lines = [",".join(point_to_word(p, n) for p in sorted(flat.points()))
+                 for flat in gens.flats]
+        if gens.families is not None:
+            lines = [f"{w}\tfamily={fam}" for w, fam in zip(lines, gens.families)]
+        return lines
+    if args.what == "heptads":
+        if n == 3:
+            return [
+                ",".join(point_to_word(p, 3) for p in h)
+                for h in sorted(tuple(sorted(x)) for x in pg.conwell_heptads(ctx))
+            ]
+        o = _resolve_ovoid(args.ovoid, pg.get_generators(ctx, "quadric"))
+        lines = []
+        for p1, p2 in itertools.combinations(o.points, 2):
+            hept = sorted(p1 ^ p2 ^ x for x in o.complement_in((p1, p2)))
+            lines.append(f"{point_to_word(p1, 4)},{point_to_word(p2, 4)}\t"
+                         + ",".join(point_to_word(h, 4) for h in hept))
+        return lines
+    if n != 4:
+        raise UsageError(f"{args.what} enumeration needs --n 4")
+    gens = pg.get_generators(ctx, "quadric")
+    if args.what == "ovoids":
+        ovoids = pg.get_ovoids(ctx)
+        if args.through_point:
+            ovoids = pg.ovoids_through(ovoids, _parse_point(args.through_point))
+        return [",".join(point_to_word(p, 4) for p in o.points) for o in ovoids]
+    if args.what == "tetrads":
+        if args.dedup:
+            keys = sorted(pg.tetrad_census(pg.get_ovoids(ctx)))
+        else:
             o = _resolve_ovoid(args.ovoid, gens)
-            for p1, p2 in itertools.combinations(o.points, 2):
-                rest = o.complement_in((p1, p2))
-                hept = sorted(p1 ^ p2 ^ x for x in rest)
-                out.write(
-                    f"{point_to_word(p1, 4)},{point_to_word(p2, 4)}\t"
-                    + ",".join(point_to_word(h, 4) for h in hept)
-                    + "\n"
-                )
-            return 0
-        if n != 4:
-            raise UsageError(f"{args.what} enumeration needs --n 4")
-        gens = pg.get_generators(ctx, "quadric")
-        if args.what == "ovoids":
-            ovoids = pg.get_ovoids(ctx, jobs=args.jobs)
-            if args.through_point:
-                ovoids = pg.ovoids_through(ovoids, _parse_point(args.through_point))
-            for o in ovoids:
-                out.write(",".join(point_to_word(p, 4) for p in o.points) + "\n")
-            return 0
-        if args.what == "tetrads":
-            if args.dedup:
-                census = pg.tetrad_census(pg.get_ovoids(ctx, jobs=args.jobs),
-                                          jobs=args.jobs)
-                keys = sorted(census)
-            else:
-                o = _resolve_ovoid(args.ovoid, gens)
-                quadric = gens.quadric
-                keys = sorted(
-                    pg.tetrad_of_partition(o, part, quadric).key()
-                    for part in pg.triple_partitions(o)
-                )
-            for key in keys:
-                out.write(
-                    ";".join(
-                        ",".join(point_to_word(p, 4) for p in line) for line in key
-                    )
-                    + "\n"
-                )
-            return 0
-        raise UsageError(f"unknown enumeration target {args.what!r}")
-    finally:
-        if close:
-            out.close()
+            keys = sorted(
+                pg.tetrad_of_partition(o, part, gens.quadric).key()
+                for part in pg.triple_partitions(o)
+            )
+        return [
+            ";".join(",".join(point_to_word(p, 4) for p in line) for line in key)
+            for key in keys
+        ]
+    raise UsageError(f"unknown enumeration target {args.what!r}")
 
 
 _CONFIG_NAMES = [f"fig{i}" for i in range(1, 12)] + [
@@ -625,7 +614,7 @@ def _build_config(args) -> cfg.ConfigReport:
         return cfg.heptad_family(o, groups, gens)
     if name == "split63":
         p = _parse_point(args.point) if args.point else word_to_point("XXXX")
-        return cfg.sixty_three_split(pg.get_ovoids(ctx, jobs=args.jobs), o, p)
+        return cfg.sixty_three_split(pg.get_ovoids(ctx), o, p)
     raise UsageError(f"unknown configuration {name!r}; choose from "
                      + ", ".join(_CONFIG_NAMES))
 
@@ -646,11 +635,7 @@ def cmd_config(args) -> int:
         for k in sorted(report.annotations):
             lines.append(f"{k}: {report.annotations[k]}")
         text = "\n".join(lines) + "\n"
-    if args.output:
-        with _open_output(args.output) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write_output(text, args.output)
     return 0
 
 
@@ -695,8 +680,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run the verification suite")
     p_verify.add_argument("--n", type=int, default=4, choices=(2, 3, 4))
     p_verify.add_argument("--level", choices=("quick", "full"), default="quick")
-    p_verify.add_argument("--jobs", type=int, default=0,
-                          help="worker processes (0 = all cores)")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.add_argument("--no-timings", action="store_true",
                           help="omit the ms column (for byte comparisons)")
@@ -713,7 +696,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="tetrads: dedup globally over all 960 ovoids")
     p_enum.add_argument("--ovoid", default="Ostar",
                         help='nine comma-separated words or "Ostar"')
-    p_enum.add_argument("--jobs", type=int, default=0)
     p_enum.add_argument("--output", help="write to file instead of stdout")
 
     p_cfg = sub.add_parser("config", help="extract a named configuration")
@@ -735,7 +717,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        default="triangle")
     p_cfg.add_argument("--point", help="distinguished point (word or coords)")
     p_cfg.add_argument("--nucleus", help="distinguished nucleus (word or coords)")
-    p_cfg.add_argument("--jobs", type=int, default=0)
     p_cfg.add_argument("--output")
 
     p_map = sub.add_parser("map", help="convert between word and coordinates")
@@ -748,18 +729,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _effective_jobs(requested: int) -> int:
-    if requested and requested > 0:
-        return requested
-    return os.cpu_count() or 1
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            report = cmd_verify(args.n, args.level, jobs=_effective_jobs(args.jobs))
+            report = cmd_verify(args.n, args.level)
             if args.format == "json":
                 print(json.dumps(
                     report.to_json_dict(include_ms=not args.no_timings), indent=2
@@ -768,10 +743,8 @@ def main(argv=None) -> int:
                 sys.stdout.write(report.to_text(show_ms=not args.no_timings))
             return 0 if report.overall_pass else 1
         if args.command == "enumerate":
-            args.jobs = _effective_jobs(args.jobs)
             return cmd_enumerate(args)
         if args.command == "config":
-            args.jobs = _effective_jobs(args.jobs)
             return cmd_config(args)
         if args.command == "map":
             return cmd_map(args.token, args.n)

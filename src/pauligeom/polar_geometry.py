@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from . import gf2_core
@@ -129,8 +128,9 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
 
     Breadth-first extension of totally isotropic (resp. singular) flats,
     one dimension at a time: a flat is only extended by perpendicular
-    points above its current maximum, and duplicates are removed by the
-    canonical echelon basis.  The closed-form count is asserted at the
+    points above its current maximum, and duplicates are removed by
+    their point-set mask; each generator gets its canonical echelon
+    basis once, at the end.  The closed-form count is asserted at the
     end, as is the equal two-family split in the quadric case.
     """
     if space_kind not in ("symplectic", "quadric"):
@@ -145,35 +145,33 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         ground = tuple(ctx.points())
         ground_mask = _points_mask(ground)
 
-    # level entries: basis tuple -> (point set mask, perp mask, max point)
-    level = {(p,): (1 << p, perp[p], p) for p in ground}
+    # level entries: point set mask -> (basis, perp mask, max point)
+    level = {1 << p: ((p,), perp[p], p) for p in ground}
     for _ in range(n - 1):
-        nxt: dict[tuple[int, ...], tuple[int, int, int]] = {}
-        for basis, (pmask, perpmask, top) in level.items():
+        nxt: dict[int, tuple[tuple[int, ...], int, int]] = {}
+        for pmask, (basis, perpmask, top) in level.items():
             cand = perpmask & ground_mask & ~pmask & -(1 << (top + 1))
             while cand:
                 bit = cand & -cand
                 cand ^= bit
                 p = bit.bit_length() - 1
-                key = echelon(basis + (p,))
-                if key in nxt:
-                    continue
-                new_pmask = pmask | (1 << p)
+                new_pmask = pmask | bit
                 m = pmask
                 while m:
                     vb = m & -m
                     m ^= vb
                     new_pmask |= 1 << ((vb.bit_length() - 1) ^ p)
-                nxt[key] = (
-                    new_pmask,
-                    perpmask & perp[p],
-                    new_pmask.bit_length() - 1,
-                )
+                if new_pmask not in nxt:
+                    nxt[new_pmask] = (
+                        basis + (p,),
+                        perpmask & perp[p],
+                        new_pmask.bit_length() - 1,
+                    )
         level = nxt
 
-    items = sorted(level.items())
+    items = sorted((echelon(basis), pmask) for pmask, (basis, _, _) in level.items())
     flats = tuple(Flat(basis) for basis, _ in items)
-    masks = tuple(pmask for _, (pmask, _, _) in items)
+    masks = tuple(pmask for _, pmask in items)
     expected = expected_count(
         "hyperbolic" if space_kind == "quadric" else "symplectic", "generators", n
     )
@@ -272,16 +270,7 @@ def _cliques(adj_gt: list[int], size: int, roots) -> list[tuple[int, ...]]:
     return out
 
 
-def _ovoid_clique_worker(args) -> list[tuple[int, ...]]:
-    n, roots = args
-    ctx = GeometryContext(n)
-    quadric = Quadric.standard_hyperbolic(ctx)
-    adj = _nonperp_adjacency(ctx, quadric.points)
-    pts = quadric.points
-    return [tuple(pts[i] for i in c) for c in _cliques(adj, 9, roots)]
-
-
-def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet, jobs: int = 1):
+def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet):
     """All ovoids of the hyperbolic quadric in PG(7,2), canonically sorted.
 
     Search: backtracking 9-clique enumeration on the 135-vertex graph
@@ -293,15 +282,9 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet, jobs: int = 1):
     ctx = quadric.context
     if ctx.n_qubits != 4:
         raise UsageError("ovoid enumeration targets the rank-4 hyperbolic quadric")
-    n_pts = len(quadric.points)
-    roots = list(range(n_pts))
-    if jobs > 1:
-        chunks = [(ctx.n_qubits, roots[k::jobs]) for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            found = [t for part in ex.map(_ovoid_clique_worker, chunks) for t in part]
-    else:
-        found = _ovoid_clique_worker((ctx.n_qubits, roots))
-    found.sort()
+    pts = quadric.points
+    adj = _nonperp_adjacency(ctx, pts)
+    found = sorted(tuple(pts[i] for i in c) for c in _cliques(adj, 9, range(len(pts))))
     ovoids = tuple(Ovoid.from_points(t) for t in found)
     for o in ovoids:
         if not is_ovoid(o.points, gens):
@@ -321,10 +304,10 @@ def get_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     return _GEN_CACHE[key]
 
 
-def get_ovoids(ctx: GeometryContext, jobs: int = 1) -> tuple[Ovoid, ...]:
+def get_ovoids(ctx: GeometryContext) -> tuple[Ovoid, ...]:
     if ctx.n_qubits not in _OVOID_CACHE:
         gens = get_generators(ctx, "quadric")
-        _OVOID_CACHE[ctx.n_qubits] = enumerate_ovoids(gens.quadric, gens, jobs=jobs)
+        _OVOID_CACHE[ctx.n_qubits] = enumerate_ovoids(gens.quadric, gens)
     return _OVOID_CACHE[ctx.n_qubits]
 
 
@@ -446,94 +429,48 @@ def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> Tetrad:
     return Tetrad(tuple(sorted(lines)))
 
 
-def _tetrad_key(pts, pattern):
-    lines = []
-    nuclei = []
-    for (i, j, k) in pattern:
-        a, b, c = pts[i], pts[j], pts[k]
-        nuclei.append(a ^ b ^ c)
-        lines.append(_sorted3(a ^ b, a ^ c, b ^ c))
-    lines.append(_sorted3(*nuclei))
-    return tuple(sorted(lines))
+# Each of the 84 point triples of an ovoid, by index, and every partition
+# pattern as three positions in that list.
+_TRIPLES = tuple(itertools.combinations(range(9), 3))
+_PATTERN_TRIPLES = tuple(
+    tuple(_TRIPLES.index(t) for t in pat) for pat in PARTITION_PATTERNS
+)
 
 
-def _tetrad_census_worker(args) -> Counter:
-    n, ovoid_tuples = args
-    ctx = GeometryContext(n)
-    qmask = Quadric.standard_hyperbolic(ctx).mask
-    counts: Counter = Counter()
-    for pts in ovoid_tuples:
-        for pat in PARTITION_PATTERNS:
-            key = _tetrad_key(pts, pat)
-            seen = 0
-            for line in key:
-                for p in line:
-                    if qmask >> p & 1:
-                        raise InternalConsistencyError("tetrad point on quadric")
-                    seen |= 1 << p
-            if seen.bit_count() != 12:
-                raise InternalConsistencyError("tetrad lines overlap")
-            counts[key] += 1
-    return counts
-
-
-def tetrad_census(ovoids, jobs: int = 1) -> Counter:
+def tetrad_census(ovoids) -> Counter:
     """Deduplicated tetrads over every (ovoid, partition) pair.
 
     Returns a counter keyed by the canonical tetrad (sorted lines of
-    sorted points) whose values are raw multiplicities; the sum of the
-    values is 280 times the number of ovoids.
+    sorted points, as :meth:`Tetrad.key`) whose values are raw
+    multiplicities; the sum of the values is 280 times the number of
+    ovoids.  Every tetrad is checked to be twelve off-quadric points.
     """
-    tuples = [o.points for o in ovoids]
-    if jobs > 1:
-        chunks = [(4, tuples[k::jobs]) for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(_tetrad_census_worker, chunks))
-        counts: Counter = Counter()
-        for part in parts:
-            counts.update(part)
-        return counts
-    return _tetrad_census_worker((4, tuples))
-
-
-def _pairwise_worker(args) -> dict[int, int]:
-    masks, lo, hi = args
-    counts: dict[int, int] = {}
-    n = len(masks)
-    for i in range(lo, hi):
-        mi = masks[i]
-        for j in range(i + 1, n):
-            c = (mi & masks[j]).bit_count()
-            counts[c] = counts.get(c, 0) + 1
+    qmask = Quadric.standard_hyperbolic(GeometryContext(4)).mask
+    counts: Counter = Counter()
+    for o in ovoids:
+        pts = o.points
+        lines, masks, nuclei = [], [], []
+        for i, j, k in _TRIPLES:
+            a, b, c = pts[i], pts[j], pts[k]
+            lines.append(_sorted3(a ^ b, a ^ c, b ^ c))
+            masks.append(1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c))
+            nuclei.append(a ^ b ^ c)
+        for x, y, z in _PATTERN_TRIPLES:
+            nx, ny, nz = nuclei[x], nuclei[y], nuclei[z]
+            seen = masks[x] | masks[y] | masks[z] | 1 << nx | 1 << ny | 1 << nz
+            if seen & qmask:
+                raise InternalConsistencyError("tetrad point on quadric")
+            if seen.bit_count() != 12:
+                raise InternalConsistencyError("tetrad lines overlap")
+            axis = _sorted3(nx, ny, nz)
+            counts[tuple(sorted((lines[x], lines[y], lines[z], axis)))] += 1
     return counts
 
 
-def pairwise_intersection_sizes(ovoids, jobs: int = 1) -> Counter:
+def pairwise_intersection_sizes(ovoids) -> Counter:
     """Distribution of |A ∩ B| over all unordered pairs of ovoids."""
     masks = [o.mask for o in ovoids]
-    n = len(masks)
-    if jobs > 1:
-        # contiguous blocks are unbalanced (row i costs ~ n - i): stride
-        chunks = [(masks, list(range(k, n, jobs))) for k in range(jobs)]
-        with ProcessPoolExecutor(max_workers=jobs) as ex:
-            parts = list(ex.map(_pairwise_strided_worker, chunks))
-        out: Counter = Counter()
-        for part in parts:
-            out.update(part)
-        return out
-    return Counter(_pairwise_worker((masks, 0, n)))
-
-
-def _pairwise_strided_worker(args) -> dict[int, int]:
-    masks, rows = args
-    counts: dict[int, int] = {}
-    n = len(masks)
-    for i in rows:
-        mi = masks[i]
-        for j in range(i + 1, n):
-            c = (mi & masks[j]).bit_count()
-            counts[c] = counts.get(c, 0) + 1
-    return counts
+    return Counter((a & b).bit_count() for a, b in itertools.combinations(masks, 2))
 
 
 def second_ovoid_on_conic(o: Ovoid, triple, gens: GeneratorSet) -> Ovoid:

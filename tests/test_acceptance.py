@@ -5,13 +5,16 @@ per criterion; each test also prints its own summary line.
 """
 
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 
+import pauligeom
 from pauligeom import configurations as cfg
 from pauligeom import gf2_core, matrix_oracle, pauli_codec
 from pauligeom import polar_geometry as pg
-from pauligeom.cli import cmd_verify
 from pauligeom.pauli_codec import GeometryContext, point_to_word, word_to_point
 
 
@@ -250,13 +253,18 @@ def test_criterion_13_low_rank_sanity(ctx2, ctx3):
 
 def test_criterion_14_determinism():
     t0 = time.perf_counter()
-    first = cmd_verify(4, "full", jobs=1)
-    second = cmd_verify(4, "full", jobs=2)
-    assert first.overall_pass and second.overall_pass
-    assert first.to_text(show_ms=False) == second.to_text(show_ms=False)
-    strip = lambda rep: [
-        {k: v for k, v in row.items() if k != "ms"}
-        for row in rep.to_json_dict()["rows"]
+    cmd = [sys.executable, "-m", "pauligeom", "verify", "--n", "4",
+           "--level", "full", "--no-timings"]
+    src = os.path.dirname(os.path.dirname(pauligeom.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    procs = [
+        subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                         env={**os.environ, "PYTHONPATH": path,
+                              "PYTHONHASHSEED": seed})
+        for seed in ("0", "1")
     ]
-    assert strip(first) == strip(second)
-    _report(14, "byte-identical reports across --jobs", t0)
+    (out0, err0), (out1, err1) = (p.communicate() for p in procs)
+    assert [p.returncode for p in procs] == [0, 0], (err0, err1)
+    assert out0 == out1
+    assert out0.endswith(b"overall: PASS (33 checks, n=4, level=full)\n")
+    _report(14, "byte-identical reports across hash seeds", t0)

@@ -1,6 +1,5 @@
+import hashlib
 import json
-import subprocess
-import sys
 
 import pytest
 
@@ -45,14 +44,14 @@ def test_map_bad_token(capsys):
 
 
 def test_verify_quick_n2(capsys):
-    code, out, _ = run(["verify", "--n", "2", "--jobs", "1"], capsys)
+    code, out, _ = run(["verify", "--n", "2"], capsys)
     assert code == 0
     assert "overall: PASS" in out
 
 
 def test_verify_json_n2(capsys):
     code, out, _ = run(
-        ["verify", "--n", "2", "--jobs", "1", "--format", "json"], capsys
+        ["verify", "--n", "2", "--format", "json"], capsys
     )
     assert code == 0
     data = json.loads(out)
@@ -63,7 +62,7 @@ def test_verify_json_n2(capsys):
 
 def test_enumerate_ovoids_through_point(capsys):
     code, out, _ = run(
-        ["enumerate", "ovoids", "--through-point", "XXXX", "--jobs", "1"], capsys
+        ["enumerate", "ovoids", "--through-point", "XXXX"], capsys
     )
     assert code == 0
     rows = out.strip().splitlines()
@@ -95,7 +94,7 @@ def test_enumerate_symplectic_generators_n2(capsys):
 
 
 def test_enumerate_tetrads_reference_ovoid(capsys):
-    code, out, _ = run(["enumerate", "tetrads", "--jobs", "1"], capsys)
+    code, out, _ = run(["enumerate", "tetrads"], capsys)
     assert code == 0
     rows = out.strip().splitlines()
     assert len(rows) == 280
@@ -105,8 +104,7 @@ def test_enumerate_tetrads_reference_ovoid(capsys):
 def test_enumerate_tetrads_dedup_to_file(tmp_path, capsys):
     target = tmp_path / "tetrads.txt"
     code, _, _ = run(
-        ["enumerate", "tetrads", "--dedup", "--jobs", "1",
-         "--output", str(target)], capsys
+        ["enumerate", "tetrads", "--dedup", "--output", str(target)], capsys
     )
     assert code == 0
     rows = target.read_text().strip().splitlines()
@@ -171,7 +169,7 @@ def test_config_bad_ovoid(capsys):
 
 
 def test_config_custom_ovoid_roundtrip(capsys):
-    code, out, _ = run(["enumerate", "ovoids", "--jobs", "1"], capsys)
+    code, out, _ = run(["enumerate", "ovoids"], capsys)
     rows = out.strip().splitlines()
     other = rows[1]
     code, out, _ = run(["config", "fig1", "--ovoid", other], capsys)
@@ -206,6 +204,18 @@ def test_enumerate_unwritable_output_is_usage_error(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_enumerate_usage_error_keeps_output_file(tmp_path, capsys):
+    target = tmp_path / "f.txt"
+    target.write_text("keep\n")
+    code, out, err = run(
+        ["enumerate", "ovoids", "--n", "3", "--output", str(target)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: ovoids enumeration needs --n 4\n"
+    assert target.read_text() == "keep\n"
+
+
 def test_oracle_check_command(capsys):
     code, out, _ = run(["oracle-check", "--n", "2"], capsys)
     assert code == 0
@@ -214,17 +224,36 @@ def test_oracle_check_command(capsys):
 
 @pytest.mark.parametrize("argv", [["oracle-check", "--samples", "-5"],
                                   ["oracle-check", "--exhaustive-oracle"],
-                                  ["verify", "--exhaustive-oracle"]])
-def test_removed_oracle_flags_are_usage_errors(argv, capsys):
+                                  ["verify", "--exhaustive-oracle"],
+                                  ["verify", "--jobs", "2"],
+                                  ["enumerate", "ovoids", "--jobs", "1"],
+                                  ["config", "fig1", "--jobs", "1"]])
+def test_removed_flags_are_usage_errors(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 2
 
 
-def test_cli_reports_are_byte_identical_across_jobs():
-    cmd = [sys.executable, "-m", "pauligeom", "verify", "--n", "3",
-           "--level", "full", "--no-timings"]
-    a = subprocess.run(cmd + ["--jobs", "1"], capture_output=True, check=True)
-    b = subprocess.run(cmd + ["--jobs", "2"], capture_output=True, check=True)
-    assert a.stdout == b.stdout
-    assert a.stdout.startswith(b"check")
+# Pinned sha256 of each command's stdout: a refactor of the enumeration
+# or census code must not change a byte of these outputs.
+OUTPUT_DIGESTS = [
+    (["verify", "--n", "4", "--level", "full", "--no-timings"],
+     "e032c763b015274d8cf59728c2565c47751b5e1226019bafd2e64e7525397ca1"),
+    (["enumerate", "tetrads", "--dedup"],
+     "00d2f9038d49b393b09384fc12cfaeb11166f20db50ea99299474c7dd92b5062"),
+    (["enumerate", "generators", "--space", "symplectic", "--n", "4"],
+     "4669d2ed126304ca0737cb87540f9401c38a940522f038f1b14cc2690eaa2234"),
+    (["enumerate", "generators", "--space", "quadric", "--n", "4"],
+     "4927824d7b3b84baee5cd7b5410168dfab7d26e6bb0895e32b41ffadf834212e"),
+    (["enumerate", "ovoids"],
+     "b4699a216caf86906a9e6965e3dc38d6f08a99f1d11cbc0ccb1c103574ad30fd"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", OUTPUT_DIGESTS, ids=[
+    "_".join(a.lstrip("-") for a in argv) for argv, _ in OUTPUT_DIGESTS])
+def test_output_is_byte_identical_to_recorded_digest(argv, digest, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 0
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -180,10 +180,15 @@ def test_partitions_axes_and_tetrads(ostar, quadric4, ctx4):
     assert len(seen) == 280
 
 
-def test_single_ovoid_tetrad_census(ostar):
+def test_single_ovoid_tetrad_census(ostar, quadric4):
     census = pg.tetrad_census([ostar])
     assert len(census) == 280
     assert set(census.values()) == {1}
+    # independent construction through span_points and rank
+    assert set(census) == {
+        pg.tetrad_of_partition(ostar, part, quadric4).key()
+        for part in pg.triple_partitions(ostar)
+    }
 
 
 def test_second_ovoid_on_conic(ostar, gens4, ctx4):
@@ -344,8 +349,3 @@ def test_conwell_heptads_need_rank_three(ctx4):
     with pytest.raises(UsageError):
         pg.conwell_heptads(ctx4)
 
-
-def test_enumeration_is_job_independent(gens4, quadric4):
-    serial = pg.enumerate_ovoids(quadric4, gens4, jobs=1)
-    parallel = pg.enumerate_ovoids(quadric4, gens4, jobs=2)
-    assert [o.points for o in serial] == [o.points for o in parallel]
