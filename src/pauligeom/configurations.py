@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
 from .gf2_core import to_string
-from .pauli_codec import GeometryContext, is_symmetric, point_to_word
+from .pauli_codec import GeometryContext, is_symmetric, point_to_word, word_to_point
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
 
 
@@ -261,6 +261,20 @@ def fig_commutation(
     return b.done()
 
 
+def standard_split(o: Ovoid, p: int):
+    """The 4+4 split of the reference point whose solid extras are
+    XXII and IIXX; falls back to the first split for other inputs."""
+    wanted = {word_to_point("XXII"), word_to_point("IIXX")}
+    for split in pg.rest_splits(o, p):
+        extras = {
+            pg.solid_extra_point(o, split[0]),
+            pg.solid_extra_point(o, split[1]),
+        }
+        if extras == wanted:
+            return split
+    return pg.rest_splits(o, p)[0]
+
+
 def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigReport:
     """Two ovoids on one point: 19 symmetric points and the through line."""
     line, mate = pg.point_partition_line(o, p, split, gens)
@@ -480,6 +494,18 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
 def _heptad_points(o: Ovoid, pair) -> frozenset[int]:
     rest = o.complement_in(pair)
     return frozenset(pair[0] ^ pair[1] ^ x for x in rest)
+
+
+def triangle_pairs(o: Ovoid):
+    """The default triangle of pairs on the first three ovoid points."""
+    a, b, c = o.points[:3]
+    return ((a, b), (b, c), (a, c))
+
+
+def quadrangle_pairs(o: Ovoid):
+    """The default quadrangle of pairs on the first four ovoid points."""
+    a, b, c, d = o.points[:4]
+    return ((a, b), (b, c), (c, d), (d, a))
 
 
 def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet) -> ConfigReport:

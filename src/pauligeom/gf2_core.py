@@ -19,23 +19,6 @@ from typing import Iterable, Sequence
 from .errors import DegenerateInputError, UsageError
 
 
-def to_bits(v: int, dim: int) -> tuple[int, ...]:
-    """Coordinate tuple (x1, ..., x_dim) of a vector."""
-    if v < 0 or v >> dim:
-        raise UsageError(f"value {v} does not fit in {dim} coordinates")
-    return tuple((v >> (dim - 1 - i)) & 1 for i in range(dim))
-
-
-def from_bits(bits: Sequence[int]) -> int:
-    """Vector from a coordinate sequence (x1 first)."""
-    v = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise UsageError(f"coordinate {b!r} is not a bit")
-        v = (v << 1) | b
-    return v
-
-
 def to_string(v: int, dim: int) -> str:
     """Serialize as a '0'/'1' string in x1..x_dim order, e.g. '01100101'."""
     if v < 0 or v >> dim:
@@ -133,11 +116,6 @@ def span(points: Iterable[int]) -> Flat:
 def flat_points(f: Flat) -> frozenset[int]:
     """All 2^(proj_dim+1) - 1 points of a flat."""
     return f.points()
-
-
-def flat_to_strings(f: Flat, dim: int) -> list[str]:
-    """A flat as the sorted coordinate strings of its points."""
-    return [to_string(p, dim) for p in sorted(f.points())]
 
 
 # Coordinate change between the frame where the 8-dimensional hyperbolic

@@ -120,9 +120,11 @@ def _decode(m: SignedPermMatrix, n_qubits: int) -> str:
 
 
 def oracle_product(a: str, b: str) -> str:
-    """Sign-stripped matrix product decoded back to a word."""
-    pauli_codec.validate_word(a)
-    pauli_codec.validate_word(b, len(a))
+    """Sign-stripped matrix product decoded back to a word.
+
+    `realize` rejects a bad alphabet or an empty word and the matrix
+    product rejects words of different lengths, both with UsageError.
+    """
     m = realize(a) @ realize(b)
     word = _decode(m, len(a))
     check = realize(word)
@@ -131,13 +133,10 @@ def oracle_product(a: str, b: str) -> str:
     return word
 
 
-def all_words(n_qubits: int, include_identity: bool = False):
-    """All words in canonical point order (identity first when included)."""
+def all_words(n_qubits: int):
+    """All non-identity words in canonical point order."""
     ctx = pauli_codec.GeometryContext(n_qubits)
-    words = [pauli_codec.point_to_word(v, n_qubits) for v in ctx.points()]
-    if include_identity:
-        words.insert(0, pauli_codec.identity_word(n_qubits))
-    return words
+    return [pauli_codec.point_to_word(v, n_qubits) for v in ctx.points()]
 
 
 def check_agreement(n_qubits: int) -> dict[str, int]:

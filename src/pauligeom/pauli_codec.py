@@ -139,21 +139,5 @@ def commutes(a: str, b: str) -> bool:
     return GeometryContext(len(a)).sigma(_encode(a), _encode(b)) == 0
 
 
-def word_json(word: str, ctx: GeometryContext) -> dict:
-    """The {word, coords, class} object used by exporters."""
-    from . import gf2_core
-
-    v = word_to_point(word)
-    return {
-        "word": word,
-        "coords": gf2_core.to_string(v, ctx.dim),
-        "class": "symmetric" if is_symmetric(word) else "skew",
-    }
-
-
-def points_to_words(points, n_qubits: int) -> tuple[str, ...]:
-    return tuple(point_to_word(p, n_qubits) for p in points)
-
-
 def words_to_points(words) -> tuple[int, ...]:
     return tuple(word_to_point(w) for w in words)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
 from .gf2_core import Flat, echelon, span, span_points
-from .pauli_codec import GeometryContext, words_to_points
+from .pauli_codec import GeometryContext, point_to_word, words_to_points
 
 # The distinguished ovoid: in the product-of-pairs frame it is the eight
 # basis vectors plus the all-ones vector; the split frame and the word
@@ -227,7 +227,8 @@ def is_ovoid(points, gens: GeneratorSet) -> bool:
     pts = set(points)
     for p in pts:
         if not gens.quadric.contains(p):
-            raise UsageError(f"point {p} is not on the quadric")
+            word = point_to_word(p, gens.context.n_qubits)
+            raise UsageError(f"point {word} is not on the quadric")
     if len(pts) != 9:
         return False
     m = _points_mask(pts)
@@ -288,7 +289,8 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet):
     ovoids = tuple(Ovoid.from_points(t) for t in found)
     for o in ovoids:
         if not is_ovoid(o.points, gens):
-            raise InternalConsistencyError(f"clique {o.points} fails the ovoid test")
+            words = ",".join(point_to_word(p, ctx.n_qubits) for p in o.points)
+            raise InternalConsistencyError(f"clique {words} fails the ovoid test")
     return ovoids
 
 

@@ -1,0 +1,424 @@
+"""The verification table: every closed-form check of the package, once.
+
+`checks(n, level)` returns rows `(name, expected, fn)`.  A row passes
+when `str(fn())` equals `str(expected)`; `run_checks` times each row and
+turns an exception into a failed row.  `pauligeom verify` renders the
+table and the acceptance suite parametrizes over it, so a criterion and
+its expected value are written here and nowhere else.
+
+A row that certifies more than its summary shows returns a different
+string naming the offending object in Pauli words when a check fails,
+and the same summary as always when every check holds.
+"""
+
+from __future__ import annotations
+
+import itertools
+import time
+from collections import Counter
+from dataclasses import dataclass
+
+from . import configurations as cfg
+from . import gf2_core, matrix_oracle, pauli_codec
+from . import polar_geometry as pg
+from .errors import UsageError
+from .pauli_codec import GeometryContext, point_to_word, word_to_point
+
+
+@dataclass
+class VerifyRow:
+    name: str
+    expected: str
+    computed: str
+    ok: bool
+    ms: float
+
+
+@dataclass
+class VerificationReport:
+    n_qubits: int
+    level: str
+    rows: list[VerifyRow]
+
+    @property
+    def overall_pass(self) -> bool:
+        return all(r.ok for r in self.rows)
+
+    def to_text(self, show_ms: bool = True) -> str:
+        headers = ("check", "expected", "computed", "status")
+        widths = [
+            max(len(headers[0]), *(len(r.name) for r in self.rows)),
+            max(len(headers[1]), *(len(r.expected) for r in self.rows)),
+            max(len(headers[2]), *(len(r.computed) for r in self.rows)),
+            max(len(headers[3]), 4),
+        ]
+        out = []
+        head = " | ".join(h.ljust(w) for h, w in zip(headers, widths))
+        out.append(head + (" | ms" if show_ms else ""))
+        out.append("-" * len(out[0]))
+        for r in self.rows:
+            cells = [
+                r.name.ljust(widths[0]),
+                r.expected.ljust(widths[1]),
+                r.computed.ljust(widths[2]),
+                ("pass" if r.ok else "FAIL").ljust(widths[3]),
+            ]
+            line = " | ".join(cells)
+            if show_ms:
+                line += f" | {r.ms:.1f}"
+            out.append(line)
+        status = "PASS" if self.overall_pass else "FAIL"
+        out.append(f"overall: {status} ({len(self.rows)} checks, n={self.n_qubits},"
+                   f" level={self.level})")
+        return "\n".join(out) + "\n"
+
+    def to_json_dict(self, include_ms: bool = True) -> dict:
+        rows = []
+        for r in self.rows:
+            d = {
+                "check": r.name,
+                "expected": r.expected,
+                "computed": r.computed,
+                "pass": r.ok,
+            }
+            if include_ms:
+                d["ms"] = round(r.ms, 1)
+            rows.append(d)
+        return {
+            "n": self.n_qubits,
+            "level": self.level,
+            "pass": self.overall_pass,
+            "rows": rows,
+        }
+
+
+def run_checks(checks) -> list[VerifyRow]:
+    """Run table rows in order, timing each; an exception fails its row."""
+    rows = []
+    for name, expected, fn in checks:
+        t0 = time.perf_counter()
+        try:
+            computed = str(fn())
+        except Exception as exc:  # a failed invariant is a failed check
+            computed = f"{type(exc).__name__}: {exc}"
+        ms = (time.perf_counter() - t0) * 1000.0
+        rows.append(VerifyRow(name, str(expected), computed, str(expected) == computed, ms))
+    return rows
+
+
+def checks(n: int, level: str) -> list[tuple]:
+    """The verification table for rank `n` (2, 3 or 4) at `level`.
+
+    Rows are `(name, expected, fn)` in report order.  Each `fn` does its
+    own work when called, so the cached generators and ovoids fill in the
+    first row that needs them.  Level "full" adds the two global censuses
+    over all 960 rank-4 ovoids.
+    """
+    if n not in (2, 3, 4):
+        raise UsageError("supported ranks are 2, 3, 4")
+    ctx = GeometryContext(n)
+    quadric = pg.Quadric.standard_hyperbolic(ctx)
+    total = 4**n - 1
+    on = pg.expected_count("hyperbolic", "points", n)
+    n_gens = pg.expected_count("hyperbolic", "generators", n)
+    pairs = total * (total - 1) // 2
+    rows = [
+        ("points_total", total, lambda: len(list(ctx.points()))),
+        ("quadric_points", on, lambda: len(quadric.points)),
+        ("off_quadric_points", total - on, lambda: len(quadric.off_points())),
+        ("symmetry_matches_quadric", f"{total}/{total}",
+         lambda: _symmetry_agreement(ctx, quadric)),
+        ("symplectic_generators", pg.expected_count("symplectic", "generators", n),
+         lambda: len(pg.get_generators(ctx, "symplectic"))),
+        ("symplectic_generator_sizes", f"{{{2**n - 1}}}",
+         lambda: str({len(f) for f in pg.get_generators(ctx, "symplectic").flats})),
+        ("quadric_generators", n_gens, lambda: len(pg.get_generators(ctx, "quadric"))),
+        ("quadric_generator_families", str((n_gens // 2,) * 2),
+         lambda: str(pg.get_generators(ctx, "quadric").family_sizes())),
+        ("oracle_agreement", f"words={total} pairs={pairs} products={total * total}",
+         lambda: _oracle_stats(n)),
+    ]
+    if n == 2:
+        return rows + [("regulus_families", "two spreads of 3 skew lines",
+                        lambda: _reguli(ctx))]
+    if n == 3:
+        return rows + [("conwell_heptads", "8 heptads, pairwise [1]",
+                        lambda: _conwell_heptads(ctx))]
+
+    ost = pg.ostar()
+    gens = lambda: pg.get_generators(ctx, "quadric")
+    ovoids = lambda: pg.get_ovoids(ctx)
+    rows += [
+        ("edge_map_bijection", 256,
+         lambda: len({gf2_core.edge_to_standard(y) for y in range(256)})),
+        ("edge_ovoid_rows_mapped", 9, _edge_rows),
+        ("ostar_is_ovoid", True, lambda: pg.is_ovoid(ost.points, gens())),
+        ("ovoid_total", 960, lambda: len(ovoids())),
+        ("ovoids_through_each_point", "{64}",
+         lambda: str({len(pg.ovoids_through(ovoids(), p)) for p in quadric.points})),
+        ("ostar_census_36_84", "36+84=120", lambda: _census(ost, quadric)),
+        ("random_ovoid_censuses", "36+84=120 36+84=120 36+84=120",
+         lambda: _census_per_intersection_class(ovoids(), ost, quadric)),
+        ("axes_and_tetrads", "280 partitions, 280 tetrads",
+         lambda: _axes_and_tetrads(ost, quadric)),
+        ("solid_extra_points", "126 distinct extras = complement: True",
+         lambda: _solid_extras(ost, quadric)),
+        ("point_partition_lines", "per point [35]",
+         lambda: _point_partition_lines(ost, gens())),
+        ("two_ovoid_census", "[(35, 28)]",
+         lambda: str(sorted({pg.ovoid_intersection_census(ovoids(), ost, p)
+                             for p in ost.points}))),
+        ("pentad_cones", "126/126 cones", lambda: _pentad_cones(ost, quadric)),
+        ("sextet_sections", "84/84 sections", lambda: _sextet_sections(ost, quadric)),
+        ("reference_sextet_nucleus", "ZYII",
+         lambda: _reference_sextet_nucleus(ost, quadric)),
+        ("heptad_sections", "36/36 sections", lambda: _heptad_sections(ost, quadric)),
+        ("nuclei_fans", "252/252 fans", lambda: _nuclei_fans(ost)),
+        ("fan_concurrence_point", "YZXX",
+         lambda: point_to_word(cfg.nuclei_fan_structure(
+             ost, word_to_point("XXXX"), word_to_point("ZYII")).concurrence, 4)),
+        ("heptad_analogues", "36/36 pairs", lambda: _heptad_analogues(ost)),
+        ("heptad_families", "triangle+quadrangle",
+         lambda: _heptad_families(ost, gens())),
+        ("commutation_profiles", "sym all 5s; skew shapes 3",
+         lambda: _commutation_profiles(ost, quadric, gens())),
+        ("figure_reports", "45,21,16,30,29,19,11,28,47,65,1",
+         lambda: _figure_reports(ctx, ost, gens(), ovoids())),
+        ("conwell_heptads_rank3", "8",
+         lambda: len(pg.conwell_heptads(GeometryContext(3)))),
+    ]
+    if level == "full":
+        rows += [
+            ("tetrad_dedup_global", "11200 distinct, multiplicity [24]",
+             lambda: _tetrad_dedup(ovoids())),
+            ("pairwise_intersection_law", "0:268800 1:151200 3:40320",
+             lambda: _fmt_counter(pg.pairwise_intersection_sizes(ovoids()))),
+        ]
+    return rows
+
+
+def _words(points) -> str:
+    return ",".join(point_to_word(p, 4) for p in points)
+
+
+def _fmt_counter(counter: Counter) -> str:
+    return " ".join(f"{k}:{counter[k]}" for k in sorted(counter))
+
+
+def _symmetry_agreement(ctx, quadric):
+    """Words squaring to +I (even number of Y) are the quadric points."""
+    good = 0
+    for v in ctx.points():
+        w = point_to_word(v, ctx.n_qubits)
+        if (pauli_codec.is_symmetric(w) == (w.count("Y") % 2 == 0)
+                == quadric.contains(v) == (ctx.quadratic(v) == 0)):
+            good += 1
+    return f"{good}/{len(ctx.points())}"
+
+
+def _oracle_stats(n):
+    stats = matrix_oracle.check_agreement(n)
+    return (
+        f"words={stats['words']} pairs={stats['commutation_pairs']}"
+        f" products={stats['product_pairs']}"
+    )
+
+
+def _reguli(ctx):
+    gq = pg.get_generators(ctx, "quadric")
+    for fam in (0, 1):
+        fam_pts = [f.points() for f, lab in zip(gq.flats, gq.families) if lab == fam]
+        union = set().union(*fam_pts)
+        if len(union) != 9 or sum(len(p) for p in fam_pts) != 9:
+            return "not a spread"
+    return "two spreads of 3 skew lines"
+
+
+def _conwell_heptads(ctx):
+    hs = pg.conwell_heptads(ctx)
+    inter = {len(a & b) for a, b in itertools.combinations(hs, 2)}
+    return f"{len(hs)} heptads, pairwise {sorted(inter)}"
+
+
+def _edge_rows():
+    imgs = [gf2_core.edge_to_standard(y) for y in pg.EDGE_OVOID_Y]
+    return sum(1 for got, w in zip(imgs, pg.OSTAR_WORDS) if got == word_to_point(w))
+
+
+def _census(o, quadric):
+    """36 secant third points and 84 conic nuclei split the 120 skew points."""
+    thirds = pg.secant_third_points(o)
+    nuclei = {c.nucleus for c in pg.conics_of(o)}
+    off = set(quadric.off_points())
+    ok = (not thirds & nuclei) and thirds | nuclei == off
+    return f"{len(thirds)}+{len(nuclei)}={'120' if ok else 'bad'}"
+
+
+def _census_per_intersection_class(ovoids, ost, quadric):
+    # The first ovoid, in canonical order, meeting O* in 0, 1 and 3
+    # points: one of each relation to O* besides O* itself.
+    firsts = {}
+    for o in ovoids:
+        firsts.setdefault((o.mask & ost.mask).bit_count(), o)
+    return " ".join(_census(firsts[k], quadric) for k in (0, 1, 3))
+
+
+def _axes_and_tetrads(ost, quadric):
+    parts = pg.triple_partitions(ost)
+    keys = set()
+    for part in parts:
+        axis = pg.axis_of_partition(ost, part)
+        tetrad = pg.tetrad_of_partition(ost, part, quadric)
+        pts = tetrad.points()
+        if (any(map(quadric.contains, axis | pts)) or len(pts) != 12
+                or gf2_core.rank(pts) != 8):
+            where = "/".join(_words(t) for t in part)
+            return f"tetrad of {where} is not 12 skew points spanning the space"
+        keys.add(tetrad.key())
+    return f"{len(parts)} partitions, {len(keys)} tetrads"
+
+
+def _solid_extras(ost, quadric):
+    extras = []
+    for quad in itertools.combinations(ost.points, 4):
+        section = [p for p in gf2_core.span_points(quad) if quadric.contains(p)]
+        if len(section) != 5 or any(
+            quadric.contains(u ^ v) for u, v in itertools.combinations(section, 2)
+        ):
+            return f"solid of {_words(quad)} is not an elliptic section"
+        extras.append(pg.solid_extra_point(ost, quad))
+    complement = set(quadric.points) - set(ost.points)
+    ok = len(set(extras)) == 126 and set(extras) == complement
+    return f"126 distinct extras = complement: {ok}"
+
+
+def _point_partition_lines(ost, gens):
+    counts = set()
+    for p in ost.points:
+        mates = {pg.point_partition_line(ost, p, split, gens)[1].points
+                 for split in pg.rest_splits(ost, p)}
+        counts.add(len(mates))
+    return f"per point {sorted(counts)}"
+
+
+def _pentad_cones(ost, quadric):
+    n_ok = 0
+    for pent in itertools.combinations(ost.points, 5):
+        cone = pg.pentad_intersection(ost, pent, quadric)
+        vertex = pg.solid_extra_point(ost, ost.complement_in(pent))
+        if cone.vertex != vertex or any(vertex not in line for line in cone.lines):
+            return f"cone of {_words(pent)} is not on {_words((vertex,))}"
+        n_ok += len(cone.points) == 11
+    return f"{n_ok}/126 cones"
+
+
+def _sextet_sections(ost, quadric):
+    n_ok = 0
+    for sx in itertools.combinations(ost.points, 6):
+        sec = pg.sextet_intersection(ost, sx, quadric)
+        a, b, c = ost.complement_in(sx)
+        if sec.pairing_nucleus != a ^ b ^ c:
+            return f"sextet {_words(sx)} pairs at {_words((sec.pairing_nucleus,))}"
+        n_ok += len(sec.points) == 27 and len(sec.lines) == 45
+    return f"{n_ok}/84 sections"
+
+
+def _reference_sextet_nucleus(ost, quadric):
+    triple = tuple(word_to_point(w) for w in ("ZIIX", "XZXI", "XXXX"))
+    sec = pg.sextet_intersection(ost, ost.complement_in(triple), quadric)
+    return point_to_word(sec.pairing_nucleus, 4)
+
+
+def _heptad_sections(ost, quadric):
+    n_ok = 0
+    for hp in itertools.combinations(ost.points, 7):
+        sec = pg.heptad_intersection(ost, hp, quadric)
+        a, b = ost.complement_in(hp)
+        if sec.nucleus != a ^ b:
+            return f"heptad {_words(hp)} has nucleus {_words((sec.nucleus,))}"
+        n_ok += len(sec.points) == 63
+    return f"{n_ok}/36 sections"
+
+
+def _nuclei_fans(ost):
+    """Per ovoid point: 28 distinct conic nuclei, each splitting 6+6+15."""
+    n_ok = 0
+    for p in ost.points:
+        others = ost.complement_in((p,))
+        nuclei = [p ^ a ^ b for a, b in itertools.combinations(others, 2)]
+        if len(set(nuclei)) != 28:
+            return f"{_words((p,))} has {len(set(nuclei))} conic nuclei"
+        for nucleus in nuclei:
+            fan = cfg.nuclei_fan_structure(ost, p, nucleus)
+            sizes = (len(fan.six_through_first), len(fan.six_through_second),
+                     len(fan.fan15))
+            if sizes != (6, 6, 15):
+                return f"fan {_words((p, nucleus))} splits {sizes}"
+            n_ok += fan.gq_lines == 45
+    return f"{n_ok}/252 fans"
+
+
+def _heptad_analogues(ost):
+    n_ok = 0
+    for p1, p2 in itertools.combinations(ost.points, 2):
+        roles = cfg.heptad_analogue(ost, p1, p2).roles()
+        n_ok += (roles.get("heptad-nucleus") == 7
+                 and roles.get("heptad-line-point") == 21
+                 and roles.get("triple-nucleus") == 35)
+    return f"{n_ok}/36 pairs"
+
+
+def _heptad_families(ost, gens):
+    a, b, c, d = ost.points[:4]
+    tri = cfg.heptad_family(ost, cfg.triangle_pairs(ost), gens)
+    quad = cfg.heptad_family(ost, cfg.quadrangle_pairs(ost), gens)
+    if (tri.annotations.get("heptads"), tri.annotations.get("common_point")) != (
+        "6", point_to_word(a ^ b ^ c, 4)
+    ):
+        return f"triangle {_words((a, b, c))}: {tri.annotations}"
+    meet = pg.solid_extra_point(ost, (a, b, c, d))
+    if quad.annotations.get("concurrence") != point_to_word(meet, 4) or len(quad.lines) != 4:
+        return f"quadrangle {_words((a, b, c, d))}: {quad.annotations}"
+    return f"{tri.annotations['kind']}+{quad.annotations['kind']}"
+
+
+def _commutation_profiles(ost, quadric, gens):
+    part = pg.triple_partitions(ost)[0]
+    fam = pg.six_ovoid_family(ost, part, gens)
+    six = fam.all_ovoids()
+    for w in quadric.points:
+        if w not in fam.points and pg.commutation_profile(w, six) != (5,) * 6:
+            return "symmetric profile broken"
+    shapes = Counter()
+    for w in quadric.off_points():
+        prof = pg.commutation_profile(w, six)
+        if not set(prof) <= {3, 7}:
+            return f"skew profile {prof}"
+        shapes[tuple(sorted(prof))] += 1
+    return f"sym all 5s; skew shapes {len(shapes)}"
+
+
+def _figure_reports(ctx, ost, gens, ovoids):
+    quadric = gens.quadric
+    part = pg.triple_partitions(ost)[0]
+    p = word_to_point("XXXX")
+    triple = tuple(word_to_point(w) for w in ("ZIIX", "XZXI", "XXXX"))
+    reports = [
+        cfg.fig_secants(ost, ctx),
+        cfg.fig_conic_partition(ost, part, quadric),
+        cfg.fig_two_ovoids_conic(ost, ost.points[:3], gens),
+        cfg.fig_six_ovoids(ost, part, gens),
+        cfg.fig_commutation(ost, part, gens),
+        cfg.fig_two_ovoids_point(ost, p, cfg.standard_split(ost, p), gens),
+        cfg.fig_pentad(ost, ost.points[:5], quadric),
+        cfg.fig_sextet(ost, ost.complement_in(triple), quadric),
+        cfg.fig_nuclei_fan(ost, p, word_to_point("ZYII")),
+        cfg.heptad_analogue(ost, word_to_point("ZZIZ"), word_to_point("IXXZ")),
+        cfg.sixty_three_split(ovoids, ost, p),
+    ]
+    return ",".join(str(len(r.points)) for r in reports)
+
+
+def _tetrad_dedup(ovoids):
+    counts = pg.tetrad_census(ovoids)
+    return f"{len(counts)} distinct, multiplicity {sorted(set(counts.values()))}"

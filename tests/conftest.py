@@ -1,7 +1,13 @@
 import pytest
+from hypothesis import settings
 
 from pauligeom import polar_geometry as pg
 from pauligeom.pauli_codec import GeometryContext
+
+# Property tests draw the same examples on every run and have no time
+# limit per example, so a slow host cannot fail them.
+settings.register_profile("pauligeom", derandomize=True, deadline=None, database=None)
+settings.load_profile("pauligeom")
 
 
 @pytest.fixture(scope="session")

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from pauligeom import cli
+from pauligeom import cli, matrix_oracle
+from pauligeom.errors import InternalConsistencyError
 from pauligeom.gf2_core import standard_to_edge, to_string
 from pauligeom.pauli_codec import word_to_point
 
@@ -214,6 +215,33 @@ def test_enumerate_usage_error_keeps_output_file(tmp_path, capsys):
     assert out == ""
     assert err == "error: ovoids enumeration needs --n 4\n"
     assert target.read_text() == "keep\n"
+
+
+def test_enumerate_heptads_n2_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "f.txt"
+    target.write_text("keep\n")
+    code, out, err = run(
+        ["enumerate", "heptads", "--n", "2", "--output", str(target)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "error: heptads enumeration needs --n 3 or --n 4\n"
+    assert target.read_text() == "keep\n"
+
+
+def test_verify_failed_check_exits_1(monkeypatch, capsys):
+    def broken(n):
+        raise InternalConsistencyError("planted disagreement")
+
+    monkeypatch.setattr(matrix_oracle, "check_agreement", broken)
+    code, out, _ = run(["verify", "--n", "2", "--no-timings"], capsys)
+    assert code == 1
+    rows = out.splitlines()
+    oracle = next(r for r in rows if r.startswith("oracle_agreement"))
+    assert "InternalConsistencyError: planted disagreement" in oracle
+    assert oracle.rstrip().endswith("| FAIL")
+    assert sum(r.rstrip().endswith("| pass") for r in rows) == 9
+    assert rows[-1] == "overall: FAIL (10 checks, n=2, level=quick)"
 
 
 def test_oracle_check_command(capsys):

@@ -70,9 +70,7 @@ def test_fig5_commutation(ostar, gens4, partition):
 
 def test_fig6_two_ovoids_on_point(ostar, gens4):
     p = word_to_point("XXXX")
-    from pauligeom.cli import _standard_split
-
-    rep = cfg.fig_two_ovoids_point(ostar, p, _standard_split(ostar, p), gens4)
+    rep = cfg.fig_two_ovoids_point(ostar, p, cfg.standard_split(ostar, p), gens4)
     assert len(rep.points) == 19
     assert all(q.cls == "symmetric" for q in rep.points)
     assert rep.annotations["extra_points"] in ("XXII IIXX", "IIXX XXII")

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pauligeom import gf2_core as g
 from pauligeom.errors import DegenerateInputError, UsageError
@@ -132,13 +134,14 @@ def test_string_round_trip_and_errors():
         g.edge_to_standard(300)
 
 
-def test_bits_round_trip():
-    assert g.to_bits(vec("01100101"), 8) == (0, 1, 1, 0, 0, 1, 0, 1)
-    assert g.from_bits((0, 1, 1, 0, 0, 1, 0, 1)) == vec("01100101")
-    with pytest.raises(UsageError):
-        g.from_bits((0, 2, 1))
-
-
-def test_flat_string_serialization():
-    f = g.span([vec("10000000"), vec("01000000")])
-    assert g.flat_to_strings(f, 8) == ["01000000", "10000000", "11000000"]
+@given(st.lists(st.integers(0, 255), max_size=8), st.data())
+def test_echelon_depends_only_on_the_span(rows, data):
+    # Reordering, repeating a row and adding one row to another keep the
+    # span, so they must keep the canonical basis.
+    mixed = data.draw(st.permutations(rows + rows[:3]))
+    for i, j in data.draw(st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)))):
+        if i != j and max(i, j) < len(mixed):
+            mixed[i] ^= mixed[j]
+    basis = g.echelon(rows)
+    assert g.echelon(mixed) == basis
+    assert g.span_points(basis) == g.span_points(rows)

@@ -6,7 +6,7 @@ import pytest
 
 from pauligeom import matrix_oracle as mo
 from pauligeom import pauli_codec as pc
-from pauligeom.errors import InternalConsistencyError
+from pauligeom.errors import InternalConsistencyError, UsageError
 
 _DENSE = {
     "I": np.array([[1, 0], [0, 1]]),
@@ -93,6 +93,12 @@ def test_oracle_commutes():
 def test_oracle_product_examples():
     assert mo.oracle_product("IYZZ", "ZYXI") == "ZIYZ"
     assert mo.oracle_product("XZYI", "XZYI") == "IIII"
+
+
+@pytest.mark.parametrize("a,b", [("XQ", "XX"), ("", "X"), ("XX", "XXX")])
+def test_oracle_product_rejects_bad_words(a, b):
+    with pytest.raises(UsageError):
+        mo.oracle_product(a, b)
 
 
 def test_oracle_product_agrees_on_all_rank3_pairs():

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pauligeom import pauli_codec as pc
 from pauligeom.errors import IdentityNotAPointError, UsageError
@@ -107,10 +109,30 @@ def test_sigma_is_alternating():
         assert all(ctx.sigma(v, v) == 0 for v in ctx.points())
 
 
-def test_word_json():
-    ctx = pc.GeometryContext(4)
-    assert pc.word_json("IYZX", ctx) == {
-        "word": "IYZX",
-        "coords": "01100101",
-        "class": "skew",
-    }
+def _vectors(k):
+    """A context of 1 to 4 qubits and `k` vectors of its space."""
+    return st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.just(pc.GeometryContext(n)), *[st.integers(0, 4**n - 1)] * k))
+
+
+@given(_vectors(2))
+def test_polarization_identity(case):
+    ctx, u, v = case
+    assert ctx.quadratic(u ^ v) == (ctx.quadratic(u) + ctx.quadratic(v) + ctx.sigma(u, v)) % 2
+
+
+@given(_vectors(3))
+def test_sigma_is_alternating_symmetric_and_bilinear(case):
+    ctx, u, v, w = case
+    assert ctx.sigma(u, u) == 0
+    assert ctx.sigma(u, v) == ctx.sigma(v, u)
+    assert ctx.sigma(u ^ w, v) == ctx.sigma(u, v) ^ ctx.sigma(w, v)
+
+
+@given(_vectors(1).filter(lambda case: case[1] != 0), st.data())
+def test_word_point_round_trip(case, data):
+    ctx, v = case
+    n = ctx.n_qubits
+    assert pc.word_to_point(pc.point_to_word(v, n)) == v
+    word = data.draw(st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"}))
+    assert pc.point_to_word(pc.word_to_point(word), n) == word

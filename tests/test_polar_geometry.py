@@ -4,7 +4,7 @@ import random
 import pytest
 
 from pauligeom import polar_geometry as pg
-from pauligeom.errors import UsageError
+from pauligeom.errors import InternalConsistencyError, UsageError
 from pauligeom.gf2_core import echelon, rank
 from pauligeom.pauli_codec import GeometryContext, point_to_word, word_to_point
 
@@ -110,8 +110,15 @@ def test_subsets_and_perturbations_are_not_ovoids(gens4, quadric4, ostar):
 
 
 def test_is_ovoid_rejects_off_quadric_points(gens4):
-    with pytest.raises(UsageError):
+    with pytest.raises(UsageError, match="point IYZX is not on the quadric"):
         pg.is_ovoid((word_to_point("IYZX"),), gens4)
+
+
+def test_failed_ovoid_certificate_names_the_clique(monkeypatch, gens4):
+    monkeypatch.setattr(pg, "is_ovoid", lambda points, gens: False)
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^clique [IXYZ]{4}(,[IXYZ]{4}){8} fails the ovoid test$"):
+        pg.enumerate_ovoids(gens4.quadric, gens4)
 
 
 def test_ovoid_enumeration_counts(ovoids, quadric4):
@@ -126,6 +133,7 @@ def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, gens4, quadric4)
         assert all(
             ctx.sigma(u, v) == 1 for u, v in itertools.combinations(o.points, 2)
         )
+        assert pg.is_ovoid(o.points, gens4)
     # random nine-point sets that are not pairwise non-perpendicular fail
     rng = random.Random(17)
     rejected = 0
