@@ -34,11 +34,17 @@ def _resolve_ovoid(token: str, gens) -> pg.Ovoid:
     return o
 
 
-def _parse_point(token: str) -> int:
+def _parse_point(token: str, n: int = 4) -> int:
+    """A point of rank `n`, given as a word or as 2n coordinate bits."""
     token = token.strip()
     if set(token) <= {"0", "1"} and len(token) > 2:
-        return gf2_core.from_string(token)
-    return word_to_point(token.upper())
+        v = gf2_core.from_string(token)
+        if len(token) != 2 * n:
+            raise UsageError(f"coordinate string must have {2 * n} bits")
+        if v == 0:
+            raise UsageError("the zero vector is not a projective point")
+        return v
+    return word_to_point(pauli_codec.validate_word(token.upper(), n))
 
 
 def _parse_groups(token: str, sizes) -> tuple[tuple[int, ...], ...]:
@@ -108,7 +114,10 @@ def _enumeration_lines(args) -> list[str]:
     if args.what == "ovoids":
         ovoids = pg.get_ovoids(ctx)
         if args.through_point:
-            ovoids = pg.ovoids_through(ovoids, _parse_point(args.through_point))
+            p = _parse_point(args.through_point)
+            if not gens.quadric.contains(p):
+                raise UsageError(f"point {point_to_word(p, 4)} is not on the quadric")
+            ovoids = pg.ovoids_through(ovoids, p)
         return [",".join(point_to_word(p, 4) for p in o.points) for o in ovoids]
     if args.what == "tetrads":
         if args.dedup:
@@ -234,17 +243,8 @@ def cmd_config(args) -> int:
 
 
 def cmd_map(token: str, n: int) -> int:
-    token = token.strip()
-    if set(token) <= {"0", "1"} and len(token) > 2:
-        v = gf2_core.from_string(token)
-        if len(token) != 2 * n:
-            raise UsageError(f"coordinate string must have {2 * n} bits")
-        if v == 0:
-            raise UsageError("the zero vector is not a projective point")
-        word = point_to_word(v, n)
-    else:
-        word = pauli_codec.validate_word(token.upper(), n)
-        v = word_to_point(word)
+    v = _parse_point(token, n)
+    word = point_to_word(v, n)
     cls = "symmetric" if pauli_codec.is_symmetric(word) else "skew"
     print(f"word:   {word}")
     print(f"coords: {gf2_core.to_string(v, 2 * n)}")

@@ -2,13 +2,19 @@
 
 Every Pauli word is a signed permutation matrix of size 2^N, so instead of
 dense arrays we store the permutation and the per-row sign, multiply in
-O(2^N) integer arithmetic, and compare matrices exactly.  This gives a
-second, representation-independent route to symmetry class, commutation
-and products that never touches the coordinate bijection.
+O(2^N) integer arithmetic, and compare matrices exactly.  A product is
+read back by looking it up among the 2·4^N signed realizations ±realize(w)
+(identity included), which gives its word and its sign.  This is a second,
+representation-independent route to symmetry class, commutation and
+products that never touches the coordinate bijection: the square of a word
+is ±identity with sign + exactly when the word is symmetric, and two words
+commute exactly when ab and ba carry the same sign.  `check_agreement`
+computes each of the (4^N - 1)² ordered products once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,11 +42,6 @@ class SignedPermMatrix:
         perm = tuple([operm[p] for p in self.perm])
         signs = tuple([s * osigns[p] for s, p in zip(self.signs, self.perm)])
         return SignedPermMatrix(perm, signs)
-
-    def is_plus_identity(self) -> bool:
-        return all(p == i for i, p in enumerate(self.perm)) and all(
-            s == 1 for s in self.signs
-        )
 
     def negated(self) -> "SignedPermMatrix":
         return SignedPermMatrix(self.perm, tuple(-s for s in self.signs))
@@ -87,50 +88,60 @@ def realize(word: str) -> SignedPermMatrix:
     return out
 
 
-def oracle_symmetric(word: str) -> bool:
-    """True iff the realized matrix squares to plus identity."""
-    m = realize(word)
-    sq = m @ m
-    if sq.is_plus_identity():
-        return True
-    if sq.negated().is_plus_identity():
-        return False
-    raise InternalConsistencyError(f"{word} does not square to +/- identity")
+@lru_cache(maxsize=4)
+def _signed_table(n_qubits: int) -> dict[SignedPermMatrix, tuple[str, int]]:
+    """Map each signed realization ±realize(w) of rank N to (w, ±1).
+
+    The 2·4^N entries must be distinct: a realization that coincides with
+    another up to sign would make the lookup ambiguous.
+    """
+    table = {}
+    for letters in itertools.product(_BASE, repeat=n_qubits):
+        word = "".join(letters)
+        m = realize(word)
+        table[m] = (word, 1)
+        table[m.negated()] = (word, -1)
+    if len(table) != 2 * 4**n_qubits:
+        raise InternalConsistencyError("signed realizations are not distinct")
+    return table
 
 
-def oracle_commutes(a: str, b: str) -> bool:
-    """Exact matrix-level commutation test."""
-    ma, mb = realize(a), realize(b)
-    return ma @ mb == mb @ ma
+def _lookup(table, m: SignedPermMatrix, a: str, b: str) -> tuple[str, int]:
+    """(word, sign) of the product m = realize(a) @ realize(b)."""
+    try:
+        return table[m]
+    except KeyError:
+        raise InternalConsistencyError(
+            f"product {a},{b} is not +/- a Pauli realization"
+        ) from None
 
 
-def _decode(m: SignedPermMatrix, n_qubits: int) -> str:
-    """Recover the word of a matrix known to be +/- a Pauli realization."""
-    flip = m.perm[0]
-    if any(p != i ^ flip for i, p in enumerate(m.perm)):
-        raise InternalConsistencyError("permutation is not a coordinate XOR")
-    letters = []
-    for q in range(n_qubits):
-        pos = n_qubits - 1 - q
-        xbit = (flip >> pos) & 1
-        # The sign pattern depends on bit `pos` exactly for Z and Y.
-        zbit = 0 if m.signs[0] == m.signs[1 << pos] else 1
-        letters.append(pauli_codec._PAIR_LETTER[(zbit, xbit)])
-    return "".join(letters)
-
-
-def oracle_product(a: str, b: str) -> str:
-    """Sign-stripped matrix product decoded back to a word.
+def _signed_product(a: str, b: str) -> tuple[str, int]:
+    """(w, s) with realize(a) @ realize(b) == s * realize(w).
 
     `realize` rejects a bad alphabet or an empty word and the matrix
     product rejects words of different lengths, both with UsageError.
     """
     m = realize(a) @ realize(b)
-    word = _decode(m, len(a))
-    check = realize(word)
-    if m != check and m != check.negated():
-        raise InternalConsistencyError("product is not +/- a Pauli realization")
-    return word
+    return _lookup(_signed_table(len(a)), m, a, b)
+
+
+def oracle_symmetric(word: str) -> bool:
+    """True iff the realized matrix squares to plus identity."""
+    square, sign = _signed_product(word, word)
+    if square != "I" * len(word):
+        raise InternalConsistencyError(f"{word} does not square to +/- identity")
+    return sign == 1
+
+
+def oracle_commutes(a: str, b: str) -> bool:
+    """Exact matrix-level commutation test: ab and ba are equal."""
+    return _signed_product(a, b) == _signed_product(b, a)
+
+
+def oracle_product(a: str, b: str) -> str:
+    """Sign-stripped matrix product, read back as a word."""
+    return _signed_product(a, b)[0]
 
 
 def all_words(n_qubits: int):
@@ -142,26 +153,36 @@ def all_words(n_qubits: int):
 def check_agreement(n_qubits: int) -> dict[str, int]:
     """Cross-check the codec against the matrix realization, exhaustively.
 
-    Symmetry is checked on every word, commutation on every unordered
-    pair and products on every ordered pair.  Returns the numbers of
-    checks performed; raises on the first disagreement.
+    One pass computes every ordered matrix product once: the square of
+    each word gives its symmetry class, and ab and ba of each unordered
+    pair give both ordered products and, by their signs, commutation.
+    Each is compared with `pauli_codec`.  Returns the numbers of checks
+    performed; raises on the first disagreement, naming the ordered pair.
     """
+    table = _signed_table(n_qubits)
+    identity = "I" * n_qubits
     words = all_words(n_qubits)
-    for w in words:
-        if pauli_codec.is_symmetric(w) != oracle_symmetric(w):
-            raise InternalConsistencyError(f"symmetry disagreement at {w}")
-    pair_count = 0
-    for i, a in enumerate(words):
-        for b in words[i + 1 :]:
-            if pauli_codec.commutes(a, b) != oracle_commutes(a, b):
-                raise InternalConsistencyError(f"commutation disagreement {a},{b}")
-            pair_count += 1
-    for a in words:
-        for b in words:
-            if oracle_product(a, b) != pauli_codec.word_product(a, b):
+    mats = [realize(w) for w in words]
+    for i, (a, ma) in enumerate(zip(words, mats)):
+        square, sign = _lookup(table, ma @ ma, a, a)
+        if square != pauli_codec.word_product(a, a):
+            raise InternalConsistencyError(f"product disagreement {a},{a}")
+        if square != identity:
+            raise InternalConsistencyError(f"{a} does not square to +/- identity")
+        if pauli_codec.is_symmetric(a) != (sign == 1):
+            raise InternalConsistencyError(f"symmetry disagreement at {a}")
+        for b, mb in zip(words[i + 1 :], mats[i + 1 :]):
+            ab = _lookup(table, ma @ mb, a, b)
+            ba = _lookup(table, mb @ ma, b, a)
+            if ab[0] != pauli_codec.word_product(a, b):
                 raise InternalConsistencyError(f"product disagreement {a},{b}")
+            if ba[0] != pauli_codec.word_product(b, a):
+                raise InternalConsistencyError(f"product disagreement {b},{a}")
+            if pauli_codec.commutes(a, b) != (ab == ba):
+                raise InternalConsistencyError(f"commutation disagreement {a},{b}")
+    count = len(words)
     return {
-        "words": len(words),
-        "commutation_pairs": pair_count,
-        "product_pairs": len(words) ** 2,
+        "words": count,
+        "commutation_pairs": count * (count - 1) // 2,
+        "product_pairs": count * count,
     }

@@ -15,6 +15,7 @@ commutation is vanishing of the alternating form sigma.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import IdentityNotAPointError, UsageError
 
@@ -26,15 +27,21 @@ _PAIR_LETTER = {v: k for k, v in _LETTER_PAIR.items()}
 
 def validate_word(word: str, n_qubits: int | None = None) -> str:
     """Check a word's alphabet (and length when `n_qubits` is given)."""
-    if not word or any(c not in _LETTER_PAIR for c in word):
+    if not word or word.strip(LETTERS):
         raise UsageError(f"not a Pauli word over I/X/Y/Z: {word!r}")
     if n_qubits is not None and len(word) != n_qubits:
         raise UsageError(f"expected {n_qubits} letters, got {word!r}")
     return word
 
 
+@lru_cache(maxsize=1024)
 def _encode(word: str) -> int:
-    """Vector of a word; the identity encodes to 0 (not a point)."""
+    """Vector of a valid word; the identity encodes to 0 (not a point).
+
+    Memoized, like :func:`point_to_word`: the checks convert the same few
+    hundred words and points over and over.  1024 entries hold every word
+    and point of one to four qubits.
+    """
     n = len(word)
     hi = lo = 0
     for c in word:
@@ -53,6 +60,7 @@ def word_to_point(word: str) -> int:
     return v
 
 
+@lru_cache(maxsize=1024)
 def point_to_word(v: int, n_qubits: int) -> str:
     """Word of a nonzero point; inverse of :func:`word_to_point`."""
     if v == 0:
@@ -85,6 +93,12 @@ def is_symmetric(word: str) -> bool:
     return word.count("Y") % 2 == 0
 
 
+def _sigma(u: int, v: int, n: int) -> int:
+    """The alternating form on N-qubit vectors (see GeometryContext)."""
+    m = (1 << n) - 1
+    return (((u >> n) & v & m).bit_count() + ((v >> n) & u & m).bit_count()) & 1
+
+
 @dataclass(frozen=True)
 class GeometryContext:
     """Ambient data for N qubits: dimension, alternating and quadratic forms.
@@ -107,8 +121,7 @@ class GeometryContext:
         return (1 << self.n_qubits) - 1
 
     def sigma(self, u: int, v: int) -> int:
-        n, m = self.n_qubits, self._lo_mask
-        return (((u >> n) & v & m).bit_count() + ((v >> n) & u & m).bit_count()) & 1
+        return _sigma(u, v, self.n_qubits)
 
     def quadratic(self, v: int) -> int:
         return ((v >> self.n_qubits) & v & self._lo_mask).bit_count() & 1
@@ -136,7 +149,7 @@ def commutes(a: str, b: str) -> bool:
     """Whether two words commute: sigma of their points vanishes."""
     validate_word(a)
     validate_word(b, len(a))
-    return GeometryContext(len(a)).sigma(_encode(a), _encode(b)) == 0
+    return _sigma(_encode(a), _encode(b), len(a)) == 0
 
 
 def words_to_points(words) -> tuple[int, ...]:

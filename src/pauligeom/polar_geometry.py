@@ -461,12 +461,21 @@ def tetrad_census(ovoids) -> Counter:
             nx, ny, nz = nuclei[x], nuclei[y], nuclei[z]
             seen = masks[x] | masks[y] | masks[z] | 1 << nx | 1 << ny | 1 << nz
             if seen & qmask:
-                raise InternalConsistencyError("tetrad point on quadric")
+                raise _tetrad_fault("tetrad point on quadric", pts, (x, y, z))
             if seen.bit_count() != 12:
-                raise InternalConsistencyError("tetrad lines overlap")
+                raise _tetrad_fault("tetrad lines overlap", pts, (x, y, z))
             axis = _sorted3(nx, ny, nz)
             counts[tuple(sorted((lines[x], lines[y], lines[z], axis)))] += 1
     return counts
+
+
+def _tetrad_fault(what: str, pts, triples) -> InternalConsistencyError:
+    """Name the ovoid and the partition (positions in `_TRIPLES`) in words."""
+    def words(ps):
+        return ",".join(point_to_word(p, 4) for p in ps)
+
+    part = "/".join(words(pts[i] for i in _TRIPLES[t]) for t in triples)
+    return InternalConsistencyError(f"{what}: ovoid {words(pts)} partition {part}")
 
 
 def pairwise_intersection_sizes(ovoids) -> Counter:
@@ -725,24 +734,31 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
 
 
 def _check_generalized_quadrangle(points, lines, s: int, t: int):
-    """Axiomatic GQ(s, t) check on an explicit incidence structure."""
-    pts = list(points)
-    on_lines: dict[int, list] = {p: [] for p in pts}
+    """Axiomatic GQ(s, t) check on an explicit incidence structure.
+
+    Lines and collinearity sets are masks over the points' indices, so
+    the quadrangle axiom (a point off a line is collinear with exactly
+    one of its points) is one AND and popcount per point and line.
+    """
+    index = {p: i for i, p in enumerate(points)}
+    on_lines = [0] * len(index)
+    collinear = [0] * len(index)
+    line_masks = []
     for line in lines:
         if len(set(line)) != s + 1:
             raise InternalConsistencyError("line size is not s+1")
+        m = 0
         for p in line:
-            on_lines[p].append(line)
-    if any(len(ls) != t + 1 for ls in on_lines.values()):
+            m |= 1 << index[p]
+        line_masks.append(m)
+        for p in line:
+            on_lines[index[p]] += 1
+            collinear[index[p]] |= m
+    if any(d != t + 1 for d in on_lines):
         raise InternalConsistencyError("point degree is not t+1")
-    collinear = {p: {q for line in on_lines[p] for q in line} for p in pts}
-    for line in lines:
-        members = set(line)
-        for p in pts:
-            if p in members:
-                continue
-            traces = sum(1 for q in line if q in collinear[p])
-            if traces != 1:
+    for m in line_masks:
+        for i, near in enumerate(collinear):
+            if not m >> i & 1 and (m & near).bit_count() != 1:
                 raise InternalConsistencyError("quadrangle axiom fails")
 
 

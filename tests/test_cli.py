@@ -229,6 +229,25 @@ def test_enumerate_heptads_n2_is_usage_error(tmp_path, capsys):
     assert target.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("point,message", [
+    ("IYZX", "error: point IYZX is not on the quadric\n"),
+    ("ZIIXX", "error: expected 4 letters, got 'ZIIXX'\n"),
+])
+def test_enumerate_ovoids_through_impossible_point_is_usage_error(
+        point, message, tmp_path, capsys):
+    # A skew point and a five-letter word lie on no rank-4 ovoid.
+    target = tmp_path / "f.txt"
+    target.write_text("keep\n")
+    code, out, err = run(["enumerate", "ovoids", "--through-point", point,
+                          "--output", str(target)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == message
+    assert target.read_text() == "keep\n"
+    code, out, err = run(["enumerate", "ovoids", "--through-point", point], capsys)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_verify_failed_check_exits_1(monkeypatch, capsys):
     def broken(n):
         raise InternalConsistencyError("planted disagreement")

@@ -156,3 +156,49 @@ def test_check_agreement_catches_one_wrong_commutation(monkeypatch):
         mo.check_agreement(4)
     assert "commutation" in str(exc.value)
     assert f"{words[-2]},{words[-1]}" in str(exc.value)
+
+
+def test_check_agreement_catches_one_wrong_symmetry(monkeypatch):
+    bad = mo.all_words(4)[100]
+    real = pc.is_symmetric
+
+    def is_symmetric(w):
+        return real(w) != (w == bad)
+
+    monkeypatch.setattr(pc, "is_symmetric", is_symmetric)
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    assert str(exc.value) == f"symmetry disagreement at {bad}"
+
+
+def test_check_agreement_catches_a_corrupted_realization(monkeypatch):
+    # One sign flipped in one row of one word's matrix: every product
+    # with that word leaves the signed realizations.
+    bad = "XZYI"
+    real = mo.realize
+
+    def realize(word):
+        m = real(word)
+        if word != bad:
+            return m
+        return mo.SignedPermMatrix(m.perm, (-m.signs[0],) + m.signs[1:])
+
+    # Build the lookup from the true realizations before corrupting one,
+    # so the cached table stays correct for later tests.
+    mo._signed_table(4)
+    monkeypatch.setattr(mo, "realize", realize)
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    message = str(exc.value)
+    assert "is not +/- a Pauli realization" in message
+    pair = message.split()[1].split(",")
+    assert bad in pair
+
+
+def test_signed_table_holds_every_signed_realization():
+    table = mo._signed_table(2)
+    assert len(table) == 2 * 4**2
+    for word in map("".join, itertools.product("IXYZ", repeat=2)):
+        m = mo.realize(word)
+        assert table[m] == (word, 1)
+        assert table[m.negated()] == (word, -1)

@@ -199,6 +199,24 @@ def test_single_ovoid_tetrad_census(ostar, quadric4):
     }
 
 
+@pytest.mark.parametrize("words,fault", [
+    # O* with XXXX replaced by IIIX: a partition nucleus lands on the quadric.
+    ("IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX", "tetrad point on quadric"),
+    ("IIIX,IIXZ,IXZZ,XIZY,XZXZ,XYZZ,ZIZZ,YYIY,YYYZ", "tetrad lines overlap"),
+])
+def test_tetrad_census_names_the_failing_ovoid_and_partition(words, fault):
+    o = pg.Ovoid.from_points(word_to_point(w) for w in words.split(","))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.tetrad_census([o])
+    ovoid_words = ",".join(point_to_word(p, 4) for p in o.points)
+    head = f"{fault}: ovoid {ovoid_words} partition "
+    message = str(exc.value)
+    assert message.startswith(head)
+    groups = [g.split(",") for g in message[len(head):].split("/")]
+    assert sorted(w for g in groups for w in g) == sorted(ovoid_words.split(","))
+    assert [len(g) for g in groups] == [3, 3, 3]
+
+
 def test_second_ovoid_on_conic(ostar, gens4, ctx4):
     triple = ostar.points[:3]
     other = pg.second_ovoid_on_conic(ostar, triple, gens4)
@@ -309,6 +327,36 @@ def test_sextet_sections(ostar, quadric4):
         assert len(section.points) == 27
         assert len(section.lines) == 45
         assert len(section.core15) == 15
+
+
+def _swap_one_point(lines, points):
+    # Replace the first point of the first line by a section point off it.
+    first = lines[0]
+    other = next(p for p in points if p not in first)
+    return [(other,) + first[1:]] + list(lines[1:])
+
+
+def _exchange_two_points(lines):
+    # Exchange one point between two lines: sizes and degrees stay right.
+    first = lines[0]
+    p = first[0]
+    second = next(ln for ln in lines[1:] if p not in ln
+                  and any(q not in first for q in ln))
+    q = next(x for x in second if x not in first)
+    swapped = {first: tuple(q if x == p else x for x in first),
+               second: tuple(p if x == q else x for x in second)}
+    return [swapped.get(ln, ln) for ln in lines]
+
+
+def test_generalized_quadrangle_check_rejects_a_perturbed_section(ostar, quadric4):
+    section = pg.sextet_intersection(ostar, ostar.points[:6], quadric4)
+    pg._check_generalized_quadrangle(section.points, section.lines, 2, 4)
+    with pytest.raises(InternalConsistencyError, match="point degree is not t\\+1"):
+        pg._check_generalized_quadrangle(
+            section.points, _swap_one_point(section.lines, section.points), 2, 4)
+    with pytest.raises(InternalConsistencyError, match="quadrangle axiom fails"):
+        pg._check_generalized_quadrangle(
+            section.points, _exchange_two_points(section.lines), 2, 4)
 
 
 def test_sextet_double_six_is_two_ovoid_difference(ostar, gens4, quadric4):
