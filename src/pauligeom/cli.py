@@ -14,7 +14,7 @@ from . import configurations as cfg
 from . import gf2_core, matrix_oracle, pauli_codec, verify
 from . import polar_geometry as pg
 from .errors import UsageError
-from .pauli_codec import GeometryContext, point_to_word, word_to_point
+from .pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
 def cmd_verify(n: int, level: str) -> verify.VerificationReport:
@@ -88,25 +88,21 @@ def _enumeration_lines(args) -> list[str]:
     ctx = GeometryContext(n)
     if args.what == "generators":
         gens = pg.get_generators(ctx, args.space)
-        lines = [",".join(point_to_word(p, n) for p in sorted(flat.points()))
-                 for flat in gens.flats]
+        lines = [join_words(sorted(flat.points()), n) for flat in gens.flats]
         if gens.families is not None:
             lines = [f"{w}\tfamily={fam}" for w, fam in zip(lines, gens.families)]
         return lines
     if args.what == "heptads":
         if n == 3:
-            return [
-                ",".join(point_to_word(p, 3) for p in h)
-                for h in sorted(tuple(sorted(x)) for x in pg.conwell_heptads(ctx))
-            ]
+            return [join_words(h, 3)
+                    for h in sorted(tuple(sorted(x)) for x in pg.conwell_heptads(ctx))]
         if n != 4:
             raise UsageError("heptads enumeration needs --n 3 or --n 4")
         o = _resolve_ovoid(args.ovoid, pg.get_generators(ctx, "quadric"))
         lines = []
         for p1, p2 in itertools.combinations(o.points, 2):
             hept = sorted(p1 ^ p2 ^ x for x in o.complement_in((p1, p2)))
-            lines.append(f"{point_to_word(p1, 4)},{point_to_word(p2, 4)}\t"
-                         + ",".join(point_to_word(h, 4) for h in hept))
+            lines.append(f"{join_words((p1, p2))}\t{join_words(hept)}")
         return lines
     if n != 4:
         raise UsageError(f"{args.what} enumeration needs --n 4")
@@ -118,20 +114,16 @@ def _enumeration_lines(args) -> list[str]:
             if not gens.quadric.contains(p):
                 raise UsageError(f"point {point_to_word(p, 4)} is not on the quadric")
             ovoids = pg.ovoids_through(ovoids, p)
-        return [",".join(point_to_word(p, 4) for p in o.points) for o in ovoids]
+        return [join_words(o.points) for o in ovoids]
     if args.what == "tetrads":
         if args.dedup:
-            keys = sorted(pg.tetrad_census(pg.get_ovoids(ctx)))
+            tetrads = map(pg.Tetrad, pg.tetrad_census(pg.get_ovoids(ctx)))
         else:
             o = _resolve_ovoid(args.ovoid, gens)
-            keys = sorted(
-                pg.tetrad_of_partition(o, part, gens.quadric).key()
-                for part in pg.triple_partitions(o)
-            )
-        return [
-            ";".join(",".join(point_to_word(p, 4) for p in line) for line in key)
-            for key in keys
-        ]
+            tetrads = (pg.tetrad_of_partition(o, part, gens.quadric)
+                       for part in pg.triple_partitions(o))
+        return [";".join(map(join_words, lines))
+                for lines in sorted(t.lines for t in tetrads)]
     raise UsageError(f"unknown enumeration target {args.what!r}")
 
 

@@ -157,11 +157,8 @@ def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
     axis = sorted(pg.axis_of_partition(o, partition))
     b.add_all(axis, "nucleus")
     tetrad = pg.tetrad_of_partition(o, partition, quadric)
-    for line in tetrad.lines:
-        if sorted(line) == axis:
-            continue
+    for line in tetrad.lines:  # the axis points keep their nucleus role
         b.add_all(line, "tetrad-point")
-    for line in tetrad.lines:
         b.line(*line)
     b.note("axis", " ".join(_word(p) for p in axis))
     b.note("tetrad_lines", len(tetrad.lines))

@@ -71,8 +71,14 @@ def echelon(rows: Iterable[int]) -> tuple[int, ...]:
 
 
 def rank(rows: Iterable[int]) -> int:
-    """GF(2) rank of a collection of vectors."""
-    return len(echelon(rows))
+    """GF(2) rank of a collection of vectors (one pivot per leading bit)."""
+    pivots: dict[int, int] = {}
+    for r in rows:
+        while r and (top := r.bit_length() - 1) in pivots:
+            r ^= pivots[top]
+        if r:
+            pivots[top] = r
+    return len(pivots)
 
 
 def span_points(basis: Iterable[int]) -> frozenset[int]:

@@ -154,3 +154,8 @@ def commutes(a: str, b: str) -> bool:
 
 def words_to_points(words) -> tuple[int, ...]:
     return tuple(word_to_point(w) for w in words)
+
+
+def join_words(points, n_qubits: int = 4) -> str:
+    """Points as comma-separated Pauli words: listings and error messages."""
+    return ",".join(point_to_word(p, n_qubits) for p in points)

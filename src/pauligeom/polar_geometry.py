@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
 from .gf2_core import Flat, echelon, span, span_points
-from .pauli_codec import GeometryContext, point_to_word, words_to_points
+from .pauli_codec import GeometryContext, join_words, point_to_word, words_to_points
 
 # The distinguished ovoid: in the product-of-pairs frame it is the eight
 # basis vectors plus the all-ones vector; the split frame and the word
@@ -33,6 +33,15 @@ def _points_mask(points) -> int:
     for p in points:
         m |= 1 << p
     return m
+
+
+def _mask_points(mask: int) -> list[int]:
+    out = []
+    while mask:
+        bit = mask & -mask
+        mask ^= bit
+        out.append(bit.bit_length() - 1)
+    return out
 
 
 def _sorted3(a: int, b: int, c: int) -> tuple[int, int, int]:
@@ -289,8 +298,8 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet):
     ovoids = tuple(Ovoid.from_points(t) for t in found)
     for o in ovoids:
         if not is_ovoid(o.points, gens):
-            words = ",".join(point_to_word(p, ctx.n_qubits) for p in o.points)
-            raise InternalConsistencyError(f"clique {words} fails the ovoid test")
+            raise InternalConsistencyError(
+                f"clique {join_words(o.points, ctx.n_qubits)} fails the ovoid test")
     return ovoids
 
 
@@ -342,10 +351,7 @@ def conic_of(o: Ovoid, triple) -> Conic:
 
 
 def conics_of(o: Ovoid) -> tuple[Conic, ...]:
-    return tuple(
-        Conic(t, t[0] ^ t[1] ^ t[2], span(t))
-        for t in itertools.combinations(o.points, 3)
-    )
+    return tuple(conic_of(o, t) for t in itertools.combinations(o.points, 3))
 
 
 def _partition_patterns() -> tuple[tuple[tuple[int, int, int], ...], ...]:
@@ -382,53 +388,33 @@ def axis_of_partition(o: Ovoid, partition) -> frozenset[int]:
         raise UsageError("partition must cover the ovoid by disjoint triples")
     nuclei = [t[0] ^ t[1] ^ t[2] for t in partition]
     if len(set(nuclei)) != 3 or nuclei[0] ^ nuclei[1] ^ nuclei[2] != 0:
-        raise InternalConsistencyError("partition nuclei are not a line")
+        raise InternalConsistencyError(
+            f"partition nuclei are not a line: {join_words(nuclei)}")
     ctx = GeometryContext(4)
     if any(ctx.is_on_quadric(nu) for nu in nuclei):
-        raise InternalConsistencyError("axis touches the quadric")
+        raise InternalConsistencyError(f"axis touches the quadric: {join_words(nuclei)}")
     return frozenset(nuclei)
 
 
 @dataclass(frozen=True)
 class Tetrad:
-    """Four pairwise disjoint off-quadric lines spanning the whole space."""
+    """Four pairwise disjoint off-quadric lines spanning the whole space.
 
-    lines: tuple[tuple[int, int, int], ...]
+    The key is the int mask of the 12 points; the lines, sorted tuples of
+    sorted points, are rendered from it only for output.
+    """
+
+    mask: int
 
     def points(self) -> frozenset[int]:
-        return frozenset(p for line in self.lines for p in line)
+        return frozenset(_mask_points(self.mask))
 
-    def key(self) -> tuple[tuple[int, int, int], ...]:
-        return self.lines
+    def key(self) -> int:
+        return self.mask
 
-
-def _offquadric_plane_line(triple, quadric: Quadric) -> tuple[int, int, int]:
-    # The plane of a conic has exactly four off-quadric points; the unique
-    # fully off-quadric line among them is asserted, not assumed.
-    a, b, c = triple
-    off = [p for p in span_points((a, b, c)) if not quadric.contains(p)]
-    if len(off) != 4:
-        raise InternalConsistencyError("conic plane does not have 4 external points")
-    lines = {
-        _sorted3(u, v, u ^ v)
-        for u, v in itertools.combinations(off, 2)
-        if not quadric.contains(u ^ v) and (u ^ v) in off
-    }
-    if len(lines) != 1:
-        raise InternalConsistencyError("external line of the plane is not unique")
-    return next(iter(lines))
-
-
-def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> Tetrad:
-    """Axis plus the three in-plane external lines of a partition."""
-    axis = tuple(sorted(axis_of_partition(o, partition)))
-    lines = [axis] + [_offquadric_plane_line(t, quadric) for t in partition]
-    pts = [p for line in lines for p in line]
-    if len(set(pts)) != 12:
-        raise InternalConsistencyError("tetrad lines are not pairwise disjoint")
-    if gf2_core.rank(pts) != 8:
-        raise InternalConsistencyError("tetrad does not span the whole space")
-    return Tetrad(tuple(sorted(lines)))
+    @property
+    def lines(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(sorted(collinear_triples_within(_mask_points(self.mask))))
 
 
 # Each of the 84 point triples of an ovoid, by index, and every partition
@@ -439,43 +425,68 @@ _PATTERN_TRIPLES = tuple(
 )
 
 
+def _conic_masks(pts) -> list[int]:
+    """Per triple of `_TRIPLES`, the mask of the conic's external line
+    {a^b, a^c, b^c} and nucleus a^b^c; a partition's tetrad is the union
+    of its three conics' masks."""
+    return [
+        1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
+        for a, b, c in itertools.combinations(pts, 3)
+    ]
+
+
+def _certify_tetrad(mask: int, qmask: int) -> None:
+    """Twelve off-quadric points holding exactly four disjoint lines of rank 8."""
+    pts = _mask_points(mask)
+    lines = sorted(collinear_triples_within(pts))
+    if (len(pts) != 12 or mask & qmask or len(lines) != 4
+            or len({p for line in lines for p in line}) != 12):
+        raise InternalConsistencyError(
+            f"tetrad is not four skew off-quadric lines: {join_words(pts)}")
+    if gf2_core.rank(pts) != 8:
+        raise InternalConsistencyError(
+            f"tetrad does not span the whole space: {';'.join(map(join_words, lines))}")
+
+
+def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> Tetrad:
+    """Axis plus the three in-plane external lines of a partition."""
+    axis_of_partition(o, partition)
+    masks = _conic_masks(o.points)
+    x, y, z = (_TRIPLES.index(tuple(sorted(map(o.points.index, t)))) for t in partition)
+    tetrad = Tetrad(masks[x] | masks[y] | masks[z])
+    _certify_tetrad(tetrad.mask, quadric.mask)
+    return tetrad
+
+
 def tetrad_census(ovoids) -> Counter:
     """Deduplicated tetrads over every (ovoid, partition) pair.
 
-    Returns a counter keyed by the canonical tetrad (sorted lines of
-    sorted points, as :meth:`Tetrad.key`) whose values are raw
-    multiplicities; the sum of the values is 280 times the number of
-    ovoids.  Every tetrad is checked to be twelve off-quadric points.
+    Returns a counter keyed by the tetrad's 12-point mask (as
+    :meth:`Tetrad.key`) whose values are raw multiplicities; the sum of
+    the values is 280 times the number of ovoids.  Every tetrad is
+    checked to be twelve off-quadric points, and each distinct key is
+    then certified once.
     """
     qmask = Quadric.standard_hyperbolic(GeometryContext(4)).mask
     counts: Counter = Counter()
     for o in ovoids:
-        pts = o.points
-        lines, masks, nuclei = [], [], []
-        for i, j, k in _TRIPLES:
-            a, b, c = pts[i], pts[j], pts[k]
-            lines.append(_sorted3(a ^ b, a ^ c, b ^ c))
-            masks.append(1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c))
-            nuclei.append(a ^ b ^ c)
-        for x, y, z in _PATTERN_TRIPLES:
-            nx, ny, nz = nuclei[x], nuclei[y], nuclei[z]
-            seen = masks[x] | masks[y] | masks[z] | 1 << nx | 1 << ny | 1 << nz
-            if seen & qmask:
-                raise _tetrad_fault("tetrad point on quadric", pts, (x, y, z))
-            if seen.bit_count() != 12:
-                raise _tetrad_fault("tetrad lines overlap", pts, (x, y, z))
-            axis = _sorted3(nx, ny, nz)
-            counts[tuple(sorted((lines[x], lines[y], lines[z], axis)))] += 1
+        masks = _conic_masks(o.points)
+        keys = [masks[x] | masks[y] | masks[z] for x, y, z in _PATTERN_TRIPLES]
+        for key, triples in zip(keys, _PATTERN_TRIPLES):
+            if key & qmask:
+                raise _tetrad_fault("tetrad point on quadric", o.points, triples)
+            if key.bit_count() != 12:
+                raise _tetrad_fault("tetrad lines overlap", o.points, triples)
+        counts.update(keys)
+    for key in counts:
+        _certify_tetrad(key, qmask)
     return counts
 
 
 def _tetrad_fault(what: str, pts, triples) -> InternalConsistencyError:
     """Name the ovoid and the partition (positions in `_TRIPLES`) in words."""
-    def words(ps):
-        return ",".join(point_to_word(p, 4) for p in ps)
-
-    part = "/".join(words(pts[i] for i in _TRIPLES[t]) for t in triples)
-    return InternalConsistencyError(f"{what}: ovoid {words(pts)} partition {part}")
+    part = "/".join(join_words(pts[i] for i in _TRIPLES[t]) for t in triples)
+    return InternalConsistencyError(f"{what}: ovoid {join_words(pts)} partition {part}")
 
 
 def pairwise_intersection_sizes(ovoids) -> Counter:
@@ -565,13 +576,15 @@ def solid_extra_point(o: Ovoid, quad) -> int:
     if len(q) != 4 or any(p not in o for p in q):
         raise UsageError("need four distinct points of the ovoid")
     ctx = GeometryContext(4)
-    on = [p for p in span_points(q) if ctx.is_on_quadric(p)]
+    on = sorted(p for p in span_points(q) if ctx.is_on_quadric(p))
     extra = [p for p in on if p not in q]
     if len(on) != 5 or len(extra) != 1:
-        raise InternalConsistencyError("solid section is not five points")
+        raise InternalConsistencyError(f"solid section is not five points: {join_words(q)}"
+                                       f" meet the quadric in {join_words(on)}")
     for u, v in itertools.combinations(on, 2):
         if ctx.is_on_quadric(u ^ v):
-            raise InternalConsistencyError("solid section carries a quadric line")
+            raise InternalConsistencyError(
+                f"solid section carries a quadric line: {join_words((u, v, u ^ v))}")
     return extra[0]
 
 
@@ -746,7 +759,7 @@ def _check_generalized_quadrangle(points, lines, s: int, t: int):
     line_masks = []
     for line in lines:
         if len(set(line)) != s + 1:
-            raise InternalConsistencyError("line size is not s+1")
+            raise InternalConsistencyError(f"line size is not s+1: {join_words(line)}")
         m = 0
         for p in line:
             m |= 1 << index[p]
@@ -754,12 +767,14 @@ def _check_generalized_quadrangle(points, lines, s: int, t: int):
         for p in line:
             on_lines[index[p]] += 1
             collinear[index[p]] |= m
-    if any(d != t + 1 for d in on_lines):
-        raise InternalConsistencyError("point degree is not t+1")
-    for m in line_masks:
+    bad = [p for p, d in zip(points, on_lines) if d != t + 1]
+    if bad:
+        raise InternalConsistencyError(f"point degree is not t+1: {join_words(bad)}")
+    for line, m in zip(lines, line_masks):
         for i, near in enumerate(collinear):
             if not m >> i & 1 and (m & near).bit_count() != 1:
-                raise InternalConsistencyError("quadrangle axiom fails")
+                raise InternalConsistencyError(f"quadrangle axiom fails: point "
+                    f"{join_words(points[i:i + 1])} off line {join_words(line)}")
 
 
 @dataclass(frozen=True)

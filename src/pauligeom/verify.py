@@ -22,7 +22,7 @@ from . import configurations as cfg
 from . import gf2_core, matrix_oracle, pauli_codec
 from . import polar_geometry as pg
 from .errors import UsageError
-from .pauli_codec import GeometryContext, point_to_word, word_to_point
+from .pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
 @dataclass
@@ -197,10 +197,6 @@ def checks(n: int, level: str) -> list[tuple]:
     return rows
 
 
-def _words(points) -> str:
-    return ",".join(point_to_word(p, 4) for p in points)
-
-
 def _fmt_counter(counter: Counter) -> str:
     return " ".join(f"{k}:{counter[k]}" for k in sorted(counter))
 
@@ -264,31 +260,18 @@ def _census_per_intersection_class(ovoids, ost, quadric):
 
 
 def _axes_and_tetrads(ost, quadric):
+    # tetrad_of_partition checks the axis and certifies the tetrad; a
+    # failure raises with the offending lines in words.
     parts = pg.triple_partitions(ost)
-    keys = set()
-    for part in parts:
-        axis = pg.axis_of_partition(ost, part)
-        tetrad = pg.tetrad_of_partition(ost, part, quadric)
-        pts = tetrad.points()
-        if (any(map(quadric.contains, axis | pts)) or len(pts) != 12
-                or gf2_core.rank(pts) != 8):
-            where = "/".join(_words(t) for t in part)
-            return f"tetrad of {where} is not 12 skew points spanning the space"
-        keys.add(tetrad.key())
+    keys = {pg.tetrad_of_partition(ost, part, quadric).key() for part in parts}
     return f"{len(parts)} partitions, {len(keys)} tetrads"
 
 
 def _solid_extras(ost, quadric):
-    extras = []
-    for quad in itertools.combinations(ost.points, 4):
-        section = [p for p in gf2_core.span_points(quad) if quadric.contains(p)]
-        if len(section) != 5 or any(
-            quadric.contains(u ^ v) for u, v in itertools.combinations(section, 2)
-        ):
-            return f"solid of {_words(quad)} is not an elliptic section"
-        extras.append(pg.solid_extra_point(ost, quad))
-    complement = set(quadric.points) - set(ost.points)
-    ok = len(set(extras)) == 126 and set(extras) == complement
+    # solid_extra_point checks each section is five points on no quadric
+    # line; a failure raises with the solid in words.
+    extras = {pg.solid_extra_point(ost, q) for q in itertools.combinations(ost.points, 4)}
+    ok = len(extras) == 126 and extras == set(quadric.points) - set(ost.points)
     return f"126 distinct extras = complement: {ok}"
 
 
@@ -307,7 +290,7 @@ def _pentad_cones(ost, quadric):
         cone = pg.pentad_intersection(ost, pent, quadric)
         vertex = pg.solid_extra_point(ost, ost.complement_in(pent))
         if cone.vertex != vertex or any(vertex not in line for line in cone.lines):
-            return f"cone of {_words(pent)} is not on {_words((vertex,))}"
+            return f"cone of {join_words(pent)} is not on {join_words((vertex,))}"
         n_ok += len(cone.points) == 11
     return f"{n_ok}/126 cones"
 
@@ -318,7 +301,7 @@ def _sextet_sections(ost, quadric):
         sec = pg.sextet_intersection(ost, sx, quadric)
         a, b, c = ost.complement_in(sx)
         if sec.pairing_nucleus != a ^ b ^ c:
-            return f"sextet {_words(sx)} pairs at {_words((sec.pairing_nucleus,))}"
+            return f"sextet {join_words(sx)} pairs at {join_words((sec.pairing_nucleus,))}"
         n_ok += len(sec.points) == 27 and len(sec.lines) == 45
     return f"{n_ok}/84 sections"
 
@@ -335,7 +318,7 @@ def _heptad_sections(ost, quadric):
         sec = pg.heptad_intersection(ost, hp, quadric)
         a, b = ost.complement_in(hp)
         if sec.nucleus != a ^ b:
-            return f"heptad {_words(hp)} has nucleus {_words((sec.nucleus,))}"
+            return f"heptad {join_words(hp)} has nucleus {join_words((sec.nucleus,))}"
         n_ok += len(sec.points) == 63
     return f"{n_ok}/36 sections"
 
@@ -347,13 +330,13 @@ def _nuclei_fans(ost):
         others = ost.complement_in((p,))
         nuclei = [p ^ a ^ b for a, b in itertools.combinations(others, 2)]
         if len(set(nuclei)) != 28:
-            return f"{_words((p,))} has {len(set(nuclei))} conic nuclei"
+            return f"{join_words((p,))} has {len(set(nuclei))} conic nuclei"
         for nucleus in nuclei:
             fan = cfg.nuclei_fan_structure(ost, p, nucleus)
             sizes = (len(fan.six_through_first), len(fan.six_through_second),
                      len(fan.fan15))
             if sizes != (6, 6, 15):
-                return f"fan {_words((p, nucleus))} splits {sizes}"
+                return f"fan {join_words((p, nucleus))} splits {sizes}"
             n_ok += fan.gq_lines == 45
     return f"{n_ok}/252 fans"
 
@@ -375,10 +358,10 @@ def _heptad_families(ost, gens):
     if (tri.annotations.get("heptads"), tri.annotations.get("common_point")) != (
         "6", point_to_word(a ^ b ^ c, 4)
     ):
-        return f"triangle {_words((a, b, c))}: {tri.annotations}"
+        return f"triangle {join_words((a, b, c))}: {tri.annotations}"
     meet = pg.solid_extra_point(ost, (a, b, c, d))
     if quad.annotations.get("concurrence") != point_to_word(meet, 4) or len(quad.lines) != 4:
-        return f"quadrangle {_words((a, b, c, d))}: {quad.annotations}"
+        return f"quadrangle {join_words((a, b, c, d))}: {quad.annotations}"
     return f"{tri.annotations['kind']}+{quad.annotations['kind']}"
 
 

@@ -283,6 +283,7 @@ def test_removed_flags_are_usage_errors(argv, capsys):
 
 # Pinned sha256 of each command's stdout: a refactor of the enumeration
 # or census code must not change a byte of these outputs.
+_OVOID_500 = "XIII,ZXXI,YIXY,ZXZX,ZXZZ,ZZII,ZYXY,YZYI,YZZY"  # 500th of `enumerate ovoids`
 OUTPUT_DIGESTS = [
     (["verify", "--n", "4", "--level", "full", "--no-timings"],
      "e032c763b015274d8cf59728c2565c47751b5e1226019bafd2e64e7525397ca1"),
@@ -294,6 +295,14 @@ OUTPUT_DIGESTS = [
      "4927824d7b3b84baee5cd7b5410168dfab7d26e6bb0895e32b41ffadf834212e"),
     (["enumerate", "ovoids"],
      "b4699a216caf86906a9e6965e3dc38d6f08a99f1d11cbc0ccb1c103574ad30fd"),
+    (["enumerate", "tetrads"],
+     "c58cefe8ea9e22a6b4afd35901e97c5f9bb01f2ee759c0238c6ef3420dccb736"),
+    (["config", "fig2"],
+     "503e80ec7e0f07216d654776bb1383803f3ac347755d70689be2b584dfbc9504"),
+    (["enumerate", "tetrads", "--ovoid", _OVOID_500],
+     "5b0a7d29e57f874412f8fa3d9070559c7e72fde1fef9e5f140c8c840d0c60b3f"),
+    (["config", "fig2", "--ovoid", _OVOID_500],
+     "de4422a1a23747ddf1df99c7afe2f43c23710ad696e3b99d5169df6c9ed47241"),
 ]
 
 

@@ -1,11 +1,12 @@
 import itertools
 import random
+import re
 
 import pytest
 
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
-from pauligeom.gf2_core import echelon, rank
+from pauligeom.gf2_core import echelon, rank, span_points
 from pauligeom.pauli_codec import GeometryContext, point_to_word, word_to_point
 
 
@@ -188,15 +189,68 @@ def test_partitions_axes_and_tetrads(ostar, quadric4, ctx4):
     assert len(seen) == 280
 
 
+def _reference_tetrad(part, quadric):
+    """Mask and lines of a partition's tetrad, from each conic plane's
+    four off-quadric points: the plane's one off-quadric line plus the
+    nucleus, with the three nuclei making the axis."""
+    lines, nuclei, points = [], [], set()
+    for triple in part:
+        off = {p for p in span_points(triple) if not quadric.contains(p)}
+        assert len(off) == 4
+        (line,) = {tuple(sorted((u, v, u ^ v)))
+                   for u, v in itertools.combinations(off, 2) if u ^ v in off}
+        lines.append(line)
+        (nucleus,) = off - set(line)
+        nuclei.append(nucleus)
+        points |= off
+    lines.append(tuple(sorted(nuclei)))
+    assert len(points) == 12 and rank(points) == 8
+    return sum(1 << p for p in points), tuple(sorted(lines))
+
+
 def test_single_ovoid_tetrad_census(ostar, quadric4):
     census = pg.tetrad_census([ostar])
     assert len(census) == 280
     assert set(census.values()) == {1}
     # independent construction through span_points and rank
-    assert set(census) == {
-        pg.tetrad_of_partition(ostar, part, quadric4).key()
-        for part in pg.triple_partitions(ostar)
-    }
+    reference = {}
+    for part in pg.triple_partitions(ostar):
+        mask, lines = _reference_tetrad(part, quadric4)
+        tetrad = pg.tetrad_of_partition(ostar, part, quadric4)
+        assert (tetrad.key(), tetrad.lines) == (mask, lines)
+        reference[mask] = lines
+    assert set(census) == set(reference)
+    assert all(pg.Tetrad(key).lines == reference[key] for key in census)
+
+
+def test_tetrad_census_certifies_each_distinct_key_once(ovoids, monkeypatch):
+    certified = []
+    certify = pg._certify_tetrad
+
+    def recording(mask, qmask):
+        certified.append(mask)
+        certify(mask, qmask)
+
+    monkeypatch.setattr(pg, "_certify_tetrad", recording)
+    census = pg.tetrad_census(ovoids[:20])
+    assert sum(census.values()) == 20 * 280 > len(census)
+    assert sorted(certified) == sorted(census)
+
+
+def test_tetrad_certifier_rejects_four_skew_lines_of_rank_7(quadric4):
+    words = "IXYI,XYIX,XZYX;XIIY,ZXYI,YXYY;XIZY,YXII,ZXZY;IIYI,ZYXX,ZYZX"
+    lines = [[word_to_point(w) for w in line.split(",")] for line in words.split(";")]
+    points = [p for line in lines for p in line]
+    assert all(u ^ v == w for u, v, w in lines)
+    assert len(set(points)) == 12 and rank(points) == 7
+    assert not any(map(quadric4.contains, points))
+    mask = sum(1 << p for p in points)
+    rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
+                        for line in pg.Tetrad(mask).lines)
+    assert sorted(rendered.split(";")) == sorted(words.split(";"))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg._certify_tetrad(mask, quadric4.mask)
+    assert str(exc.value) == f"tetrad does not span the whole space: {rendered}"
 
 
 @pytest.mark.parametrize("words,fault", [
@@ -351,12 +405,40 @@ def _exchange_two_points(lines):
 def test_generalized_quadrangle_check_rejects_a_perturbed_section(ostar, quadric4):
     section = pg.sextet_intersection(ostar, ostar.points[:6], quadric4)
     pg._check_generalized_quadrangle(section.points, section.lines, 2, 4)
-    with pytest.raises(InternalConsistencyError, match="point degree is not t\\+1"):
-        pg._check_generalized_quadrangle(
-            section.points, _swap_one_point(section.lines, section.points), 2, 4)
-    with pytest.raises(InternalConsistencyError, match="quadrangle axiom fails"):
-        pg._check_generalized_quadrangle(
-            section.points, _exchange_two_points(section.lines), 2, 4)
+    swapped = _swap_one_point(section.lines, section.points)
+    # The point taken off the first line drops to degree 4 and the one put
+    # on rises to 6: the check names both, in point order.
+    moved = sorted((section.lines[0][0], swapped[0][0]))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg._check_generalized_quadrangle(section.points, swapped, 2, 4)
+    assert str(exc.value) == "point degree is not t+1: " + ",".join(
+        point_to_word(p, 4) for p in moved)
+    exchanged = _exchange_two_points(section.lines)
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg._check_generalized_quadrangle(section.points, exchanged, 2, 4)
+    found = re.fullmatch(r"quadrangle axiom fails: point (\w{4}) off line"
+                         r" (\w{4}),(\w{4}),(\w{4})", str(exc.value))
+    assert found
+    point, *line = (word_to_point(w) for w in found.groups())
+    assert tuple(line) in exchanged and point not in line
+    collinear = {q for ln in exchanged if point in ln for q in ln}
+    assert len(collinear & set(line)) != 1
+
+
+def test_axis_and_solid_checks_name_their_points_in_words():
+    # O* with XXXX replaced by IIIX: the nine points no longer sum to zero.
+    words = "IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX"
+    o = pg.Ovoid.from_points(word_to_point(w) for w in words.split(","))
+    part = pg.triple_partitions(o)[0]
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.axis_of_partition(o, part)
+    assert str(exc.value) == "partition nuclei are not a line: XXYY,YIZZ,YIIX"
+    quad = [word_to_point(w) for w in ("IIIX", "IXXZ", "XIZI", "XZXI")]
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.solid_extra_point(o, quad)
+    assert str(exc.value) == (
+        "solid section is not five points: IIIX,IXXZ,XIZI,XZXI meet the quadric in"
+        " IIIX,IXXZ,XIZI,XIZX,XXYY,XZXI,XZXX,XYIY,IYZY")
 
 
 def test_sextet_double_six_is_two_ovoid_difference(ostar, gens4, quadric4):
