@@ -453,8 +453,7 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     quadric, together with the 35 symmetric nuclei of its own triples.
     """
     ctx = GeometryContext(4)
-    if p1 not in o or p2 not in o or p1 == p2:
-        raise UsageError("need two distinct points of the ovoid")
+    o.distinct_points((p1, p2), 2)
     rest = o.complement_in((p1, p2))
     heptad = sorted(p1 ^ p2 ^ x for x in rest)
     if len(set(heptad)) != 7 or any(ctx.is_on_quadric(h) for h in heptad):
@@ -507,36 +506,17 @@ def quadrangle_pairs(o: Ovoid):
 
 def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet) -> ConfigReport:
     """Families of external heptads over a triangle or quadrangle of pairs."""
-    pairs = [tuple(sorted(pr)) for pr in pair_set]
-    for pr in pairs:
-        if len(pr) != 2 or pr[0] not in o or pr[1] not in o or pr[0] == pr[1]:
-            raise UsageError("pair set must consist of distinct ovoid point pairs")
+    pairs = [o.distinct_points(pr, 2) for pr in pair_set]
     vertices = sorted({p for pr in pairs for p in pr})
     degree = {v: sum(v in pr for pr in pairs) for v in vertices}
     if len(pairs) == 3 and len(vertices) == 3 and set(degree.values()) == {2}:
         return _heptad_triangle(o, pairs, vertices, gens)
-    if (
-        len(pairs) == 4
-        and len(vertices) == 4
-        and set(degree.values()) == {2}
-        and _is_single_cycle(pairs, vertices)
-    ):
+    # Four pairs on four vertices of degree 2 form one 4-cycle unless two
+    # pairs repeat, which makes two doubled edges.
+    if (len(pairs) == 4 and len(vertices) == 4 and set(degree.values()) == {2}
+            and len(set(pairs)) == 4):
         return _heptad_quadrangle(o, pairs, vertices, gens)
     raise UsageError("pair set is neither a triangle nor a quadrangle")
-
-
-def _is_single_cycle(pairs, vertices) -> bool:
-    nbr = {v: set() for v in vertices}
-    for a, b in pairs:
-        nbr[a].add(b)
-        nbr[b].add(a)
-    seen = {vertices[0]}
-    frontier = [vertices[0]]
-    while frontier:
-        new = [w for v in frontier for w in nbr[v] if w not in seen]
-        seen.update(new)
-        frontier = new
-    return len(seen) == len(vertices)
 
 
 def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:

@@ -1,80 +1,50 @@
 """Independent ground truth for the word algebra via exact matrices.
 
-Every Pauli word is a signed permutation matrix of size 2^N, so instead of
-dense arrays we store the permutation and the per-row sign, multiply in
-O(2^N) integer arithmetic, and compare matrices exactly.  A product is
-read back by looking it up among the 2·4^N signed realizations ±realize(w)
-(identity included), which gives its word and its sign.  This is a second,
-representation-independent route to symmetry class, commutation and
-products that never touches the coordinate bijection: the square of a word
-is ±identity with sign + exactly when the word is symmetric, and two words
-commute exactly when ab and ba carry the same sign.  `check_agreement`
-computes each of the (4^N - 1)² ordered products once.
+Every Pauli word is a signed permutation matrix of size 2^N: one nonzero
+entry ±1 per row.  Such a matrix is stored as one flat tuple of ints whose
+entry i is 2*c + s when M[i, c] = (-1)^s, so a product costs one pass of
+O(2^N) integer arithmetic and matrices compare and hash as tuples.  Only
+`_BASE`, `matmul`, `kron` and `negated` read or write this encoding.  A
+product is read back by looking it up among the 2·4^N signed realizations
+±realize(w) (identity included), which gives its word and its sign.  This
+is a second, representation-independent route to symmetry class,
+commutation and products that never touches the coordinate bijection: the
+square of a word is ±identity with sign + exactly when the word is
+symmetric, and two words commute exactly when ab and ba carry the same
+sign.  `check_agreement` computes each of the (4^N - 1)² ordered products
+once.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import pauli_codec
 from .errors import InternalConsistencyError, UsageError
 
-
-@dataclass(frozen=True)
-class SignedPermMatrix:
-    """Matrix with one nonzero entry per row: M[i, perm[i]] = signs[i]."""
-
-    perm: tuple[int, ...]
-    signs: tuple[int, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.perm)
-
-    def __matmul__(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
-        if self.size != other.size:
-            raise UsageError("size mismatch in matrix product")
-        # Row i of the product: self picks column self.perm[i], i.e. row
-        # self.perm[i] of `other`, scaled by signs[i].
-        operm, osigns = other.perm, other.signs
-        perm = tuple([operm[p] for p in self.perm])
-        signs = tuple([s * osigns[p] for s, p in zip(self.signs, self.perm)])
-        return SignedPermMatrix(perm, signs)
-
-    def negated(self) -> "SignedPermMatrix":
-        return SignedPermMatrix(self.perm, tuple(-s for s in self.signs))
-
-    @classmethod
-    def identity(cls, size: int) -> "SignedPermMatrix":
-        return cls(tuple(range(size)), (1,) * size)
-
-    def kron(self, other: "SignedPermMatrix") -> "SignedPermMatrix":
-        n = other.size
-        perm = tuple(
-            self.perm[i] * n + other.perm[j]
-            for i in range(self.size)
-            for j in range(n)
-        )
-        signs = tuple(
-            self.signs[i] * other.signs[j]
-            for i in range(self.size)
-            for j in range(n)
-        )
-        return SignedPermMatrix(perm, signs)
+_BASE = {"I": (0, 2), "X": (2, 0), "Y": (3, 0), "Z": (0, 3)}
 
 
-_BASE = {
-    "I": SignedPermMatrix((0, 1), (1, 1)),
-    "X": SignedPermMatrix((1, 0), (1, 1)),
-    "Y": SignedPermMatrix((1, 0), (-1, 1)),
-    "Z": SignedPermMatrix((0, 1), (1, -1)),
-}
+def matmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The product a @ b: row i of a picks row c of b and scales it by ±1."""
+    if len(a) != len(b):
+        raise UsageError("size mismatch in matrix product")
+    return tuple([b[x >> 1] ^ (x & 1) for x in a])
+
+
+def kron(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """The Kronecker product a ⊗ b: row (i, j) is column (c_a, c_b), sign s_a·s_b."""
+    step = 2 * len(b)
+    return tuple([(x >> 1) * step + (y ^ (x & 1)) for x in a for y in b])
+
+
+def negated(m: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple([x ^ 1 for x in m])
 
 
 @lru_cache(maxsize=512)
-def realize(word: str) -> SignedPermMatrix:
+def realize(word: str) -> tuple[int, ...]:
     """Kronecker product of the base matrices in letter order.
 
     Memoized: there are only 4^N words, and the checks below realize each
@@ -84,12 +54,12 @@ def realize(word: str) -> SignedPermMatrix:
     pauli_codec.validate_word(word)
     out = _BASE[word[0]]
     for c in word[1:]:
-        out = out.kron(_BASE[c])
+        out = kron(out, _BASE[c])
     return out
 
 
 @lru_cache(maxsize=4)
-def _signed_table(n_qubits: int) -> dict[SignedPermMatrix, tuple[str, int]]:
+def _signed_table(n_qubits: int) -> dict[tuple[int, ...], tuple[str, int]]:
     """Map each signed realization ±realize(w) of rank N to (w, ±1).
 
     The 2·4^N entries must be distinct: a realization that coincides with
@@ -100,14 +70,14 @@ def _signed_table(n_qubits: int) -> dict[SignedPermMatrix, tuple[str, int]]:
         word = "".join(letters)
         m = realize(word)
         table[m] = (word, 1)
-        table[m.negated()] = (word, -1)
+        table[negated(m)] = (word, -1)
     if len(table) != 2 * 4**n_qubits:
         raise InternalConsistencyError("signed realizations are not distinct")
     return table
 
 
-def _lookup(table, m: SignedPermMatrix, a: str, b: str) -> tuple[str, int]:
-    """(word, sign) of the product m = realize(a) @ realize(b)."""
+def _lookup(table, m: tuple[int, ...], a: str, b: str) -> tuple[str, int]:
+    """(word, sign) of the product m = matmul(realize(a), realize(b))."""
     try:
         return table[m]
     except KeyError:
@@ -122,7 +92,7 @@ def _signed_product(a: str, b: str) -> tuple[str, int]:
     `realize` rejects a bad alphabet or an empty word and the matrix
     product rejects words of different lengths, both with UsageError.
     """
-    m = realize(a) @ realize(b)
+    m = matmul(realize(a), realize(b))
     return _lookup(_signed_table(len(a)), m, a, b)
 
 
@@ -164,7 +134,7 @@ def check_agreement(n_qubits: int) -> dict[str, int]:
     words = all_words(n_qubits)
     mats = [realize(w) for w in words]
     for i, (a, ma) in enumerate(zip(words, mats)):
-        square, sign = _lookup(table, ma @ ma, a, a)
+        square, sign = _lookup(table, matmul(ma, ma), a, a)
         if square != pauli_codec.word_product(a, a):
             raise InternalConsistencyError(f"product disagreement {a},{a}")
         if square != identity:
@@ -172,8 +142,8 @@ def check_agreement(n_qubits: int) -> dict[str, int]:
         if pauli_codec.is_symmetric(a) != (sign == 1):
             raise InternalConsistencyError(f"symmetry disagreement at {a}")
         for b, mb in zip(words[i + 1 :], mats[i + 1 :]):
-            ab = _lookup(table, ma @ mb, a, b)
-            ba = _lookup(table, mb @ ma, b, a)
+            ab = _lookup(table, matmul(ma, mb), a, b)
+            ba = _lookup(table, matmul(mb, ma), b, a)
             if ab[0] != pauli_codec.word_product(a, b):
                 raise InternalConsistencyError(f"product disagreement {a},{b}")
             if ba[0] != pauli_codec.word_product(b, a):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
@@ -121,15 +122,9 @@ class GeneratorSet:
         return self.families.count(0), self.families.count(1)
 
 
-_PERP_CACHE: dict[int, dict[int, int]] = {}
-
-
+@cache
 def _perp_masks(ctx: GeometryContext) -> dict[int, int]:
-    cached = _PERP_CACHE.get(ctx.n_qubits)
-    if cached is None:
-        cached = {p: ctx.perp_mask(p) for p in ctx.points()}
-        _PERP_CACHE[ctx.n_qubits] = cached
-    return cached
+    return {p: ctx.perp_mask(p) for p in ctx.points()}
 
 
 def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
@@ -220,6 +215,13 @@ class Ovoid:
     def __contains__(self, v: int) -> bool:
         return bool(self.mask >> v & 1)
 
+    def distinct_points(self, points, k: int) -> tuple[int, ...]:
+        """`points` sorted, if they are `k` distinct points of this ovoid."""
+        t = tuple(sorted(points))
+        if len(t) != k or len(set(t)) != k or any(p not in self for p in t):
+            raise UsageError(f"need {k} distinct points of the ovoid")
+        return t
+
     def complement_in(self, subset) -> tuple[int, ...]:
         chosen = set(subset)
         return tuple(p for p in self.points if p not in chosen)
@@ -303,23 +305,16 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet):
     return ovoids
 
 
-_GEN_CACHE: dict[tuple[int, str], GeneratorSet] = {}
-_OVOID_CACHE: dict[int, tuple[Ovoid, ...]] = {}
-
-
+@cache
 def get_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     """Process-wide cached generator sets (immutable, shared freely)."""
-    key = (ctx.n_qubits, space_kind)
-    if key not in _GEN_CACHE:
-        _GEN_CACHE[key] = enumerate_generators(ctx, space_kind)
-    return _GEN_CACHE[key]
+    return enumerate_generators(ctx, space_kind)
 
 
+@cache
 def get_ovoids(ctx: GeometryContext) -> tuple[Ovoid, ...]:
-    if ctx.n_qubits not in _OVOID_CACHE:
-        gens = get_generators(ctx, "quadric")
-        _OVOID_CACHE[ctx.n_qubits] = enumerate_ovoids(gens.quadric, gens)
-    return _OVOID_CACHE[ctx.n_qubits]
+    gens = get_generators(ctx, "quadric")
+    return enumerate_ovoids(gens.quadric, gens)
 
 
 def ovoids_through(ovoids, p: int):
@@ -344,9 +339,7 @@ class Conic:
 
 
 def conic_of(o: Ovoid, triple) -> Conic:
-    t = tuple(sorted(triple))
-    if len(t) != 3 or any(p not in o for p in t):
-        raise UsageError("need three distinct points of the ovoid")
+    t = o.distinct_points(triple, 3)
     return Conic(t, t[0] ^ t[1] ^ t[2], span(t))
 
 
@@ -502,9 +495,7 @@ def second_ovoid_on_conic(o: Ovoid, triple, gens: GeneratorSet) -> Ovoid:
     nucleus (the pairing lines of the two ovoids concur there), then
     certified against every generator.
     """
-    t = tuple(sorted(triple))
-    if any(p not in o for p in t) or len(t) != 3:
-        raise UsageError("triple must consist of three ovoid points")
+    t = o.distinct_points(triple, 3)
     nucleus = t[0] ^ t[1] ^ t[2]
     other = Ovoid.from_points(t + tuple(nucleus ^ u for u in o.complement_in(t)))
     if not is_ovoid(other.points, gens):
@@ -572,9 +563,7 @@ def commutation_profile(word_point: int, family) -> tuple[int, ...]:
 
 def solid_extra_point(o: Ovoid, quad) -> int:
     """The unique fifth quadric point in the solid of four ovoid points."""
-    q = tuple(sorted(quad))
-    if len(q) != 4 or any(p not in o for p in q):
-        raise UsageError("need four distinct points of the ovoid")
+    q = o.distinct_points(quad, 4)
     ctx = GeometryContext(4)
     on = sorted(p for p in span_points(q) if ctx.is_on_quadric(p))
     extra = [p for p in on if p not in q]
@@ -670,9 +659,7 @@ class PentadCone:
 
 def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     """Quadric section of the span of five ovoid points: an 11-point cone."""
-    pent = tuple(sorted(pentad))
-    if len(pent) != 5 or any(p not in o for p in pent):
-        raise UsageError("need five distinct points of the ovoid")
+    pent = o.distinct_points(pentad, 5)
     section = sorted(
         v for v in span_points(pent) if quadric.contains(v)
     )
@@ -713,9 +700,7 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
     complementary conic; the remaining 15 points are the concurrence
     points of the cross lines.
     """
-    sx = tuple(sorted(sextet))
-    if len(sx) != 6 or any(p not in o for p in sx):
-        raise UsageError("need six distinct points of the ovoid")
+    sx = o.distinct_points(sextet, 6)
     rest = o.complement_in(sx)
     nucleus = rest[0] ^ rest[1] ^ rest[2]
     section = sorted(v for v in span_points(sx) if quadric.contains(v))
@@ -792,30 +777,36 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
     radical is the nucleus, which coincides with the third point on the
     line of the two complementary ovoid points.
     """
-    hp = tuple(sorted(heptad))
-    if len(hp) != 7 or any(p not in o for p in hp):
-        raise UsageError("need seven distinct points of the ovoid")
-    ctx = quadric.context
+    hp = o.distinct_points(heptad, 7)
     section = sorted(v for v in span_points(hp) if quadric.contains(v))
     if len(section) != expected_count("parabolic", "points", 3):
         raise InternalConsistencyError("heptad section is not a 63-point quadric")
-    basis = echelon(hp)
-    kernel = _left_kernel(
-        [sum(ctx.sigma(bi, bj) << j for j, bj in enumerate(basis)) for bi in basis]
-    )
-    if len(kernel) != 1:
+    rad = radical(hp, quadric.context)
+    if len(rad) != 1:
         raise InternalConsistencyError("restricted form has the wrong radical")
-    nucleus = 0
-    combo = kernel[0]
-    for i, b in enumerate(basis):
-        if combo >> i & 1:
-            nucleus ^= b
+    nucleus = rad[0]
     pair = o.complement_in(hp)
     if nucleus != pair[0] ^ pair[1]:
         raise InternalConsistencyError("radical is not the complementary secant point")
     if quadric.contains(nucleus):
         raise InternalConsistencyError("section nucleus lies on the quadric")
     return HeptadSection(tuple(section), nucleus)
+
+
+def radical(points, ctx: GeometryContext) -> list[int]:
+    """A basis of the radical of sigma restricted to the span of `points`."""
+    basis = echelon(points)
+    kernel = _left_kernel(
+        [sum(ctx.sigma(bi, bj) << j for j, bj in enumerate(basis)) for bi in basis]
+    )
+    out = []
+    for combo in kernel:
+        v = 0
+        for i, b in enumerate(basis):
+            if combo >> i & 1:
+                v ^= b
+        out.append(v)
+    return out
 
 
 def _left_kernel(rows) -> list[int]:

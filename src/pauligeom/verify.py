@@ -285,12 +285,15 @@ def _point_partition_lines(ost, gens):
 
 
 def _pentad_cones(ost, quadric):
+    # The vertex must be the radical of sigma on the pentad's span, a route
+    # independent of the solid extra points that pentad_intersection uses.
     n_ok = 0
     for pent in itertools.combinations(ost.points, 5):
         cone = pg.pentad_intersection(ost, pent, quadric)
-        vertex = pg.solid_extra_point(ost, ost.complement_in(pent))
-        if cone.vertex != vertex or any(vertex not in line for line in cone.lines):
-            return f"cone of {join_words(pent)} is not on {join_words((vertex,))}"
+        rad = pg.radical(pent, quadric.context)
+        if rad != [cone.vertex]:
+            return (f"cone of {join_words(pent)} has vertex {join_words((cone.vertex,))},"
+                    f" radical {join_words(rad)}")
         n_ok += len(cone.points) == 11
     return f"{n_ok}/126 cones"
 

@@ -7,6 +7,7 @@ tests/test_acceptance.py` lists every row, e.g.
 """
 
 import functools
+import itertools
 import os
 import subprocess
 import sys
@@ -15,7 +16,9 @@ import time
 import pytest
 
 import pauligeom
+from pauligeom import polar_geometry as pg
 from pauligeom import verify
+from pauligeom.pauli_codec import GeometryContext, join_words
 
 TABLES = {"n2": (2, "quick"), "n3": (3, "quick"), "n4": (4, "full")}
 ROWS = [
@@ -44,6 +47,36 @@ def computed():
 @pytest.mark.parametrize("table,name,expected", ROWS)
 def test_verify_row(computed, table, name, expected):
     assert computed(table)[name] == expected
+
+
+def test_pentad_cones_row_names_a_wrong_vertex(monkeypatch):
+    # A fault in solid_extra_point that pentad_intersection passes on: one
+    # pentad's cone gets a wrong vertex, with lines drawn through it.  The
+    # row checks the vertex against the radical of sigma on the span, so
+    # it names the pentad even though the two faulty routes agree.
+    ost, real_extra = pg.ostar(), pg.solid_extra_point
+    quadric = pg.Quadric.standard_hyperbolic(GeometryContext(4))
+    pentads = list(itertools.combinations(ost.points, 5))
+    cones = {pent: pg.pentad_intersection(ost, pent, quadric) for pent in pentads}
+    bad, wrong = pentads[-1], ost.points[0]
+
+    def solid_extra_point(o, quad):
+        if sorted(quad) == sorted(o.complement_in(bad)):
+            return wrong
+        return real_extra(o, quad)
+
+    def pentad_intersection(o, pentad, quadric):
+        if tuple(sorted(pentad)) != bad:
+            return cones[tuple(sorted(pentad))]
+        vertex = pg.solid_extra_point(o, o.complement_in(pentad))
+        lines = tuple(sorted(tuple(sorted((vertex, p, vertex ^ p))) for p in pentad))
+        return pg.PentadCone(vertex, lines, cones[bad].points)
+
+    monkeypatch.setattr(pg, "solid_extra_point", solid_extra_point)
+    monkeypatch.setattr(pg, "pentad_intersection", pentad_intersection)
+    row = next(fn for name, _, fn in verify.checks(4, "full") if name == "pentad_cones")
+    assert row() == (f"cone of {join_words(bad)} has vertex {join_words((wrong,))},"
+                     f" radical {join_words((cones[bad].vertex,))}")
 
 
 def test_criterion_14_determinism():

@@ -169,6 +169,17 @@ def test_config_bad_ovoid(capsys):
     assert "nine" in err
 
 
+@pytest.mark.parametrize("argv,k", [
+    (["config", "fig3", "--triple", "ZIIX,ZIIX,IZYY"], 3),
+    (["config", "fig7", "--pentad", "ZIIX,ZIIX,IZYY,XZXI,ZXZZ"], 5),
+    (["config", "fig8", "--sextet", "ZIIX,ZIIX,IZYY,XZXI,ZXZZ,XIZI"], 6),
+])
+def test_config_repeated_point_is_usage_error(argv, k, capsys):
+    code, _, err = run(argv, capsys)
+    assert code == 2
+    assert err == f"error: need {k} distinct points of the ovoid\n"
+
+
 def test_config_custom_ovoid_roundtrip(capsys):
     code, out, _ = run(["enumerate", "ovoids"], capsys)
     rows = out.strip().splitlines()

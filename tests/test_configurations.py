@@ -189,6 +189,9 @@ def test_heptad_family_rejects_other_shapes(ostar, gens4):
         cfg.heptad_family(ostar, ((a, b), (b, c)), gens4)
     with pytest.raises(UsageError):
         cfg.heptad_family(ostar, ((a, b), (b, c), (c, d)), gens4)
+    # Four vertices of degree 2, but two doubled edges instead of a 4-cycle.
+    with pytest.raises(UsageError, match="neither a triangle nor a quadrangle"):
+        cfg.heptad_family(ostar, ((a, b), (a, b), (c, d), (c, d)), gens4)
 
 
 def test_split63(ovoids, ostar):

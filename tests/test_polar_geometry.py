@@ -174,6 +174,24 @@ def test_conic_census(ostar, quadric4):
         assert sorted(on_plane) == list(c.triple)
 
 
+def test_section_builders_reject_repeated_points(ostar, gens4, quadric4):
+    a, b, c, d, e, f, g = ostar.points[:7]
+    with pytest.raises(UsageError, match="need 3 distinct points"):
+        pg.conic_of(ostar, (a, a, b))
+    with pytest.raises(UsageError, match="need 3 distinct points"):
+        pg.second_ovoid_on_conic(ostar, (a, b, b), gens4)
+    with pytest.raises(UsageError, match="need 4 distinct points"):
+        pg.solid_extra_point(ostar, (a, b, c, c))
+    with pytest.raises(UsageError, match="need 5 distinct points"):
+        pg.pentad_intersection(ostar, (a, a, b, c, d), quadric4)
+    with pytest.raises(UsageError, match="need 6 distinct points"):
+        pg.sextet_intersection(ostar, (a, b, c, d, e, e), quadric4)
+    with pytest.raises(UsageError, match="need 7 distinct points"):
+        pg.heptad_intersection(ostar, (a, b, c, d, e, f, f), quadric4)
+    assert ostar.distinct_points((c, a, b), 3) == (a, b, c)
+    assert pg.heptad_intersection(ostar, (a, b, c, d, e, f, g), quadric4)
+
+
 def test_partitions_axes_and_tetrads(ostar, quadric4, ctx4):
     partitions = pg.triple_partitions(ostar)
     assert len(partitions) == 280
