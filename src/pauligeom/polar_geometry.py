@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
@@ -104,7 +104,12 @@ class Quadric:
 
 @dataclass(frozen=True)
 class GeneratorSet:
-    """All maximal totally isotropic/singular flats of one space."""
+    """All maximal totally isotropic/singular flats of one space.
+
+    A quadric generator set also carries the transposed incidence: per
+    quadric point, the int mask of the indices of the generators through
+    it.  It is built once, from `masks`, and takes no part in comparison.
+    """
 
     space_kind: str
     context: GeometryContext
@@ -112,6 +117,16 @@ class GeneratorSet:
     masks: tuple[int, ...]
     families: tuple[int, ...] | None = None
     quadric: Quadric | None = None
+    generators_through: dict[int, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        through = {}
+        if self.quadric is not None:
+            through = dict.fromkeys(self.quadric.points, 0)
+            for i, m in enumerate(self.masks):
+                for p in _mask_points(m):
+                    through[p] |= 1 << i
+        object.__setattr__(self, "generators_through", through)
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -124,23 +139,44 @@ class GeneratorSet:
 
 @cache
 def _perp_masks(ctx: GeometryContext) -> dict[int, int]:
-    return {p: ctx.perp_mask(p) for p in ctx.points()}
+    """`ctx.perp_mask` of every point; only the unit vectors compute it.
+
+    sigma is bilinear, so the non-perp masks add: with `low` the lowest
+    bit of p, nonperp(p) = nonperp(p ^ low) ^ nonperp(low).
+    """
+    every = (1 << (1 << ctx.dim)) - 2
+    perp: dict[int, int] = {}
+    for p in ctx.points():
+        low = p & -p
+        perp[p] = ctx.perp_mask(p) if p == low else perp[p ^ low] ^ perp[low] ^ every
+    return perp
+
+
+@cache
+def _column_bands(dim: int) -> tuple[int, ...]:
+    """Per column c, the mask of the points whose top bit is c."""
+    return tuple((1 << (2 << c)) - (1 << (1 << c)) for c in range(dim))
 
 
 def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     """All generators of W(2N-1,2) or of the standard hyperbolic quadric.
 
-    Breadth-first extension of totally isotropic (resp. singular) flats,
-    one dimension at a time: a flat is only extended by perpendicular
-    points above its current maximum, and duplicates are removed by
-    their point-set mask; each generator gets its canonical echelon
-    basis once, at the end.  The closed-form count is asserted at the
-    end, as is the equal two-family split in the quadric case.
+    Orderly generation on reduced row-echelon bases: a flat is held as
+    its RREF basis (descending pivots) and extended only by a
+    perpendicular ground point p whose top bit c lies below the lowest
+    pivot and is a zero column of every row.  The extended basis is then
+    again in RREF, and its parent is the span of all but its last row,
+    so every totally isotropic (resp. singular) flat is built exactly
+    once and needs no deduplication or re-echelonisation.  Candidates are
+    read from per-column point bands.  Three certificates close it: the
+    point-set masks are pairwise distinct, the count equals the closed
+    form, and in the quadric case the two families are equal halves.
     """
     if space_kind not in ("symplectic", "quadric"):
         raise UsageError(f"unknown space kind {space_kind!r}")
     n = ctx.n_qubits
     perp = _perp_masks(ctx)
+    bands = _column_bands(ctx.dim)
     quadric = Quadric.standard_hyperbolic(ctx) if space_kind == "quadric" else None
     if quadric is not None:
         ground = quadric.points
@@ -149,12 +185,18 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         ground = tuple(ctx.points())
         ground_mask = _points_mask(ground)
 
-    # level entries: point set mask -> (basis, perp mask, max point)
-    level = {1 << p: ((p,), perp[p], p) for p in ground}
+    # level entries: (RREF basis, point-set mask, perp mask, OR of the rows)
+    level = [((p,), 1 << p, perp[p], p) for p in ground]
     for _ in range(n - 1):
-        nxt: dict[int, tuple[tuple[int, ...], int, int]] = {}
-        for pmask, (basis, perpmask, top) in level.items():
-            cand = perpmask & ground_mask & ~pmask & -(1 << (top + 1))
+        nxt = []
+        for basis, pmask, perpmask, rows in level:
+            free = ~rows & ((1 << (basis[-1].bit_length() - 1)) - 1)
+            allowed = 0
+            while free:
+                c = free.bit_length() - 1
+                free ^= 1 << c
+                allowed |= bands[c]
+            cand = perpmask & ground_mask & allowed
             while cand:
                 bit = cand & -cand
                 cand ^= bit
@@ -165,17 +207,17 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
                     vb = m & -m
                     m ^= vb
                     new_pmask |= 1 << ((vb.bit_length() - 1) ^ p)
-                if new_pmask not in nxt:
-                    nxt[new_pmask] = (
-                        basis + (p,),
-                        perpmask & perp[p],
-                        new_pmask.bit_length() - 1,
-                    )
+                nxt.append((basis + (p,), new_pmask, perpmask & perp[p], rows | p))
         level = nxt
 
-    items = sorted((echelon(basis), pmask) for pmask, (basis, _, _) in level.items())
-    flats = tuple(Flat(basis) for basis, _ in items)
-    masks = tuple(pmask for _, pmask in items)
+    level.sort()
+    flats = tuple(Flat(basis) for basis, _, _, _ in level)
+    masks = tuple(pmask for _, pmask, _, _ in level)
+    if len(set(masks)) != len(masks):
+        twice = next(m for m, k in Counter(masks).items() if k > 1)
+        basis = flats[masks.index(twice)].basis
+        raise InternalConsistencyError(
+            f"{space_kind} generator {join_words(basis, n)} is built twice")
     expected = expected_count(
         "hyperbolic" if space_kind == "quadric" else "symplectic", "generators", n
     )
@@ -232,7 +274,12 @@ def ostar() -> Ovoid:
 
 
 def is_ovoid(points, gens: GeneratorSet) -> bool:
-    """Defining test: nine quadric points, one on each quadric generator."""
+    """Defining test: nine quadric points, one on each quadric generator.
+
+    Read through the transposed incidence: the nine points' masks of
+    generators through them are pairwise disjoint (no generator holds
+    two of the points) and together cover every generator.
+    """
     if gens.quadric is None:
         raise UsageError("is_ovoid needs quadric generators")
     pts = set(points)
@@ -242,8 +289,13 @@ def is_ovoid(points, gens: GeneratorSet) -> bool:
             raise UsageError(f"point {word} is not on the quadric")
     if len(pts) != 9:
         return False
-    m = _points_mask(pts)
-    return all((m & gm).bit_count() == 1 for gm in gens.masks)
+    through = gens.generators_through
+    covered = 0
+    for p in pts:
+        if covered & through[p]:
+            return False
+        covered |= through[p]
+    return covered == (1 << len(gens.masks)) - 1
 
 
 def _nonperp_adjacency(ctx: GeometryContext, points: tuple[int, ...]):
@@ -405,9 +457,9 @@ class Tetrad:
     def key(self) -> int:
         return self.mask
 
-    @property
+    @cached_property
     def lines(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(sorted(collinear_triples_within(_mask_points(self.mask))))
+        return tuple(_mask_lines(self.mask))
 
 
 # Each of the 84 point triples of an ovoid, by index, and every partition
@@ -428,15 +480,21 @@ def _conic_masks(pts) -> list[int]:
     ]
 
 
+def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
+    """The full lines inside a point mask, as ascending sorted triples."""
+    pts = _mask_points(mask)
+    return [(u, v, u ^ v) for i, u in enumerate(pts) for v in pts[i + 1:]
+            if u ^ v > v and mask >> (u ^ v) & 1]
+
+
 def _certify_tetrad(mask: int, qmask: int) -> None:
     """Twelve off-quadric points holding exactly four disjoint lines of rank 8."""
-    pts = _mask_points(mask)
-    lines = sorted(collinear_triples_within(pts))
-    if (len(pts) != 12 or mask & qmask or len(lines) != 4
-            or len({p for line in lines for p in line}) != 12):
+    lines = _mask_lines(mask)
+    on_lines = {p for line in lines for p in line}
+    if mask.bit_count() != 12 or mask & qmask or len(lines) != 4 or len(on_lines) != 12:
         raise InternalConsistencyError(
-            f"tetrad is not four skew off-quadric lines: {join_words(pts)}")
-    if gf2_core.rank(pts) != 8:
+            f"tetrad is not four skew off-quadric lines: {join_words(_mask_points(mask))}")
+    if gf2_core.rank(on_lines) != 8:
         raise InternalConsistencyError(
             f"tetrad does not span the whole space: {';'.join(map(join_words, lines))}")
 
@@ -637,15 +695,7 @@ def ovoid_intersection_census(all_ovoids, o: Ovoid, p: int) -> tuple[int, int]:
 
 def collinear_triples_within(points) -> frozenset[tuple[int, int, int]]:
     """All full lines inside a point set, each triple listed once."""
-    pts = sorted(points)
-    inside = set(pts)
-    out = set()
-    for i, u in enumerate(pts):
-        for v in pts[i + 1 :]:
-            w = u ^ v
-            if w > v and w in inside:
-                out.add((u, v, w))
-    return frozenset(out)
+    return frozenset(_mask_lines(_points_mask(points)))
 
 
 @dataclass(frozen=True)

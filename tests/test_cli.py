@@ -314,6 +314,14 @@ OUTPUT_DIGESTS = [
      "5b0a7d29e57f874412f8fa3d9070559c7e72fde1fef9e5f140c8c840d0c60b3f"),
     (["config", "fig2", "--ovoid", _OVOID_500],
      "de4422a1a23747ddf1df99c7afe2f43c23710ad696e3b99d5169df6c9ed47241"),
+    (["enumerate", "generators", "--space", "symplectic", "--n", "2"],
+     "f420c4f9e8891336d0418f98c92a5b9067476b51392c25d781c32896e101c1eb"),
+    (["enumerate", "generators", "--space", "symplectic", "--n", "3"],
+     "efaf9418285aee8aad8340c3a55ad960b12b6b6084e89487c63b399783a70023"),
+    (["enumerate", "generators", "--space", "quadric", "--n", "2"],
+     "c4bbd21b3f088cac2ce11fc5714397488568cb62e939828b432333d24ab1bdfb"),
+    (["enumerate", "generators", "--space", "quadric", "--n", "3"],
+     "05e130761bd3aeb03eec329d9af7e1e7aab183e99e07f93b2a9b07691bc74d6d"),
 ]
 
 

@@ -3,6 +3,8 @@ import random
 import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
@@ -47,27 +49,81 @@ def test_quadric_point_counts(n):
     assert len(q.off_points()) == 4**n - 1 - len(q.points)
 
 
+def _brute_force_generators(ctx, space_kind):
+    """Echelon bases of the spans of all n-subsets of ground points whose
+    span is totally isotropic (every pair has sigma 0), and for the
+    quadric also totally singular, in sorted order."""
+    n = ctx.n_qubits
+    ground = [p for p in ctx.points() if space_kind == "symplectic" or ctx.is_on_quadric(p)]
+    found = set()
+    for subset in itertools.combinations(ground, n):
+        if any(ctx.sigma(u, v) for u, v in itertools.combinations(subset, 2)):
+            continue
+        basis = echelon(subset)
+        pts = span_points(basis)
+        isotropic = all(ctx.sigma(u, v) == 0 for u, v in itertools.combinations(pts, 2))
+        singular = space_kind == "symplectic" or all(ctx.is_on_quadric(p) for p in pts)
+        if len(basis) == n and isotropic and singular:
+            found.add(basis)
+    return sorted(found)
+
+
+def _assert_generators_complete(gs, count):
+    """Every flat is a totally isotropic (n-1)-flat whose mask is its point
+    set, and the masks are pairwise distinct; with the closed-form count
+    the list is then exactly the set of generators."""
+    ctx = gs.context
+    n = ctx.n_qubits
+    perp = {p: ctx.perp_mask(p) for p in ctx.points()}
+    assert len(gs) == len(gs.masks) == count
+    for f, mask in zip(gs.flats, gs.masks):
+        pts = f.points()
+        assert f.proj_dim == n - 1 and len(pts) == 2**n - 1
+        assert mask == sum(1 << p for p in pts)
+        assert all(mask & ~perp[p] == 0 for p in pts)
+    assert len(set(gs.masks)) == count
+
+
 @pytest.mark.parametrize("n,count", [(2, 15), (3, 135), (4, 2295)])
 def test_symplectic_generators(n, count):
     gs = pg.get_generators(GeometryContext(n), "symplectic")
-    assert len(gs) == count
-    assert all(f.proj_dim == n - 1 for f in gs.flats)
-    assert all(len(f) == 2**n - 1 for f in gs.flats)
-    ctx = gs.context
-    sample = gs.flats[:: max(1, len(gs.flats) // 40)]
-    for f in sample:
-        pts = sorted(f.points())
-        assert all(ctx.sigma(u, v) == 0 for u, v in itertools.combinations(pts, 2))
+    assert count == pg.expected_count("symplectic", "generators", n)
+    _assert_generators_complete(gs, count)
 
 
 @pytest.mark.parametrize("n,count", [(2, 6), (3, 30), (4, 270)])
 def test_quadric_generators(n, count):
     gq = pg.get_generators(GeometryContext(n), "quadric")
-    assert len(gq) == count
+    assert count == pg.expected_count("hyperbolic", "generators", n)
+    _assert_generators_complete(gq, count)
     assert gq.family_sizes() == (count // 2, count // 2)
     quadric = gq.quadric
     for f in gq.flats:
         assert all(quadric.contains(p) for p in f.points())
+
+
+@pytest.mark.parametrize("space_kind", ["symplectic", "quadric"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_generators_match_brute_force_spans(n, space_kind):
+    ctx = GeometryContext(n)
+    gens = pg.enumerate_generators(ctx, space_kind)
+    assert [f.basis for f in gens.flats] == _brute_force_generators(ctx, space_kind)
+
+
+def test_repeated_generator_is_named_in_words(monkeypatch):
+    # Bands holding every point up to their column let a flat be reached
+    # from bases that are not reduced, so it is built more than once.
+    monkeypatch.setattr(pg, "_column_bands",
+                        lambda dim: tuple((1 << (2 << c)) - 2 for c in range(dim)))
+    with pytest.raises(InternalConsistencyError,
+                       match=r"^symplectic generator [IXYZ]{3}(,[IXYZ]{3}){2} is built twice$"):
+        pg.enumerate_generators(GeometryContext(3), "symplectic")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_perp_masks_by_bilinearity_match_direct_masks(n):
+    ctx = GeometryContext(n)
+    assert pg._perp_masks.__wrapped__(ctx) == {p: ctx.perp_mask(p) for p in ctx.points()}
 
 
 def test_family_relation_is_consistent(gens4):
@@ -146,6 +202,41 @@ def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, gens4, quadric4)
         if not clique:
             assert not pg.is_ovoid(cand, gens4)
             rejected += 1
+
+
+def _meets_every_generator_once(points, gens):
+    """The definition of an ovoid, read straight off the generator masks."""
+    m = sum(1 << p for p in set(points))
+    return all((m & gm).bit_count() == 1 for gm in gens.masks)
+
+
+def test_is_ovoid_agrees_with_the_definition(ovoids, gens4, quadric4, ostar):
+    pts = ostar.points
+    cases = [o.points for o in ovoids]
+    cases += [pts[:i] + pts[i + 1:] + (q,) for i in range(9)
+              for q in quadric4.points if q not in ostar]
+    cases += [pts[:i] + pts[i + 1:] for i in range(9)]
+    cases += [o.points[1:] for o in ovoids]
+    cases += [pts + pts[:1], pts[1:] + pts[1:2]]
+    assert len(cases) == 960 + 9 * 126 + 9 + 960 + 2
+    verdicts = [pg.is_ovoid(c, gens4) for c in cases]
+    assert verdicts == [_meets_every_generator_once(c, gens4) for c in cases]
+    assert verdicts.count(True) == 961
+
+
+@given(st.data())
+def test_is_ovoid_agrees_with_the_definition_on_drawn_lists(gens4, ovoids, data):
+    # Nine draws with replacement: plain quadric points, or an ovoid with up
+    # to two points replaced; both can repeat a point.
+    quadric_points = gens4.quadric.points
+    if data.draw(st.booleans()):
+        pts = data.draw(st.lists(st.sampled_from(quadric_points), min_size=9, max_size=9))
+    else:
+        pts = list(data.draw(st.sampled_from(ovoids)).points)
+        edits = st.tuples(st.integers(0, 8), st.sampled_from(quadric_points))
+        for i, q in data.draw(st.lists(edits, max_size=2)):
+            pts[i] = q
+    assert pg.is_ovoid(pts, gens4) == _meets_every_generator_once(pts, gens4)
 
 
 def test_secant_third_points(ostar, quadric4):
@@ -239,6 +330,8 @@ def test_single_ovoid_tetrad_census(ostar, quadric4):
         reference[mask] = lines
     assert set(census) == set(reference)
     assert all(pg.Tetrad(key).lines == reference[key] for key in census)
+    tetrad = pg.Tetrad(next(iter(census)))
+    assert tetrad.lines is tetrad.lines
 
 
 def test_tetrad_census_certifies_each_distinct_key_once(ovoids, monkeypatch):
