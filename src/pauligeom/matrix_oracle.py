@@ -1,18 +1,23 @@
 """Independent ground truth for the word algebra via exact matrices.
 
 Every Pauli word is a signed permutation matrix of size 2^N: one nonzero
-entry ±1 per row.  Such a matrix is stored as one flat tuple of ints whose
-entry i is 2*c + s when M[i, c] = (-1)^s, so a product costs one pass of
-O(2^N) integer arithmetic and matrices compare and hash as tuples.  Only
-`_BASE`, `matmul`, `kron` and `negated` read or write this encoding.  A
-product is read back by looking it up among the 2·4^N signed realizations
-±realize(w) (identity included), which gives its word and its sign.  This
-is a second, representation-independent route to symmetry class,
-commutation and products that never touches the coordinate bijection: the
-square of a word is ±identity with sign + exactly when the word is
-symmetric, and two words commute exactly when ab and ba carry the same
-sign.  `check_agreement` computes each of the (4^N - 1)² ordered products
-once.
+entry ±1 per row.  Such a matrix is stored as one `bytes` object whose
+entry i is 2*c + s when M[i, c] = (-1)^s, so matrices compare and hash as
+byte strings.  A product is one `bytes.translate`: `_action(b)` is the
+256-byte table sending each signed basis vector 2c+s to row c of b with
+its sign flipped by s, and translating the rows of a through it is the
+product a @ b, computed in C.  Entries must fit in a byte, so words have
+at most 7 letters (2^7 rows, entries below 2^8).  Only `_BASE`, `matmul`,
+`_action`, `kron` and `negated` read or write this encoding.
+
+A product is read back by looking it up among the 2·4^N signed
+realizations ±realize(w) (identity included), which gives its word and
+its sign.  This is a second, representation-independent route to symmetry
+class, commutation and products that never touches the coordinate
+bijection: the square of a word is ±identity with sign + exactly when the
+word is symmetric, and two words commute exactly when ab and ba carry the
+same sign.  `check_agreement` computes each of the (4^N - 1)² ordered
+products once.
 """
 
 from __future__ import annotations
@@ -23,35 +28,46 @@ from functools import lru_cache
 from . import pauli_codec
 from .errors import InternalConsistencyError, UsageError
 
-_BASE = {"I": (0, 2), "X": (2, 0), "Y": (3, 0), "Z": (0, 3)}
+_BASE = {"I": bytes((0, 2)), "X": bytes((2, 0)), "Y": bytes((3, 0)), "Z": bytes((0, 3))}
+_MAX_QUBITS = 7
 
 
-def matmul(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+@lru_cache(maxsize=1024)
+def _action(b: bytes) -> bytes:
+    """Translate table of b: signed basis vector 2c+s goes to b[c] ^ s."""
+    return bytes([y ^ s for y in b for s in (0, 1)]).ljust(256, b"\0")
+
+
+def matmul(a: bytes, b: bytes) -> bytes:
     """The product a @ b: row i of a picks row c of b and scales it by ±1."""
     if len(a) != len(b):
         raise UsageError("size mismatch in matrix product")
-    return tuple([b[x >> 1] ^ (x & 1) for x in a])
+    return a.translate(_action(b))
 
 
-def kron(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+def kron(a: bytes, b: bytes) -> bytes:
     """The Kronecker product a ⊗ b: row (i, j) is column (c_a, c_b), sign s_a·s_b."""
     step = 2 * len(b)
-    return tuple([(x >> 1) * step + (y ^ (x & 1)) for x in a for y in b])
+    return bytes([(x >> 1) * step + (y ^ (x & 1)) for x in a for y in b])
 
 
-def negated(m: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple([x ^ 1 for x in m])
+def negated(m: bytes) -> bytes:
+    return bytes([x ^ 1 for x in m])
 
 
 @lru_cache(maxsize=512)
-def realize(word: str) -> tuple[int, ...]:
+def realize(word: str) -> bytes:
     """Kronecker product of the base matrices in letter order.
 
     Memoized: there are only 4^N words, and the checks below realize each
     one thousands of times.  The 340 words of one to four letters all fit
-    in the cache; the result is immutable, so sharing it is safe.
+    in the cache; the result is immutable, so sharing it is safe.  Words
+    longer than `_MAX_QUBITS` letters are a usage error: their entries
+    would not fit in a byte.
     """
     pauli_codec.validate_word(word)
+    if len(word) > _MAX_QUBITS:
+        raise UsageError(f"matrix oracle takes at most {_MAX_QUBITS} letters, got {word!r}")
     out = _BASE[word[0]]
     for c in word[1:]:
         out = kron(out, _BASE[c])
@@ -59,7 +75,7 @@ def realize(word: str) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4)
-def _signed_table(n_qubits: int) -> dict[tuple[int, ...], tuple[str, int]]:
+def _signed_table(n_qubits: int) -> dict[bytes, tuple[str, int]]:
     """Map each signed realization ±realize(w) of rank N to (w, ±1).
 
     The 2·4^N entries must be distinct: a realization that coincides with
@@ -76,7 +92,7 @@ def _signed_table(n_qubits: int) -> dict[tuple[int, ...], tuple[str, int]]:
     return table
 
 
-def _lookup(table, m: tuple[int, ...], a: str, b: str) -> tuple[str, int]:
+def _lookup(table, m: bytes, a: str, b: str) -> tuple[str, int]:
     """(word, sign) of the product m = matmul(realize(a), realize(b))."""
     try:
         return table[m]

@@ -459,7 +459,7 @@ class Tetrad:
 
     @cached_property
     def lines(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(_mask_lines(self.mask))
+        return tuple(_line_partition(self.mask))
 
 
 # Each of the 84 point triples of an ovoid, by index, and every partition
@@ -487,14 +487,47 @@ def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
             if u ^ v > v and mask >> (u ^ v) & 1]
 
 
+def _line_partition(mask: int) -> list[tuple[int, int, int]]:
+    """Split a point mask into disjoint full lines, as ascending triples.
+
+    Greedy: the lowest point left goes with its lowest partner whose sum
+    is also left, and that line is removed.  Returns [] as soon as some
+    point has no partner.  On a set that holds exactly its partition's
+    lines (a tetrad) this lists the same lines in the same order as
+    `_mask_lines`.
+    """
+    lines = []
+    while mask:
+        low = mask & -mask
+        u = low.bit_length() - 1
+        rest = scan = mask ^ low
+        while scan:
+            bit = scan & -scan
+            v = bit.bit_length() - 1
+            if rest >> (u ^ v) & 1:
+                break
+            scan ^= bit
+        else:
+            return []
+        lines.append((u, v, u ^ v))
+        mask = rest ^ bit ^ 1 << (u ^ v)
+    return lines
+
+
 def _certify_tetrad(mask: int, qmask: int) -> None:
-    """Twelve off-quadric points holding exactly four disjoint lines of rank 8."""
-    lines = _mask_lines(mask)
-    on_lines = {p for line in lines for p in line}
-    if mask.bit_count() != 12 or mask & qmask or len(lines) != 4 or len(on_lines) != 12:
+    """Twelve off-quadric points that are four skew lines spanning PG(7, 2).
+
+    The points must split into four disjoint lines (`_line_partition`)
+    whose eight generators, two per line, have rank 8.  Then the space is
+    the direct sum of the four lines, and the set holds no fifth line: a
+    line through points of two different summands has its third point in
+    their sum, which meets neither summand nor the other two.
+    """
+    lines = _line_partition(mask)
+    if mask.bit_count() != 12 or mask & qmask or len(lines) != 4:
         raise InternalConsistencyError(
             f"tetrad is not four skew off-quadric lines: {join_words(_mask_points(mask))}")
-    if gf2_core.rank(on_lines) != 8:
+    if gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) != 8:
         raise InternalConsistencyError(
             f"tetrad does not span the whole space: {';'.join(map(join_words, lines))}")
 
@@ -516,34 +549,75 @@ def tetrad_census(ovoids) -> Counter:
     :meth:`Tetrad.key`) whose values are raw multiplicities; the sum of
     the values is 280 times the number of ovoids.  Every tetrad is
     checked to be twelve off-quadric points, and each distinct key is
-    then certified once.
+    then certified once.  Both depend on the key alone, so each runs once
+    per distinct key; keys iterate in order of first occurrence, so the
+    first bad key is that of the first bad (ovoid, partition) pair.
     """
+    ovoids = tuple(ovoids)
     qmask = Quadric.standard_hyperbolic(GeometryContext(4)).mask
     counts: Counter = Counter()
     for o in ovoids:
         masks = _conic_masks(o.points)
-        keys = [masks[x] | masks[y] | masks[z] for x, y, z in _PATTERN_TRIPLES]
-        for key, triples in zip(keys, _PATTERN_TRIPLES):
-            if key & qmask:
-                raise _tetrad_fault("tetrad point on quadric", o.points, triples)
-            if key.bit_count() != 12:
-                raise _tetrad_fault("tetrad lines overlap", o.points, triples)
-        counts.update(keys)
+        counts.update([masks[x] | masks[y] | masks[z] for x, y, z in _PATTERN_TRIPLES])
+    for key in counts:
+        if key & qmask or key.bit_count() != 12:
+            raise _tetrad_fault(ovoids, key, qmask)
     for key in counts:
         _certify_tetrad(key, qmask)
     return counts
 
 
-def _tetrad_fault(what: str, pts, triples) -> InternalConsistencyError:
-    """Name the ovoid and the partition (positions in `_TRIPLES`) in words."""
-    part = "/".join(join_words(pts[i] for i in _TRIPLES[t]) for t in triples)
-    return InternalConsistencyError(f"{what}: ovoid {join_words(pts)} partition {part}")
+def _tetrad_fault(ovoids, key: int, qmask: int) -> InternalConsistencyError:
+    """Name, in words, the first ovoid and partition whose tetrad is `key`."""
+    what = "tetrad point on quadric" if key & qmask else "tetrad lines overlap"
+    for o in ovoids:  # `key` came from these ovoids, so the scan finds it
+        masks = _conic_masks(o.points)
+        for triples in _PATTERN_TRIPLES:
+            x, y, z = triples
+            if masks[x] | masks[y] | masks[z] == key:
+                pts = o.points
+                part = "/".join(join_words(pts[i] for i in _TRIPLES[t]) for t in triples)
+                return InternalConsistencyError(
+                    f"{what}: ovoid {join_words(pts)} partition {part}")
 
 
 def pairwise_intersection_sizes(ovoids) -> Counter:
-    """Distribution of |A ∩ B| over all unordered pairs of ovoids."""
-    masks = [o.mask for o in ovoids]
-    return Counter((a & b).bit_count() for a, b in itertools.combinations(masks, 2))
+    """Distribution of |A ∩ B| over all unordered pairs of ovoids.
+
+    Bit-sliced over the pairs: `through[p]` is the mask of the indices of
+    the ovoids on point p.  For ovoid i, the masks of its points, shifted
+    so that bit j stands for ovoid i + 1 + j, are added into counters held
+    as bit planes (plane b holds bit b of every counter).  Splitting the
+    positions plane by plane into the masks of equal low bits, and then
+    one popcount per size k, counts every pair (i, j) with i < j once.
+    """
+    points = [o.points for o in ovoids]
+    through: dict[int, int] = {}
+    for i, pts in enumerate(points):
+        for p in pts:
+            through[p] = through.get(p, 0) | 1 << i
+    width = max(map(len, points), default=0).bit_length()
+    counts: Counter = Counter()
+    for i, pts in enumerate(points[:-1]):
+        planes = [0] * width
+        for p in pts:
+            carry = through[p] >> (i + 1)
+            for b, plane in enumerate(planes):
+                planes[b], carry = plane ^ carry, plane & carry
+                if not carry:
+                    break
+        sizes = {0: (1 << (len(points) - i - 1)) - 1}
+        for b, plane in enumerate(planes):
+            split = {}
+            for k, m in sizes.items():
+                if low := m & ~plane:
+                    split[k] = low
+                if high := m & plane:
+                    split[k | 1 << b] = high
+            sizes = split
+        for k, m in sizes.items():
+            counts[k] += m.bit_count()
+    return counts
 
 
 def second_ovoid_on_conic(o: Ovoid, triple, gens: GeneratorSet) -> Ovoid:
@@ -784,9 +858,14 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
 def _check_generalized_quadrangle(points, lines, s: int, t: int):
     """Axiomatic GQ(s, t) check on an explicit incidence structure.
 
-    Lines and collinearity sets are masks over the points' indices, so
-    the quadrangle axiom (a point off a line is collinear with exactly
-    one of its points) is one AND and popcount per point and line.
+    Lines and collinearity sets are masks over the points' indices.  The
+    quadrangle axiom (a point off a line is collinear with exactly one of
+    its points) is checked for all points of a line at once, bit-sliced:
+    OR-ing the line's points' collinearity masks into `once` and, where
+    already set, into `more` leaves `once & ~more` as the points collinear
+    with exactly one point of the line.  With the line's own points added,
+    that must be every point.  A failure names the lowest failing point
+    of the first failing line.
     """
     index = {p: i for i, p in enumerate(points)}
     on_lines = [0] * len(index)
@@ -805,11 +884,18 @@ def _check_generalized_quadrangle(points, lines, s: int, t: int):
     bad = [p for p, d in zip(points, on_lines) if d != t + 1]
     if bad:
         raise InternalConsistencyError(f"point degree is not t+1: {join_words(bad)}")
+    full = (1 << len(index)) - 1
     for line, m in zip(lines, line_masks):
-        for i, near in enumerate(collinear):
-            if not m >> i & 1 and (m & near).bit_count() != 1:
-                raise InternalConsistencyError(f"quadrangle axiom fails: point "
-                    f"{join_words(points[i:i + 1])} off line {join_words(line)}")
+        once = more = 0
+        for p in set(line):
+            near = collinear[index[p]]
+            more |= once & near
+            once |= near
+        bad = full & ~(once & ~more | m)
+        if bad:
+            i = (bad & -bad).bit_length() - 1
+            raise InternalConsistencyError(f"quadrangle axiom fails: point "
+                f"{join_words(points[i:i + 1])} off line {join_words(line)}")
 
 
 @dataclass(frozen=True)

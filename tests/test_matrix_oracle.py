@@ -24,7 +24,7 @@ def dense(word):
 
 
 def as_dense(m):
-    # Entry i of the tuple is 2*c + s where M[i, c] = (-1)^s.
+    # Entry i of the bytes is 2*c + s where M[i, c] = (-1)^s.
     out = np.zeros((len(m), len(m)), dtype=int)
     for i, x in enumerate(m):
         out[i, x >> 1] = -1 if x & 1 else 1
@@ -33,12 +33,12 @@ def as_dense(m):
 
 def test_identity_realization():
     m = mo.realize("IIII")
-    assert m == tuple(range(0, 32, 2))
+    assert m == bytes(range(0, 32, 2))
 
 
 def test_single_y_matrix():
     m = mo.realize("Y")
-    assert m == (3, 0)
+    assert m == bytes((3, 0))
     assert np.array_equal(as_dense(m), _DENSE["Y"])
 
 
@@ -93,6 +93,30 @@ def test_oracle_commutes():
 def test_oracle_product_examples():
     assert mo.oracle_product("IYZZ", "ZYXI") == "ZIYZ"
     assert mo.oracle_product("XZYI", "XZYI") == "IIII"
+
+
+def test_matmul_matches_dense_on_every_rank3_pair():
+    words = ["".join(w) for w in itertools.product("IXYZ", repeat=3)]
+    for a, b in itertools.product(words, repeat=2):
+        got = as_dense(mo.matmul(mo.realize(a), mo.realize(b)))
+        assert np.array_equal(got, dense(a) @ dense(b)), (a, b)
+
+
+def test_matmul_matches_dense_on_every_rank4_pair_with_one_word():
+    fixed = "YXZY"
+    for word in map("".join, itertools.product("IXYZ", repeat=4)):
+        for a, b in ((fixed, word), (word, fixed)):
+            got = as_dense(mo.matmul(mo.realize(a), mo.realize(b)))
+            assert np.array_equal(got, dense(a) @ dense(b)), (a, b)
+
+
+def test_realize_takes_words_up_to_seven_letters():
+    m = mo.realize("XYZIXYZ")
+    assert len(m) == 128 and max(m) <= 255
+    assert mo.matmul(m, m) == mo.realize("I" * 7)  # two Y letters: +I
+    # Entries 2c+s of an 8-letter word reach 511 and do not fit in a byte.
+    with pytest.raises(UsageError, match="at most 7 letters"):
+        mo.realize("XYZIXYZI")
 
 
 @pytest.mark.parametrize("a,b", [("XQ", "XX"), ("", "X"), ("XX", "XXX")])
@@ -181,7 +205,7 @@ def test_check_agreement_catches_a_corrupted_realization(monkeypatch):
         m = real(word)
         if word != bad:
             return m
-        return (m[0] ^ 1,) + m[1:]
+        return bytes([m[0] ^ 1]) + m[1:]
 
     # Build the lookup from the true realizations before corrupting one,
     # so the cached table stays correct for later tests.

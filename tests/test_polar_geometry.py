@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -364,6 +365,44 @@ def test_tetrad_certifier_rejects_four_skew_lines_of_rank_7(quadric4):
     assert str(exc.value) == f"tetrad does not span the whole space: {rendered}"
 
 
+def test_line_partition_matches_mask_lines_on_every_census_key(ovoids):
+    census = pg.tetrad_census(ovoids)
+    assert len(census) == 11200
+    for key in census:
+        assert pg._line_partition(key) == pg._mask_lines(key)
+
+
+def _no_partner_set(mask, quadric):
+    # A tetrad with one point w of its first line traded for an
+    # off-quadric point that leaves some point with no partner.
+    w = pg.Tetrad(mask).lines[0][2]
+    for x in quadric.off_points():
+        pts = pg._mask_points(mask ^ 1 << w | 1 << x)
+        if len(pts) == 12 and any(
+                not any(p ^ q in pts for q in pts if q != p) for p in pts):
+            return mask ^ 1 << w | 1 << x
+    raise AssertionError("no such point")
+
+
+@pytest.mark.parametrize("plant", ["no partner", "eleven points", "on quadric"])
+def test_tetrad_certifier_rejects_sets_that_are_not_four_skew_lines(
+        plant, ostar, quadric4):
+    mask = min(pg.tetrad_census([ostar]))
+    if plant == "no partner":
+        mask = _no_partner_set(mask, quadric4)
+        assert mask.bit_count() == 12 and pg._line_partition(mask) == []
+    elif plant == "eleven points":
+        mask &= mask - 1
+    else:
+        low = mask & -mask
+        mask ^= low | 1 << min(quadric4.points)
+        assert mask.bit_count() == 12
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg._certify_tetrad(mask, quadric4.mask)
+    assert str(exc.value) == "tetrad is not four skew off-quadric lines: " + ",".join(
+        point_to_word(p, 4) for p in pg._mask_points(mask))
+
+
 @pytest.mark.parametrize("words,fault", [
     # O* with XXXX replaced by IIIX: a partition nucleus lands on the quadric.
     ("IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX", "tetrad point on quadric"),
@@ -380,6 +419,28 @@ def test_tetrad_census_names_the_failing_ovoid_and_partition(words, fault):
     groups = [g.split(",") for g in message[len(head):].split("/")]
     assert sorted(w for g in groups for w in g) == sorted(ovoid_words.split(","))
     assert [len(g) for g in groups] == [3, 3, 3]
+
+
+def _direct_intersection_sizes(ovoids):
+    return Counter((a.mask & b.mask).bit_count() for a, b in itertools.combinations(ovoids, 2))
+
+
+def test_pairwise_intersection_sizes_match_the_direct_count(ovoids):
+    got = pg.pairwise_intersection_sizes(ovoids)
+    assert dict(got) == dict(_direct_intersection_sizes(ovoids))
+    assert dict(got) == {0: 268800, 1: 151200, 3: 40320}
+    # A repeated ovoid meets itself in all nine points.
+    listed = [ovoids[5], ovoids[0], ovoids[5], ovoids[17]]
+    got = pg.pairwise_intersection_sizes(listed)
+    assert dict(got) == dict(_direct_intersection_sizes(listed))
+    assert got[9] == 1
+
+
+@given(st.data())
+def test_pairwise_intersection_sizes_on_drawn_lists(ovoids, data):
+    listed = data.draw(st.lists(st.sampled_from(ovoids), max_size=40))
+    got = pg.pairwise_intersection_sizes(listed)
+    assert dict(got) == dict(_direct_intersection_sizes(listed))
 
 
 def test_second_ovoid_on_conic(ostar, gens4, ctx4):
@@ -501,12 +562,13 @@ def _swap_one_point(lines, points):
     return [(other,) + first[1:]] + list(lines[1:])
 
 
-def _exchange_two_points(lines):
-    # Exchange one point between two lines: sizes and degrees stay right.
+def _exchange_two_points(lines, which=0):
+    # Exchange one point between the first line and the `which`-th later
+    # line that misses it: sizes and degrees stay right.
     first = lines[0]
     p = first[0]
-    second = next(ln for ln in lines[1:] if p not in ln
-                  and any(q not in first for q in ln))
+    second = [ln for ln in lines[1:] if p not in ln
+              and any(q not in first for q in ln)][which]
     q = next(x for x in second if x not in first)
     swapped = {first: tuple(q if x == p else x for x in first),
                second: tuple(p if x == q else x for x in second)}
@@ -534,6 +596,29 @@ def test_generalized_quadrangle_check_rejects_a_perturbed_section(ostar, quadric
     assert tuple(line) in exchanged and point not in line
     collinear = {q for ln in exchanged if point in ln for q in ln}
     assert len(collinear & set(line)) != 1
+
+
+def _first_quadrangle_fault(points, lines):
+    # Brute force: the first line, and on it the first point in point
+    # order, that is off the line and not collinear with exactly one of
+    # its points.
+    for line in lines:
+        for p in points:
+            if p not in line and sum(
+                    any(p in ln and q in ln for ln in lines) for q in line) != 1:
+                return p, line
+
+
+@pytest.mark.parametrize("which", [1, 2, 3])
+def test_quadrangle_axiom_names_the_first_fault_of_a_brute_force_scan(
+        which, ostar, quadric4):
+    section = pg.sextet_intersection(ostar, ostar.points[:6], quadric4)
+    lines = _exchange_two_points(section.lines, which)
+    point, line = _first_quadrangle_fault(section.points, lines)
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg._check_generalized_quadrangle(section.points, lines, 2, 4)
+    assert str(exc.value) == (f"quadrangle axiom fails: point {point_to_word(point, 4)}"
+                              f" off line {','.join(point_to_word(x, 4) for x in line)}")
 
 
 def test_axis_and_solid_checks_name_their_points_in_words():
