@@ -10,8 +10,9 @@ to zero and every class tag is recomputed from the word.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 
 from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
@@ -68,7 +69,25 @@ class ConfigReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """`json.dumps(self.to_json_dict(), indent=2)`, written by schema.
+
+        With `indent`, `json.dumps` leaves its C encoder for a pure-Python
+        one, so the fixed layout is written here instead: every string
+        through the C escaper `json.dumps` uses (ASCII output), every int
+        with %d, each nesting level two spaces deeper.
+        """
+        d = self.to_json_dict()
+        q = encode_basestring_ascii
+        points = [_json_block([f"{q(k)}: {q(v)}" for k, v in p.items()], 4, "{}")
+                  for p in d["points"]]
+        lines = [_json_block(["%d" % i for i in line], 4, "[]") for line in d["lines"]]
+        notes = [f"{q(k)}: {q(v)}" for k, v in d["annotations"].items()]
+        return _json_block([
+            f'"name": {q(d["name"])}',
+            f'"points": {_json_block(points, 2, "[]")}',
+            f'"lines": {_json_block(lines, 2, "[]")}',
+            f'"annotations": {_json_block(notes, 2, "{}")}',
+        ], 0, "{}")
 
     def to_dot(self, line_style: str = "clique") -> str:
         """Undirected DOT graph: circles for symmetric points, hexagons
@@ -97,6 +116,27 @@ class ConfigReport:
         return "\n".join(out) + "\n"
 
 
+def _json_block(members: list[str], indent: int, brackets: str) -> str:
+    """Encoded members in brackets, as `json.dumps(..., indent=2)` lays
+    them out when the block opens `indent` spaces in."""
+    if not members:
+        return brackets
+    inner = "\n" + " " * (indent + 2)
+    return (f"{brackets[0]}{inner}{(',' + inner).join(members)}"
+            f"\n{' ' * indent}{brackets[1]}")
+
+
+@lru_cache(maxsize=256)
+def _point_fields(value: int, n_qubits: int) -> tuple[str, str, str]:
+    """(coords, word, class) of a point: they depend on its value alone.
+
+    Memoized; 256 entries hold all 255 points of four qubits.
+    """
+    word = point_to_word(value, n_qubits)
+    cls = "symmetric" if is_symmetric(word) else "skew"
+    return to_string(value, 2 * n_qubits), word, cls
+
+
 class _Builder:
     def __init__(self, name: str, ctx: GeometryContext):
         self.report = ConfigReport(name)
@@ -106,14 +146,8 @@ class _Builder:
     def add(self, value: int, role: str) -> int:
         if value in self.index:
             return self.index[value]
-        word = point_to_word(value, self.ctx.n_qubits)
-        entry = PointEntry(
-            to_string(value, self.ctx.dim),
-            word,
-            "symmetric" if is_symmetric(word) else "skew",
-            role,
-        )
-        self.report.points.append(entry)
+        coords, word, cls = _point_fields(value, self.ctx.n_qubits)
+        self.report.points.append(PointEntry(coords, word, cls, role))
         self.index[value] = len(self.report.points) - 1
         return self.index[value]
 

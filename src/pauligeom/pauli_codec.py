@@ -35,13 +35,15 @@ def validate_word(word: str, n_qubits: int | None = None) -> str:
 
 
 @lru_cache(maxsize=1024)
-def _encode(word: str) -> int:
-    """Vector of a valid word; the identity encodes to 0 (not a point).
+def _valid_vector(word: str) -> int:
+    """Vector of a word that passes :func:`validate_word`; the identity is 0.
 
     Memoized, like :func:`point_to_word`: the checks convert the same few
-    hundred words and points over and over.  1024 entries hold every word
-    and point of one to four qubits.
+    hundred words over and over, so each is validated and encoded once.
+    1024 entries hold every word of one to four qubits; a word that fails
+    validation raises and is not remembered.
     """
+    validate_word(word)
     n = len(word)
     hi = lo = 0
     for c in word:
@@ -51,10 +53,31 @@ def _encode(word: str) -> int:
     return (hi << n) | lo
 
 
+def _vector(word: str) -> int:
+    """:func:`_valid_vector`, raising exactly what `validate_word` raises.
+
+    An input the memo cannot hash (a list, a dict) is validated outside
+    it, so the caller sees validation's own error, not the memo's.
+    """
+    try:
+        return _valid_vector(word)
+    except TypeError:
+        pass
+    validate_word(word)
+    return _valid_vector(word)
+
+
+def _vector_pair(a: str, b: str) -> tuple[int, int, int]:
+    """Vectors and length of two words: a's alphabet, b's, then the length."""
+    u, v = _vector(a), _vector(b)
+    if len(b) != len(a):
+        validate_word(b, len(a))  # raises the length mismatch
+    return u, v, len(a)
+
+
 def word_to_point(word: str) -> int:
     """Projective point of a non-identity word."""
-    validate_word(word)
-    v = _encode(word)
+    v = _vector(word)
     if v == 0:
         raise IdentityNotAPointError("the identity word is not a projective point")
     return v
@@ -80,16 +103,13 @@ def identity_word(n_qubits: int) -> str:
 
 def word_product(a: str, b: str) -> str:
     """Sign-free product; addition of coordinate pairs letter by letter."""
-    validate_word(a)
-    validate_word(b, len(a))
-    n = len(a)
-    v = _encode(a) ^ _encode(b)
-    return identity_word(n) if v == 0 else point_to_word(v, n)
+    u, v, n = _vector_pair(a, b)
+    return identity_word(n) if u == v else point_to_word(u ^ v, n)
 
 
 def is_symmetric(word: str) -> bool:
     """Whether the word squares to plus identity: even number of Y letters."""
-    validate_word(word)
+    _vector(word)
     return word.count("Y") % 2 == 0
 
 
@@ -147,9 +167,8 @@ class GeometryContext:
 
 def commutes(a: str, b: str) -> bool:
     """Whether two words commute: sigma of their points vanishes."""
-    validate_word(a)
-    validate_word(b, len(a))
-    return _sigma(_encode(a), _encode(b), len(a)) == 0
+    u, v, n = _vector_pair(a, b)
+    return _sigma(u, v, n) == 0
 
 
 def words_to_points(words) -> tuple[int, ...]:

@@ -102,6 +102,12 @@ class Quadric:
         return tuple(v for v in self.context.points() if not self.contains(v))
 
 
+@cache
+def _quadric_mask(n_qubits: int) -> int:
+    """Point mask of the standard hyperbolic quadric of N qubits."""
+    return Quadric.standard_hyperbolic(GeometryContext(n_qubits)).mask
+
+
 @dataclass(frozen=True)
 class GeneratorSet:
     """All maximal totally isotropic/singular flats of one space.
@@ -299,12 +305,18 @@ def is_ovoid(points, gens: GeneratorSet) -> bool:
 
 
 def _nonperp_adjacency(ctx: GeometryContext, points: tuple[int, ...]):
-    """Index-space masks of strictly-greater neighbours with sigma = 1."""
-    adj = [0] * len(points)
+    """Index-space masks of strictly-greater neighbours with sigma = 1.
+
+    Read off the perp masks: sigma(p, q) = 1 iff bit q of p's perp mask is clear.
+    """
+    perp = _perp_masks(ctx)
+    adj = []
     for i, p in enumerate(points):
+        row, mask = 0, perp[p]
         for j in range(i + 1, len(points)):
-            if ctx.sigma(p, points[j]) == 1:
-                adj[i] |= 1 << j
+            if not mask >> points[j] & 1:
+                row |= 1 << j
+        adj.append(row)
     return adj
 
 
@@ -554,7 +566,7 @@ def tetrad_census(ovoids) -> Counter:
     first bad key is that of the first bad (ovoid, partition) pair.
     """
     ovoids = tuple(ovoids)
-    qmask = Quadric.standard_hyperbolic(GeometryContext(4)).mask
+    qmask = _quadric_mask(4)
     counts: Counter = Counter()
     for o in ovoids:
         masks = _conic_masks(o.points)
@@ -696,14 +708,17 @@ def commutation_profile(word_point: int, family) -> tuple[int, ...]:
 def solid_extra_point(o: Ovoid, quad) -> int:
     """The unique fifth quadric point in the solid of four ovoid points."""
     q = o.distinct_points(quad, 4)
-    ctx = GeometryContext(4)
-    on = sorted(p for p in span_points(q) if ctx.is_on_quadric(p))
+    qmask = _quadric_mask(4)
+    span = [0]
+    for b in q:
+        span += [p ^ b for p in span]
+    on = sorted({p for p in span if qmask >> p & 1})  # a set: dependent points repeat
     extra = [p for p in on if p not in q]
     if len(on) != 5 or len(extra) != 1:
         raise InternalConsistencyError(f"solid section is not five points: {join_words(q)}"
                                        f" meet the quadric in {join_words(on)}")
     for u, v in itertools.combinations(on, 2):
-        if ctx.is_on_quadric(u ^ v):
+        if qmask >> (u ^ v) & 1:
             raise InternalConsistencyError(
                 f"solid section carries a quadric line: {join_words((u, v, u ^ v))}")
     return extra[0]

@@ -322,6 +322,14 @@ OUTPUT_DIGESTS = [
      "c4bbd21b3f088cac2ce11fc5714397488568cb62e939828b432333d24ab1bdfb"),
     (["enumerate", "generators", "--space", "quadric", "--n", "3"],
      "05e130761bd3aeb03eec329d9af7e1e7aab183e99e07f93b2a9b07691bc74d6d"),
+    (["config", "fig8"],
+     "80b413bfc3e615f73c8aefa072f70bb617029aafb219668960b1ce8fa6ab368d"),
+    (["config", "split63"],
+     "173fbf0a30676ce41dbe21f244a9ab3e8adbb17a46abffc17d400bc89e78ea96"),
+    (["config", "heptad-family", "--kind", "quadrangle"],
+     "887afdfe66131d7e3c238a632cfda4d99d9d90440d5928ee4eff1d7fb8deee44"),
+    (["config", "fig9", "--format", "dot"],
+     "55fb9e2c011ceaf07350057c23f32e77e9951c499ecf949d93b3cd571fffeccd"),
 ]
 
 

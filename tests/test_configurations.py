@@ -241,3 +241,52 @@ def test_report_verify_rejects_fake_line(ostar, ctx4):
     rep.lines.append((0, 1, 2))  # three ovoid points are never collinear
     with pytest.raises(InternalConsistencyError):
         rep.verify()
+
+
+def _all_reports(o, gens, ovoids):
+    """One report from each of the twelve builders, on default choices."""
+    ctx, quadric = gens.context, gens.quadric
+    part = pg.triple_partitions(o)[0]
+    p = o.points[0]
+    a, b = o.points[1:3]
+    return [
+        cfg.fig_secants(o, ctx),
+        cfg.fig_conic_partition(o, part, quadric),
+        cfg.fig_two_ovoids_conic(o, o.points[:3], gens),
+        cfg.fig_six_ovoids(o, part, gens),
+        cfg.fig_commutation(o, part, gens),
+        cfg.fig_two_ovoids_point(o, p, pg.rest_splits(o, p)[0], gens),
+        cfg.fig_pentad(o, o.points[:5], quadric),
+        cfg.fig_sextet(o, o.points[:6], quadric),
+        cfg.fig_nuclei_fan(o, p, p ^ a ^ b),
+        cfg.heptad_analogue(o, p, a),
+        cfg.heptad_family(o, cfg.quadrangle_pairs(o), gens),
+        cfg.sixty_three_split(ovoids, o, p),
+    ]
+
+
+def test_to_json_is_json_dumps_layout_for_every_builder(ostar, gens4, ovoids):
+    # O* and 20 ovoids spread over the canonical order of all 960.
+    for o in (ostar, *ovoids[::48]):
+        reports = _all_reports(o, gens4, ovoids)
+        assert len({r.name for r in reports}) == 12
+        for rep in reports:
+            assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)
+    triangle = cfg.heptad_family(ostar, cfg.triangle_pairs(ostar), gens4)
+    assert triangle.to_json() == json.dumps(triangle.to_json_dict(), indent=2)
+
+
+def test_to_json_edge_cases_match_json_dumps():
+    empty = cfg.ConfigReport("x")
+    assert empty.to_json() == json.dumps(empty.to_json_dict(), indent=2)
+    assert '"points": [],' in empty.to_json()
+    assert '"annotations": {}' in empty.to_json()
+    odd = 'q"uote \\back\nline caf\u00e9 \u2211 \U0001d11e \x00\t'
+    rep = cfg.ConfigReport(odd)
+    rep.points.append(cfg.PointEntry("00000001", "IIIX", "symmetric", odd))
+    rep.annotations[odd] = odd
+    rep.annotations[""] = ""
+    assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)
+    assert json.loads(rep.to_json())["annotations"][odd] == odd
+    rep.lines.append((0, 0, 0))
+    assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)

@@ -136,3 +136,56 @@ def test_word_point_round_trip(case, data):
     assert pc.word_to_point(pc.point_to_word(v, n)) == v
     word = data.draw(st.text("IXYZ", min_size=n, max_size=n).filter(lambda w: set(w) != {"I"}))
     assert pc.point_to_word(pc.word_to_point(word), n) == word
+
+
+_ALPHABET = "not a Pauli word over I/X/Y/Z: "
+# (a, b, exception, message) for word_product and commutes: a's alphabet
+# is checked before b's, b's before the length match.
+_BAD_PAIRS = [
+    ("XQ", "ZQ", UsageError, _ALPHABET + "'XQ'"),
+    ("XX", "ZQ", UsageError, _ALPHABET + "'ZQ'"),
+    ("XX", "QQQ", UsageError, _ALPHABET + "'QQQ'"),
+    ("XX", "XXX", UsageError, "expected 2 letters, got 'XXX'"),
+    ("XI", "IIII", UsageError, "expected 2 letters, got 'IIII'"),
+    ("", "X", UsageError, _ALPHABET + "''"),
+    ("X", "", UsageError, _ALPHABET + "''"),
+    ("x", "X", UsageError, _ALPHABET + "'x'"),
+    (None, "X", UsageError, _ALPHABET + "None"),
+    ("X", None, UsageError, _ALPHABET + "None"),
+    ({}, "X", UsageError, _ALPHABET + "{}"),
+    ("X", [], UsageError, _ALPHABET + "[]"),
+    (5, "X", AttributeError, "'int' object has no attribute 'strip'"),
+    ("X", 5, AttributeError, "'int' object has no attribute 'strip'"),
+    (["X"], "X", AttributeError, "'list' object has no attribute 'strip'"),
+    ("X", ["X"], AttributeError, "'list' object has no attribute 'strip'"),
+    (b"X", "X", TypeError, "a bytes-like object is required, not 'str'"),
+]
+
+
+@pytest.mark.parametrize("fn", [pc.word_product, pc.commutes])
+@pytest.mark.parametrize("a,b,exc,message", _BAD_PAIRS)
+def test_pair_functions_reject_bad_words_in_order(fn, a, b, exc, message):
+    fn("XX", "ZI")  # a valid call first: a memo must not let a bad word through
+    for _ in range(2):  # and a failed call is not remembered either way
+        with pytest.raises(exc) as err:
+            fn(a, b)
+        assert type(err.value) is exc
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("word,exc,message", [
+    ("YQ", UsageError, _ALPHABET + "'YQ'"),
+    ("", UsageError, _ALPHABET + "''"),
+    ("y", UsageError, _ALPHABET + "'y'"),
+    (None, UsageError, _ALPHABET + "None"),
+    ([], UsageError, _ALPHABET + "[]"),
+    (5, AttributeError, "'int' object has no attribute 'strip'"),
+    (["Y"], AttributeError, "'list' object has no attribute 'strip'"),
+    (b"Y", TypeError, "a bytes-like object is required, not 'str'"),
+])
+def test_is_symmetric_rejects_bad_words(word, exc, message):
+    for _ in range(2):
+        with pytest.raises(exc) as err:
+            pc.is_symmetric(word)
+        assert type(err.value) is exc
+        assert str(err.value) == message

@@ -127,6 +127,17 @@ def test_perp_masks_by_bilinearity_match_direct_masks(n):
     assert pg._perp_masks.__wrapped__(ctx) == {p: ctx.perp_mask(p) for p in ctx.points()}
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nonperp_adjacency_is_the_sigma_graph(n):
+    ctx = GeometryContext(n)
+    for pts in (ctx.quadric_points(), tuple(ctx.points())):
+        adj = pg._nonperp_adjacency(ctx, pts)
+        assert adj == [
+            sum(1 << j for j in range(i + 1, len(pts)) if ctx.sigma(p, pts[j]) == 1)
+            for i, p in enumerate(pts)
+        ]
+
+
 def test_family_relation_is_consistent(gens4):
     # same label iff the linear intersection dimension has the rank parity
     n = 4
@@ -635,6 +646,15 @@ def test_axis_and_solid_checks_name_their_points_in_words():
     assert str(exc.value) == (
         "solid section is not five points: IIIX,IXXZ,XIZI,XZXI meet the quadric in"
         " IIIX,IXXZ,XIZI,XIZX,XXYY,XZXI,XZXX,XYIY,IYZY")
+
+
+def test_solid_extra_point_names_a_quadric_line_in_words():
+    # Four quadric points, not of one ovoid: XXXX and YXYI are perpendicular,
+    # so their solid meets the quadric in five points that hold a line.
+    quad = [word_to_point(w) for w in ("XXXX", "XIXZ", "YXYI", "ZXZZ")]
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.solid_extra_point(pg.Ovoid.from_points(quad), quad)
+    assert str(exc.value) == "solid section carries a quadric line: XXXX,ZIZX,YXYI"
 
 
 def test_sextet_double_six_is_two_ovoid_difference(ostar, gens4, quadric4):
