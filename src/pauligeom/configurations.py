@@ -10,7 +10,6 @@ to zero and every class tag is recomputed from the word.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
@@ -21,22 +20,26 @@ from .pauli_codec import GeometryContext, is_symmetric, point_to_word, word_to_p
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
 
 
-@dataclass(frozen=True)
 class PointEntry:
-    coords: str
-    word: str
-    cls: str
-    role: str
+    __slots__ = ("coords", "word", "cls", "role")
+
+    def __init__(self, coords: str, word: str, cls: str, role: str):
+        self.coords = coords
+        self.word = word
+        self.cls = cls
+        self.role = role
 
 
-@dataclass
 class ConfigReport:
     """A named configuration: points with roles, lines, annotations."""
 
-    name: str
-    points: list[PointEntry] = field(default_factory=list)
-    lines: list[tuple[int, int, int]] = field(default_factory=list)
-    annotations: dict[str, str] = field(default_factory=dict)
+    __slots__ = ("name", "points", "lines", "annotations")
+
+    def __init__(self, name: str):
+        self.name = name
+        self.points: list[PointEntry] = []
+        self.lines: list[tuple[int, int, int]] = []
+        self.annotations: dict[str, str] = {}
 
     def roles(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -364,19 +367,25 @@ def fig_sextet(o: Ovoid, sextet, quadric: Quadric) -> ConfigReport:
     return b.done()
 
 
-@dataclass(frozen=True)
 class NucleiFan:
     """The 28 conic nuclei on an ovoid point, split by a singled nucleus."""
 
-    common_point: int
-    singled_nucleus: int
-    conic_pair: tuple[int, int]
-    six_through_first: tuple[int, ...]
-    six_through_second: tuple[int, ...]
-    fan15: tuple[int, ...]
-    concurrence: int
-    cross15: tuple[int, ...]
-    gq_lines: int
+    __slots__ = ("common_point", "singled_nucleus", "conic_pair", "six_through_first",
+                 "six_through_second", "fan15", "concurrence", "cross15", "gq_lines")
+
+    def __init__(self, common_point: int, singled_nucleus: int, conic_pair: tuple[int, int],
+                 six_through_first: tuple[int, ...], six_through_second: tuple[int, ...],
+                 fan15: tuple[int, ...], concurrence: int, cross15: tuple[int, ...],
+                 gq_lines: int):
+        self.common_point = common_point
+        self.singled_nucleus = singled_nucleus
+        self.conic_pair = conic_pair
+        self.six_through_first = six_through_first
+        self.six_through_second = six_through_second
+        self.fan15 = fan15
+        self.concurrence = concurrence
+        self.cross15 = cross15
+        self.gq_lines = gq_lines
 
 
 def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
@@ -641,7 +650,7 @@ def sixty_three_split(all_ovoids, o: Ovoid, p: int) -> ConfigReport:
     through = pg.ovoids_through(all_ovoids, p)
     if len(through) != 64:
         raise InternalConsistencyError("point is not on exactly 64 ovoids")
-    one, three = pg.ovoid_intersection_census(all_ovoids, o, p)
+    one, three = pg.ovoid_intersection_census(through, o, p)
     b = _Builder("split63", ctx)
     b.add(p, "common-point")
     b.note("ovoids_through_point", len(through))

@@ -13,8 +13,7 @@ unique canonical basis of a subspace, so flats compare and hash by value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import DegenerateInputError, UsageError
 
@@ -90,11 +89,19 @@ def span_points(basis: Iterable[int]) -> frozenset[int]:
     return frozenset(pts)
 
 
-@dataclass(frozen=True)
 class Flat:
     """A projective subspace in canonical reduced row-echelon form."""
 
-    basis: tuple[int, ...]
+    __slots__ = ("basis",)
+
+    def __init__(self, basis: tuple[int, ...]):
+        self.basis = basis
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Flat and other.basis == self.basis
+
+    def __hash__(self) -> int:
+        return hash(self.basis)
 
     @property
     def proj_dim(self) -> int:

@@ -14,7 +14,6 @@ commutation is vanishing of the alternating form sigma.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import IdentityNotAPointError, UsageError
@@ -119,7 +118,6 @@ def _sigma(u: int, v: int, n: int) -> int:
     return (((u >> n) & v & m).bit_count() + ((v >> n) & u & m).bit_count()) & 1
 
 
-@dataclass(frozen=True)
 class GeometryContext:
     """Ambient data for N qubits: dimension, alternating and quadratic forms.
 
@@ -128,13 +126,19 @@ class GeometryContext:
     identity Q(u+v) = Q(u) + Q(v) + sigma(u, v).
     """
 
-    n_qubits: int
-    dim: int = field(init=False)
+    __slots__ = ("n_qubits", "dim")
 
-    def __post_init__(self):
-        if self.n_qubits < 1:
+    def __init__(self, n_qubits: int):
+        if n_qubits < 1:
             raise UsageError("need at least one qubit")
-        object.__setattr__(self, "dim", 2 * self.n_qubits)
+        self.n_qubits = n_qubits
+        self.dim = 2 * n_qubits
+
+    def __eq__(self, other) -> bool:
+        return type(other) is GeometryContext and other.n_qubits == self.n_qubits
+
+    def __hash__(self) -> int:
+        return hash(self.n_qubits)
 
     @property
     def _lo_mask(self) -> int:

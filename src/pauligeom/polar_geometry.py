@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
@@ -81,14 +80,17 @@ def expected_count(kind: str, measure: str, n: int, q: int = 2) -> int:
     raise UsageError(f"unknown kind {kind!r}")
 
 
-@dataclass(frozen=True)
 class Quadric:
     """A quadric as an explicit point set with a membership bitmask."""
 
-    kind: str
-    context: GeometryContext
-    points: tuple[int, ...]
-    mask: int
+    __slots__ = ("kind", "context", "points", "mask")
+
+    def __init__(self, kind: str, context: GeometryContext,
+                 points: tuple[int, ...], mask: int):
+        self.kind = kind
+        self.context = context
+        self.points = points
+        self.mask = mask
 
     def contains(self, v: int) -> bool:
         return bool(self.mask >> v & 1)
@@ -108,31 +110,33 @@ def _quadric_mask(n_qubits: int) -> int:
     return Quadric.standard_hyperbolic(GeometryContext(n_qubits)).mask
 
 
-@dataclass(frozen=True)
 class GeneratorSet:
     """All maximal totally isotropic/singular flats of one space.
 
     A quadric generator set also carries the transposed incidence: per
     quadric point, the int mask of the indices of the generators through
-    it.  It is built once, from `masks`, and takes no part in comparison.
+    it.  It is built once, from `masks`.
     """
 
-    space_kind: str
-    context: GeometryContext
-    flats: tuple[Flat, ...]
-    masks: tuple[int, ...]
-    families: tuple[int, ...] | None = None
-    quadric: Quadric | None = None
-    generators_through: dict[int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("space_kind", "context", "flats", "masks", "families", "quadric",
+                 "generators_through")
 
-    def __post_init__(self):
+    def __init__(self, space_kind: str, context: GeometryContext,
+                 flats: tuple[Flat, ...], masks: tuple[int, ...],
+                 families: tuple[int, ...] | None = None, quadric: Quadric | None = None):
+        self.space_kind = space_kind
+        self.context = context
+        self.flats = flats
+        self.masks = masks
+        self.families = families
+        self.quadric = quadric
         through = {}
-        if self.quadric is not None:
-            through = dict.fromkeys(self.quadric.points, 0)
-            for i, m in enumerate(self.masks):
+        if quadric is not None:
+            through = dict.fromkeys(quadric.points, 0)
+            for i, m in enumerate(masks):
                 for p in _mask_points(m):
                     through[p] |= 1 << i
-        object.__setattr__(self, "generators_through", through)
+        self.generators_through = through
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -234,26 +238,38 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
 
     families = None
     if space_kind == "quadric":
-        families = tuple(_family_of(flats[0], g, n) for g in flats)
+        families = tuple(_family_of(masks[0], m, n) for m in masks)
         if families.count(0) != families.count(1):
             raise InternalConsistencyError("generator families are not equal halves")
     return GeneratorSet("quadric" if quadric else "symplectic",
                         ctx, flats, masks, families, quadric)
 
 
-def _family_of(ref: Flat, g: Flat, n: int) -> int:
-    # Two generators lie in the same family iff the linear dimension of
+def _family_of(ref: int, g: int, n: int) -> int:
+    # Two generators lie in the same family iff the linear dimension k of
     # their intersection has the parity of n (regulus behaviour at n=2).
-    inter_dim = 2 * n - len(echelon(ref.basis + g.basis))
-    return 0 if (inter_dim - n) % 2 == 0 else 1
+    # Their point masks share the 2^k - 1 points of that intersection.
+    k = ((ref & g).bit_count() + 1).bit_length() - 1
+    return (k - n) % 2
 
 
-@dataclass(frozen=True)
 class Ovoid:
-    """Nine quadric points meeting every generator exactly once."""
+    """Nine quadric points meeting every generator exactly once.
 
-    points: tuple[int, ...]
-    mask: int
+    Two ovoids are equal when their point masks are.
+    """
+
+    __slots__ = ("points", "mask")
+
+    def __init__(self, points: tuple[int, ...], mask: int):
+        self.points = points
+        self.mask = mask
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Ovoid and other.mask == self.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
     @classmethod
     def from_points(cls, points) -> "Ovoid":
@@ -393,13 +409,15 @@ def secant_third_points(o: Ovoid) -> frozenset[int]:
     return frozenset(thirds)
 
 
-@dataclass(frozen=True)
 class Conic:
     """Three ovoid points, their plane, and the nucleus (their sum)."""
 
-    triple: tuple[int, int, int]
-    nucleus: int
-    plane: Flat
+    __slots__ = ("triple", "nucleus", "plane")
+
+    def __init__(self, triple: tuple[int, int, int], nucleus: int, plane: Flat):
+        self.triple = triple
+        self.nucleus = nucleus
+        self.plane = plane
 
 
 def conic_of(o: Ovoid, triple) -> Conic:
@@ -453,15 +471,24 @@ def axis_of_partition(o: Ovoid, partition) -> frozenset[int]:
     return frozenset(nuclei)
 
 
-@dataclass(frozen=True)
 class Tetrad:
     """Four pairwise disjoint off-quadric lines spanning the whole space.
 
     The key is the int mask of the 12 points; the lines, sorted tuples of
-    sorted points, are rendered from it only for output.
+    sorted points, are rendered from it only for output, once.
     """
 
-    mask: int
+    __slots__ = ("mask", "_lines")
+
+    def __init__(self, mask: int):
+        self.mask = mask
+        self._lines = None
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Tetrad and other.mask == self.mask
+
+    def __hash__(self) -> int:
+        return hash(self.mask)
 
     def points(self) -> frozenset[int]:
         return frozenset(_mask_points(self.mask))
@@ -469,9 +496,11 @@ class Tetrad:
     def key(self) -> int:
         return self.mask
 
-    @cached_property
+    @property
     def lines(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(_line_partition(self.mask))
+        if self._lines is None:
+            self._lines = tuple(_line_partition(self.mask))
+        return self._lines
 
 
 # Each of the 84 point triples of an ovoid, by index, and every partition
@@ -649,14 +678,17 @@ def second_ovoid_on_conic(o: Ovoid, triple, gens: GeneratorSet) -> Ovoid:
     return other
 
 
-@dataclass(frozen=True)
 class SixOvoidFamily:
     """Six ovoids on one axis: 27 points, partitioned into triads twice."""
 
-    axis: frozenset[int]
-    triad_with_base: tuple[Ovoid, Ovoid, Ovoid]
-    triad_other: tuple[Ovoid, Ovoid, Ovoid]
-    points: frozenset[int]
+    __slots__ = ("axis", "triad_with_base", "triad_other", "points")
+
+    def __init__(self, axis: frozenset[int], triad_with_base: tuple[Ovoid, Ovoid, Ovoid],
+                 triad_other: tuple[Ovoid, Ovoid, Ovoid], points: frozenset[int]):
+        self.axis = axis
+        self.triad_with_base = triad_with_base
+        self.triad_other = triad_other
+        self.points = points
 
     def all_ovoids(self) -> tuple[Ovoid, ...]:
         return self.triad_with_base + self.triad_other
@@ -666,6 +698,11 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
     """Both triads of disjoint ovoids determined by one partition of `o`."""
     t1, t2, t3 = [tuple(sorted(t)) for t in partition]
     axis = axis_of_partition(o, (t1, t2, t3))
+
+    def fault(what: str) -> InternalConsistencyError:
+        part = "/".join(join_words(t) for t in (t1, t2, t3))
+        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} partition {part}")
+
     n1, n2, n3 = (t[0] ^ t[1] ^ t[2] for t in (t1, t2, t3))
     others = tuple(second_ovoid_on_conic(o, t, gens) for t in (t1, t2, t3))
 
@@ -678,21 +715,21 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
     b = Ovoid.from_points(shifted(n1, t3) + shifted(n2, t1) + shifted(n3, t2))
     for cand in (a, b):
         if not is_ovoid(cand.points, gens):
-            raise InternalConsistencyError("triad completion is not an ovoid")
+            raise fault(f"triad completion {join_words(cand.points)} is not an ovoid")
     union_other = others[0].mask | others[1].mask | others[2].mask
     union_base = o.mask | a.mask | b.mask
     if union_other != union_base or union_other.bit_count() != 27:
-        raise InternalConsistencyError("triads do not share the same 27 points")
+        raise fault("triads do not share the same 27 points")
     for x, y in itertools.combinations((o, a, b), 2):
         if x.mask & y.mask:
-            raise InternalConsistencyError("base triad is not disjoint")
+            raise fault("base triad is not disjoint")
     for x, y in itertools.combinations(others, 2):
         if x.mask & y.mask:
-            raise InternalConsistencyError("other triad is not disjoint")
+            raise fault("other triad is not disjoint")
     for x in (o, a, b):
         for y in others:
             if (x.mask & y.mask).bit_count() != 3:
-                raise InternalConsistencyError("cross-triad overlap is not a conic")
+                raise fault("cross-triad overlap is not a conic")
     pts = frozenset(p for ov in (o, a, b) for p in ov.points)
     return SixOvoidFamily(axis, (o, a, b), others, pts)
 
@@ -749,18 +786,23 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
     s1, s2 = split
     if set(s1) | set(s2) | {p} != set(o.points) or len(s1) != 4 or len(s2) != 4:
         raise UsageError("split must partition the other eight points into fours")
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(
+            f"{what}: point {join_words((p,))} split {join_words(s1)}/{join_words(s2)}")
+
     e1 = solid_extra_point(o, s1)
     e2 = solid_extra_point(o, s2)
     if e1 ^ e2 != p:
-        raise InternalConsistencyError("solid extras are not collinear with the point")
+        raise fault(f"solid extras {join_words((e1, e2))} are not collinear with the point")
     line = frozenset((p, e1, e2))
     mate = Ovoid.from_points(
         (p,) + tuple(e1 ^ u for u in s2) + tuple(e2 ^ v for v in s1)
     )
     if not is_ovoid(mate.points, gens):
-        raise InternalConsistencyError("split reflection is not an ovoid")
+        raise fault(f"split reflection {join_words(mate.points)} is not an ovoid")
     if (mate.mask & o.mask) != (1 << p):
-        raise InternalConsistencyError("mate shares more than the chosen point")
+        raise fault(f"mate {join_words(mate.points)} shares more than the chosen point")
     return line, mate
 
 
@@ -787,13 +829,16 @@ def collinear_triples_within(points) -> frozenset[tuple[int, int, int]]:
     return frozenset(_mask_lines(_points_mask(points)))
 
 
-@dataclass(frozen=True)
 class PentadCone:
     """Five concurrent quadric lines: section of the span of five points."""
 
-    vertex: int
-    lines: tuple[tuple[int, int, int], ...]
-    points: tuple[int, ...]
+    __slots__ = ("vertex", "lines", "points")
+
+    def __init__(self, vertex: int, lines: tuple[tuple[int, int, int], ...],
+                 points: tuple[int, ...]):
+        self.vertex = vertex
+        self.lines = lines
+        self.points = points
 
 
 def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
@@ -817,17 +862,22 @@ def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     return PentadCone(vertex, tuple(sorted(lines)), tuple(section))
 
 
-@dataclass(frozen=True)
 class SextetSection:
     """Elliptic section over six ovoid points: 27 points and 45 lines."""
 
-    points: tuple[int, ...]
-    lines: tuple[tuple[int, int, int], ...]
-    sextet: tuple[int, ...]
-    mates: tuple[int, ...]
-    core15: tuple[int, ...]
-    pairing_nucleus: int
-    pairing_lines: tuple[tuple[int, int, int], ...]
+    __slots__ = ("points", "lines", "sextet", "mates", "core15", "pairing_nucleus",
+                 "pairing_lines")
+
+    def __init__(self, points: tuple[int, ...], lines: tuple[tuple[int, int, int], ...],
+                 sextet: tuple[int, ...], mates: tuple[int, ...], core15: tuple[int, ...],
+                 pairing_nucleus: int, pairing_lines: tuple[tuple[int, int, int], ...]):
+        self.points = points
+        self.lines = lines
+        self.sextet = sextet
+        self.mates = mates
+        self.core15 = core15
+        self.pairing_nucleus = pairing_nucleus
+        self.pairing_lines = pairing_lines
 
 
 def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
@@ -840,30 +890,34 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
     points of the cross lines.
     """
     sx = o.distinct_points(sextet, 6)
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(f"{what}: sextet {join_words(sx)}")
+
     rest = o.complement_in(sx)
     nucleus = rest[0] ^ rest[1] ^ rest[2]
     section = sorted(v for v in span_points(sx) if quadric.contains(v))
     if len(section) != expected_count("elliptic", "points", 3):
-        raise InternalConsistencyError("sextet section is not a 27-point quadric")
+        raise fault("sextet section is not a 27-point quadric")
     mates = tuple(solid_extra_point(o, (s,) + rest) for s in sx)
     for s, m in zip(sx, mates):
         if s ^ m != nucleus:
-            raise InternalConsistencyError("mate pairing misses the conic nucleus")
+            raise fault(f"mate pairing {join_words((s, m))} misses the conic nucleus")
     pairing = tuple(sorted(_sorted3(s, m, nucleus) for s, m in zip(sx, mates)))
     lines = collinear_triples_within(section)
     if len(lines) != 45:
-        raise InternalConsistencyError(f"sextet section has {len(lines)} lines")
+        raise fault(f"sextet section has {len(lines)} lines")
     degree = Counter(p for line in lines for p in line)
     if set(degree.values()) != {5}:
-        raise InternalConsistencyError("section points do not have degree 5")
+        raise fault("section points do not have degree 5")
     double_six = set(sx) | set(mates)
     core = tuple(p for p in section if p not in double_six)
     if len(core) != 15:
-        raise InternalConsistencyError("double six is not 12 distinct points")
+        raise fault("double six is not 12 distinct points")
     for i, s in enumerate(sx):
         for j, m in enumerate(mates):
             if i != j and (s ^ m) not in core:
-                raise InternalConsistencyError("cross line leaves the 15-point core")
+                raise fault(f"cross line {join_words((s, m, s ^ m))} leaves the 15-point core")
     _check_generalized_quadrangle(section, lines, 2, 4)
     return SextetSection(
         tuple(section), tuple(sorted(lines)), sx, mates, core, nucleus, pairing
@@ -913,12 +967,14 @@ def _check_generalized_quadrangle(points, lines, s: int, t: int):
                 f"{join_words(points[i:i + 1])} off line {join_words(line)}")
 
 
-@dataclass(frozen=True)
 class HeptadSection:
     """Parabolic section over seven ovoid points, with its nucleus."""
 
-    points: tuple[int, ...]
-    nucleus: int
+    __slots__ = ("points", "nucleus")
+
+    def __init__(self, points: tuple[int, ...], nucleus: int):
+        self.points = points
+        self.nucleus = nucleus
 
 
 def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
@@ -929,18 +985,22 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
     line of the two complementary ovoid points.
     """
     hp = o.distinct_points(heptad, 7)
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(f"{what}: heptad {join_words(hp)}")
+
     section = sorted(v for v in span_points(hp) if quadric.contains(v))
     if len(section) != expected_count("parabolic", "points", 3):
-        raise InternalConsistencyError("heptad section is not a 63-point quadric")
+        raise fault("heptad section is not a 63-point quadric")
     rad = radical(hp, quadric.context)
     if len(rad) != 1:
-        raise InternalConsistencyError("restricted form has the wrong radical")
+        raise fault(f"restricted form has a radical of dimension {len(rad)}")
     nucleus = rad[0]
     pair = o.complement_in(hp)
     if nucleus != pair[0] ^ pair[1]:
-        raise InternalConsistencyError("radical is not the complementary secant point")
+        raise fault(f"radical {join_words(rad)} is not the complementary secant point")
     if quadric.contains(nucleus):
-        raise InternalConsistencyError("section nucleus lies on the quadric")
+        raise fault(f"section nucleus {join_words(rad)} lies on the quadric")
     return HeptadSection(tuple(section), nucleus)
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 import time
 from collections import Counter
-from dataclasses import dataclass
 
 from . import configurations as cfg
 from . import gf2_core, matrix_oracle, pauli_codec
@@ -25,20 +24,24 @@ from .errors import UsageError
 from .pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
-@dataclass
 class VerifyRow:
-    name: str
-    expected: str
-    computed: str
-    ok: bool
-    ms: float
+    __slots__ = ("name", "expected", "computed", "ok", "ms")
+
+    def __init__(self, name: str, expected: str, computed: str, ok: bool, ms: float):
+        self.name = name
+        self.expected = expected
+        self.computed = computed
+        self.ok = ok
+        self.ms = ms
 
 
-@dataclass
 class VerificationReport:
-    n_qubits: int
-    level: str
-    rows: list[VerifyRow]
+    __slots__ = ("n_qubits", "level", "rows")
+
+    def __init__(self, n_qubits: int, level: str, rows: list[VerifyRow]):
+        self.n_qubits = n_qubits
+        self.level = level
+        self.rows = rows
 
     @property
     def overall_pass(self) -> bool:

@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import pauligeom
 from pauligeom import cli, matrix_oracle
 from pauligeom.errors import InternalConsistencyError
 from pauligeom.gf2_core import standard_to_edge, to_string
@@ -13,6 +18,21 @@ def run(args, capsys):
     code = cli.main(args)
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_cli_import_loads_no_code_generation():
+    # A fresh interpreter without `site`, so only the import itself loads
+    # modules; the package comes from the tree under test.
+    code = ("import sys; before = set(sys.modules); import pauligeom.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(pauligeom.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert not loaded & {"dataclasses", "inspect", "typing"}
+    layers = ("cli", "polar_geometry", "configurations", "matrix_oracle",
+              "gf2_core", "pauli_codec")
+    assert {f"pauligeom.{m}" for m in layers} <= loaded
 
 
 def test_map_word(capsys):

@@ -213,6 +213,8 @@ def test_split63_reference_invariance(ovoids):
     assert len(through) == 64
     for ref in through:
         assert pg.ovoid_intersection_census(ovoids, ref, p) == (35, 28)
+        # the census skips ovoids off p, so the 64 through p give the same
+        assert pg.ovoid_intersection_census(through, ref, p) == (35, 28)
 
 
 def test_report_json_shape(ostar, ctx4):
@@ -274,6 +276,16 @@ def test_to_json_is_json_dumps_layout_for_every_builder(ostar, gens4, ovoids):
             assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)
     triangle = cfg.heptad_family(ostar, cfg.triangle_pairs(ostar), gens4)
     assert triangle.to_json() == json.dumps(triangle.to_json_dict(), indent=2)
+
+
+def test_reports_do_not_share_their_containers():
+    a, b = cfg.ConfigReport("x"), cfg.ConfigReport("x")
+    a.points.append(cfg.PointEntry("00000001", "IIIX", "symmetric", "r"))
+    a.lines.append((0, 0, 0))
+    a.annotations["k"] = "v"
+    assert (b.points, b.lines, b.annotations) == ([], [], {})
+    assert a.points is not b.points and a.lines is not b.lines
+    assert a.annotations is not b.annotations
 
 
 def test_to_json_edge_cases_match_json_dumps():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
-from pauligeom.gf2_core import echelon, rank, span_points
-from pauligeom.pauli_codec import GeometryContext, point_to_word, word_to_point
+from pauligeom.gf2_core import Flat, echelon, rank, span_points
+from pauligeom.pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
 def test_expected_count_examples():
@@ -148,6 +148,53 @@ def test_family_relation_is_consistent(gens4):
         inter = 2 * n - len(echelon(flats[i].basis + flats[j].basis))
         same = (inter - n) % 2 == 0
         assert same == (fams[i] == fams[j])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_families_by_popcount_match_the_echelon_rule(n):
+    # every generator against the first: same family iff the linear
+    # dimension of the intersection, from the echelon of both bases, has
+    # the parity of n
+    gens = pg.get_generators(GeometryContext(n), "quadric")
+    ref = gens.flats[0].basis
+    assert list(gens.families) == [
+        (2 * n - len(echelon(ref + f.basis)) - n) % 2 for f in gens.flats]
+
+
+def test_generator_cache_is_keyed_by_rank():
+    a, b = GeometryContext(4), GeometryContext(4)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != GeometryContext(3)
+    assert pg.get_generators(a, "quadric") is pg.get_generators(b, "quadric")
+
+
+def test_equal_records_compare_and_hash_equal(ostar, gens4):
+    flat = gens4.flats[7]
+    same = Flat(flat.basis)
+    assert same is not flat and same == flat and hash(same) == hash(flat)
+    assert flat != gens4.flats[8] and flat != flat.basis
+    again = pg.Ovoid.from_points(reversed(ostar.points))
+    assert again is not ostar and again == ostar and hash(again) == hash(ostar)
+    assert ostar != pg.second_ovoid_on_conic(ostar, ostar.points[:3], gens4)
+    mask = next(iter(pg.tetrad_census([ostar])))
+    one, two = pg.Tetrad(mask), pg.Tetrad(mask)
+    assert one is not two and one == two and hash(one) == hash(two)
+    assert one != mask and len({one, two}) == 1
+
+
+def test_tetrad_lines_are_computed_once(ostar, monkeypatch):
+    calls = []
+    partition = pg._line_partition
+
+    def recording(mask):
+        calls.append(mask)
+        return partition(mask)
+
+    mask = next(iter(pg.tetrad_census([ostar])))
+    monkeypatch.setattr(pg, "_line_partition", recording)
+    tetrad = pg.Tetrad(mask)
+    assert tetrad.lines == tetrad.lines
+    assert calls == [mask]
 
 
 def test_families_at_rank_two_are_reguli():
@@ -535,6 +582,50 @@ def test_point_partition_lines_per_point(ostar, gens4):
             assert p in line
             mates.add(mate.points)
         assert len(mates) == 35
+
+
+def _sextet_case(o, gens):
+    return (lambda: pg.sextet_intersection(o, o.points[:6], gens.quadric),
+            f"sextet {join_words(o.points[:6])}")
+
+
+def _heptad_case(o, gens):
+    return (lambda: pg.heptad_intersection(o, o.points[:7], gens.quadric),
+            f"heptad {join_words(o.points[:7])}")
+
+
+def _six_ovoids_case(o, gens):
+    part = pg.triple_partitions(o)[0]
+    return (lambda: pg.six_ovoid_family(o, part, gens),
+            f"ovoid {join_words(o.points)} partition {'/'.join(map(join_words, part))}")
+
+
+def _point_line_case(o, gens):
+    p = o.points[0]
+    s1, s2 = pg.rest_splits(o, p)[0]
+    return (lambda: pg.point_partition_line(o, p, (s1, s2), gens),
+            f"point {join_words((p,))} split {join_words(s1)}/{join_words(s2)}")
+
+
+# (builder, the helper it trusts, a broken stand-in, the call and its object)
+_SECTION_FAULTS = [
+    ("sextet", "collinear_triples_within", lambda points: frozenset(), _sextet_case),
+    ("heptad", "radical", lambda points, ctx: [], _heptad_case),
+    ("six_ovoids", "second_ovoid_on_conic", lambda o, triple, gens: o, _six_ovoids_case),
+    ("point_line", "is_ovoid", lambda points, gens: False, _point_line_case),
+]
+
+
+@pytest.mark.parametrize("helper,broken,case", [f[1:] for f in _SECTION_FAULTS],
+                         ids=[f[0] for f in _SECTION_FAULTS])
+def test_section_failures_name_their_object_in_words(helper, broken, case, ostar, gens4,
+                                                     monkeypatch):
+    call, named = case(ostar, gens4)
+    monkeypatch.setattr(pg, helper, broken)
+    with pytest.raises(InternalConsistencyError) as exc:
+        call()
+    assert str(exc.value).endswith(": " + named)
+    assert re.search(r"[IXYZ]{4}", named)
 
 
 def test_intersection_census_for_ostar(ovoids, ostar):
