@@ -36,6 +36,7 @@ from .polar_geometry import (
     OSTAR_WORDS,
     GeneratorSet,
     Ovoid,
+    OvoidSet,
     Quadric,
     enumerate_generators,
     enumerate_ovoids,
@@ -69,6 +70,7 @@ __all__ = [
     "OSTAR_WORDS",
     "GeneratorSet",
     "Ovoid",
+    "OvoidSet",
     "Quadric",
     "enumerate_generators",
     "enumerate_ovoids",

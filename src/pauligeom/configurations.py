@@ -649,7 +649,8 @@ def sixty_three_split(all_ovoids, o: Ovoid, p: int) -> ConfigReport:
         raise UsageError("census point must lie on the reference ovoid")
     through = pg.ovoids_through(all_ovoids, p)
     if len(through) != 64:
-        raise InternalConsistencyError("point is not on exactly 64 ovoids")
+        raise InternalConsistencyError(
+            f"point is on {len(through)} ovoids, not 64: point {_word(p)}")
     one, three = pg.ovoid_intersection_census(through, o, p)
     b = _Builder("split63", ctx)
     b.add(p, "common-point")
@@ -658,7 +659,7 @@ def sixty_three_split(all_ovoids, o: Ovoid, p: int) -> ConfigReport:
     b.note("conic_neighbours", three)
     b.note("reference", " ".join(_word(q) for q in o.points))
     for k, ov in enumerate(through):
-        if ov.points == o.points:
+        if ov == o:
             tag = "reference"
         else:
             tag = "one-point" if (ov.mask & o.mask).bit_count() == 1 else "conic"

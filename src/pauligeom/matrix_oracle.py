@@ -102,34 +102,6 @@ def _lookup(table, m: bytes, a: str, b: str) -> tuple[str, int]:
         ) from None
 
 
-def _signed_product(a: str, b: str) -> tuple[str, int]:
-    """(w, s) with realize(a) @ realize(b) == s * realize(w).
-
-    `realize` rejects a bad alphabet or an empty word and the matrix
-    product rejects words of different lengths, both with UsageError.
-    """
-    m = matmul(realize(a), realize(b))
-    return _lookup(_signed_table(len(a)), m, a, b)
-
-
-def oracle_symmetric(word: str) -> bool:
-    """True iff the realized matrix squares to plus identity."""
-    square, sign = _signed_product(word, word)
-    if square != "I" * len(word):
-        raise InternalConsistencyError(f"{word} does not square to +/- identity")
-    return sign == 1
-
-
-def oracle_commutes(a: str, b: str) -> bool:
-    """Exact matrix-level commutation test: ab and ba are equal."""
-    return _signed_product(a, b) == _signed_product(b, a)
-
-
-def oracle_product(a: str, b: str) -> str:
-    """Sign-stripped matrix product, read back as a word."""
-    return _signed_product(a, b)[0]
-
-
 def all_words(n_qubits: int):
     """All non-identity words in canonical point order."""
     ctx = pauli_codec.GeometryContext(n_qubits)

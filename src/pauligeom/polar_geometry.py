@@ -44,6 +44,16 @@ def _mask_points(mask: int) -> list[int]:
     return out
 
 
+def _transpose(masks) -> dict[int, int]:
+    """The per-point index: per point, the mask of the indices i whose masks[i] hold it."""
+    through: dict[int, int] = {}
+    for i, m in enumerate(masks):
+        bit = 1 << i
+        for p in _mask_points(m):
+            through[p] = through.get(p, 0) | bit
+    return through
+
+
 def _sorted3(a: int, b: int, c: int) -> tuple[int, int, int]:
     return tuple(sorted((a, b, c)))
 
@@ -113,9 +123,9 @@ def _quadric_mask(n_qubits: int) -> int:
 class GeneratorSet:
     """All maximal totally isotropic/singular flats of one space.
 
-    A quadric generator set also carries the transposed incidence: per
-    quadric point, the int mask of the indices of the generators through
-    it.  It is built once, from `masks`.
+    A quadric generator set also carries the transposed incidence
+    (`_transpose`): per quadric point, the int mask of the indices of the
+    generators through it.
     """
 
     __slots__ = ("space_kind", "context", "flats", "masks", "families", "quadric",
@@ -130,13 +140,7 @@ class GeneratorSet:
         self.masks = masks
         self.families = families
         self.quadric = quadric
-        through = {}
-        if quadric is not None:
-            through = dict.fromkeys(quadric.points, 0)
-            for i, m in enumerate(masks):
-                for p in _mask_points(m):
-                    through[p] |= 1 << i
-        self.generators_through = through
+        self.generators_through = _transpose(masks) if quadric is not None else {}
 
     def __len__(self) -> int:
         return len(self.flats)
@@ -291,6 +295,14 @@ class Ovoid:
         return tuple(p for p in self.points if p not in chosen)
 
 
+class OvoidSet(tuple):
+    """A tuple of ovoids that carries `through`, the `_transpose` of their
+    masks: per point, the int mask of the indices of the ovoids on it."""
+
+    def __init__(self, ovoids):
+        self.through = _transpose([o.mask for o in self])
+
+
 def ostar() -> Ovoid:
     return Ovoid.from_points(words_to_points(OSTAR_WORDS))
 
@@ -362,7 +374,7 @@ def _cliques(adj_gt: list[int], size: int, roots) -> list[tuple[int, ...]]:
     return out
 
 
-def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet):
+def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     """All ovoids of the hyperbolic quadric in PG(7,2), canonically sorted.
 
     Search: backtracking 9-clique enumeration on the 135-vertex graph
@@ -377,7 +389,7 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet):
     pts = quadric.points
     adj = _nonperp_adjacency(ctx, pts)
     found = sorted(tuple(pts[i] for i in c) for c in _cliques(adj, 9, range(len(pts))))
-    ovoids = tuple(Ovoid.from_points(t) for t in found)
+    ovoids = OvoidSet(Ovoid.from_points(t) for t in found)
     for o in ovoids:
         if not is_ovoid(o.points, gens):
             raise InternalConsistencyError(
@@ -392,13 +404,14 @@ def get_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
 
 
 @cache
-def get_ovoids(ctx: GeometryContext) -> tuple[Ovoid, ...]:
+def get_ovoids(ctx: GeometryContext) -> OvoidSet:
     gens = get_generators(ctx, "quadric")
     return enumerate_ovoids(gens.quadric, gens)
 
 
-def ovoids_through(ovoids, p: int):
-    return tuple(o for o in ovoids if p in o)
+def ovoids_through(ovoids: OvoidSet, p: int) -> tuple[Ovoid, ...]:
+    """The ovoids on point `p`, in their order in `ovoids`, read off its index."""
+    return tuple(ovoids[i] for i in _mask_points(ovoids.through.get(p, 0)))
 
 
 def secant_third_points(o: Ovoid) -> frozenset[int]:
@@ -493,9 +506,6 @@ class Tetrad:
     def points(self) -> frozenset[int]:
         return frozenset(_mask_points(self.mask))
 
-    def key(self) -> int:
-        return self.mask
-
     @property
     def lines(self) -> tuple[tuple[int, int, int], ...]:
         if self._lines is None:
@@ -587,7 +597,7 @@ def tetrad_census(ovoids) -> Counter:
     """Deduplicated tetrads over every (ovoid, partition) pair.
 
     Returns a counter keyed by the tetrad's 12-point mask (as
-    :meth:`Tetrad.key`) whose values are raw multiplicities; the sum of
+    `Tetrad.mask`) whose values are raw multiplicities; the sum of
     the values is 280 times the number of ovoids.  Every tetrad is
     checked to be twelve off-quadric points, and each distinct key is
     then certified once.  Both depend on the key alone, so each runs once
@@ -622,21 +632,19 @@ def _tetrad_fault(ovoids, key: int, qmask: int) -> InternalConsistencyError:
                     f"{what}: ovoid {join_words(pts)} partition {part}")
 
 
-def pairwise_intersection_sizes(ovoids) -> Counter:
+def pairwise_intersection_sizes(ovoids: OvoidSet) -> Counter:
     """Distribution of |A ∩ B| over all unordered pairs of ovoids.
 
-    Bit-sliced over the pairs: `through[p]` is the mask of the indices of
-    the ovoids on point p.  For ovoid i, the masks of its points, shifted
+    Bit-sliced over the pairs, reading the set's index: `ovoids.through[p]`
+    is the mask of the indices of the ovoids on point p (a repeated ovoid
+    sets one bit per copy).  For ovoid i, the masks of its points, shifted
     so that bit j stands for ovoid i + 1 + j, are added into counters held
     as bit planes (plane b holds bit b of every counter).  Splitting the
     positions plane by plane into the masks of equal low bits, and then
     one popcount per size k, counts every pair (i, j) with i < j once.
     """
     points = [o.points for o in ovoids]
-    through: dict[int, int] = {}
-    for i, pts in enumerate(points):
-        for p in pts:
-            through[p] = through.get(p, 0) | 1 << i
+    through = ovoids.through
     width = max(map(len, points), default=0).bit_length()
     counts: Counter = Counter()
     for i, pts in enumerate(points[:-1]):
@@ -671,10 +679,15 @@ def second_ovoid_on_conic(o: Ovoid, triple, gens: GeneratorSet) -> Ovoid:
     t = o.distinct_points(triple, 3)
     nucleus = t[0] ^ t[1] ^ t[2]
     other = Ovoid.from_points(t + tuple(nucleus ^ u for u in o.complement_in(t)))
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(
+            f"{what}: ovoid {join_words(o.points)} conic {join_words(t)}")
+
     if not is_ovoid(other.points, gens):
-        raise InternalConsistencyError("nucleus pairing did not produce an ovoid")
+        raise fault(f"nucleus pairing {join_words(other.points)} is not an ovoid")
     if (o.mask & other.mask).bit_count() != 3:
-        raise InternalConsistencyError("second ovoid does not meet in the conic")
+        raise fault(f"second ovoid {join_words(other.points)} does not meet in the conic")
     return other
 
 
@@ -806,13 +819,13 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
     return line, mate
 
 
-def ovoid_intersection_census(all_ovoids, o: Ovoid, p: int) -> tuple[int, int]:
+def ovoid_intersection_census(ovoids, o: Ovoid, p: int) -> tuple[int, int]:
     """(one-point, three-point) counts among the other ovoids through `p`."""
     if p not in o:
         raise UsageError("census point must lie on the ovoid")
     one = three = 0
-    for other in all_ovoids:
-        if other.points == o.points or p not in other:
+    for other in ovoids:
+        if other == o or p not in other:
             continue
         size = (other.mask & o.mask).bit_count()
         if size == 1:
@@ -820,7 +833,9 @@ def ovoid_intersection_census(all_ovoids, o: Ovoid, p: int) -> tuple[int, int]:
         elif size == 3:
             three += 1
         else:
-            raise InternalConsistencyError(f"intersection of size {size} through point")
+            raise InternalConsistencyError(
+                f"intersection of size {size} through point {join_words((p,))}: "
+                f"ovoid {join_words(o.points)} and ovoid {join_words(other.points)}")
     return one, three
 
 

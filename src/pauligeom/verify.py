@@ -169,7 +169,7 @@ def checks(n: int, level: str) -> list[tuple]:
         ("point_partition_lines", "per point [35]",
          lambda: _point_partition_lines(ost, gens())),
         ("two_ovoid_census", "[(35, 28)]",
-         lambda: str(sorted({pg.ovoid_intersection_census(ovoids(), ost, p)
+         lambda: str(sorted({pg.ovoid_intersection_census(pg.ovoids_through(ovoids(), p), ost, p)
                              for p in ost.points}))),
         ("pentad_cones", "126/126 cones", lambda: _pentad_cones(ost, quadric)),
         ("sextet_sections", "84/84 sections", lambda: _sextet_sections(ost, quadric)),
@@ -266,7 +266,7 @@ def _axes_and_tetrads(ost, quadric):
     # tetrad_of_partition checks the axis and certifies the tetrad; a
     # failure raises with the offending lines in words.
     parts = pg.triple_partitions(ost)
-    keys = {pg.tetrad_of_partition(ost, part, quadric).key() for part in parts}
+    keys = {pg.tetrad_of_partition(ost, part, quadric).mask for part in parts}
     return f"{len(parts)} partitions, {len(keys)} tetrads"
 
 

@@ -350,6 +350,14 @@ OUTPUT_DIGESTS = [
      "887afdfe66131d7e3c238a632cfda4d99d9d90440d5928ee4eff1d7fb8deee44"),
     (["config", "fig9", "--format", "dot"],
      "55fb9e2c011ceaf07350057c23f32e77e9951c499ecf949d93b3cd571fffeccd"),
+    (["enumerate", "ovoids", "--through-point", "XXXX"],
+     "67ad193704b5359508034df98247860fbd0678f6ebb81f038635f3608da7ef2c"),
+    (["enumerate", "ovoids", "--through-point", "00001111"],
+     "67ad193704b5359508034df98247860fbd0678f6ebb81f038635f3608da7ef2c"),
+    (["config", "split63", "--ovoid", _OVOID_500, "--point", "ZZII"],
+     "b6dce5b6efa1d3692e6fd6109e6a0874de67903c4cf7215d186e0652d5f03885"),
+    (["oracle-check", "--n", "4"],
+     "414a478767e165bfae93285684809494a41973ee832bc8414a34583564e1dcee"),
 ]
 
 

@@ -6,7 +6,7 @@ import pytest
 from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
-from pauligeom.pauli_codec import point_to_word, word_to_point
+from pauligeom.pauli_codec import join_words, point_to_word, word_to_point
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +215,31 @@ def test_split63_reference_invariance(ovoids):
         assert pg.ovoid_intersection_census(ovoids, ref, p) == (35, 28)
         # the census skips ovoids off p, so the 64 through p give the same
         assert pg.ovoid_intersection_census(through, ref, p) == (35, 28)
+
+
+def test_split63_wrong_ovoid_count_names_the_point(ovoids, ostar, monkeypatch):
+    real = pg.ovoids_through
+    monkeypatch.setattr(pg, "ovoids_through", lambda all_ovoids, p: real(all_ovoids, p)[1:])
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.sixty_three_split(ovoids, ostar, word_to_point("XXXX"))
+    assert str(exc.value) == "point is on 63 ovoids, not 64: point XXXX"
+
+
+def test_split63_bad_intersection_names_both_ovoids(ovoids, ostar, monkeypatch):
+    # Plant, among the 64 through XXXX, a nine-point set that meets O* in
+    # XXXX and one more point: a size the census must reject.
+    p = word_to_point("XXXX")
+    through = pg.ovoids_through(ovoids, p)
+    k, lone = next((k, o) for k, o in enumerate(through) if (o.mask & ostar.mask) == 1 << p)
+    q = next(x for x in ostar.points if x != p)
+    planted = pg.Ovoid.from_points([x for x in lone.points if x != p][1:] + [p, q])
+    monkeypatch.setattr(pg, "ovoids_through",
+                        lambda all_ovoids, point: through[:k] + (planted,) + through[k + 1:])
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.sixty_three_split(ovoids, ostar, p)
+    assert str(exc.value) == (
+        "intersection of size 2 through point XXXX: "
+        f"ovoid {join_words(ostar.points)} and ovoid {join_words(planted.points)}")
 
 
 def test_report_json_shape(ostar, ctx4):

@@ -74,27 +74,6 @@ def test_matmul_matches_dense():
         assert np.array_equal(got, dense(a) @ dense(b))
 
 
-def test_oracle_symmetric():
-    assert mo.oracle_symmetric("XXXX")
-    assert not mo.oracle_symmetric("Y")
-    for v in pc.GeometryContext(4).points():
-        w = pc.point_to_word(v, 4)
-        assert mo.oracle_symmetric(w) == pc.is_symmetric(w)
-
-
-def test_oracle_commutes():
-    assert mo.oracle_commutes("XZYI", "XZYI")
-    assert not mo.oracle_commutes("XI", "ZI")
-    words = [pc.point_to_word(v, 2) for v in pc.GeometryContext(2).points()]
-    for a, b in itertools.combinations(words, 2):
-        assert mo.oracle_commutes(a, b) == pc.commutes(a, b)
-
-
-def test_oracle_product_examples():
-    assert mo.oracle_product("IYZZ", "ZYXI") == "ZIYZ"
-    assert mo.oracle_product("XZYI", "XZYI") == "IIII"
-
-
 def test_matmul_matches_dense_on_every_rank3_pair():
     words = ["".join(w) for w in itertools.product("IXYZ", repeat=3)]
     for a, b in itertools.product(words, repeat=2):
@@ -119,17 +98,14 @@ def test_realize_takes_words_up_to_seven_letters():
         mo.realize("XYZIXYZI")
 
 
-@pytest.mark.parametrize("a,b", [("XQ", "XX"), ("", "X"), ("XX", "XXX")])
-def test_oracle_product_rejects_bad_words(a, b):
+@pytest.mark.parametrize("call", [
+    lambda: mo.realize("XQ"),
+    lambda: mo.realize(""),
+    lambda: mo.matmul(mo.realize("XX"), mo.realize("XXX")),
+], ids=["bad-letter", "empty", "size-mismatch"])
+def test_bad_words_are_usage_errors(call):
     with pytest.raises(UsageError):
-        mo.oracle_product(a, b)
-
-
-def test_oracle_product_agrees_on_all_rank3_pairs():
-    pairs = list(itertools.product(mo.all_words(3), repeat=2))
-    assert len(pairs) == 3969
-    for a, b in pairs:
-        assert mo.oracle_product(a, b) == pc.word_product(a, b)
+        call()
 
 
 def test_realize_is_homomorphism_up_to_sign():

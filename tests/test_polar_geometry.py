@@ -243,6 +243,31 @@ def test_ovoid_enumeration_counts(ovoids, quadric4):
     assert set(through) == {64}
 
 
+def test_ovoid_index_matches_membership(ovoids, quadric4):
+    # Bit i of through[p] is set exactly when p lies on ovoid i: all
+    # 135 x 960 pairs.
+    through = ovoids.through
+    assert isinstance(ovoids, pg.OvoidSet) and isinstance(ovoids, tuple)
+    assert set(through) == set(quadric4.points)
+    for p in quadric4.points:
+        assert [bool(through[p] >> i & 1) for i in range(960)] == [p in o for o in ovoids]
+
+
+def test_generator_index_matches_membership(gens4, quadric4):
+    # Bit j of generators_through[p] is set exactly when p lies on
+    # generator j, read from each flat's own point set: all 135 x 270 pairs.
+    through = gens4.generators_through
+    flat_points = [f.points() for f in gens4.flats]
+    assert set(through) == set(quadric4.points)
+    for p in quadric4.points:
+        assert [bool(through[p] >> j & 1) for j in range(270)] == [p in f for f in flat_points]
+
+
+def test_ovoids_through_equals_the_membership_filter(ovoids, quadric4):
+    for p in quadric4.points:
+        assert pg.ovoids_through(ovoids, p) == tuple(o for o in ovoids if p in o)
+
+
 def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, gens4, quadric4):
     ctx = quadric4.context
     for o in ovoids:
@@ -353,7 +378,7 @@ def test_partitions_axes_and_tetrads(ostar, quadric4, ctx4):
         assert len(tetrad.points()) == 12
         assert rank(tetrad.points()) == 8
         assert all(not quadric4.contains(p) for p in tetrad.points())
-        seen.add(tetrad.key())
+        seen.add(tetrad.mask)
     assert len(seen) == 280
 
 
@@ -385,7 +410,7 @@ def test_single_ovoid_tetrad_census(ostar, quadric4):
     for part in pg.triple_partitions(ostar):
         mask, lines = _reference_tetrad(part, quadric4)
         tetrad = pg.tetrad_of_partition(ostar, part, quadric4)
-        assert (tetrad.key(), tetrad.lines) == (mask, lines)
+        assert (tetrad.mask, tetrad.lines) == (mask, lines)
         reference[mask] = lines
     assert set(census) == set(reference)
     assert all(pg.Tetrad(key).lines == reference[key] for key in census)
@@ -489,7 +514,7 @@ def test_pairwise_intersection_sizes_match_the_direct_count(ovoids):
     assert dict(got) == {0: 268800, 1: 151200, 3: 40320}
     # A repeated ovoid meets itself in all nine points.
     listed = [ovoids[5], ovoids[0], ovoids[5], ovoids[17]]
-    got = pg.pairwise_intersection_sizes(listed)
+    got = pg.pairwise_intersection_sizes(pg.OvoidSet(listed))
     assert dict(got) == dict(_direct_intersection_sizes(listed))
     assert got[9] == 1
 
@@ -497,7 +522,7 @@ def test_pairwise_intersection_sizes_match_the_direct_count(ovoids):
 @given(st.data())
 def test_pairwise_intersection_sizes_on_drawn_lists(ovoids, data):
     listed = data.draw(st.lists(st.sampled_from(ovoids), max_size=40))
-    got = pg.pairwise_intersection_sizes(listed)
+    got = pg.pairwise_intersection_sizes(pg.OvoidSet(listed))
     assert dict(got) == dict(_direct_intersection_sizes(listed))
 
 
@@ -607,12 +632,19 @@ def _point_line_case(o, gens):
             f"point {join_words((p,))} split {join_words(s1)}/{join_words(s2)}")
 
 
+def _second_ovoid_case(o, gens):
+    triple = o.points[:3]
+    return (lambda: pg.second_ovoid_on_conic(o, triple, gens),
+            f"ovoid {join_words(o.points)} conic {join_words(triple)}")
+
+
 # (builder, the helper it trusts, a broken stand-in, the call and its object)
 _SECTION_FAULTS = [
     ("sextet", "collinear_triples_within", lambda points: frozenset(), _sextet_case),
     ("heptad", "radical", lambda points, ctx: [], _heptad_case),
     ("six_ovoids", "second_ovoid_on_conic", lambda o, triple, gens: o, _six_ovoids_case),
     ("point_line", "is_ovoid", lambda points, gens: False, _point_line_case),
+    ("second_ovoid", "is_ovoid", lambda points, gens: False, _second_ovoid_case),
 ]
 
 
@@ -626,6 +658,18 @@ def test_section_failures_name_their_object_in_words(helper, broken, case, ostar
         call()
     assert str(exc.value).endswith(": " + named)
     assert re.search(r"[IXYZ]{4}", named)
+
+
+def test_second_ovoid_off_the_conic_is_named_in_words(ostar, gens4, monkeypatch):
+    # A broken reflection that hands back the ovoid itself: it passes the
+    # ovoid test but meets the ovoid in nine points, not in the conic.
+    triple = ostar.points[:3]
+    monkeypatch.setattr(pg.Ovoid, "from_points", classmethod(lambda cls, points: ostar))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.second_ovoid_on_conic(ostar, triple, gens4)
+    words = join_words(ostar.points)
+    assert str(exc.value) == (f"second ovoid {words} does not meet in the conic: "
+                              f"ovoid {words} conic {join_words(triple)}")
 
 
 def test_intersection_census_for_ostar(ovoids, ostar):
