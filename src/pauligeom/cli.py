@@ -99,11 +99,8 @@ def _enumeration_lines(args) -> list[str]:
         if n != 4:
             raise UsageError("heptads enumeration needs --n 3 or --n 4")
         o = _resolve_ovoid(args.ovoid, pg.get_generators(ctx, "quadric"))
-        lines = []
-        for p1, p2 in itertools.combinations(o.points, 2):
-            hept = sorted(p1 ^ p2 ^ x for x in o.complement_in((p1, p2)))
-            lines.append(f"{join_words((p1, p2))}\t{join_words(hept)}")
-        return lines
+        return [f"{join_words((p1, p2))}\t{join_words(cfg.nuclei_heptad(o, p1, p2))}"
+                for p1, p2 in itertools.combinations(o.points, 2)]
     if n != 4:
         raise UsageError(f"{args.what} enumeration needs --n 4")
     gens = pg.get_generators(ctx, "quadric")
@@ -127,91 +124,32 @@ def _enumeration_lines(args) -> list[str]:
     raise UsageError(f"unknown enumeration target {args.what!r}")
 
 
-_CONFIG_NAMES = [f"fig{i}" for i in range(1, 12)] + [
-    "heptad-analogue",
-    "heptad-family",
-    "split63",
-]
+# Each `config` choice flag: its help, and how it parses into points.
+_CHOICE_FLAGS = {
+    "partition": ("three point triples a,b,c/d,e,f/g,h,i",
+                  lambda t: _parse_groups(t, (3, 3, 3))),
+    "triple": ("three points a,b,c", lambda t: _parse_groups(t, (3,))[0]),
+    "pentad": ("five points", lambda t: _parse_groups(t, (5,))[0]),
+    "sextet": ("six points", lambda t: _parse_groups(t, (6,))[0]),
+    "split": ("two point quadruples a,b,c,d/e,f,g,h", lambda t: _parse_groups(t, (4, 4))),
+    "pair": ("two points a,b", lambda t: _parse_groups(t, (2,))[0]),
+    "pairs": ("point pairs a,b/c,d/...",
+              lambda t: tuple(tuple(map(_parse_point, g.split(","))) for g in t.split("/"))),
+    "kind": ("heptad-family's shape", str),
+    "point": ("distinguished point (word or coords)", _parse_point),
+    "nucleus": ("distinguished nucleus (word or coords)", _parse_point),
+}
 
 
 def _build_config(args) -> cfg.ConfigReport:
-    ctx = GeometryContext(4)
-    gens = pg.get_generators(ctx, "quadric")
-    quadric = gens.quadric
+    gens = pg.get_generators(GeometryContext(4), "quadric")
     o = _resolve_ovoid(args.ovoid, gens)
-    name = args.name
-
-    def default_partition():
-        if args.partition:
-            return _parse_groups(args.partition, (3, 3, 3))
-        return pg.triple_partitions(o)[0]
-
-    if name == "fig1":
-        return cfg.fig_secants(o, ctx)
-    if name == "fig2":
-        return cfg.fig_conic_partition(o, default_partition(), quadric)
-    if name == "fig3":
-        triple = (
-            _parse_groups(args.triple, (3,))[0] if args.triple else o.points[:3]
-        )
-        return cfg.fig_two_ovoids_conic(o, triple, gens)
-    if name == "fig4":
-        return cfg.fig_six_ovoids(o, default_partition(), gens)
-    if name == "fig5":
-        sym = _parse_point(args.point) if args.point else None
-        skew = _parse_point(args.nucleus) if args.nucleus else None
-        return cfg.fig_commutation(o, default_partition(), gens, sym, skew)
-    if name == "fig6":
-        p = _parse_point(args.point) if args.point else word_to_point("XXXX")
-        split = (
-            _parse_groups(args.split, (4, 4)) if args.split else cfg.standard_split(o, p)
-        )
-        return cfg.fig_two_ovoids_point(o, p, split, gens)
-    if name == "fig7":
-        pentad = (
-            _parse_groups(args.pentad, (5,))[0] if args.pentad else o.points[:5]
-        )
-        return cfg.fig_pentad(o, pentad, quadric)
-    if name == "fig8":
-        if args.sextet:
-            sextet = _parse_groups(args.sextet, (6,))[0]
-        else:
-            triple = tuple(word_to_point(w) for w in ("ZIIX", "XZXI", "XXXX"))
-            sextet = o.complement_in(triple) if all(t in o for t in triple) \
-                else o.points[:6]
-        return cfg.fig_sextet(o, sextet, quadric)
-    if name == "fig9":
-        p = _parse_point(args.point) if args.point else word_to_point("XXXX")
-        nucleus = (
-            _parse_point(args.nucleus) if args.nucleus else word_to_point("ZYII")
-        )
-        return cfg.fig_nuclei_fan(o, p, nucleus)
-    if name in ("fig10", "fig11", "heptad-analogue"):
-        if args.pair:
-            (p1, p2), = _parse_groups(args.pair, (2,))
-        else:
-            p1, p2 = word_to_point("ZZIZ"), word_to_point("IXXZ")
-            if p1 not in o or p2 not in o:
-                p1, p2 = o.points[:2]
-        report = cfg.heptad_analogue(o, p1, p2)
-        report.name = name
-        return report
-    if name == "heptad-family":
-        if args.pairs:
-            groups = tuple(
-                tuple(_parse_point(t) for t in g.split(","))
-                for g in args.pairs.split("/")
-            )
-        elif args.kind == "quadrangle":
-            groups = cfg.quadrangle_pairs(o)
-        else:
-            groups = cfg.triangle_pairs(o)
-        return cfg.heptad_family(o, groups, gens)
-    if name == "split63":
-        p = _parse_point(args.point) if args.point else word_to_point("XXXX")
-        return cfg.sixty_three_split(pg.get_ovoids(ctx), o, p)
-    raise UsageError(f"unknown configuration {name!r}; choose from "
-                     + ", ".join(_CONFIG_NAMES))
+    # Parse only the flags the figure takes; `figure` names any other one.
+    takes = cfg.FIGURES[args.name][1] if args.name in cfg.FIGURES else {}
+    choices = {k: parse(token) if k in takes else token
+               for k, (_, parse) in _CHOICE_FLAGS.items()
+               if (token := getattr(args, k)) is not None}
+    return cfg.figure(args.name, o, gens, **choices)
 
 
 def cmd_config(args) -> int:
@@ -286,23 +224,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cfg = sub.add_parser("config", help="extract a named configuration")
     p_cfg.add_argument("name", metavar="name",
-                       help="one of: " + ", ".join(_CONFIG_NAMES))
+                       help="one of: " + ", ".join(cfg.FIGURES))
     p_cfg.add_argument("--ovoid", default="Ostar")
     p_cfg.add_argument("--format", choices=("text", "json", "dot"),
                        default="json")
     p_cfg.add_argument("--line-style", choices=("clique", "node"),
                        default="clique", help="DOT rendering of 3-point lines")
-    p_cfg.add_argument("--partition", help="three point triples a,b,c/d,e,f/g,h,i")
-    p_cfg.add_argument("--triple", help="three points a,b,c")
-    p_cfg.add_argument("--pentad", help="five points")
-    p_cfg.add_argument("--sextet", help="six points")
-    p_cfg.add_argument("--split", help="two point quadruples a,b,c,d/e,f,g,h")
-    p_cfg.add_argument("--pair", help="two points a,b")
-    p_cfg.add_argument("--pairs", help="point pairs a,b/c,d/...")
-    p_cfg.add_argument("--kind", choices=("triangle", "quadrangle"),
-                       default="triangle")
-    p_cfg.add_argument("--point", help="distinguished point (word or coords)")
-    p_cfg.add_argument("--nucleus", help="distinguished nucleus (word or coords)")
+    for k, (text, _) in _CHOICE_FLAGS.items():
+        p_cfg.add_argument(f"--{k}", help=text,
+                           choices=("triangle", "quadrangle") if k == "kind" else None)
     p_cfg.add_argument("--output")
 
     p_map = sub.add_parser("map", help="convert between word and coordinates")

@@ -16,7 +16,8 @@ from json.encoder import encode_basestring_ascii
 from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
 from .gf2_core import to_string
-from .pauli_codec import GeometryContext, is_symmetric, point_to_word, word_to_point
+from .pauli_codec import (GeometryContext, is_symmetric, join_words, point_to_word,
+                          word_to_point, words_to_points)
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
 
 
@@ -399,13 +400,18 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     ctx = GeometryContext(4)
     if p not in o:
         raise UsageError("fan point must lie on the ovoid")
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} point "
+                                        f"{_word(p)} nucleus {_word(singled_nucleus)}")
+
     others = o.complement_in((p,))
     nuclei = {
         frozenset(pair): p ^ pair[0] ^ pair[1]
         for pair in itertools.combinations(others, 2)
     }
     if len(set(nuclei.values())) != 28:
-        raise InternalConsistencyError("the 28 conic nuclei are not distinct")
+        raise fault(f"the 28 conic nuclei are {len(set(nuclei.values()))} points")
     match = [k for k, v in nuclei.items() if v == singled_nucleus]
     if len(match) != 1:
         raise UsageError("singled point is not a nucleus of a conic on the point")
@@ -419,13 +425,14 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     for x, y in itertools.combinations(xs, 2):
         w = six_a[x] ^ six_b[y]
         if w != six_a[y] ^ six_b[x] or not ctx.is_on_quadric(w):
-            raise InternalConsistencyError("cross points do not pair symmetrically")
+            raise fault(f"cross points of {join_words((x, y))} do not pair symmetrically")
         cross[frozenset((x, y))] = w
     if len(set(cross.values())) != 15:
-        raise InternalConsistencyError("cross points are not 15 distinct points")
+        raise fault(f"the 15 cross points are {len(set(cross.values()))} points")
     for x in xs:
         if six_a[x] ^ six_b[x] != concurrence:
-            raise InternalConsistencyError("pairing lines miss the concurrence point")
+            raise fault(f"the pairing line of {_word(x)} misses the concurrence point "
+                        f"{_word(concurrence)}")
     # abstract generalized quadrangle on 15 symmetric + 12 skew points
     lines = set()
     for x in xs:
@@ -435,7 +442,7 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     for matching in _perfect_matchings(xs):
         lines.add(tuple(sorted(cross[frozenset(pair)] for pair in matching)))
     if len(lines) != 45:
-        raise InternalConsistencyError("quadrangle structure is not 45 lines")
+        raise fault(f"quadrangle structure has {len(lines)} lines, not 45")
     points27 = sorted(set(cross.values()) | set(six_a.values()) | set(six_b.values()))
     pg._check_generalized_quadrangle(points27, lines, 2, 4)
     return NucleiFan(
@@ -497,25 +504,31 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     """
     ctx = GeometryContext(4)
     o.distinct_points((p1, p2), 2)
-    rest = o.complement_in((p1, p2))
-    heptad = sorted(p1 ^ p2 ^ x for x in rest)
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(
+            f"{what}: ovoid {join_words(o.points)} pair {join_words((p1, p2))}")
+
+    heptad = nuclei_heptad(o, p1, p2)
     if len(set(heptad)) != 7 or any(ctx.is_on_quadric(h) for h in heptad):
-        raise InternalConsistencyError("conic nuclei do not form a skew heptad")
+        raise fault(f"conic nuclei {join_words(heptad)} are not a skew heptad")
     thirds = {}
     for u, v in itertools.combinations(heptad, 2):
         w = u ^ v
         if ctx.is_on_quadric(w):
-            raise InternalConsistencyError("heptad line touches the quadric")
+            raise fault(f"heptad line {join_words((u, v, w))} touches the quadric")
         thirds[(u, v)] = w
     if len(set(thirds.values())) != 21 or set(thirds.values()) & set(heptad):
-        raise InternalConsistencyError("the 28 external points are not distinct")
+        raise fault(f"the 28 external points of heptad {join_words(heptad)} "
+                    "are not distinct")
     triple_nuclei = sorted(
         {x ^ y ^ z for x, y, z in itertools.combinations(heptad, 3)}
     )
     if len(triple_nuclei) != 35 or not all(
         ctx.is_on_quadric(t) for t in triple_nuclei
     ):
-        raise InternalConsistencyError("triple nuclei are not 35 symmetric points")
+        raise fault(f"the triple nuclei of heptad {join_words(heptad)} "
+                    "are not 35 symmetric points")
     b = _Builder("fig10", ctx)
     b.add(p1, "shared-ovoid-point")
     b.add(p2, "shared-ovoid-point")
@@ -530,21 +543,9 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     return b.done()
 
 
-def _heptad_points(o: Ovoid, pair) -> frozenset[int]:
-    rest = o.complement_in(pair)
-    return frozenset(pair[0] ^ pair[1] ^ x for x in rest)
-
-
-def triangle_pairs(o: Ovoid):
-    """The default triangle of pairs on the first three ovoid points."""
-    a, b, c = o.points[:3]
-    return ((a, b), (b, c), (a, c))
-
-
-def quadrangle_pairs(o: Ovoid):
-    """The default quadrangle of pairs on the first four ovoid points."""
-    a, b, c, d = o.points[:4]
-    return ((a, b), (b, c), (c, d), (d, a))
+def nuclei_heptad(o: Ovoid, p1: int, p2: int) -> tuple[int, ...]:
+    """The nuclei p1 ^ p2 ^ x of the seven conics of `o` on p1 and p2, sorted."""
+    return tuple(sorted(p1 ^ p2 ^ x for x in o.complement_in((p1, p2))))
 
 
 def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet) -> ConfigReport:
@@ -565,15 +566,21 @@ def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet) -> ConfigReport:
 def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
     ctx = gens.context
     nucleus = vertices[0] ^ vertices[1] ^ vertices[2]
-    heptads = [_heptad_points(o, pr) for pr in pairs]
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(
+            f"{what}: ovoid {join_words(o.points)} triangle {join_words(vertices)}")
+
     other = pg.second_ovoid_on_conic(o, tuple(vertices), gens)
-    heptads += [_heptad_points(other, pr) for pr in pairs]
+    heptads = [frozenset(nuclei_heptad(ov, *pr)) for ov in (o, other) for pr in pairs]
     common = frozenset.intersection(*heptads)
     if common != {nucleus}:
-        raise InternalConsistencyError("heptads do not share the triangle nucleus")
+        raise fault(f"the heptads meet in [{join_words(sorted(common))}], "
+                    f"not in the nucleus {_word(nucleus)}")
     for h1, h2 in itertools.combinations(heptads[:3], 2):
         if len(h1 & h2) != 1:
-            raise InternalConsistencyError("triangle heptads overlap badly")
+            raise fault(f"heptads {join_words(sorted(h1))} and {join_words(sorted(h2))} "
+                        f"meet in {len(h1 & h2)} points")
     b = _Builder("heptad-family", ctx)
     b.add_all(vertices, "triangle-vertex")
     b.add(nucleus, "common-nucleus")
@@ -605,17 +612,24 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
         nxt = next(pr for pr in rest if set(pr) & set(last))
         rest.remove(nxt)
         cycle.append(nxt)
-    heptads = [_heptad_points(o, pr) for pr in cycle]
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} "
+                                        f"quadrangle {'/'.join(map(join_words, cycle))}")
+
+    heptads = [frozenset(nuclei_heptad(o, *pr)) for pr in cycle]
     meet = pg.solid_extra_point(o, tuple(vertices))
     shared = []
     for i in range(4):
-        inter = heptads[i] & heptads[(i + 1) % 4]
-        if len(inter) != 1:
-            raise InternalConsistencyError("consecutive heptads do not share a point")
-        shared.append(next(iter(inter)))
+        h1, h2 = heptads[i], heptads[(i + 1) % 4]
+        if len(h1 & h2) != 1:
+            raise fault(f"consecutive heptads {join_words(sorted(h1))} and "
+                        f"{join_words(sorted(h2))} meet in {len(h1 & h2)} points")
+        shared.append(next(iter(h1 & h2)))
     for i in range(2):
         if heptads[i] & heptads[i + 2]:
-            raise InternalConsistencyError("opposite heptads are not disjoint")
+            raise fault(f"opposite heptads {join_words(sorted(heptads[i]))} and "
+                        f"{join_words(sorted(heptads[i + 2]))} meet")
     b = _Builder("heptad-family", ctx)
     b.add_all(vertices, "quadrangle-vertex")
     b.add(meet, "concurrence-point")
@@ -634,7 +648,7 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
     for s in shared:
         v = s ^ meet
         if v not in vertices:
-            raise InternalConsistencyError("pairing lines are not concurrent")
+            raise fault(f"the line of {_word(s)} and {_word(meet)} misses the vertices")
         b.line(s, v, meet)
     b.note("kind", "quadrangle")
     b.note("concurrence", _word(meet))
@@ -642,7 +656,7 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
     return b.done()
 
 
-def sixty_three_split(all_ovoids, o: Ovoid, p: int) -> ConfigReport:
+def sixty_three_split(all_ovoids: pg.OvoidSet, o: Ovoid, p: int) -> ConfigReport:
     """The 64 ovoids on a point and their 35/28 census against `o`."""
     ctx = GeometryContext(4)
     if p not in o:
@@ -651,7 +665,7 @@ def sixty_three_split(all_ovoids, o: Ovoid, p: int) -> ConfigReport:
     if len(through) != 64:
         raise InternalConsistencyError(
             f"point is on {len(through)} ovoids, not 64: point {_word(p)}")
-    one, three = pg.ovoid_intersection_census(through, o, p)
+    one, three = pg.ovoid_intersection_census(all_ovoids, o, p)
     b = _Builder("split63", ctx)
     b.add(p, "common-point")
     b.note("ovoids_through_point", len(through))
@@ -665,3 +679,77 @@ def sixty_three_split(all_ovoids, o: Ovoid, p: int) -> ConfigReport:
             tag = "one-point" if (ov.mask & o.mask).bit_count() == 1 else "conic"
         b.note(f"ovoid_{k:02d}[{tag}]", " ".join(_word(q) for q in ov.points))
     return b.done()
+
+
+# The reference choices, each spelled once: the common point of fig6,
+# fig9 and split63, fig9's singled nucleus, the conic whose complement
+# is fig8's sextet, and fig10's shared pair.
+REFERENCE_POINT = word_to_point("XXXX")
+REFERENCE_NUCLEUS = word_to_point("ZYII")
+REFERENCE_CONIC = words_to_points(("ZIIX", "XZXI", "XXXX"))
+REFERENCE_PAIR = words_to_points(("ZZIZ", "IXXZ"))
+
+# Each figure: its builder, called with the ovoid, the quadric generators
+# and every choice by name, and the choices it takes, each with the
+# function that gives its reference value from the ovoid and the choices
+# filled in before it.  fig5's centres are left to `fig_commutation`.
+_PARTITION = {"partition": lambda o, c: pg.triple_partitions(o)[0]}
+_POINT = {"point": lambda o, c: REFERENCE_POINT}
+
+
+def _reference_pairs(o, c):
+    """The triangle of pairs on the first three points of `o`, or the
+    quadrangle on its first four."""
+    a, b, x, y = o.points[:4]
+    if c["kind"] == "quadrangle":
+        return ((a, b), (b, x), (x, y), (y, a))
+    return ((a, b), (b, x), (a, x))
+
+
+_ANALOGUE = (lambda o, gens, pair: heptad_analogue(o, *pair), {
+    "pair": lambda o, c: REFERENCE_PAIR if all(p in o for p in REFERENCE_PAIR) else o.points[:2]})
+FIGURES = {
+    "fig1": (lambda o, gens: fig_secants(o, gens.context), {}),
+    "fig2": (lambda o, gens, partition: fig_conic_partition(o, partition, gens.quadric),
+             _PARTITION),
+    "fig3": (lambda o, gens, triple: fig_two_ovoids_conic(o, triple, gens),
+             {"triple": lambda o, c: o.points[:3]}),
+    "fig4": (lambda o, gens, partition: fig_six_ovoids(o, partition, gens), _PARTITION),
+    "fig5": (lambda o, gens, partition, point, nucleus:
+             fig_commutation(o, partition, gens, point, nucleus),
+             {**_PARTITION, "point": lambda o, c: None, "nucleus": lambda o, c: None}),
+    "fig6": (lambda o, gens, point, split: fig_two_ovoids_point(o, point, split, gens),
+             {**_POINT, "split": lambda o, c: standard_split(o, c["point"])}),
+    "fig7": (lambda o, gens, pentad: fig_pentad(o, pentad, gens.quadric),
+             {"pentad": lambda o, c: o.points[:5]}),
+    "fig8": (lambda o, gens, sextet: fig_sextet(o, sextet, gens.quadric),
+             {"sextet": lambda o, c: o.complement_in(REFERENCE_CONIC)
+              if all(p in o for p in REFERENCE_CONIC) else o.points[:6]}),
+    "fig9": (lambda o, gens, point, nucleus: fig_nuclei_fan(o, point, nucleus),
+             {**_POINT, "nucleus": lambda o, c: REFERENCE_NUCLEUS}),
+    "fig10": _ANALOGUE,
+    "fig11": _ANALOGUE,
+    "heptad-analogue": _ANALOGUE,
+    "heptad-family": (lambda o, gens, kind, pairs: heptad_family(o, pairs, gens),
+                      {"kind": lambda o, c: "triangle", "pairs": _reference_pairs}),
+    "split63": (lambda o, gens, point: sixty_three_split(pg.get_ovoids(gens.context), o, point),
+                _POINT),
+}
+
+
+def figure(name: str, o: Ovoid, gens: GeneratorSet, **choices) -> ConfigReport:
+    """The figure `name` of ovoid `o`: each choice it takes and is not
+    given takes its reference value; any other choice is a usage error."""
+    if name not in FIGURES:
+        raise UsageError(f"unknown configuration {name!r}; choose from " + ", ".join(FIGURES))
+    build, takes = FIGURES[name]
+    extra = [k for k in choices if k not in takes]
+    if extra:
+        raise UsageError(f"{name} takes no --{extra[0]}; it takes "
+                         + (", ".join(f"--{t}" for t in takes) or "no choices"))
+    filled = {}
+    for k, reference in takes.items():
+        filled[k] = choices[k] if k in choices else reference(o, filled)
+    report = build(o, gens, **filled)
+    report.name = name
+    return report

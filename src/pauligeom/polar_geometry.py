@@ -93,11 +93,9 @@ def expected_count(kind: str, measure: str, n: int, q: int = 2) -> int:
 class Quadric:
     """A quadric as an explicit point set with a membership bitmask."""
 
-    __slots__ = ("kind", "context", "points", "mask")
+    __slots__ = ("context", "points", "mask")
 
-    def __init__(self, kind: str, context: GeometryContext,
-                 points: tuple[int, ...], mask: int):
-        self.kind = kind
+    def __init__(self, context: GeometryContext, points: tuple[int, ...], mask: int):
         self.context = context
         self.points = points
         self.mask = mask
@@ -108,7 +106,7 @@ class Quadric:
     @classmethod
     def standard_hyperbolic(cls, ctx: GeometryContext) -> "Quadric":
         pts = ctx.quadric_points()
-        return cls("hyperbolic", ctx, pts, _points_mask(pts))
+        return cls(ctx, pts, _points_mask(pts))
 
     def off_points(self) -> tuple[int, ...]:
         return tuple(v for v in self.context.points() if not self.contains(v))
@@ -128,13 +126,11 @@ class GeneratorSet:
     generators through it.
     """
 
-    __slots__ = ("space_kind", "context", "flats", "masks", "families", "quadric",
-                 "generators_through")
+    __slots__ = ("context", "flats", "masks", "families", "quadric", "generators_through")
 
-    def __init__(self, space_kind: str, context: GeometryContext,
-                 flats: tuple[Flat, ...], masks: tuple[int, ...],
-                 families: tuple[int, ...] | None = None, quadric: Quadric | None = None):
-        self.space_kind = space_kind
+    def __init__(self, context: GeometryContext, flats: tuple[Flat, ...],
+                 masks: tuple[int, ...], families: tuple[int, ...] | None = None,
+                 quadric: Quadric | None = None):
         self.context = context
         self.flats = flats
         self.masks = masks
@@ -245,8 +241,7 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         families = tuple(_family_of(masks[0], m, n) for m in masks)
         if families.count(0) != families.count(1):
             raise InternalConsistencyError("generator families are not equal halves")
-    return GeneratorSet("quadric" if quadric else "symplectic",
-                        ctx, flats, masks, families, quadric)
+    return GeneratorSet(ctx, flats, masks, families, quadric)
 
 
 def _family_of(ref: int, g: int, n: int) -> int:
@@ -297,10 +292,16 @@ class Ovoid:
 
 class OvoidSet(tuple):
     """A tuple of ovoids that carries `through`, the `_transpose` of their
-    masks: per point, the int mask of the indices of the ovoids on it."""
+    masks: per point, the int mask of the indices of the ovoids on it.
+    A slice is an `OvoidSet` too."""
 
     def __init__(self, ovoids):
         self.through = _transpose([o.mask for o in self])
+
+    def __getitem__(self, i):
+        if type(i) is slice:
+            return OvoidSet(tuple.__getitem__(self, i))
+        return tuple.__getitem__(self, i)
 
 
 def ostar() -> Ovoid:
@@ -411,7 +412,8 @@ def get_ovoids(ctx: GeometryContext) -> OvoidSet:
 
 def ovoids_through(ovoids: OvoidSet, p: int) -> tuple[Ovoid, ...]:
     """The ovoids on point `p`, in their order in `ovoids`, read off its index."""
-    return tuple(ovoids[i] for i in _mask_points(ovoids.through.get(p, 0)))
+    get = super(OvoidSet, ovoids).__getitem__  # tuple's own lookup, in C
+    return tuple(map(get, _mask_points(ovoids.through.get(p, 0))))
 
 
 def secant_third_points(o: Ovoid) -> frozenset[int]:
@@ -819,13 +821,13 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
     return line, mate
 
 
-def ovoid_intersection_census(ovoids, o: Ovoid, p: int) -> tuple[int, int]:
+def ovoid_intersection_census(ovoids: OvoidSet, o: Ovoid, p: int) -> tuple[int, int]:
     """(one-point, three-point) counts among the other ovoids through `p`."""
     if p not in o:
         raise UsageError("census point must lie on the ovoid")
     one = three = 0
-    for other in ovoids:
-        if other == o or p not in other:
+    for other in ovoids_through(ovoids, p):
+        if other == o:
             continue
         size = (other.mask & o.mask).bit_count()
         if size == 1:

@@ -169,24 +169,23 @@ def checks(n: int, level: str) -> list[tuple]:
         ("point_partition_lines", "per point [35]",
          lambda: _point_partition_lines(ost, gens())),
         ("two_ovoid_census", "[(35, 28)]",
-         lambda: str(sorted({pg.ovoid_intersection_census(pg.ovoids_through(ovoids(), p), ost, p)
+         lambda: str(sorted({pg.ovoid_intersection_census(ovoids(), ost, p)
                              for p in ost.points}))),
         ("pentad_cones", "126/126 cones", lambda: _pentad_cones(ost, quadric)),
         ("sextet_sections", "84/84 sections", lambda: _sextet_sections(ost, quadric)),
         ("reference_sextet_nucleus", "ZYII",
-         lambda: _reference_sextet_nucleus(ost, quadric)),
+         lambda: cfg.figure("fig8", ost, gens()).annotations["pairing_nucleus"]),
         ("heptad_sections", "36/36 sections", lambda: _heptad_sections(ost, quadric)),
         ("nuclei_fans", "252/252 fans", lambda: _nuclei_fans(ost)),
         ("fan_concurrence_point", "YZXX",
-         lambda: point_to_word(cfg.nuclei_fan_structure(
-             ost, word_to_point("XXXX"), word_to_point("ZYII")).concurrence, 4)),
+         lambda: cfg.figure("fig9", ost, gens()).annotations["concurrence"]),
         ("heptad_analogues", "36/36 pairs", lambda: _heptad_analogues(ost)),
         ("heptad_families", "triangle+quadrangle",
          lambda: _heptad_families(ost, gens())),
         ("commutation_profiles", "sym all 5s; skew shapes 3",
          lambda: _commutation_profiles(ost, quadric, gens())),
         ("figure_reports", "45,21,16,30,29,19,11,28,47,65,1",
-         lambda: _figure_reports(ctx, ost, gens(), ovoids())),
+         lambda: _figure_reports(ost, gens())),
         ("conwell_heptads_rank3", "8",
          lambda: len(pg.conwell_heptads(GeometryContext(3)))),
     ]
@@ -312,12 +311,6 @@ def _sextet_sections(ost, quadric):
     return f"{n_ok}/84 sections"
 
 
-def _reference_sextet_nucleus(ost, quadric):
-    triple = tuple(word_to_point(w) for w in ("ZIIX", "XZXI", "XXXX"))
-    sec = pg.sextet_intersection(ost, ost.complement_in(triple), quadric)
-    return point_to_word(sec.pairing_nucleus, 4)
-
-
 def _heptad_sections(ost, quadric):
     n_ok = 0
     for hp in itertools.combinations(ost.points, 7):
@@ -359,8 +352,8 @@ def _heptad_analogues(ost):
 
 def _heptad_families(ost, gens):
     a, b, c, d = ost.points[:4]
-    tri = cfg.heptad_family(ost, cfg.triangle_pairs(ost), gens)
-    quad = cfg.heptad_family(ost, cfg.quadrangle_pairs(ost), gens)
+    tri = cfg.figure("heptad-family", ost, gens)
+    quad = cfg.figure("heptad-family", ost, gens, kind="quadrangle")
     if (tri.annotations.get("heptads"), tri.annotations.get("common_point")) != (
         "6", point_to_word(a ^ b ^ c, 4)
     ):
@@ -387,25 +380,9 @@ def _commutation_profiles(ost, quadric, gens):
     return f"sym all 5s; skew shapes {len(shapes)}"
 
 
-def _figure_reports(ctx, ost, gens, ovoids):
-    quadric = gens.quadric
-    part = pg.triple_partitions(ost)[0]
-    p = word_to_point("XXXX")
-    triple = tuple(word_to_point(w) for w in ("ZIIX", "XZXI", "XXXX"))
-    reports = [
-        cfg.fig_secants(ost, ctx),
-        cfg.fig_conic_partition(ost, part, quadric),
-        cfg.fig_two_ovoids_conic(ost, ost.points[:3], gens),
-        cfg.fig_six_ovoids(ost, part, gens),
-        cfg.fig_commutation(ost, part, gens),
-        cfg.fig_two_ovoids_point(ost, p, cfg.standard_split(ost, p), gens),
-        cfg.fig_pentad(ost, ost.points[:5], quadric),
-        cfg.fig_sextet(ost, ost.complement_in(triple), quadric),
-        cfg.fig_nuclei_fan(ost, p, word_to_point("ZYII")),
-        cfg.heptad_analogue(ost, word_to_point("ZZIZ"), word_to_point("IXXZ")),
-        cfg.sixty_three_split(ovoids, ost, p),
-    ]
-    return ",".join(str(len(r.points)) for r in reports)
+def _figure_reports(ost, gens):
+    names = [f"fig{i}" for i in range(1, 11)] + ["split63"]
+    return ",".join(str(len(cfg.figure(name, ost, gens).points)) for name in names)
 
 
 def _tetrad_dedup(ovoids):

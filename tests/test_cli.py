@@ -183,6 +183,26 @@ def test_config_unknown_name(capsys):
     assert "unknown configuration" in err
 
 
+def test_config_unknown_name_is_named_before_its_flags_are_parsed(capsys):
+    code, _, err = run(["config", "fig99", "--point", "QQQQ"], capsys)
+    assert code == 2
+    assert err.startswith("error: unknown configuration 'fig99'")
+
+
+@pytest.mark.parametrize("argv", [
+    ["config", "fig1", "--pentad", "ZIIX,IZYY,XZXI,ZXZZ,XIZI"],
+    ["config", "fig2", "--point", "XXXX"],
+    ["config", "fig10", "--kind", "quadrangle"],
+    ["config", "split63", "--pair", "ZIIX,IZYY"],
+    ["config", "fig5", "--split", "not/points"],
+])
+def test_config_flag_the_figure_does_not_take_is_usage_error(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {argv[1]} takes no {argv[2]}; it takes ")
+    assert err.count("\n") == 1
+
+
 def test_config_bad_ovoid(capsys):
     code, _, err = run(["config", "fig1", "--ovoid", "XXXX,YYYY"], capsys)
     assert code == 2
@@ -314,6 +334,7 @@ def test_removed_flags_are_usage_errors(argv, capsys):
 
 # Pinned sha256 of each command's stdout: a refactor of the enumeration
 # or census code must not change a byte of these outputs.
+_PARTITION = "ZIIX,XIZI,XXXX/IZYY,ZXZZ,IXXZ/XZXI,ZZIZ,YYZX"  # not the first partition
 _OVOID_500 = "XIII,ZXXI,YIXY,ZXZX,ZXZZ,ZZII,ZYXY,YZYI,YZZY"  # 500th of `enumerate ovoids`
 OUTPUT_DIGESTS = [
     (["verify", "--n", "4", "--level", "full", "--no-timings"],
@@ -358,6 +379,48 @@ OUTPUT_DIGESTS = [
      "b6dce5b6efa1d3692e6fd6109e6a0874de67903c4cf7215d186e0652d5f03885"),
     (["oracle-check", "--n", "4"],
      "414a478767e165bfae93285684809494a41973ee832bc8414a34583564e1dcee"),
+    (["config", "fig1"],
+     "a0bc24583ad846b54564de176270a26fc73638253e48866145a3e9920b07cb15"),
+    (["config", "fig3"],
+     "7196b1634dc5927c54a60be6cb81f7fdbc44f258569c5d57e18c2ee5706b152a"),
+    (["config", "fig4"],
+     "8ae4515d535088c37fdad32311bc93f14087e82873688d7e935fe4a3f89ec11e"),
+    (["config", "fig5"],
+     "f6255a220285cc6a1b0dcf55e2444ecbaef13a04a87cfdcba5a10cea2225649d"),
+    (["config", "fig6"],
+     "ce57d4650f157d6cd2d17764dfce99c1fb67dbacd7ae83bc714494e4775da135"),
+    (["config", "fig7"],
+     "96e3eba58617b62db3202fdd917afb4697906704d3c5f46b6ee695586cdef9c4"),
+    (["config", "fig10"],
+     "0e596bd768978cd5ff676da169dfe5cedb1321df6dca262197232c19772b326d"),
+    (["config", "fig11"],
+     "807b944eef5e2bcb07c4b5a4359a37c067fd0298114a7d6cccb6ac5a1751fe10"),
+    (["config", "heptad-analogue"],
+     "cab9bf1bf6355dbf2b08b6e1c6f033d93bfae4362908f34df49a377253da4599"),
+    (["config", "heptad-family"],
+     "428a571b693dca58e32dbaab9a79fe17a4fcd25fe50a140a7eb7f42d7e4e1b7b"),
+    (["config", "fig2", "--partition", _PARTITION, "--format", "dot"],
+     "d29a8b10719fe9b9595c42ca832d928af595ca6829192cbf1f0deef5d933726c"),
+    (["config", "fig4", "--partition", _PARTITION],
+     "ab85942593415f047ef619738f179bb8e1f7169fd422b204ab5838158b4f689d"),
+    (["config", "fig3", "--triple", "ZIIX,XZXI,XXXX"],
+     "b33d539ae65bbe5287d419195e901d74c22283b00a527ec314a93c20172d035c"),
+    (["config", "fig7", "--pentad", "IZYY,ZXZZ,IXXZ,YYZX,XXXX"],
+     "796189a772fc4afaaba73840507bd227e360e35ee0287388e4634ace2158cd10"),
+    (["config", "fig8", "--sextet", "ZIIX,IZYY,XZXI,ZXZZ,XIZI,ZZIZ"],
+     "47d08856c2f691be5dde057a9830c8c40d9a4b3f7b210d14657c2bb4acaeda48"),
+    (["config", "fig6", "--split", "ZIIX,IZYY,XZXI,XIZI/ZXZZ,ZZIZ,IXXZ,YYZX"],
+     "2d19859cf957be289393f7c413cab7d46fd5169183c2193c1cc8999b62c60778"),
+    (["config", "fig11", "--pair", "ZIIX,YYZX"],
+     "a9cd4b4034f7778c8ef22f1f56fc076e7bf04c4080c3fc8dd427beadca85d4b5"),
+    (["config", "heptad-family", "--pairs", "ZIIX,IZYY/IZYY,XZXI/ZIIX,XZXI", "--format", "text"],
+     "f932e2a50c81a6f6fee86ec4cadedefcff770f37090796519cdec14919894a0c"),
+    (["config", "fig6", "--point", "ZIIX"],
+     "07c0f8e0ec84f5da7bda520918af28b0b7f869a29a5aa2213192c3d389a16f60"),
+    (["config", "fig5", "--nucleus", "IYZX", "--format", "text"],
+     "68bd2a21d3831f66a3b1925d213f679afff92b0ad6f02d83ec67702a91c83ed5"),
+    (["config", "fig9", "--point", "ZIIX", "--nucleus", "YYZY"],
+     "3c9bc1e020cfa600d38a5eecda40820b14241b45f4d22857cb28ecf16a095656"),
 ]
 
 

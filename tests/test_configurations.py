@@ -213,8 +213,8 @@ def test_split63_reference_invariance(ovoids):
     assert len(through) == 64
     for ref in through:
         assert pg.ovoid_intersection_census(ovoids, ref, p) == (35, 28)
-        # the census skips ovoids off p, so the 64 through p give the same
-        assert pg.ovoid_intersection_census(through, ref, p) == (35, 28)
+        # the census reads the ovoids through p, so those 64 alone give the same
+        assert pg.ovoid_intersection_census(pg.OvoidSet(through), ref, p) == (35, 28)
 
 
 def test_split63_wrong_ovoid_count_names_the_point(ovoids, ostar, monkeypatch):
@@ -287,7 +287,7 @@ def _all_reports(o, gens, ovoids):
         cfg.fig_sextet(o, o.points[:6], quadric),
         cfg.fig_nuclei_fan(o, p, p ^ a ^ b),
         cfg.heptad_analogue(o, p, a),
-        cfg.heptad_family(o, cfg.quadrangle_pairs(o), gens),
+        cfg.figure("heptad-family", o, gens, kind="quadrangle"),
         cfg.sixty_three_split(ovoids, o, p),
     ]
 
@@ -299,7 +299,7 @@ def test_to_json_is_json_dumps_layout_for_every_builder(ostar, gens4, ovoids):
         assert len({r.name for r in reports}) == 12
         for rep in reports:
             assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)
-    triangle = cfg.heptad_family(ostar, cfg.triangle_pairs(ostar), gens4)
+    triangle = cfg.figure("heptad-family", ostar, gens4)
     assert triangle.to_json() == json.dumps(triangle.to_json_dict(), indent=2)
 
 
@@ -327,3 +327,121 @@ def test_to_json_edge_cases_match_json_dumps():
     assert json.loads(rep.to_json())["annotations"][odd] == odd
     rep.lines.append((0, 0, 0))
     assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)
+
+
+# --- the figure table ---------------------------------------------------
+
+def test_figure_names_and_choices():
+    assert list(cfg.FIGURES) == [f"fig{i}" for i in range(1, 12)] + [
+        "heptad-analogue", "heptad-family", "split63"]
+    takes = {name: tuple(choices) for name, (_, choices) in cfg.FIGURES.items()}
+    assert takes == {
+        "fig1": (), "fig2": ("partition",), "fig3": ("triple",), "fig4": ("partition",),
+        "fig5": ("partition", "point", "nucleus"), "fig6": ("point", "split"),
+        "fig7": ("pentad",), "fig8": ("sextet",), "fig9": ("point", "nucleus"),
+        "fig10": ("pair",), "fig11": ("pair",), "heptad-analogue": ("pair",),
+        "heptad-family": ("kind", "pairs"), "split63": ("point",),
+    }
+
+
+def test_figure_fills_the_reference_choices(ostar, gens4):
+    # Each default equals the figure built with its reference values spelled out.
+    xxxx, zyii = word_to_point("XXXX"), word_to_point("ZYII")
+    pair = (word_to_point("ZZIZ"), word_to_point("IXXZ"))
+    conic = tuple(map(word_to_point, ("ZIIX", "XZXI", "XXXX")))
+    a, b, c, d = ostar.points[:4]
+    cases = [
+        ("fig2", {}, dict(partition=pg.triple_partitions(ostar)[0])),
+        ("fig3", {}, dict(triple=(a, b, c))),
+        ("fig6", {}, dict(point=xxxx, split=cfg.standard_split(ostar, xxxx))),
+        ("fig7", {}, dict(pentad=ostar.points[:5])),
+        ("fig8", {}, dict(sextet=ostar.complement_in(conic))),
+        ("fig9", {}, dict(point=xxxx, nucleus=zyii)),
+        ("fig10", {}, dict(pair=pair)),
+        ("split63", {}, dict(point=xxxx)),
+        ("heptad-family", {}, dict(kind="triangle", pairs=((a, b), (b, c), (a, c)))),
+        ("heptad-family", dict(kind="quadrangle"),
+         dict(kind="quadrangle", pairs=((a, b), (b, c), (c, d), (d, a)))),
+    ]
+    for name, given, explicit in cases:
+        assert (cfg.figure(name, ostar, gens4, **given).to_json()
+                == cfg.figure(name, ostar, gens4, **explicit).to_json())
+
+
+def test_figure_aliases_differ_only_in_name(ostar, gens4):
+    reports = [cfg.figure(n, ostar, gens4) for n in ("fig10", "fig11", "heptad-analogue")]
+    assert [r.name for r in reports] == ["fig10", "fig11", "heptad-analogue"]
+    assert len({r.to_json().split("\n", 2)[2] for r in reports}) == 1
+
+
+def test_figure_reference_choices_fall_back_off_the_reference_ovoid(ovoids, gens4):
+    # An ovoid through neither the reference pair nor the reference conic
+    # takes its own first points instead.
+    conic = tuple(map(word_to_point, ("ZIIX", "XZXI", "XXXX")))
+    o = next(o for o in ovoids if not any(p in o for p in conic + cfg.REFERENCE_PAIR))
+    fig10 = cfg.figure("fig10", o, gens4)
+    assert fig10.annotations["shared_points"] == join_words(o.points[:2]).replace(",", " ")
+    assert (cfg.figure("fig8", o, gens4).to_json()
+            == cfg.fig_sextet(o, o.points[:6], gens4.quadric).to_json())
+
+
+def test_nuclei_heptad(ostar):
+    p1, p2 = ostar.points[:2]
+    heptad = cfg.nuclei_heptad(ostar, p1, p2)
+    assert heptad == tuple(sorted(p1 ^ p2 ^ x for x in ostar.points[2:]))
+    assert len(set(heptad)) == 7
+
+
+# --- failed invariants name their object in Pauli words -----------------
+
+def test_nuclei_fan_failure_names_the_fan(ostar, monkeypatch):
+    # Without the 15 matching lines the quadrangle has only its 30 cross lines.
+    monkeypatch.setattr(cfg, "_perfect_matchings", lambda items: iter(()))
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.nuclei_fan_structure(ostar, word_to_point("XXXX"), word_to_point("ZYII"))
+    assert str(exc.value) == ("quadrangle structure has 30 lines, not 45: "
+                              f"ovoid {join_words(ostar.points)} point XXXX nucleus ZYII")
+
+
+def test_heptad_analogue_failure_names_the_pair(ostar, monkeypatch):
+    # A context that puts every point on the quadric: the nuclei are not skew.
+    class EverythingOnTheQuadric:
+        def is_on_quadric(self, v):
+            return True
+
+    monkeypatch.setattr(cfg, "GeometryContext", lambda n: EverythingOnTheQuadric())
+    p1, p2 = word_to_point("ZZIZ"), word_to_point("IXXZ")
+    heptad = sorted(p1 ^ p2 ^ x for x in ostar.points if x not in (p1, p2))
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.heptad_analogue(ostar, p1, p2)
+    assert str(exc.value) == (f"conic nuclei {join_words(heptad)} are not a skew heptad: "
+                              f"ovoid {join_words(ostar.points)} pair ZZIZ,IXXZ")
+
+
+def test_heptad_triangle_failure_names_the_triangle(ostar, ovoids, gens4, monkeypatch):
+    # A second ovoid off the triangle: its heptads miss the triangle nucleus.
+    stranger = next(o for o in ovoids if not o.mask & ostar.mask)
+    monkeypatch.setattr(pg, "second_ovoid_on_conic", lambda o, triple, gens: stranger)
+    a, b, c = ostar.points[:3]
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.figure("heptad-family", ostar, gens4)
+    message = str(exc.value)
+    assert message.startswith("the heptads meet in [")
+    assert message.endswith(f"], not in the nucleus {point_to_word(a ^ b ^ c, 4)}: "
+                            f"ovoid {join_words(ostar.points)} triangle {join_words((a, b, c))}")
+
+
+def test_heptad_quadrangle_failure_names_the_quadrangle(ostar, gens4, monkeypatch):
+    # A wrong concurrence point: the pairing lines through it miss the vertices.
+    wrong = word_to_point("IIIY")
+    monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad: wrong)
+    a, b, c, d = ostar.points[:4]
+    pairs = ((a, b), (b, c), (c, d), (d, a))
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.heptad_family(ostar, pairs, gens4)
+    message = str(exc.value)
+    assert message.startswith("the line of ")
+    assert message.endswith(
+        " and IIIY misses the vertices: "
+        f"ovoid {join_words(ostar.points)} quadrangle "
+        + "/".join(join_words(sorted(pr)) for pr in pairs))
