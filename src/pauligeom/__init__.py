@@ -45,6 +45,7 @@ from .polar_geometry import (
     get_ovoids,
     is_ovoid,
     ostar,
+    standard_quadric,
 )
 
 __all__ = [
@@ -79,6 +80,7 @@ __all__ = [
     "get_ovoids",
     "is_ovoid",
     "ostar",
+    "standard_quadric",
 ]
 
 __version__ = "0.1.0"

@@ -4,7 +4,8 @@ Each extractor packages one of the distinguished ovoid substructures as a
 ConfigReport: labelled points (coordinates, word, symmetry class, role),
 the collinear triples that the structure draws, and free-form
 annotations.  Reports self-verify on construction: every listed line sums
-to zero and every class tag is recomputed from the word.
+to zero and every class tag agrees with the quadric membership of the
+point's coordinates.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
-from .gf2_core import to_string
+from .gf2_core import span_points, to_string
 from .pauli_codec import (GeometryContext, is_symmetric, join_words, point_to_word,
                           word_to_point, words_to_points)
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
@@ -49,16 +50,19 @@ class ConfigReport:
         return counts
 
     def verify(self) -> "ConfigReport":
+        """Check each class tag against the quadric membership of the
+        point's coordinates (not its word), and that each line sums to zero."""
         values = [int(p.coords, 2) for p in self.points]
         for p, v in zip(self.points, values):
-            want = "symmetric" if is_symmetric(p.word) else "skew"
-            if p.cls != want:
-                raise InternalConsistencyError(f"class tag of {p.word} is wrong")
             if v == 0:
                 raise InternalConsistencyError("zero vector listed as a point")
+            on = pg.standard_quadric(len(p.coords) // 2).contains(v)
+            if p.cls != ("symmetric" if on else "skew"):
+                raise InternalConsistencyError(f"class tag of {p.word} is wrong")
         for i, j, k in self.lines:
             if values[i] ^ values[j] ^ values[k] != 0:
-                raise InternalConsistencyError("listed line does not sum to zero")
+                words = ",".join(self.points[t].word for t in (i, j, k))
+                raise InternalConsistencyError(f"listed line {words} does not sum to zero")
         return self
 
     def to_json_dict(self) -> dict:
@@ -216,7 +220,7 @@ def fig_two_ovoids_conic(o: Ovoid, triple, gens: GeneratorSet) -> ConfigReport:
     b.add(nucleus, "nucleus")
     for u in o.complement_in(triple):
         b.line(u, nucleus ^ u, nucleus)
-    plane = sorted(pg.conic_of(o, triple).plane.points())
+    plane = sorted(span_points(triple))
     b.note("conic_plane", " ".join(_word(p) for p in plane))
     b.note("nucleus", _word(nucleus))
     return b.done()
@@ -397,7 +401,6 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     pairs form a perfect matching (those triples sum to the common point,
     not to zero, so they are genuine incidence-only lines).
     """
-    ctx = GeometryContext(4)
     if p not in o:
         raise UsageError("fan point must lie on the ovoid")
 
@@ -421,10 +424,11 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     six_b = {x: p ^ b ^ x for x in xs}
     fan15 = sorted(v for k, v in nuclei.items() if not (k & {a, b}))
     concurrence = p ^ singled_nucleus
+    quadric = pg.standard_quadric(4)
     cross = {}
     for x, y in itertools.combinations(xs, 2):
         w = six_a[x] ^ six_b[y]
-        if w != six_a[y] ^ six_b[x] or not ctx.is_on_quadric(w):
+        if w != six_a[y] ^ six_b[x] or not quadric.contains(w):
             raise fault(f"cross points of {join_words((x, y))} do not pair symmetrically")
         cross[frozenset((x, y))] = w
     if len(set(cross.values())) != 15:
@@ -502,7 +506,7 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     A seven-point external set whose 21 joining lines stay off the
     quadric, together with the 35 symmetric nuclei of its own triples.
     """
-    ctx = GeometryContext(4)
+    quadric = pg.standard_quadric(4)
     o.distinct_points((p1, p2), 2)
 
     def fault(what: str) -> InternalConsistencyError:
@@ -510,12 +514,12 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
             f"{what}: ovoid {join_words(o.points)} pair {join_words((p1, p2))}")
 
     heptad = nuclei_heptad(o, p1, p2)
-    if len(set(heptad)) != 7 or any(ctx.is_on_quadric(h) for h in heptad):
+    if len(set(heptad)) != 7 or any(map(quadric.contains, heptad)):
         raise fault(f"conic nuclei {join_words(heptad)} are not a skew heptad")
     thirds = {}
     for u, v in itertools.combinations(heptad, 2):
         w = u ^ v
-        if ctx.is_on_quadric(w):
+        if quadric.contains(w):
             raise fault(f"heptad line {join_words((u, v, w))} touches the quadric")
         thirds[(u, v)] = w
     if len(set(thirds.values())) != 21 or set(thirds.values()) & set(heptad):
@@ -524,12 +528,10 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     triple_nuclei = sorted(
         {x ^ y ^ z for x, y, z in itertools.combinations(heptad, 3)}
     )
-    if len(triple_nuclei) != 35 or not all(
-        ctx.is_on_quadric(t) for t in triple_nuclei
-    ):
+    if len(triple_nuclei) != 35 or not all(map(quadric.contains, triple_nuclei)):
         raise fault(f"the triple nuclei of heptad {join_words(heptad)} "
                     "are not 35 symmetric points")
-    b = _Builder("fig10", ctx)
+    b = _Builder("fig10", quadric.context)
     b.add(p1, "shared-ovoid-point")
     b.add(p2, "shared-ovoid-point")
     b.add_all(heptad, "heptad-nucleus")
@@ -692,9 +694,18 @@ REFERENCE_PAIR = words_to_points(("ZZIZ", "IXXZ"))
 # Each figure: its builder, called with the ovoid, the quadric generators
 # and every choice by name, and the choices it takes, each with the
 # function that gives its reference value from the ovoid and the choices
-# filled in before it.  fig5's centres are left to `fig_commutation`.
+# filled in before it.  A reference value off the ovoid falls back to the
+# ovoid's own first points.  fig5's centres are left to `fig_commutation`.
 _PARTITION = {"partition": lambda o, c: pg.triple_partitions(o)[0]}
-_POINT = {"point": lambda o, c: REFERENCE_POINT}
+_POINT = {"point": lambda o, c: REFERENCE_POINT if REFERENCE_POINT in o else o.points[0]}
+
+
+def _reference_nucleus(o, c):
+    """ZYII if it is the nucleus of a conic of `o` on the point, else the
+    nucleus p ^ a ^ b of the conic on the point and the first two others."""
+    p = c["point"]
+    nuclei = [p ^ a ^ b for a, b in itertools.combinations(o.complement_in((p,)), 2)]
+    return REFERENCE_NUCLEUS if REFERENCE_NUCLEUS in nuclei else nuclei[0]
 
 
 def _reference_pairs(o, c):
@@ -726,7 +737,7 @@ FIGURES = {
              {"sextet": lambda o, c: o.complement_in(REFERENCE_CONIC)
               if all(p in o for p in REFERENCE_CONIC) else o.points[:6]}),
     "fig9": (lambda o, gens, point, nucleus: fig_nuclei_fan(o, point, nucleus),
-             {**_POINT, "nucleus": lambda o, c: REFERENCE_NUCLEUS}),
+             {**_POINT, "nucleus": _reference_nucleus}),
     "fig10": _ANALOGUE,
     "fig11": _ANALOGUE,
     "heptad-analogue": _ANALOGUE,

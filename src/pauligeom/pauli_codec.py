@@ -150,15 +150,9 @@ class GeometryContext:
     def quadratic(self, v: int) -> int:
         return ((v >> self.n_qubits) & v & self._lo_mask).bit_count() & 1
 
-    def is_on_quadric(self, v: int) -> bool:
-        return v != 0 and self.quadratic(v) == 0
-
     def points(self) -> range:
         """All projective points, in canonical (integer) order."""
         return range(1, 1 << self.dim)
-
-    def quadric_points(self) -> tuple[int, ...]:
-        return tuple(v for v in self.points() if self.quadratic(v) == 0)
 
     def perp_mask(self, p: int) -> int:
         """Bitmask over point values v with sigma(p, v) = 0."""

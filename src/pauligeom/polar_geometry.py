@@ -18,7 +18,7 @@ from functools import cache
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
-from .gf2_core import Flat, echelon, span, span_points
+from .gf2_core import Flat, echelon, span_points
 from .pauli_codec import GeometryContext, join_words, point_to_word, words_to_points
 
 # The distinguished ovoid: in the product-of-pairs frame it is the eight
@@ -103,19 +103,16 @@ class Quadric:
     def contains(self, v: int) -> bool:
         return bool(self.mask >> v & 1)
 
-    @classmethod
-    def standard_hyperbolic(cls, ctx: GeometryContext) -> "Quadric":
-        pts = ctx.quadric_points()
-        return cls(ctx, pts, _points_mask(pts))
-
     def off_points(self) -> tuple[int, ...]:
         return tuple(v for v in self.context.points() if not self.contains(v))
 
 
 @cache
-def _quadric_mask(n_qubits: int) -> int:
-    """Point mask of the standard hyperbolic quadric of N qubits."""
-    return Quadric.standard_hyperbolic(GeometryContext(n_qubits)).mask
+def standard_quadric(n_qubits: int) -> Quadric:
+    """The standard hyperbolic quadric {v : Q(v) = 0} of N qubits, one per rank."""
+    ctx = GeometryContext(n_qubits)
+    pts = tuple(v for v in ctx.points() if ctx.quadratic(v) == 0)
+    return Quadric(ctx, pts, _points_mask(pts))
 
 
 class GeneratorSet:
@@ -187,7 +184,7 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     n = ctx.n_qubits
     perp = _perp_masks(ctx)
     bands = _column_bands(ctx.dim)
-    quadric = Quadric.standard_hyperbolic(ctx) if space_kind == "quadric" else None
+    quadric = standard_quadric(n) if space_kind == "quadric" else None
     if quadric is not None:
         ground = quadric.points
         ground_mask = quadric.mask
@@ -424,26 +421,6 @@ def secant_third_points(o: Ovoid) -> frozenset[int]:
     return frozenset(thirds)
 
 
-class Conic:
-    """Three ovoid points, their plane, and the nucleus (their sum)."""
-
-    __slots__ = ("triple", "nucleus", "plane")
-
-    def __init__(self, triple: tuple[int, int, int], nucleus: int, plane: Flat):
-        self.triple = triple
-        self.nucleus = nucleus
-        self.plane = plane
-
-
-def conic_of(o: Ovoid, triple) -> Conic:
-    t = o.distinct_points(triple, 3)
-    return Conic(t, t[0] ^ t[1] ^ t[2], span(t))
-
-
-def conics_of(o: Ovoid) -> tuple[Conic, ...]:
-    return tuple(conic_of(o, t) for t in itertools.combinations(o.points, 3))
-
-
 def _partition_patterns() -> tuple[tuple[tuple[int, int, int], ...], ...]:
     # Partitions of indices 0..8 into three triples, canonically ordered:
     # index 0 leads the first triple, the smallest leftover the second.
@@ -480,8 +457,7 @@ def axis_of_partition(o: Ovoid, partition) -> frozenset[int]:
     if len(set(nuclei)) != 3 or nuclei[0] ^ nuclei[1] ^ nuclei[2] != 0:
         raise InternalConsistencyError(
             f"partition nuclei are not a line: {join_words(nuclei)}")
-    ctx = GeometryContext(4)
-    if any(ctx.is_on_quadric(nu) for nu in nuclei):
+    if any(map(standard_quadric(4).contains, nuclei)):
         raise InternalConsistencyError(f"axis touches the quadric: {join_words(nuclei)}")
     return frozenset(nuclei)
 
@@ -607,7 +583,7 @@ def tetrad_census(ovoids) -> Counter:
     first bad key is that of the first bad (ovoid, partition) pair.
     """
     ovoids = tuple(ovoids)
-    qmask = _quadric_mask(4)
+    qmask = standard_quadric(4).mask
     counts: Counter = Counter()
     for o in ovoids:
         masks = _conic_masks(o.points)
@@ -751,16 +727,14 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
 
 def commutation_profile(word_point: int, family) -> tuple[int, ...]:
     """Per-ovoid counts of elements commuting with the given point."""
-    ctx = GeometryContext(4)
-    return tuple(
-        sum(1 for p in ov.points if ctx.sigma(word_point, p) == 0) for ov in family
-    )
+    perp = _perp_masks(standard_quadric(4).context)[word_point]
+    return tuple((perp & ov.mask).bit_count() for ov in family)
 
 
 def solid_extra_point(o: Ovoid, quad) -> int:
     """The unique fifth quadric point in the solid of four ovoid points."""
     q = o.distinct_points(quad, 4)
-    qmask = _quadric_mask(4)
+    qmask = standard_quadric(4).mask
     span = [0]
     for b in q:
         span += [p ^ b for p in span]
@@ -1022,38 +996,12 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
 
 
 def radical(points, ctx: GeometryContext) -> list[int]:
-    """A basis of the radical of sigma restricted to the span of `points`."""
-    basis = echelon(points)
-    kernel = _left_kernel(
-        [sum(ctx.sigma(bi, bj) << j for j, bj in enumerate(basis)) for bi in basis]
-    )
-    out = []
-    for combo in kernel:
-        v = 0
-        for i, b in enumerate(basis):
-            if combo >> i & 1:
-                v ^= b
-        out.append(v)
-    return out
-
-
-def _left_kernel(rows) -> list[int]:
-    pivots: dict[int, tuple[int, int]] = {}
-    kernel = []
-    for i, r in enumerate(rows):
-        cur, combo = r, 1 << i
-        while cur:
-            b = cur.bit_length() - 1
-            if b in pivots:
-                pr, pc = pivots[b]
-                cur ^= pr
-                combo ^= pc
-            else:
-                pivots[b] = (cur, combo)
-                break
-        if not cur:
-            kernel.append(combo)
-    return kernel
+    """A basis of the radical of sigma restricted to the span of `points`:
+    the span's points perpendicular to every one of `points`."""
+    masks, perp = _perp_masks(ctx), -1
+    for p in points:
+        perp &= masks[p]
+    return list(echelon(v for v in span_points(points) if perp >> v & 1))
 
 
 def conwell_heptads(ctx: GeometryContext):
@@ -1065,7 +1013,7 @@ def conwell_heptads(ctx: GeometryContext):
     """
     if ctx.n_qubits != 3:
         raise UsageError("Conwell heptads live off the rank-3 quadric")
-    quadric = Quadric.standard_hyperbolic(ctx)
+    quadric = standard_quadric(3)
     off = quadric.off_points()
     adj = [0] * len(off)
     for i, u in enumerate(off):

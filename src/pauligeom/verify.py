@@ -21,7 +21,7 @@ from . import configurations as cfg
 from . import gf2_core, matrix_oracle, pauli_codec
 from . import polar_geometry as pg
 from .errors import UsageError
-from .pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
+from .pauli_codec import join_words, point_to_word, word_to_point
 
 
 class VerifyRow:
@@ -119,8 +119,8 @@ def checks(n: int, level: str) -> list[tuple]:
     """
     if n not in (2, 3, 4):
         raise UsageError("supported ranks are 2, 3, 4")
-    ctx = GeometryContext(n)
-    quadric = pg.Quadric.standard_hyperbolic(ctx)
+    quadric = pg.standard_quadric(n)
+    ctx = quadric.context
     total = 4**n - 1
     on = pg.expected_count("hyperbolic", "points", n)
     n_gens = pg.expected_count("hyperbolic", "generators", n)
@@ -187,7 +187,7 @@ def checks(n: int, level: str) -> list[tuple]:
         ("figure_reports", "45,21,16,30,29,19,11,28,47,65,1",
          lambda: _figure_reports(ost, gens())),
         ("conwell_heptads_rank3", "8",
-         lambda: len(pg.conwell_heptads(GeometryContext(3)))),
+         lambda: len(pg.conwell_heptads(pg.standard_quadric(3).context))),
     ]
     if level == "full":
         rows += [
@@ -246,7 +246,7 @@ def _edge_rows():
 def _census(o, quadric):
     """36 secant third points and 84 conic nuclei split the 120 skew points."""
     thirds = pg.secant_third_points(o)
-    nuclei = {c.nucleus for c in pg.conics_of(o)}
+    nuclei = {a ^ b ^ c for a, b, c in itertools.combinations(o.points, 3)}
     off = set(quadric.off_points())
     ok = (not thirds & nuclei) and thirds | nuclei == off
     return f"{len(thirds)}+{len(nuclei)}={'120' if ok else 'bad'}"

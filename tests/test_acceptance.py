@@ -18,7 +18,7 @@ import pytest
 import pauligeom
 from pauligeom import polar_geometry as pg
 from pauligeom import verify
-from pauligeom.pauli_codec import GeometryContext, join_words
+from pauligeom.pauli_codec import join_words
 
 TABLES = {"n2": (2, "quick"), "n3": (3, "quick"), "n4": (4, "full")}
 ROWS = [
@@ -55,7 +55,7 @@ def test_pentad_cones_row_names_a_wrong_vertex(monkeypatch):
     # row checks the vertex against the radical of sigma on the span, so
     # it names the pentad even though the two faulty routes agree.
     ost, real_extra = pg.ostar(), pg.solid_extra_point
-    quadric = pg.Quadric.standard_hyperbolic(GeometryContext(4))
+    quadric = pg.standard_quadric(4)
     pentads = list(itertools.combinations(ost.points, 5))
     cones = {pent: pg.pentad_intersection(ost, pent, quadric) for pent in pentads}
     bad, wrong = pentads[-1], ost.points[0]

@@ -336,6 +336,7 @@ def test_removed_flags_are_usage_errors(argv, capsys):
 # or census code must not change a byte of these outputs.
 _PARTITION = "ZIIX,XIZI,XXXX/IZYY,ZXZZ,IXXZ/XZXI,ZZIZ,YYZX"  # not the first partition
 _OVOID_500 = "XIII,ZXXI,YIXY,ZXZX,ZXZZ,ZZII,ZYXY,YZYI,YZZY"  # 500th of `enumerate ovoids`
+_OVOID_XXXX = "XXXX,IIIZ,IIZX,IZXX,IYZY,ZXXX,YXZY,YZIY,YZYX"  # ZYII is no nucleus on XXXX
 OUTPUT_DIGESTS = [
     (["verify", "--n", "4", "--level", "full", "--no-timings"],
      "e032c763b015274d8cf59728c2565c47751b5e1226019bafd2e64e7525397ca1"),
@@ -421,6 +422,14 @@ OUTPUT_DIGESTS = [
      "68bd2a21d3831f66a3b1925d213f679afff92b0ad6f02d83ec67702a91c83ed5"),
     (["config", "fig9", "--point", "ZIIX", "--nucleus", "YYZY"],
      "3c9bc1e020cfa600d38a5eecda40820b14241b45f4d22857cb28ecf16a095656"),
+    (["config", "fig6", "--ovoid", _OVOID_500],
+     "1c9adfbd9cabc5a8ec6ec7e6aed19700e05c0db7a5424be8755475c026b3001c"),
+    (["config", "fig9", "--ovoid", _OVOID_500],
+     "7eba78f1176e8694232c42796bc282b31446cfc97282c0ac8bdf572906e65c88"),
+    (["config", "split63", "--ovoid", _OVOID_500],
+     "a97ff9f678cd68fa0f2915d26ee08283b5255d92a47ee486db265b9f5844edc0"),
+    (["config", "fig9", "--ovoid", _OVOID_XXXX],
+     "baee1ef4f841f84910a9fc99e0d4720ae5582682a9e385bd1d250bf7998fa580"),
 ]
 
 

@@ -266,8 +266,23 @@ def test_report_dot_output(ostar, ctx4):
 def test_report_verify_rejects_fake_line(ostar, ctx4):
     rep = cfg.fig_secants(ostar, ctx4)
     rep.lines.append((0, 1, 2))  # three ovoid points are never collinear
-    with pytest.raises(InternalConsistencyError):
+    words = join_words(ostar.points[:3])
+    with pytest.raises(InternalConsistencyError,
+                       match=f"^listed line {words} does not sum to zero$"):
         rep.verify()
+
+
+def test_report_verify_checks_class_tags_against_the_quadric(ostar, ctx4, monkeypatch):
+    # A word-level symmetry test that calls XXXX skew: the tag it writes
+    # disagrees with the quadric membership of XXXX's coordinates.
+    real = cfg.is_symmetric
+    monkeypatch.setattr(cfg, "is_symmetric", lambda word: word != "XXXX" and real(word))
+    cfg._point_fields.cache_clear()
+    try:
+        with pytest.raises(InternalConsistencyError, match="^class tag of XXXX is wrong$"):
+            cfg.fig_secants(ostar, ctx4)
+    finally:
+        cfg._point_fields.cache_clear()
 
 
 def _all_reports(o, gens, ovoids):
@@ -376,13 +391,36 @@ def test_figure_aliases_differ_only_in_name(ostar, gens4):
 
 def test_figure_reference_choices_fall_back_off_the_reference_ovoid(ovoids, gens4):
     # An ovoid through neither the reference pair nor the reference conic
-    # takes its own first points instead.
+    # (so not through XXXX either) takes its own first points instead.
     conic = tuple(map(word_to_point, ("ZIIX", "XZXI", "XXXX")))
     o = next(o for o in ovoids if not any(p in o for p in conic + cfg.REFERENCE_PAIR))
     fig10 = cfg.figure("fig10", o, gens4)
     assert fig10.annotations["shared_points"] == join_words(o.points[:2]).replace(",", " ")
     assert (cfg.figure("fig8", o, gens4).to_json()
             == cfg.fig_sextet(o, o.points[:6], gens4.quadric).to_json())
+    p, a, b = o.points[:3]
+    for name, explicit in [("fig6", dict(point=p, split=cfg.standard_split(o, p))),
+                           ("fig9", dict(point=p, nucleus=p ^ a ^ b)),
+                           ("split63", dict(point=p))]:
+        assert (cfg.figure(name, o, gens4).to_json()
+                == cfg.figure(name, o, gens4, **explicit).to_json())
+
+
+def test_fig9_nucleus_falls_back_when_zyii_is_no_nucleus_on_the_point(ovoids, gens4):
+    xxxx, zyii = word_to_point("XXXX"), word_to_point("ZYII")
+
+    def nuclei(o):
+        rest = o.complement_in((xxxx,))
+        return [xxxx ^ a ^ b for a, b in itertools.combinations(rest, 2)]
+
+    through = pg.ovoids_through(ovoids, xxxx)
+    with_zyii = [o for o in through if zyii in nuclei(o)]
+    assert 0 < len(with_zyii) < len(through)
+    o = next(o for o in through if zyii not in nuclei(o))
+    assert (cfg.figure("fig9", o, gens4).annotations["singled_nucleus"]
+            == point_to_word(nuclei(o)[0], 4))
+    assert (cfg.figure("fig9", with_zyii[0], gens4).annotations["singled_nucleus"]
+            == "ZYII")
 
 
 def test_nuclei_heptad(ostar):
@@ -404,12 +442,12 @@ def test_nuclei_fan_failure_names_the_fan(ostar, monkeypatch):
 
 
 def test_heptad_analogue_failure_names_the_pair(ostar, monkeypatch):
-    # A context that puts every point on the quadric: the nuclei are not skew.
+    # A quadric that holds every point: the nuclei are not skew.
     class EverythingOnTheQuadric:
-        def is_on_quadric(self, v):
+        def contains(self, v):
             return True
 
-    monkeypatch.setattr(cfg, "GeometryContext", lambda n: EverythingOnTheQuadric())
+    monkeypatch.setattr(pg, "standard_quadric", lambda n: EverythingOnTheQuadric())
     p1, p2 = word_to_point("ZZIZ"), word_to_point("IXXZ")
     heptad = sorted(p1 ^ p2 ^ x for x in ostar.points if x not in (p1, p2))
     with pytest.raises(InternalConsistencyError) as exc:

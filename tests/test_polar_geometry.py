@@ -44,10 +44,19 @@ def test_expected_count_usage_errors():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_quadric_point_counts(n):
-    ctx = GeometryContext(n)
-    q = pg.Quadric.standard_hyperbolic(ctx)
+    q = pg.standard_quadric(n)
     assert len(q.points) == pg.expected_count("hyperbolic", "points", n)
     assert len(q.off_points()) == 4**n - 1 - len(q.points)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_standard_quadric_is_the_zero_set_of_the_quadratic_form(n):
+    ctx = GeometryContext(n)
+    q = pg.standard_quadric(n)
+    assert q is pg.standard_quadric(n) is pg.get_generators(ctx, "quadric").quadric
+    assert q.context == ctx
+    assert q.points == tuple(v for v in ctx.points() if ctx.quadratic(v) == 0)
+    assert q.mask == sum(1 << v for v in q.points)
 
 
 def _brute_force_generators(ctx, space_kind):
@@ -55,7 +64,7 @@ def _brute_force_generators(ctx, space_kind):
     span is totally isotropic (every pair has sigma 0), and for the
     quadric also totally singular, in sorted order."""
     n = ctx.n_qubits
-    ground = [p for p in ctx.points() if space_kind == "symplectic" or ctx.is_on_quadric(p)]
+    ground = [p for p in ctx.points() if space_kind == "symplectic" or ctx.quadratic(p) == 0]
     found = set()
     for subset in itertools.combinations(ground, n):
         if any(ctx.sigma(u, v) for u, v in itertools.combinations(subset, 2)):
@@ -63,7 +72,7 @@ def _brute_force_generators(ctx, space_kind):
         basis = echelon(subset)
         pts = span_points(basis)
         isotropic = all(ctx.sigma(u, v) == 0 for u, v in itertools.combinations(pts, 2))
-        singular = space_kind == "symplectic" or all(ctx.is_on_quadric(p) for p in pts)
+        singular = space_kind == "symplectic" or all(ctx.quadratic(p) == 0 for p in pts)
         if len(basis) == n and isotropic and singular:
             found.add(basis)
     return sorted(found)
@@ -130,7 +139,7 @@ def test_perp_masks_by_bilinearity_match_direct_masks(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_nonperp_adjacency_is_the_sigma_graph(n):
     ctx = GeometryContext(n)
-    for pts in (ctx.quadric_points(), tuple(ctx.points())):
+    for pts in (pg.standard_quadric(n).points, tuple(ctx.points())):
         adj = pg._nonperp_adjacency(ctx, pts)
         assert adj == [
             sum(1 << j for j in range(i + 1, len(pts)) if ctx.sigma(p, pts[j]) == 1)
@@ -321,12 +330,12 @@ def test_is_ovoid_agrees_with_the_definition(ovoids, gens4, quadric4, ostar):
 def test_is_ovoid_agrees_with_the_definition_on_drawn_lists(gens4, ovoids, data):
     # Nine draws with replacement: plain quadric points, or an ovoid with up
     # to two points replaced; both can repeat a point.
-    quadric_points = gens4.quadric.points
+    on_quadric = gens4.quadric.points
     if data.draw(st.booleans()):
-        pts = data.draw(st.lists(st.sampled_from(quadric_points), min_size=9, max_size=9))
+        pts = data.draw(st.lists(st.sampled_from(on_quadric), min_size=9, max_size=9))
     else:
         pts = list(data.draw(st.sampled_from(ovoids)).points)
-        edits = st.tuples(st.integers(0, 8), st.sampled_from(quadric_points))
+        edits = st.tuples(st.integers(0, 8), st.sampled_from(on_quadric))
         for i, q in data.draw(st.lists(edits, max_size=2)):
             pts[i] = q
     assert pg.is_ovoid(pts, gens4) == _meets_every_generator_once(pts, gens4)
@@ -342,26 +351,23 @@ def test_secant_third_points(ostar, quadric4):
 
 
 def test_conic_census(ostar, quadric4):
-    conics = pg.conics_of(ostar)
-    assert len(conics) == 84
-    nuclei = {c.nucleus for c in conics}
+    triples = list(itertools.combinations(ostar.points, 3))
+    assert len(triples) == 84
+    nuclei = {a ^ b ^ c for a, b, c in triples}
     assert len(nuclei) == 84
     thirds = pg.secant_third_points(ostar)
     assert not (nuclei & thirds)
     off = set(quadric4.off_points())
     assert nuclei | thirds == off
     assert len(off) == 120
-    for c in conics[:10]:
-        assert c.nucleus == c.triple[0] ^ c.triple[1] ^ c.triple[2]
-        assert c.plane.proj_dim == 2
-        on_plane = [p for p in c.plane.points() if quadric4.contains(p)]
-        assert sorted(on_plane) == list(c.triple)
+    for a, b, c in triples:
+        plane = span_points((a, b, c))
+        assert len(plane) == 7 and a ^ b ^ c in plane
+        assert sorted(p for p in plane if quadric4.contains(p)) == [a, b, c]
 
 
 def test_section_builders_reject_repeated_points(ostar, gens4, quadric4):
     a, b, c, d, e, f, g = ostar.points[:7]
-    with pytest.raises(UsageError, match="need 3 distinct points"):
-        pg.conic_of(ostar, (a, a, b))
     with pytest.raises(UsageError, match="need 3 distinct points"):
         pg.second_ovoid_on_conic(ostar, (a, b, b), gens4)
     with pytest.raises(UsageError, match="need 4 distinct points"):
@@ -376,13 +382,13 @@ def test_section_builders_reject_repeated_points(ostar, gens4, quadric4):
     assert pg.heptad_intersection(ostar, (a, b, c, d, e, f, g), quadric4)
 
 
-def test_partitions_axes_and_tetrads(ostar, quadric4, ctx4):
+def test_partitions_axes_and_tetrads(ostar, quadric4):
     partitions = pg.triple_partitions(ostar)
     assert len(partitions) == 280
     seen = set()
     for part in partitions:
         axis = pg.axis_of_partition(ostar, part)
-        assert all(not ctx4.is_on_quadric(p) and p for p in axis)
+        assert all(not quadric4.contains(p) and p for p in axis)
         tetrad = pg.tetrad_of_partition(ostar, part, quadric4)
         assert len(tetrad.points()) == 12
         assert rank(tetrad.points()) == 8
@@ -535,13 +541,13 @@ def test_pairwise_intersection_sizes_on_drawn_lists(ovoids, data):
     assert dict(got) == dict(_direct_intersection_sizes(listed))
 
 
-def test_second_ovoid_on_conic(ostar, gens4, ctx4):
+def test_second_ovoid_on_conic(ostar, gens4, quadric4):
     triple = ostar.points[:3]
     other = pg.second_ovoid_on_conic(ostar, triple, gens4)
     assert (other.mask & ostar.mask).bit_count() == 3
     union = set(ostar.points) | set(other.points)
     assert len(union) == 15
-    assert all(ctx4.is_on_quadric(p) for p in union)
+    assert all(quadric4.contains(p) for p in union)
     nucleus = triple[0] ^ triple[1] ^ triple[2]
     sym_diff = union - set(triple)
     lines = {frozenset((u, nucleus ^ u, nucleus)) for u in sym_diff}
@@ -828,13 +834,38 @@ def test_heptad_sections(ostar, quadric4):
         assert not quadric4.contains(section.nucleus)
 
 
+def _radical_by_sigma(points, ctx):
+    """The radical of sigma on the span of `points`, from its definition."""
+    return {v for v in span_points(points)
+            if all(ctx.sigma(v, b) == 0 for b in points)}
+
+
+def test_radical_matches_its_definition_on_ostar_subsets(ostar, ctx4):
+    cases = [ostar.points] + [t for k in (5, 6, 7)
+                              for t in itertools.combinations(ostar.points, k)]
+    assert len(cases) == 1 + 126 + 84 + 36
+    for pts in cases:
+        assert set(span_points(pg.radical(pts, ctx4))) == _radical_by_sigma(pts, ctx4)
+
+
+def test_radical_of_a_generator_is_the_generator(gens4, ctx4):
+    for f in gens4.flats:
+        rad = pg.radical(f.basis, ctx4)
+        assert len(rad) == 4 and span_points(rad) == f.points()
+        assert set(span_points(rad)) == _radical_by_sigma(f.basis, ctx4)
+
+
+def test_radical_of_the_unit_vectors_is_empty(ctx4):
+    assert pg.radical([1 << i for i in range(8)], ctx4) == []
+
+
 def test_conwell_heptads(ctx3):
     heptads = pg.conwell_heptads(ctx3)
     assert len(heptads) == 8
     assert all(len(h) == 7 for h in heptads)
     for a, b in itertools.combinations(heptads, 2):
         assert len(a & b) == 1
-    quadric = pg.Quadric.standard_hyperbolic(ctx3)
+    quadric = pg.standard_quadric(3)
     for h in heptads:
         lines = {
             frozenset((u, v, u ^ v)) for u, v in itertools.combinations(sorted(h), 2)
