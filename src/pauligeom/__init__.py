@@ -8,21 +8,15 @@ sections, and the external heptads of the rank-3 case.
 """
 
 from .errors import (
-    DegenerateInputError,
     IdentityNotAPointError,
     InternalConsistencyError,
     UsageError,
 )
 from .gf2_core import (
-    Flat,
     edge_to_standard,
-    flat_points,
     from_string,
-    line_through,
-    span,
     standard_to_edge,
     to_string,
-    vec_add,
 )
 from .pauli_codec import (
     GeometryContext,
@@ -49,19 +43,13 @@ from .polar_geometry import (
 )
 
 __all__ = [
-    "DegenerateInputError",
     "IdentityNotAPointError",
     "InternalConsistencyError",
     "UsageError",
-    "Flat",
     "edge_to_standard",
-    "flat_points",
     "from_string",
-    "line_through",
-    "span",
     "standard_to_edge",
     "to_string",
-    "vec_add",
     "GeometryContext",
     "commutes",
     "is_symmetric",

@@ -88,7 +88,7 @@ def _enumeration_lines(args) -> list[str]:
     ctx = GeometryContext(n)
     if args.what == "generators":
         gens = pg.get_generators(ctx, args.space)
-        lines = [join_words(sorted(flat.points()), n) for flat in gens.flats]
+        lines = [join_words(sorted(gf2_core.span_points(b)), n) for b in gens.bases]
         if gens.families is not None:
             lines = [f"{w}\tfamily={fam}" for w, fam in zip(lines, gens.families)]
         return lines

@@ -266,7 +266,7 @@ def fig_commutation(
             p for p in quadric.points if p not in fam.points
         )
     if skew_center is None:
-        skew_center = quadric.off_points()[0]
+        skew_center = quadric.off_points[0]
     if quadric.contains(skew_center) or not quadric.contains(symmetric_center):
         raise UsageError("centers must be one symmetric and one skew point")
     if symmetric_center in fam.points:
@@ -289,10 +289,16 @@ def fig_commutation(
     b.add(skew_center, "center-skew")
     sym_profile = pg.commutation_profile(symmetric_center, six)
     skew_profile = pg.commutation_profile(skew_center, six)
+
+    def fault(what: str) -> InternalConsistencyError:
+        part = "/".join(map(join_words, partition))
+        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} partition {part}")
+
     if sym_profile != (5, 5, 5, 5, 5, 5):
-        raise InternalConsistencyError("symmetric center profile is not all fives")
+        raise fault(f"symmetric center {_word(symmetric_center)} profile {sym_profile}"
+                    " is not all fives")
     if not set(skew_profile) <= {3, 7}:
-        raise InternalConsistencyError("skew center profile leaves {3, 7}")
+        raise fault(f"skew center {_word(skew_center)} profile {skew_profile} leaves {{3, 7}}")
     b.note("symmetric_center", _word(symmetric_center))
     b.note("skew_center", _word(skew_center))
     b.note("symmetric_profile", ",".join(map(str, sym_profile)))
@@ -335,7 +341,9 @@ def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigR
     b.note("through_line", " ".join(_word(v) for v in sorted(line)))
     b.note("extra_points", f"{_word(e1)} {_word(e2)}")
     if len(b.report.points) != 19:
-        raise InternalConsistencyError("configuration is not 19 points")
+        raise InternalConsistencyError(
+            f"configuration is {len(b.report.points)} points, not 19: point {_word(p)}"
+            f" split {join_words(split[0])}/{join_words(split[1])}")
     return b.done()
 
 
@@ -667,7 +675,7 @@ def sixty_three_split(all_ovoids: pg.OvoidSet, o: Ovoid, p: int) -> ConfigReport
     if len(through) != 64:
         raise InternalConsistencyError(
             f"point is on {len(through)} ovoids, not 64: point {_word(p)}")
-    one, three = pg.ovoid_intersection_census(all_ovoids, o, p)
+    one, three = pg.ovoid_intersection_census(through, o, p)
     b = _Builder("split63", ctx)
     b.add(p, "common-point")
     b.note("ovoids_through_point", len(through))

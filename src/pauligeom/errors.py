@@ -5,10 +5,6 @@ class UsageError(ValueError):
     """Caller passed malformed or out-of-contract input."""
 
 
-class DegenerateInputError(UsageError):
-    """A projective construction received coincident or zero points."""
-
-
 class IdentityNotAPointError(UsageError):
     """The identity word has no projective image (it encodes to zero)."""
 

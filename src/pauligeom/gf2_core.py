@@ -5,17 +5,17 @@ printed coordinate x1 and whose bit 0 holds x_d.  Reading a coordinate
 tuple (x1, ..., xd) left to right therefore matches reading the integer
 MSB to LSB, and the canonical order on projective points is ordinary
 integer order.  The zero vector is a valid vector but never a projective
-point; projective operations reject it.
+point.
 
-Subspaces (flats) are kept in reduced row-echelon form, which is the
-unique canonical basis of a subspace, so flats compare and hash by value.
+A subspace is held as its reduced row-echelon basis (`echelon`), its
+unique canonical basis.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 
-from .errors import DegenerateInputError, UsageError
+from .errors import UsageError
 
 
 def to_string(v: int, dim: int) -> str:
@@ -30,20 +30,6 @@ def from_string(s: str) -> int:
     if not s or any(c not in "01" for c in s):
         raise UsageError(f"not a binary coordinate string: {s!r}")
     return int(s, 2)
-
-
-def vec_add(u: int, v: int) -> int:
-    """Componentwise sum mod 2 (XOR); the third-point rule on lines."""
-    return u ^ v
-
-
-def line_through(p: int, q: int) -> frozenset[int]:
-    """The projective line {p, q, p+q} through two distinct nonzero points."""
-    if p == 0 or q == 0:
-        raise DegenerateInputError("a line needs nonzero points")
-    if p == q:
-        raise DegenerateInputError("a line needs two distinct points")
-    return frozenset((p, q, p ^ q))
 
 
 def echelon(rows: Iterable[int]) -> tuple[int, ...]:
@@ -87,48 +73,6 @@ def span_points(basis: Iterable[int]) -> frozenset[int]:
         pts |= {p ^ b for p in pts}
     pts.discard(0)
     return frozenset(pts)
-
-
-class Flat:
-    """A projective subspace in canonical reduced row-echelon form."""
-
-    __slots__ = ("basis",)
-
-    def __init__(self, basis: tuple[int, ...]):
-        self.basis = basis
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Flat and other.basis == self.basis
-
-    def __hash__(self) -> int:
-        return hash(self.basis)
-
-    @property
-    def proj_dim(self) -> int:
-        return len(self.basis) - 1
-
-    def points(self) -> frozenset[int]:
-        return span_points(self.basis)
-
-    def __contains__(self, v: int) -> bool:
-        cur = v
-        for b in self.basis:
-            if cur.bit_length() == b.bit_length():
-                cur ^= b
-        return cur == 0
-
-    def __len__(self) -> int:
-        return (1 << len(self.basis)) - 1
-
-
-def span(points: Iterable[int]) -> Flat:
-    """Canonical flat spanned by a set of points (empty input: proj_dim -1)."""
-    return Flat(echelon(points))
-
-
-def flat_points(f: Flat) -> frozenset[int]:
-    """All 2^(proj_dim+1) - 1 points of a flat."""
-    return f.points()
 
 
 # Coordinate change between the frame where the 8-dimensional hyperbolic

@@ -18,7 +18,7 @@ from functools import cache
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
-from .gf2_core import Flat, echelon, span_points
+from .gf2_core import echelon, span_points
 from .pauli_codec import GeometryContext, join_words, point_to_word, words_to_points
 
 # The distinguished ovoid: in the product-of-pairs frame it is the eight
@@ -58,11 +58,11 @@ def _sorted3(a: int, b: int, c: int) -> tuple[int, int, int]:
     return tuple(sorted((a, b, c)))
 
 
-def expected_count(kind: str, measure: str, n: int, q: int = 2) -> int:
+def expected_count(kind: str, measure: str, n: int) -> int:
     """Closed-form point/generator counts for quadrics and symplectic spaces.
 
-    `n` is the rank: the space lives in PG(2n-1, q), except for the
-    parabolic quadric which lives in PG(2n, q).
+    `n` is the rank: the space lives in PG(2n-1, 2), except for the
+    parabolic quadric which lives in PG(2n, 2).
     """
     if measure not in ("points", "generators"):
         raise UsageError(f"unknown measure {measure!r}")
@@ -72,39 +72,37 @@ def expected_count(kind: str, measure: str, n: int, q: int = 2) -> int:
     def prod(lo, hi):
         out = 1
         for i in range(lo, hi + 1):
-            out *= q**i + 1
+            out *= 2**i + 1
         return out
 
-    if kind == "symplectic":
-        return (q ** (2 * n) - 1) // (q - 1) if measure == "points" else prod(1, n)
+    if kind in ("symplectic", "parabolic"):
+        return 2 ** (2 * n) - 1 if measure == "points" else prod(1, n)
     if kind == "hyperbolic":
         if measure == "points":
-            return (q ** (n - 1) + 1) * (q**n - 1) // (q - 1)
+            return (2 ** (n - 1) + 1) * (2**n - 1)
         return 2 * prod(1, n - 1)
     if kind == "elliptic":
         if measure == "points":
-            return (q ** (n - 1) - 1) * (q**n + 1) // (q - 1)
+            return (2 ** (n - 1) - 1) * (2**n + 1)
         return prod(2, n)
-    if kind == "parabolic":
-        return (q ** (2 * n) - 1) // (q - 1) if measure == "points" else prod(1, n)
     raise UsageError(f"unknown kind {kind!r}")
 
 
 class Quadric:
-    """A quadric as an explicit point set with a membership bitmask."""
+    """A quadric as an explicit point set with a membership bitmask, and
+    the points off it."""
 
-    __slots__ = ("context", "points", "mask")
+    __slots__ = ("context", "points", "mask", "off_points")
 
-    def __init__(self, context: GeometryContext, points: tuple[int, ...], mask: int):
+    def __init__(self, context: GeometryContext, points: tuple[int, ...], mask: int,
+                 off_points: tuple[int, ...]):
         self.context = context
         self.points = points
         self.mask = mask
+        self.off_points = off_points
 
     def contains(self, v: int) -> bool:
         return bool(self.mask >> v & 1)
-
-    def off_points(self) -> tuple[int, ...]:
-        return tuple(v for v in self.context.points() if not self.contains(v))
 
 
 @cache
@@ -112,31 +110,33 @@ def standard_quadric(n_qubits: int) -> Quadric:
     """The standard hyperbolic quadric {v : Q(v) = 0} of N qubits, one per rank."""
     ctx = GeometryContext(n_qubits)
     pts = tuple(v for v in ctx.points() if ctx.quadratic(v) == 0)
-    return Quadric(ctx, pts, _points_mask(pts))
+    mask = _points_mask(pts)
+    return Quadric(ctx, pts, mask, tuple(v for v in ctx.points() if not mask >> v & 1))
 
 
 class GeneratorSet:
     """All maximal totally isotropic/singular flats of one space.
 
-    A quadric generator set also carries the transposed incidence
-    (`_transpose`): per quadric point, the int mask of the indices of the
-    generators through it.
+    Generator i is `bases[i]`, its reduced row-echelon basis, and
+    `masks[i]`, the int mask of its points.  A quadric generator set also
+    carries the transposed incidence (`_transpose`): per quadric point,
+    the int mask of the indices of the generators through it.
     """
 
-    __slots__ = ("context", "flats", "masks", "families", "quadric", "generators_through")
+    __slots__ = ("context", "bases", "masks", "families", "quadric", "generators_through")
 
-    def __init__(self, context: GeometryContext, flats: tuple[Flat, ...],
+    def __init__(self, context: GeometryContext, bases: tuple[tuple[int, ...], ...],
                  masks: tuple[int, ...], families: tuple[int, ...] | None = None,
                  quadric: Quadric | None = None):
         self.context = context
-        self.flats = flats
+        self.bases = bases
         self.masks = masks
         self.families = families
         self.quadric = quadric
         self.generators_through = _transpose(masks) if quadric is not None else {}
 
     def __len__(self) -> int:
-        return len(self.flats)
+        return len(self.masks)
 
     def family_sizes(self) -> tuple[int, int]:
         if self.families is None:
@@ -218,27 +218,28 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         level = nxt
 
     level.sort()
-    flats = tuple(Flat(basis) for basis, _, _, _ in level)
+    bases = tuple(basis for basis, _, _, _ in level)
     masks = tuple(pmask for _, pmask, _, _ in level)
     if len(set(masks)) != len(masks):
         twice = next(m for m, k in Counter(masks).items() if k > 1)
-        basis = flats[masks.index(twice)].basis
         raise InternalConsistencyError(
-            f"{space_kind} generator {join_words(basis, n)} is built twice")
+            f"{space_kind} generator {join_words(bases[masks.index(twice)], n)} is built twice")
     expected = expected_count(
         "hyperbolic" if space_kind == "quadric" else "symplectic", "generators", n
     )
-    if len(flats) != expected:
+    if len(masks) != expected:
         raise InternalConsistencyError(
-            f"{space_kind} generator count {len(flats)} != {expected}"
+            f"{space_kind} generator count {len(masks)} != {expected}"
         )
 
     families = None
     if space_kind == "quadric":
         families = tuple(_family_of(masks[0], m, n) for m in masks)
         if families.count(0) != families.count(1):
-            raise InternalConsistencyError("generator families are not equal halves")
-    return GeneratorSet(ctx, flats, masks, families, quadric)
+            raise InternalConsistencyError(
+                f"generator families are not equal halves: {families.count(0)} and"
+                f" {families.count(1)} against generator {join_words(bases[0], n)}")
+    return GeneratorSet(ctx, bases, masks, families, quadric)
 
 
 def _family_of(ref: int, g: int, n: int) -> int:
@@ -417,7 +418,8 @@ def secant_third_points(o: Ovoid) -> frozenset[int]:
     """Third points of the 36 secant lines; all off the quadric."""
     thirds = {a ^ b for a, b in itertools.combinations(o.points, 2)}
     if len(thirds) != 36:
-        raise InternalConsistencyError("secant third points are not distinct")
+        raise InternalConsistencyError(
+            f"secant third points are not distinct: ovoid {join_words(o.points)}")
     return frozenset(thirds)
 
 
@@ -480,9 +482,6 @@ class Tetrad:
 
     def __hash__(self) -> int:
         return hash(self.mask)
-
-    def points(self) -> frozenset[int]:
-        return frozenset(_mask_points(self.mask))
 
     @property
     def lines(self) -> tuple[tuple[int, int, int], ...]:
@@ -795,12 +794,13 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
     return line, mate
 
 
-def ovoid_intersection_census(ovoids: OvoidSet, o: Ovoid, p: int) -> tuple[int, int]:
-    """(one-point, three-point) counts among the other ovoids through `p`."""
+def ovoid_intersection_census(through, o: Ovoid, p: int) -> tuple[int, int]:
+    """(one-point, three-point) counts among the ovoids `through` point `p`
+    (as `ovoids_through` lists them) other than `o`."""
     if p not in o:
         raise UsageError("census point must lie on the ovoid")
     one = three = 0
-    for other in ovoids_through(ovoids, p):
+    for other in through:
         if other == o:
             continue
         size = (other.mask & o.mask).bit_count()
@@ -813,11 +813,6 @@ def ovoid_intersection_census(ovoids: OvoidSet, o: Ovoid, p: int) -> tuple[int, 
                 f"intersection of size {size} through point {join_words((p,))}: "
                 f"ovoid {join_words(o.points)} and ovoid {join_words(other.points)}")
     return one, three
-
-
-def collinear_triples_within(points) -> frozenset[tuple[int, int, int]]:
-    """All full lines inside a point set, each triple listed once."""
-    return frozenset(_mask_lines(_points_mask(points)))
 
 
 class PentadCone:
@@ -835,6 +830,10 @@ class PentadCone:
 def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     """Quadric section of the span of five ovoid points: an 11-point cone."""
     pent = o.distinct_points(pentad, 5)
+
+    def fault(what: str) -> InternalConsistencyError:
+        return InternalConsistencyError(f"{what}: pentad {join_words(pent)}")
+
     section = sorted(
         v for v in span_points(pent) if quadric.contains(v)
     )
@@ -843,13 +842,16 @@ def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     for p in pent:
         third = vertex ^ p
         if third not in section:
-            raise InternalConsistencyError("cone line leaves the section")
-        if third != solid_extra_point(o, tuple(q for q in pent if q != p)):
-            raise InternalConsistencyError("cone line misses the quartet extra point")
+            raise fault(f"cone line {join_words((vertex, p, third))} leaves the section")
+        extra = solid_extra_point(o, tuple(q for q in pent if q != p))
+        if third != extra:
+            raise fault(f"cone line {join_words((vertex, p, third))} misses the quartet"
+                        f" extra point {join_words((extra,))}")
         lines.append(_sorted3(vertex, p, third))
     expected = {vertex} | set(pent) | {vertex ^ p for p in pent}
     if len(section) != 11 or set(section) != expected:
-        raise InternalConsistencyError("pentad section is not the 11-point cone")
+        raise fault(f"section {join_words(section)} is not the 11-point cone"
+                    f" at {join_words((vertex,))}")
     return PentadCone(vertex, tuple(sorted(lines)), tuple(section))
 
 
@@ -895,7 +897,7 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
         if s ^ m != nucleus:
             raise fault(f"mate pairing {join_words((s, m))} misses the conic nucleus")
     pairing = tuple(sorted(_sorted3(s, m, nucleus) for s, m in zip(sx, mates)))
-    lines = collinear_triples_within(section)
+    lines = _mask_lines(_points_mask(section))
     if len(lines) != 45:
         raise fault(f"sextet section has {len(lines)} lines")
     degree = Counter(p for line in lines for p in line)
@@ -910,9 +912,7 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
             if i != j and (s ^ m) not in core:
                 raise fault(f"cross line {join_words((s, m, s ^ m))} leaves the 15-point core")
     _check_generalized_quadrangle(section, lines, 2, 4)
-    return SextetSection(
-        tuple(section), tuple(sorted(lines)), sx, mates, core, nucleus, pairing
-    )
+    return SextetSection(tuple(section), tuple(lines), sx, mates, core, nucleus, pairing)
 
 
 def _check_generalized_quadrangle(points, lines, s: int, t: int):
@@ -1014,7 +1014,7 @@ def conwell_heptads(ctx: GeometryContext):
     if ctx.n_qubits != 3:
         raise UsageError("Conwell heptads live off the rank-3 quadric")
     quadric = standard_quadric(3)
-    off = quadric.off_points()
+    off = quadric.off_points
     adj = [0] * len(off)
     for i, u in enumerate(off):
         for j in range(i + 1, len(off)):
@@ -1025,5 +1025,7 @@ def conwell_heptads(ctx: GeometryContext):
     for h in heptads:
         for u, v in itertools.combinations(sorted(h), 2):
             if quadric.contains(u ^ v):
-                raise InternalConsistencyError("heptad line touches the quadric")
+                raise InternalConsistencyError(
+                    f"heptad line {join_words((u, v, u ^ v), 3)} touches the quadric:"
+                    f" heptad {join_words(sorted(h), 3)}")
     return heptads

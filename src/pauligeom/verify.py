@@ -128,13 +128,13 @@ def checks(n: int, level: str) -> list[tuple]:
     rows = [
         ("points_total", total, lambda: len(list(ctx.points()))),
         ("quadric_points", on, lambda: len(quadric.points)),
-        ("off_quadric_points", total - on, lambda: len(quadric.off_points())),
+        ("off_quadric_points", total - on, lambda: len(quadric.off_points)),
         ("symmetry_matches_quadric", f"{total}/{total}",
          lambda: _symmetry_agreement(ctx, quadric)),
         ("symplectic_generators", pg.expected_count("symplectic", "generators", n),
          lambda: len(pg.get_generators(ctx, "symplectic"))),
         ("symplectic_generator_sizes", f"{{{2**n - 1}}}",
-         lambda: str({len(f) for f in pg.get_generators(ctx, "symplectic").flats})),
+         lambda: str({m.bit_count() for m in pg.get_generators(ctx, "symplectic").masks})),
         ("quadric_generators", n_gens, lambda: len(pg.get_generators(ctx, "quadric"))),
         ("quadric_generator_families", str((n_gens // 2,) * 2),
          lambda: str(pg.get_generators(ctx, "quadric").family_sizes())),
@@ -169,8 +169,8 @@ def checks(n: int, level: str) -> list[tuple]:
         ("point_partition_lines", "per point [35]",
          lambda: _point_partition_lines(ost, gens())),
         ("two_ovoid_census", "[(35, 28)]",
-         lambda: str(sorted({pg.ovoid_intersection_census(ovoids(), ost, p)
-                             for p in ost.points}))),
+         lambda: str(sorted({pg.ovoid_intersection_census(
+             pg.ovoids_through(ovoids(), p), ost, p) for p in ost.points}))),
         ("pentad_cones", "126/126 cones", lambda: _pentad_cones(ost, quadric)),
         ("sextet_sections", "84/84 sections", lambda: _sextet_sections(ost, quadric)),
         ("reference_sextet_nucleus", "ZYII",
@@ -225,9 +225,11 @@ def _oracle_stats(n):
 def _reguli(ctx):
     gq = pg.get_generators(ctx, "quadric")
     for fam in (0, 1):
-        fam_pts = [f.points() for f, lab in zip(gq.flats, gq.families) if lab == fam]
-        union = set().union(*fam_pts)
-        if len(union) != 9 or sum(len(p) for p in fam_pts) != 9:
+        fam_masks = [m for m, lab in zip(gq.masks, gq.families) if lab == fam]
+        union = 0
+        for m in fam_masks:
+            union |= m
+        if union.bit_count() != 9 or sum(m.bit_count() for m in fam_masks) != 9:
             return "not a spread"
     return "two spreads of 3 skew lines"
 
@@ -247,7 +249,7 @@ def _census(o, quadric):
     """36 secant third points and 84 conic nuclei split the 120 skew points."""
     thirds = pg.secant_third_points(o)
     nuclei = {a ^ b ^ c for a, b, c in itertools.combinations(o.points, 3)}
-    off = set(quadric.off_points())
+    off = set(quadric.off_points)
     ok = (not thirds & nuclei) and thirds | nuclei == off
     return f"{len(thirds)}+{len(nuclei)}={'120' if ok else 'bad'}"
 
@@ -372,7 +374,7 @@ def _commutation_profiles(ost, quadric, gens):
         if w not in fam.points and pg.commutation_profile(w, six) != (5,) * 6:
             return "symmetric profile broken"
     shapes = Counter()
-    for w in quadric.off_points():
+    for w in quadric.off_points:
         prof = pg.commutation_profile(w, six)
         if not set(prof) <= {3, 7}:
             return f"skew profile {prof}"

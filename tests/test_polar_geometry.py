@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
-from pauligeom.gf2_core import Flat, echelon, rank, span_points
+from pauligeom.gf2_core import echelon, rank, span_points
 from pauligeom.pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
@@ -46,7 +46,7 @@ def test_expected_count_usage_errors():
 def test_quadric_point_counts(n):
     q = pg.standard_quadric(n)
     assert len(q.points) == pg.expected_count("hyperbolic", "points", n)
-    assert len(q.off_points()) == 4**n - 1 - len(q.points)
+    assert len(q.off_points) == 4**n - 1 - len(q.points)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -57,6 +57,9 @@ def test_standard_quadric_is_the_zero_set_of_the_quadratic_form(n):
     assert q.context == ctx
     assert q.points == tuple(v for v in ctx.points() if ctx.quadratic(v) == 0)
     assert q.mask == sum(1 << v for v in q.points)
+    # the off-quadric points are built once, with the quadric
+    assert q.off_points is pg.standard_quadric(n).off_points
+    assert q.off_points == tuple(v for v in ctx.points() if v not in set(q.points))
 
 
 def _brute_force_generators(ctx, space_kind):
@@ -86,9 +89,9 @@ def _assert_generators_complete(gs, count):
     n = ctx.n_qubits
     perp = {p: ctx.perp_mask(p) for p in ctx.points()}
     assert len(gs) == len(gs.masks) == count
-    for f, mask in zip(gs.flats, gs.masks):
-        pts = f.points()
-        assert f.proj_dim == n - 1 and len(pts) == 2**n - 1
+    for basis, mask in zip(gs.bases, gs.masks):
+        pts = span_points(basis)
+        assert len(basis) == n and len(pts) == 2**n - 1
         assert mask == sum(1 << p for p in pts)
         assert all(mask & ~perp[p] == 0 for p in pts)
     assert len(set(gs.masks)) == count
@@ -108,8 +111,8 @@ def test_quadric_generators(n, count):
     _assert_generators_complete(gq, count)
     assert gq.family_sizes() == (count // 2, count // 2)
     quadric = gq.quadric
-    for f in gq.flats:
-        assert all(quadric.contains(p) for p in f.points())
+    for basis in gq.bases:
+        assert all(quadric.contains(p) for p in span_points(basis))
 
 
 @pytest.mark.parametrize("space_kind", ["symplectic", "quadric"])
@@ -117,7 +120,15 @@ def test_quadric_generators(n, count):
 def test_generators_match_brute_force_spans(n, space_kind):
     ctx = GeometryContext(n)
     gens = pg.enumerate_generators(ctx, space_kind)
-    assert [f.basis for f in gens.flats] == _brute_force_generators(ctx, space_kind)
+    assert list(gens.bases) == _brute_force_generators(ctx, space_kind)
+
+
+@pytest.mark.parametrize("space_kind", ["symplectic", "quadric"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_generator_bases_are_in_reduced_row_echelon_form(n, space_kind):
+    gens = pg.get_generators(GeometryContext(n), space_kind)
+    assert len(gens.bases) == len(gens)
+    assert all(echelon(b) == b for b in gens.bases)
 
 
 def test_repeated_generator_is_named_in_words(monkeypatch):
@@ -128,6 +139,17 @@ def test_repeated_generator_is_named_in_words(monkeypatch):
     with pytest.raises(InternalConsistencyError,
                        match=r"^symplectic generator [IXYZ]{3}(,[IXYZ]{3}){2} is built twice$"):
         pg.enumerate_generators(GeometryContext(3), "symplectic")
+
+
+def test_unequal_generator_families_are_named_in_words(monkeypatch):
+    # Every generator put in the first family: the halves check gives both
+    # counts and the reference generator, the first in sorted order.
+    first = pg.get_generators(GeometryContext(2), "quadric").bases[0]
+    monkeypatch.setattr(pg, "_family_of", lambda ref, g, n: 0)
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.enumerate_generators(GeometryContext(2), "quadric")
+    assert str(exc.value) == ("generator families are not equal halves: 6 and 0"
+                              f" against generator {join_words(first, 2)}")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -150,11 +172,11 @@ def test_nonperp_adjacency_is_the_sigma_graph(n):
 def test_family_relation_is_consistent(gens4):
     # same label iff the linear intersection dimension has the rank parity
     n = 4
-    flats, fams = gens4.flats, gens4.families
+    bases, fams = gens4.bases, gens4.families
     rng = random.Random(13)
-    idx = rng.sample(range(len(flats)), 60)
+    idx = rng.sample(range(len(bases)), 60)
     for i, j in itertools.combinations(idx, 2):
-        inter = 2 * n - len(echelon(flats[i].basis + flats[j].basis))
+        inter = 2 * n - len(echelon(bases[i] + bases[j]))
         same = (inter - n) % 2 == 0
         assert same == (fams[i] == fams[j])
 
@@ -165,9 +187,9 @@ def test_families_by_popcount_match_the_echelon_rule(n):
     # dimension of the intersection, from the echelon of both bases, has
     # the parity of n
     gens = pg.get_generators(GeometryContext(n), "quadric")
-    ref = gens.flats[0].basis
+    ref = gens.bases[0]
     assert list(gens.families) == [
-        (2 * n - len(echelon(ref + f.basis)) - n) % 2 for f in gens.flats]
+        (2 * n - len(echelon(ref + b)) - n) % 2 for b in gens.bases]
 
 
 def test_generator_cache_is_keyed_by_rank():
@@ -178,10 +200,6 @@ def test_generator_cache_is_keyed_by_rank():
 
 
 def test_equal_records_compare_and_hash_equal(ostar, gens4):
-    flat = gens4.flats[7]
-    same = Flat(flat.basis)
-    assert same is not flat and same == flat and hash(same) == hash(flat)
-    assert flat != gens4.flats[8] and flat != flat.basis
     again = pg.Ovoid.from_points(reversed(ostar.points))
     assert again is not ostar and again == ostar and hash(again) == hash(ostar)
     assert ostar != pg.second_ovoid_on_conic(ostar, ostar.points[:3], gens4)
@@ -209,9 +227,9 @@ def test_tetrad_lines_are_computed_once(ostar, monkeypatch):
 def test_families_at_rank_two_are_reguli():
     gq = pg.get_generators(GeometryContext(2), "quadric")
     for fam in (0, 1):
-        lines = [f for f, lab in zip(gq.flats, gq.families) if lab == fam]
+        lines = [b for b, lab in zip(gq.bases, gq.families) if lab == fam]
         assert len(lines) == 3
-        pts = [f.points() for f in lines]
+        pts = [span_points(b) for b in lines]
         assert not (pts[0] & pts[1] or pts[0] & pts[2] or pts[1] & pts[2])
         assert len(pts[0] | pts[1] | pts[2]) == 9
 
@@ -264,12 +282,12 @@ def test_ovoid_index_matches_membership(ovoids, quadric4):
 
 def test_generator_index_matches_membership(gens4, quadric4):
     # Bit j of generators_through[p] is set exactly when p lies on
-    # generator j, read from each flat's own point set: all 135 x 270 pairs.
+    # generator j, read from the span of its basis: all 135 x 270 pairs.
     through = gens4.generators_through
-    flat_points = [f.points() for f in gens4.flats]
+    spans = [span_points(b) for b in gens4.bases]
     assert set(through) == set(quadric4.points)
     for p in quadric4.points:
-        assert [bool(through[p] >> j & 1) for j in range(270)] == [p in f for f in flat_points]
+        assert [bool(through[p] >> j & 1) for j in range(270)] == [p in f for f in spans]
 
 
 def test_ovoids_through_equals_the_membership_filter(ovoids, quadric4):
@@ -350,6 +368,15 @@ def test_secant_third_points(ostar, quadric4):
     assert spot in thirds
 
 
+def test_repeated_secant_third_point_names_the_ovoid():
+    # Nine points of a solid hold lines, so two secants share a third point.
+    o = pg.Ovoid.from_points(range(1, 10))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.secant_third_points(o)
+    assert str(exc.value) == ("secant third points are not distinct:"
+                              " ovoid IIIX,IIXI,IIXX,IXII,IXIX,IXXI,IXXX,XIII,XIIX")
+
+
 def test_conic_census(ostar, quadric4):
     triples = list(itertools.combinations(ostar.points, 3))
     assert len(triples) == 84
@@ -357,7 +384,7 @@ def test_conic_census(ostar, quadric4):
     assert len(nuclei) == 84
     thirds = pg.secant_third_points(ostar)
     assert not (nuclei & thirds)
-    off = set(quadric4.off_points())
+    off = set(quadric4.off_points)
     assert nuclei | thirds == off
     assert len(off) == 120
     for a, b, c in triples:
@@ -390,9 +417,10 @@ def test_partitions_axes_and_tetrads(ostar, quadric4):
         axis = pg.axis_of_partition(ostar, part)
         assert all(not quadric4.contains(p) and p for p in axis)
         tetrad = pg.tetrad_of_partition(ostar, part, quadric4)
-        assert len(tetrad.points()) == 12
-        assert rank(tetrad.points()) == 8
-        assert all(not quadric4.contains(p) for p in tetrad.points())
+        points = [p for line in tetrad.lines for p in line]
+        assert len(points) == len(set(points)) == 12
+        assert rank(points) == 8
+        assert all(not quadric4.contains(p) for p in points)
         seen.add(tetrad.mask)
     assert len(seen) == 280
 
@@ -474,7 +502,7 @@ def _no_partner_set(mask, quadric):
     # A tetrad with one point w of its first line traded for an
     # off-quadric point that leaves some point with no partner.
     w = pg.Tetrad(mask).lines[0][2]
-    for x in quadric.off_points():
+    for x in quadric.off_points:
         pts = pg._mask_points(mask ^ 1 << w | 1 << x)
         if len(pts) == 12 and any(
                 not any(p ^ q in pts for q in pts if q != p) for p in pts):
@@ -578,7 +606,7 @@ def test_commutation_profiles(ostar, gens4, quadric4):
         if w in fam.points:
             continue
         assert pg.commutation_profile(w, six) == (5, 5, 5, 5, 5, 5)
-    for w in quadric4.off_points():
+    for w in quadric4.off_points:
         assert set(pg.commutation_profile(w, six)) <= {3, 7}
     inside = six[0].points[0]
     profile = pg.commutation_profile(inside, six)
@@ -655,7 +683,7 @@ def _second_ovoid_case(o, gens):
 
 # (builder, the helper it trusts, a broken stand-in, the call and its object)
 _SECTION_FAULTS = [
-    ("sextet", "collinear_triples_within", lambda points: frozenset(), _sextet_case),
+    ("sextet", "_mask_lines", lambda mask: [], _sextet_case),
     ("heptad", "radical", lambda points, ctx: [], _heptad_case),
     ("six_ovoids", "second_ovoid_on_conic", lambda o, triple, gens: o, _six_ovoids_case),
     ("point_line", "is_ovoid", lambda points, gens: False, _point_line_case),
@@ -689,7 +717,7 @@ def test_second_ovoid_off_the_conic_is_named_in_words(ostar, gens4, monkeypatch)
 
 def test_intersection_census_for_ostar(ovoids, ostar):
     for p in ostar.points:
-        assert pg.ovoid_intersection_census(ovoids, ostar, p) == (35, 28)
+        assert pg.ovoid_intersection_census(pg.ovoids_through(ovoids, p), ostar, p) == (35, 28)
 
 
 def test_pentad_cones(ostar, quadric4):
@@ -706,6 +734,38 @@ def test_pentad_cones(ostar, quadric4):
             assert len(rest) == 2
             paired.update(rest)
         assert len(paired) == 10
+
+
+def _quadric_with_mask(quadric, mask):
+    return pg.Quadric(quadric.context, quadric.points, mask, quadric.off_points)
+
+
+@pytest.mark.parametrize("plant", ["third point off", "extra point on", "quartet extra"])
+def test_pentad_faults_name_the_pentad_in_words(plant, ostar, quadric4, monkeypatch):
+    pent = ostar.points[:5]
+    vertex = pg.pentad_intersection(ostar, pent, quadric4).vertex
+    line = join_words((vertex, pent[0], vertex ^ pent[0]))
+    quadric = quadric4
+    if plant == "third point off":
+        quadric = _quadric_with_mask(quadric4, quadric4.mask ^ 1 << (vertex ^ pent[0]))
+        what = f"cone line {line} leaves the section"
+    elif plant == "extra point on":
+        # a secant's third point of the pentad, off the quadric, planted on it
+        quadric = _quadric_with_mask(quadric4, quadric4.mask | 1 << (pent[0] ^ pent[1]))
+        section = sorted(v for v in span_points(pent) if quadric.contains(v))
+        assert len(section) == 12
+        what = (f"section {join_words(section)} is not the 11-point cone"
+                f" at {join_words((vertex,))}")
+    else:
+        # the extra point of every quartet inside the pentad moved onto the ovoid
+        real = pg.solid_extra_point
+        monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad: o.points[0]
+                            if set(quad) <= set(pent) else real(o, quad))
+        what = (f"cone line {line} misses the quartet extra point"
+                f" {join_words(ostar.points[:1])}")
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.pentad_intersection(ostar, pent, quadric)
+    assert str(exc.value) == f"{what}: pentad {join_words(pent)}"
 
 
 def test_sextet_sections(ostar, quadric4):
@@ -849,10 +909,10 @@ def test_radical_matches_its_definition_on_ostar_subsets(ostar, ctx4):
 
 
 def test_radical_of_a_generator_is_the_generator(gens4, ctx4):
-    for f in gens4.flats:
-        rad = pg.radical(f.basis, ctx4)
-        assert len(rad) == 4 and span_points(rad) == f.points()
-        assert set(span_points(rad)) == _radical_by_sigma(f.basis, ctx4)
+    for basis in gens4.bases:
+        rad = pg.radical(basis, ctx4)
+        assert len(rad) == 4 and span_points(rad) == span_points(basis)
+        assert set(span_points(rad)) == _radical_by_sigma(basis, ctx4)
 
 
 def test_radical_of_the_unit_vectors_is_empty(ctx4):
@@ -872,6 +932,20 @@ def test_conwell_heptads(ctx3):
         }
         assert len(lines) == 21
         assert all(not quadric.contains(p) for line in lines for p in line)
+
+
+def test_conwell_heptad_line_on_the_quadric_is_named_in_rank3_words(ctx3, monkeypatch):
+    # A clique search that returns the first seven external points: some
+    # line joining two of them has its third point on the quadric.
+    monkeypatch.setattr(pg, "_cliques", lambda adj, size, roots: [tuple(range(7))])
+    quadric = pg.standard_quadric(3)
+    heptad = sorted(quadric.off_points[:7])
+    u, v = next((u, v) for u, v in itertools.combinations(heptad, 2)
+                if quadric.contains(u ^ v))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.conwell_heptads(ctx3)
+    assert str(exc.value) == (f"heptad line {join_words((u, v, u ^ v), 3)} touches the"
+                              f" quadric: heptad {join_words(heptad, 3)}")
 
 
 def test_conwell_heptads_need_rank_three(ctx4):
