@@ -1,6 +1,7 @@
 """Command-line driver: verification suite, enumeration dumps, configs.
 
-Exit codes: 0 all good, 1 verification failure, 2 usage error.
+Exit codes: 0 all good, 1 verification failure, 2 usage error or output
+that cannot be written (a full disk, a closed pipe).
 """
 
 from __future__ import annotations
@@ -8,6 +9,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 
 from . import configurations as cfg
@@ -60,21 +62,18 @@ def _parse_groups(token: str, sizes) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def _open_output(path: str):
-    """Open an --output file; an OS error is a usage error (exit 2)."""
+def _write_output(text: str, path: str | None) -> None:
+    """Write finished command output to `path`, or to stdout without one.
+
+    An OS error opening or writing `path` is a usage error (exit 2)."""
+    if not path:
+        sys.stdout.write(text)
+        return
     try:
-        return open(path, "w")
+        with open(path, "w") as fh:
+            fh.write(text)
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror}") from None
-
-
-def _write_output(text: str, path: str | None) -> None:
-    """Write finished command output to `path`, or to stdout without one."""
-    if path:
-        with _open_output(path) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def cmd_enumerate(args) -> int:
@@ -245,31 +244,45 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(args) -> int:
+    if args.command == "verify":
+        report = cmd_verify(args.n, args.level)
+        if args.format == "json":
+            print(json.dumps(
+                report.to_json_dict(include_ms=not args.no_timings), indent=2
+            ))
+        else:
+            sys.stdout.write(report.to_text(show_ms=not args.no_timings))
+        return 0 if report.overall_pass else 1
+    if args.command == "enumerate":
+        return cmd_enumerate(args)
+    if args.command == "config":
+        return cmd_config(args)
+    if args.command == "map":
+        return cmd_map(args.token, args.n)
+    if args.command == "oracle-check":
+        return cmd_oracle_check(args.n)
+    raise UsageError(f"unknown command {args.command!r}")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "verify":
-            report = cmd_verify(args.n, args.level)
-            if args.format == "json":
-                print(json.dumps(
-                    report.to_json_dict(include_ms=not args.no_timings), indent=2
-                ))
-            else:
-                sys.stdout.write(report.to_text(show_ms=not args.no_timings))
-            return 0 if report.overall_pass else 1
-        if args.command == "enumerate":
-            return cmd_enumerate(args)
-        if args.command == "config":
-            return cmd_config(args)
-        if args.command == "map":
-            return cmd_map(args.token, args.n)
-        if args.command == "oracle-check":
-            return cmd_oracle_check(args.n)
-        raise UsageError(f"unknown command {args.command!r}")
+        code = _run(args)
+        sys.stdout.flush()  # buffered output fails here, not at interpreter exit
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        # Stdout cannot take the rest: point it at devnull so that the flush
+        # at exit does not fail again (the `signal` docs' "Note on SIGPIPE").
+        # A closed pipe is the reader's choice (`| head`), so it ends quietly.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc.strerror}", file=sys.stderr)
+        return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -53,10 +53,12 @@ class ConfigReport:
         """Check each class tag against the quadric membership of the
         point's coordinates (not its word), and that each line sums to zero."""
         values = [int(p.coords, 2) for p in self.points]
+        quadric_masks = {bits: pg.standard_quadric(bits // 2).mask
+                         for bits in {len(p.coords) for p in self.points}}
         for p, v in zip(self.points, values):
             if v == 0:
                 raise InternalConsistencyError("zero vector listed as a point")
-            on = pg.standard_quadric(len(p.coords) // 2).contains(v)
+            on = quadric_masks[len(p.coords)] >> v & 1
             if p.cls != ("symmetric" if on else "skew"):
                 raise InternalConsistencyError(f"class tag of {p.word} is wrong")
         for i, j, k in self.lines:
@@ -82,16 +84,17 @@ class ConfigReport:
         With `indent`, `json.dumps` leaves its C encoder for a pure-Python
         one, so the fixed layout is written here instead: every string
         through the C escaper `json.dumps` uses (ASCII output), every int
-        with %d, each nesting level two spaces deeper.
+        with %d, each nesting level two spaces deeper.  Points and lines
+        open four spaces in, so each is one format with its keys as text.
         """
-        d = self.to_json_dict()
         q = encode_basestring_ascii
-        points = [_json_block([f"{q(k)}: {q(v)}" for k, v in p.items()], 4, "{}")
-                  for p in d["points"]]
-        lines = [_json_block(["%d" % i for i in line], 4, "[]") for line in d["lines"]]
-        notes = [f"{q(k)}: {q(v)}" for k, v in d["annotations"].items()]
+        points = [f'{{\n      "coords": {q(p.coords)},\n      "word": {q(p.word)},'
+                  f'\n      "class": {q(p.cls)},\n      "role": {q(p.role)}\n    }}'
+                  for p in self.points]
+        lines = ["[\n      %d,\n      %d,\n      %d\n    ]" % line for line in self.lines]
+        notes = [f"{q(k)}: {q(v)}" for k, v in self.annotations.items()]
         return _json_block([
-            f'"name": {q(d["name"])}',
+            f'"name": {q(self.name)}',
             f'"points": {_json_block(points, 2, "[]")}',
             f'"lines": {_json_block(lines, 2, "[]")}',
             f'"annotations": {_json_block(notes, 2, "{}")}',
@@ -152,19 +155,18 @@ class _Builder:
         self.index: dict[int, int] = {}
 
     def add(self, value: int, role: str) -> int:
-        if value in self.index:
-            return self.index[value]
-        coords, word, cls = _point_fields(value, self.ctx.n_qubits)
-        self.report.points.append(PointEntry(coords, word, cls, role))
-        self.index[value] = len(self.report.points) - 1
-        return self.index[value]
+        i = self.index.get(value)
+        if i is None:
+            i = self.index[value] = len(self.report.points)
+            self.report.points.append(PointEntry(*_point_fields(value, self.ctx.n_qubits), role))
+        return i
 
     def add_all(self, values, role: str):
         for v in sorted(values):
             self.add(v, role)
 
     def line(self, a: int, b: int, c: int):
-        self.report.lines.append(tuple(self.index[v] for v in (a, b, c)))
+        self.report.lines.append((self.index[a], self.index[b], self.index[c]))
 
     def note(self, key: str, value):
         self.report.annotations[key] = str(value)
@@ -186,7 +188,7 @@ def fig_secants(o: Ovoid, ctx: GeometryContext) -> ConfigReport:
     b.add_all(thirds, "secant-point")
     for u, v in itertools.combinations(o.points, 2):
         b.line(u, v, u ^ v)
-    b.note("ovoid", " ".join(_word(p) for p in o.points))
+    b.note("ovoid", " ".join(map(_word, o.points)))
     b.note("secant_points", len(thirds))
     return b.done()
 
@@ -202,7 +204,7 @@ def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
     for line in tetrad.lines:  # the axis points keep their nucleus role
         b.add_all(line, "tetrad-point")
         b.line(*line)
-    b.note("axis", " ".join(_word(p) for p in axis))
+    b.note("axis", " ".join(map(_word, axis)))
     b.note("tetrad_lines", len(tetrad.lines))
     return b.done()
 
@@ -221,7 +223,7 @@ def fig_two_ovoids_conic(o: Ovoid, triple, gens: GeneratorSet) -> ConfigReport:
     for u in o.complement_in(triple):
         b.line(u, nucleus ^ u, nucleus)
     plane = sorted(span_points(triple))
-    b.note("conic_plane", " ".join(_word(p) for p in plane))
+    b.note("conic_plane", " ".join(map(_word, plane)))
     b.note("nucleus", _word(nucleus))
     return b.done()
 
@@ -238,10 +240,10 @@ def fig_six_ovoids(o: Ovoid, partition, gens: GeneratorSet) -> ConfigReport:
     b.add_all(axis, "axis-point")
     b.line(*axis)
     for k, ov in enumerate(fam.triad_with_base, 1):
-        b.note(f"triad1_{k}", " ".join(_word(p) for p in ov.points))
+        b.note(f"triad1_{k}", " ".join(map(_word, ov.points)))
     for k, ov in enumerate(fam.triad_other, 1):
-        b.note(f"triad2_{k}", " ".join(_word(p) for p in ov.points))
-    b.note("axis", " ".join(_word(p) for p in axis))
+        b.note(f"triad2_{k}", " ".join(map(_word, ov.points)))
+    b.note("axis", " ".join(map(_word, axis)))
     return b.done()
 
 
@@ -338,7 +340,7 @@ def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigR
         b.line(e1, u, e1 ^ u)
     for u in split[0]:
         b.line(e2, u, e2 ^ u)
-    b.note("through_line", " ".join(_word(v) for v in sorted(line)))
+    b.note("through_line", " ".join(map(_word, sorted(line))))
     b.note("extra_points", f"{_word(e1)} {_word(e2)}")
     if len(b.report.points) != 19:
         raise InternalConsistencyError(
@@ -359,7 +361,7 @@ def fig_pentad(o: Ovoid, pentad, quadric: Quadric) -> ConfigReport:
         b.line(*line)
     b.note("vertex", _word(cone.vertex))
     b.note("complement_quartet",
-           " ".join(_word(q) for q in o.complement_in(pentad)))
+           " ".join(map(_word, o.complement_in(pentad))))
     return b.done()
 
 
@@ -548,7 +550,7 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     for (u, v), w in sorted(thirds.items()):
         b.line(u, v, w)
     b.note("shared_points", f"{_word(p1)} {_word(p2)}")
-    b.note("heptad", " ".join(_word(h) for h in heptad))
+    b.note("heptad", " ".join(map(_word, heptad)))
     b.note("triple_nuclei", len(triple_nuclei))
     return b.done()
 
@@ -662,7 +664,7 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
         b.line(s, v, meet)
     b.note("kind", "quadrangle")
     b.note("concurrence", _word(meet))
-    b.note("shared_points", " ".join(_word(s) for s in sorted(shared)))
+    b.note("shared_points", " ".join(map(_word, sorted(shared))))
     return b.done()
 
 
@@ -681,13 +683,13 @@ def sixty_three_split(all_ovoids: pg.OvoidSet, o: Ovoid, p: int) -> ConfigReport
     b.note("ovoids_through_point", len(through))
     b.note("one_point_neighbours", one)
     b.note("conic_neighbours", three)
-    b.note("reference", " ".join(_word(q) for q in o.points))
+    b.note("reference", " ".join(map(_word, o.points)))
     for k, ov in enumerate(through):
         if ov == o:
             tag = "reference"
         else:
             tag = "one-point" if (ov.mask & o.mask).bit_count() == 1 else "conic"
-        b.note(f"ovoid_{k:02d}[{tag}]", " ".join(_word(q) for q in ov.points))
+        b.note(f"ovoid_{k:02d}[{tag}]", " ".join(map(_word, ov.points)))
     return b.done()
 
 

@@ -1009,18 +1009,14 @@ def conwell_heptads(ctx: GeometryContext):
 
     Seven external points whose 21 connecting lines all miss the quadric;
     found as 7-cliques of the "joining line misses the quadric" graph on
-    the 28 external points.
+    the 28 external points.  For skew u and v, Q(u + v) = sigma(u, v), so
+    that graph is the sigma = 1 graph the ovoid search walks.
     """
     if ctx.n_qubits != 3:
         raise UsageError("Conwell heptads live off the rank-3 quadric")
     quadric = standard_quadric(3)
     off = quadric.off_points
-    adj = [0] * len(off)
-    for i, u in enumerate(off):
-        for j in range(i + 1, len(off)):
-            if not quadric.contains(u ^ off[j]) and u ^ off[j] != 0:
-                adj[i] |= 1 << j
-    cliques = _cliques(adj, 7, range(len(off)))
+    cliques = _cliques(_nonperp_adjacency(ctx, off), 7, range(len(off)))
     heptads = tuple(frozenset(off[i] for i in c) for c in cliques)
     for h in heptads:
         for u, v in itertools.combinations(sorted(h), 2):

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -254,6 +255,48 @@ def test_enumerate_unwritable_output_is_usage_error(tmp_path, capsys):
     assert out == ""
     assert err.startswith(f"error: cannot write {target}")
     assert err.count("\n") == 1
+
+
+_NO_SPACE = f"{os.strerror(errno.ENOSPC)}\n"
+needs_dev_full = pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+
+
+@needs_dev_full
+def test_output_file_that_cannot_be_written_is_usage_error(capsys):
+    code, out, err = run(["config", "fig1", "--output", "/dev/full"], capsys)
+    assert (code, out, err) == (2, "", f"error: cannot write /dev/full: {_NO_SPACE}")
+
+
+def _cli_process(argv, stdout):
+    """`python -m pauligeom` on the tree under test, its stdout buffered
+    as when it is run from a shell (under PYTHONUNBUFFERED the text layer
+    drops, without an error, the part of a write that a closed pipe refuses)."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pauligeom.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "pauligeom", *argv], env=env,
+                            stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+# verify and config fail when stdout is flushed, the 172 kB generator
+# listing while it is written.
+@needs_dev_full
+@pytest.mark.parametrize("argv", [["verify", "--n", "2"], ["config", "fig1"],
+                                  ["enumerate", "generators", "--n", "4"]])
+def test_full_stdout_is_one_error_line_and_exit_2(argv):
+    with open("/dev/full", "w") as full:
+        proc = _cli_process(argv, full)
+        _, err = proc.communicate(timeout=60)
+    assert (proc.returncode, err) == (2, f"error: cannot write output: {_NO_SPACE}")
+
+
+def test_closed_pipe_ends_quietly_with_exit_2():
+    # The listing is larger than a pipe holds, so the reader's close cuts it.
+    proc = _cli_process(["enumerate", "generators", "--n", "4"], subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert first.count(",") == 14
+    assert (proc.returncode, err) == (2, "")
 
 
 def test_enumerate_usage_error_keeps_output_file(tmp_path, capsys):

@@ -6,7 +6,8 @@ import pytest
 from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
-from pauligeom.pauli_codec import join_words, point_to_word, word_to_point
+from pauligeom.gf2_core import to_string
+from pauligeom.pauli_codec import is_symmetric, join_words, point_to_word, word_to_point
 
 
 @pytest.fixture(scope="module")
@@ -314,6 +315,42 @@ def test_report_verify_checks_class_tags_against_the_quadric(ostar, ctx4, monkey
             cfg.fig_secants(ostar, ctx4)
     finally:
         cfg._point_fields.cache_clear()
+
+
+def _hand_built(*points):
+    """A report of (coords, word, class) entries, each with role "r"."""
+    rep = cfg.ConfigReport("hand-built")
+    rep.points.extend(cfg.PointEntry(*p, "r") for p in points)
+    return rep
+
+
+def test_report_verify_rejects_the_zero_vector():
+    rep = _hand_built(("00000001", "IIIX", "symmetric"), ("00000000", "IIII", "symmetric"))
+    with pytest.raises(InternalConsistencyError, match="^zero vector listed as a point$"):
+        rep.verify()
+
+
+def test_report_verify_reads_the_class_from_the_coordinates_not_the_word():
+    # IIIY's coordinates under the symmetric word IIIX: the word agrees
+    # with the tag, the coordinates do not.
+    coords = to_string(word_to_point("IIIY"), 8)
+    rep = _hand_built((coords, "IIIX", "symmetric"))
+    with pytest.raises(InternalConsistencyError, match="^class tag of IIIX is wrong$"):
+        rep.verify()
+    assert _hand_built((coords, "IIIY", "skew")).verify().points[0].cls == "skew"
+
+
+def test_report_verify_takes_the_quadric_of_each_coordinate_length():
+    # 001001 is the skew IIY of three qubits; padded to eight bits it is
+    # the symmetric XIIX of four.
+    words = [point_to_word(v, 3) for v in range(1, 64)]
+    rank3 = [(to_string(v, 6), w, "symmetric" if is_symmetric(w) else "skew")
+             for v, w in enumerate(words, 1)]
+    rep = _hand_built(*rank3, ("00001001", "XIIX", "symmetric"))
+    assert rep.verify() is rep
+    assert ("001001", "IIY", "skew") in rank3
+    with pytest.raises(InternalConsistencyError, match="^class tag of XIIX is wrong$"):
+        _hand_built(("001001", "IIY", "skew"), ("00001001", "XIIX", "skew")).verify()
 
 
 def _all_reports(o, gens, ovoids):
