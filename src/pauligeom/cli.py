@@ -7,6 +7,8 @@ that cannot be written (a full disk, a closed pipe).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -265,12 +267,31 @@ def _run(args) -> int:
     raise UsageError(f"unknown command {args.command!r}")
 
 
+def _buffered_stdout():
+    """Stdout, with a buffer in front of it where it writes straight to the file.
+
+    Under PYTHONUNBUFFERED (or `-u`) the text layer sits on a raw `FileIO`
+    and drops, without an error, what a short write to a pipe leaves over.
+    A `BufferedWriter` writes that rest again, so a closed pipe raises
+    `BrokenPipeError` as it does by default.  It has its own `FileIO` on
+    the same descriptor, so closing it leaves `sys.stdout` open.
+    """
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if not isinstance(raw, io.FileIO):
+        return out
+    return io.TextIOWrapper(io.BufferedWriter(io.FileIO(raw.fileno(), "w", closefd=False)),
+                            encoding=out.encoding, errors=out.errors)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    stdout = _buffered_stdout()
     try:
-        code = _run(args)
-        sys.stdout.flush()  # buffered output fails here, not at interpreter exit
+        with contextlib.redirect_stdout(stdout):
+            code = _run(args)
+        stdout.flush()  # buffered output fails here, not at interpreter exit
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

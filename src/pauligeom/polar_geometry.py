@@ -165,6 +165,20 @@ def _column_bands(dim: int) -> tuple[int, ...]:
     return tuple((1 << (2 << c)) - (1 << (1 << c)) for c in range(dim))
 
 
+@cache
+def _xor_tables(dim: int) -> tuple[bytes, ...]:
+    """Per point p, the `bytes.translate` table sending v to v ^ p.
+
+    Built by doubling: the tables of the points below 2^(c+1) are those
+    below 2^c, each followed by the unit table of column c.
+    """
+    tables = [bytes(range(256))]
+    for c in range(dim):
+        unit = bytes(v ^ 1 << c for v in range(256))
+        tables += [t.translate(unit) for t in tables]
+    return tuple(tables)
+
+
 def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     """All generators of W(2N-1,2) or of the standard hyperbolic quadric.
 
@@ -175,9 +189,12 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     again in RREF, and its parent is the span of all but its last row,
     so every totally isotropic (resp. singular) flat is built exactly
     once and needs no deduplication or re-echelonisation.  Candidates are
-    read from per-column point bands.  Three certificates close it: the
-    point-set masks are pairwise distinct, the count equals the closed
-    form, and in the quadric case the two families are equal halves.
+    read from per-column point bands.  A flat's points are held as bytes:
+    adding p appends p and the old points translated by `v -> v ^ p`, and
+    the int masks are formed once, at the last level.  Three certificates
+    close it: the point-set masks are pairwise distinct, the count equals
+    the closed form, and in the quadric case the two families are equal
+    halves.
     """
     if space_kind not in ("symplectic", "quadric"):
         raise UsageError(f"unknown space kind {space_kind!r}")
@@ -192,11 +209,12 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         ground = tuple(ctx.points())
         ground_mask = _points_mask(ground)
 
-    # level entries: (RREF basis, point-set mask, perp mask, OR of the rows)
-    level = [((p,), 1 << p, perp[p], p) for p in ground]
+    # level entries: (RREF basis, its points as bytes, perp mask, OR of the rows)
+    xor = _xor_tables(ctx.dim)
+    level = [((p,), bytes((p,)), perp[p], p) for p in ground]
     for _ in range(n - 1):
         nxt = []
-        for basis, pmask, perpmask, rows in level:
+        for basis, pts, perpmask, rows in level:
             free = ~rows & ((1 << (basis[-1].bit_length() - 1)) - 1)
             allowed = 0
             while free:
@@ -208,18 +226,13 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
                 bit = cand & -cand
                 cand ^= bit
                 p = bit.bit_length() - 1
-                new_pmask = pmask | bit
-                m = pmask
-                while m:
-                    vb = m & -m
-                    m ^= vb
-                    new_pmask |= 1 << ((vb.bit_length() - 1) ^ p)
-                nxt.append((basis + (p,), new_pmask, perpmask & perp[p], rows | p))
+                nxt.append((basis + (p,), pts + bytes((p,)) + pts.translate(xor[p]),
+                            perpmask & perp[p], rows | p))
         level = nxt
 
     level.sort()
     bases = tuple(basis for basis, _, _, _ in level)
-    masks = tuple(pmask for _, pmask, _, _ in level)
+    masks = tuple(_points_mask(pts) for _, pts, _, _ in level)
     if len(set(masks)) != len(masks):
         twice = next(m for m, k in Counter(masks).items() if k > 1)
         raise InternalConsistencyError(
@@ -376,19 +389,42 @@ def _cliques(adj_gt: list[int], size: int, roots) -> list[tuple[int, ...]]:
 def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     """All ovoids of the hyperbolic quadric in PG(7,2), canonically sorted.
 
-    Search: backtracking 9-clique enumeration on the 135-vertex graph
-    whose edges are non-perpendicular point pairs, pruned by ascending
-    canonical order.  The clique characterization is derived, so every
-    clique is independently confirmed by :func:`is_ovoid` against all
-    270 generators before it is returned.
+    Search: exact cover of the 270 generators by quadric points, straight
+    from the definition.  Each step branches on the points of the lowest
+    generator not yet covered that share no generator with a point
+    already chosen (per point, its clash mask is the union of the
+    generators through it), and a search that covers every generator has
+    found an ovoid.  An ovoid holds exactly one point of that lowest
+    generator, so the search reaches every ovoid exactly once.  Every
+    result is still confirmed by :func:`is_ovoid` before it is returned.
     """
     ctx = quadric.context
     if ctx.n_qubits != 4:
         raise UsageError("ovoid enumeration targets the rank-4 hyperbolic quadric")
-    pts = quadric.points
-    adj = _nonperp_adjacency(ctx, pts)
-    found = sorted(tuple(pts[i] for i in c) for c in _cliques(adj, 9, range(len(pts))))
-    ovoids = OvoidSet(Ovoid.from_points(t) for t in found)
+    masks, through = gens.masks, gens.generators_through
+    clash = {}
+    for p in quadric.points:
+        m = 0
+        for g in _mask_points(through[p]):
+            m |= masks[g]
+        clash[p] = m
+    every = (1 << len(masks)) - 1
+    found: list[int] = []
+
+    def cover(chosen: int, covered: int, blocked: int):
+        if covered == every:
+            found.append(chosen)
+            return
+        cand = masks[(~covered & (covered + 1)).bit_length() - 1] & ~blocked
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            p = bit.bit_length() - 1
+            cover(chosen | bit, covered | through[p], blocked | clash[p])
+
+    cover(0, 0, 0)
+    ovoids = OvoidSet(Ovoid(pts, m) for pts, m in sorted(
+        (tuple(_mask_points(m)), m) for m in found))
     for o in ovoids:
         if not is_ovoid(o.points, gens):
             raise InternalConsistencyError(
@@ -1010,7 +1046,7 @@ def conwell_heptads(ctx: GeometryContext):
     Seven external points whose 21 connecting lines all miss the quadric;
     found as 7-cliques of the "joining line misses the quadric" graph on
     the 28 external points.  For skew u and v, Q(u + v) = sigma(u, v), so
-    that graph is the sigma = 1 graph the ovoid search walks.
+    that graph is the sigma = 1 graph on those points (`_nonperp_adjacency`).
     """
     if ctx.n_qubits != 3:
         raise UsageError("Conwell heptads live off the rank-3 quadric")

@@ -1,5 +1,7 @@
+import contextlib
 import errno
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -7,9 +9,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pauligeom
 from pauligeom import cli, matrix_oracle
+from pauligeom import configurations as cfg
 from pauligeom.errors import InternalConsistencyError
 from pauligeom.gf2_core import standard_to_edge, to_string
 from pauligeom.pauli_codec import word_to_point
@@ -267,12 +272,13 @@ def test_output_file_that_cannot_be_written_is_usage_error(capsys):
     assert (code, out, err) == (2, "", f"error: cannot write /dev/full: {_NO_SPACE}")
 
 
-def _cli_process(argv, stdout):
-    """`python -m pauligeom` on the tree under test, its stdout buffered
-    as when it is run from a shell (under PYTHONUNBUFFERED the text layer
-    drops, without an error, the part of a write that a closed pipe refuses)."""
+def _cli_process(argv, stdout, unbuffered=False):
+    """`python -m pauligeom` on the tree under test, with PYTHONUNBUFFERED
+    set or not as `unbuffered` says."""
     env = dict(os.environ, PYTHONPATH=str(Path(pauligeom.__file__).parents[1]))
     env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     return subprocess.Popen([sys.executable, "-m", "pauligeom", *argv], env=env,
                             stdout=stdout, stderr=subprocess.PIPE, text=True)
 
@@ -289,9 +295,12 @@ def test_full_stdout_is_one_error_line_and_exit_2(argv):
     assert (proc.returncode, err) == (2, f"error: cannot write output: {_NO_SPACE}")
 
 
-def test_closed_pipe_ends_quietly_with_exit_2():
+# Unbuffered, stdout's text layer sits on the raw file and would drop the
+# part of a write that the closed pipe refuses, with exit 0.
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_pipe_ends_quietly_with_exit_2(unbuffered):
     # The listing is larger than a pipe holds, so the reader's close cuts it.
-    proc = _cli_process(["enumerate", "generators", "--n", "4"], subprocess.PIPE)
+    proc = _cli_process(["enumerate", "generators", "--n", "4"], subprocess.PIPE, unbuffered)
     first = proc.stdout.readline()
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -483,3 +492,71 @@ def test_output_is_byte_identical_to_recorded_digest(argv, digest, capsys):
     assert code == 0
     assert err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# The argv grammar of the fuzz below: each subcommand (and one that does
+# not exist) with its positional argument and its flags, good and bad
+# choices for the flags that have them, and otherwise values that are
+# good and bad words, coordinate strings, point lists that can repeat a
+# point, and nine distinct points that are O* or all but one of its
+# points (the first nine words are O*, XIII is on the quadric, IYZX is
+# not).  `--output` is left out, since it writes files.  verify and
+# oracle-check end on `--n 2` or `--n 3`: at n = 4 each takes about half
+# a second, and the digests and the CI steps run them there.
+_FUZZ_WORDS = ["ZIIX", "IZYY", "XZXI", "ZXZZ", "XIZI", "ZZIZ", "IXXZ", "YYZX", "XXXX",
+               "XIII", "IYZX", "IIII", "XYZ", "QXYZ", "xxxx", "00001111", "00000000", "0101", ""]
+_FUZZ_COMMANDS = {
+    "verify": ([], ["--n", "--level", "--format", "--no-timings"]),
+    "enumerate": (["ovoids", "generators", "tetrads", "heptads", "lines"],
+                  ["--n", "--space", "--through-point", "--dedup", "--ovoid"]),
+    "config": ([*cfg.FIGURES, "fig12"],
+               ["--ovoid", "--format", "--line-style", *(f"--{k}" for k in cli._CHOICE_FLAGS)]),
+    "map": (_FUZZ_WORDS, ["--n"]),
+    "oracle-check": ([], ["--n"]),
+    "bogus": ([], []),
+}
+_FUZZ_STRAY_FLAGS = ["--help", "--jobs"]
+_FUZZ_SWITCHES = {"--no-timings", "--dedup", "--help"}
+_FUZZ_CHOICES = {
+    "--n": ["2", "3", "4", "9", "x"], "--level": ["quick", "full", "fast"],
+    "--format": ["text", "json", "dot", "xml"], "--space": ["symplectic", "quadric", "affine"],
+    "--line-style": ["clique", "node", "edge"], "--kind": ["triangle", "quadrangle", "pentagon"],
+}
+_fuzz_points = st.lists(st.sampled_from(_FUZZ_WORDS[:13]), min_size=1, max_size=9).map(",".join)
+_fuzz_ovoid = st.one_of(
+    st.sampled_from(["Ostar", _OVOID_500]),
+    st.permutations(_FUZZ_WORDS[:11]).map(lambda words: ",".join(words[:9])))
+_fuzz_value = st.one_of(st.sampled_from(_FUZZ_WORDS), _fuzz_points,
+                        st.lists(_fuzz_points, min_size=1, max_size=4).map("/".join), _fuzz_ovoid)
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(list(_FUZZ_COMMANDS)))
+    positionals, flags = _FUZZ_COMMANDS[command]
+    argv = [command] + ([draw(st.sampled_from(positionals))] if positionals else [])
+    if "--ovoid" in flags and draw(st.booleans()):
+        argv += ["--ovoid", draw(_fuzz_ovoid)]
+    for flag in draw(st.lists(st.sampled_from(flags + _FUZZ_STRAY_FLAGS), max_size=3)):
+        if flag in _FUZZ_SWITCHES:
+            argv.append(flag)
+        else:
+            argv += [flag, draw(st.sampled_from(_FUZZ_CHOICES[flag]) if flag in _FUZZ_CHOICES
+                                else _fuzz_value)]
+    if command in ("verify", "oracle-check"):
+        argv += ["--n", draw(st.sampled_from(["2", "3"]))]
+    return argv
+
+
+@settings(max_examples=200)
+@given(_fuzz_argv())
+def test_exit_code_contract_on_drawn_command_lines(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse: --help, or a command line it rejects
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert code != 1 or argv[0] == "verify"
+    assert "Traceback" not in err.getvalue()

@@ -304,24 +304,24 @@ def test_a_slice_of_the_ovoid_set_is_an_ovoid_set(ovoids, quadric4):
         assert pg.ovoids_through(first, p) == tuple(o for o in first if p in o)
 
 
-def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, gens4, quadric4):
-    ctx = quadric4.context
-    for o in ovoids:
-        assert all(
-            ctx.sigma(u, v) == 1 for u, v in itertools.combinations(o.points, 2)
-        )
-        assert pg.is_ovoid(o.points, gens4)
-    # random nine-point sets that are not pairwise non-perpendicular fail
-    rng = random.Random(17)
-    rejected = 0
-    while rejected < 50:
-        cand = tuple(sorted(rng.sample(quadric4.points, 9)))
-        clique = all(
-            ctx.sigma(u, v) == 1 for u, v in itertools.combinations(cand, 2)
-        )
-        if not clique:
-            assert not pg.is_ovoid(cand, gens4)
-            rejected += 1
+def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, quadric4):
+    # Exhaustive: the 9-cliques of the sigma = 1 graph on the quadric are
+    # the ovoids the exact-cover search finds, set for set.
+    pts = quadric4.points
+    cliques = pg._cliques(pg._nonperp_adjacency(quadric4.context, pts), 9, range(len(pts)))
+    assert sorted(tuple(pts[i] for i in c) for c in cliques) == [o.points for o in ovoids]
+
+
+def test_points_sharing_a_generator_are_the_perpendicular_quadric_points(gens4, quadric4):
+    # The ovoid search's clash mask, read off the generators, is the perp
+    # mask on the quadric: for all 135 points.
+    perp = pg._perp_masks(quadric4.context)
+    for p in quadric4.points:
+        clash = 0
+        for m in gens4.masks:
+            if m >> p & 1:
+                clash |= m
+        assert clash == perp[p] & quadric4.mask
 
 
 def _meets_every_generator_once(points, gens):
