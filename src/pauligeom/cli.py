@@ -26,8 +26,8 @@ def cmd_verify(n: int, level: str) -> verify.VerificationReport:
     return verify.VerificationReport(n, level, verify.run_checks(verify.checks(n, level)))
 
 
-def _resolve_ovoid(token: str, gens) -> pg.Ovoid:
-    if token == "Ostar":
+def _resolve_ovoid(token: str | None, gens) -> pg.Ovoid:
+    if token in (None, "Ostar"):
         return pg.ostar()
     words = [w.strip().upper() for w in token.split(",")]
     if len(words) != 9:
@@ -84,11 +84,34 @@ def cmd_enumerate(args) -> int:
     return 0
 
 
+# The flags each `enumerate` target takes besides --n and --output.
+# tetrads take --dedup or --ovoid, not both; heptads take --ovoid at --n 4.
+_ENUMERATE_FLAGS = {
+    "ovoids": ("through_point",),
+    "generators": ("space",),
+    "tetrads": ("dedup", "ovoid"),
+    "heptads": ("ovoid",),
+}
+
+
+def _reject_stray_flag(args) -> None:
+    """Raise a usage error naming the first given flag the target does not take."""
+    target, takes = args.what, _ENUMERATE_FLAGS[args.what]
+    if args.what == "tetrads" and args.dedup:
+        target, takes = "tetrads --dedup", ("dedup",)
+    elif args.what == "heptads" and args.n != 4:
+        target, takes = f"heptads --n {args.n}", ()
+    for flag in ("space", "through_point", "dedup", "ovoid"):
+        if getattr(args, flag) not in (None, False) and flag not in takes:
+            raise UsageError(f"{target} takes no --{flag.replace('_', '-')}")
+
+
 def _enumeration_lines(args) -> list[str]:
+    _reject_stray_flag(args)
     n = args.n
     ctx = GeometryContext(n)
     if args.what == "generators":
-        gens = pg.get_generators(ctx, args.space)
+        gens = pg.get_generators(ctx, args.space or "symplectic")
         lines = [join_words(sorted(gf2_core.span_points(b)), n) for b in gens.bases]
         if gens.families is not None:
             lines = [f"{w}\tfamily={fam}" for w, fam in zip(lines, gens.families)]
@@ -107,21 +130,16 @@ def _enumeration_lines(args) -> list[str]:
     gens = pg.get_generators(ctx, "quadric")
     if args.what == "ovoids":
         ovoids = pg.get_ovoids(ctx)
-        if args.through_point:
+        if args.through_point is not None:
             p = _parse_point(args.through_point)
             if not gens.quadric.contains(p):
                 raise UsageError(f"point {point_to_word(p, 4)} is not on the quadric")
             ovoids = pg.ovoids_through(ovoids, p)
         return [join_words(o.points) for o in ovoids]
     if args.what == "tetrads":
-        if args.dedup:
-            tetrads = map(pg.Tetrad, pg.tetrad_census(pg.get_ovoids(ctx)))
-        else:
-            o = _resolve_ovoid(args.ovoid, gens)
-            tetrads = (pg.tetrad_of_partition(o, part, gens.quadric)
-                       for part in pg.triple_partitions(o))
-        return [";".join(map(join_words, lines))
-                for lines in sorted(t.lines for t in tetrads)]
+        ovoids = pg.get_ovoids(ctx) if args.dedup else [_resolve_ovoid(args.ovoid, gens)]
+        lines = sorted(map(pg.line_partition, pg.tetrad_census(ovoids)))
+        return [";".join(map(join_words, tetrad)) for tetrad in lines]
     raise UsageError(f"unknown enumeration target {args.what!r}")
 
 
@@ -214,13 +232,14 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("ovoids", "generators", "tetrads", "heptads"))
     p_enum.add_argument("--n", type=int, default=4, choices=(2, 3, 4))
     p_enum.add_argument("--space", choices=("symplectic", "quadric"),
-                        default="symplectic")
+                        help="generators: the space (default symplectic)")
     p_enum.add_argument("--through-point",
-                        help="keep only ovoids through this word/coords")
+                        help="ovoids: keep only those through this word/coords")
     p_enum.add_argument("--dedup", action="store_true",
                         help="tetrads: dedup globally over all 960 ovoids")
-    p_enum.add_argument("--ovoid", default="Ostar",
-                        help='nine comma-separated words or "Ostar"')
+    p_enum.add_argument("--ovoid",
+                        help='tetrads, heptads at --n 4: nine comma-separated words'
+                             ' or "Ostar" (the default)')
     p_enum.add_argument("--output", help="write to file instead of stdout")
 
     p_cfg = sub.add_parser("config", help="extract a named configuration")

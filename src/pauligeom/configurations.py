@@ -200,12 +200,12 @@ def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
         b.add_all(triple, f"conic-{k}")
     axis = sorted(pg.axis_of_partition(o, partition))
     b.add_all(axis, "nucleus")
-    tetrad = pg.tetrad_of_partition(o, partition, quadric)
-    for line in tetrad.lines:  # the axis points keep their nucleus role
+    lines = pg.line_partition(pg.tetrad_of_partition(o, partition, quadric))
+    for line in lines:  # the axis points keep their nucleus role
         b.add_all(line, "tetrad-point")
         b.line(*line)
     b.note("axis", " ".join(map(_word, axis)))
-    b.note("tetrad_lines", len(tetrad.lines))
+    b.note("tetrad_lines", len(lines))
     return b.done()
 
 
@@ -274,9 +274,10 @@ def fig_commutation(
     if symmetric_center in fam.points:
         raise UsageError("symmetric center must lie outside the 27-point family")
     b = _Builder("fig5", ctx)
+    sym_perp, skew_perp = pg.perp(symmetric_center), pg.perp(skew_center)
     for p in sorted(fam.points):
-        with_sym = ctx.sigma(symmetric_center, p) == 0
-        with_skew = ctx.sigma(skew_center, p) == 0
+        with_sym = sym_perp >> p & 1
+        with_skew = skew_perp >> p & 1
         role = (
             "commutes-with-both"
             if with_sym and with_skew
@@ -585,29 +586,17 @@ def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
 
     other = pg.second_ovoid_on_conic(o, tuple(vertices), gens)
     heptads = [frozenset(nuclei_heptad(ov, *pr)) for ov in (o, other) for pr in pairs]
-    common = frozenset.intersection(*heptads)
-    if common != {nucleus}:
-        raise fault(f"the heptads meet in [{join_words(sorted(common))}], "
-                    f"not in the nucleus {_word(nucleus)}")
-    for h1, h2 in itertools.combinations(heptads[:3], 2):
-        if len(h1 & h2) != 1:
+    for h1, h2 in itertools.combinations(heptads, 2):
+        if h1 & h2 != {nucleus}:
             raise fault(f"heptads {join_words(sorted(h1))} and {join_words(sorted(h2))} "
-                        f"meet in {len(h1 & h2)} points")
+                        f"meet in [{join_words(sorted(h1 & h2))}], "
+                        f"not in the nucleus {_word(nucleus)}")
     b = _Builder("heptad-family", ctx)
     b.add_all(vertices, "triangle-vertex")
     b.add(nucleus, "common-nucleus")
+    # The heptads meet only in the nucleus, so each other point has one owner.
     for k, h in enumerate(heptads, 1):
-        owner = "base" if k <= 3 else "mate"
-        for v in sorted(h - {nucleus}):
-            idx = b.index.get(v)
-            if idx is None:
-                b.add(v, f"heptad-{k}({owner})")
-            else:
-                entry = b.report.points[idx]
-                b.report.points[idx] = PointEntry(
-                    entry.coords, entry.word, entry.cls,
-                    f"{entry.role}|heptad-{k}({owner})",
-                )
+        b.add_all(h - {nucleus}, f"heptad-{k}({'base' if k <= 3 else 'mate'})")
     b.note("kind", "triangle")
     b.note("common_point", _word(nucleus))
     b.note("heptads", len(heptads))

@@ -159,6 +159,11 @@ def _perp_masks(ctx: GeometryContext) -> dict[int, int]:
     return perp
 
 
+def perp(p: int) -> int:
+    """The mask of the rank-4 points that commute with point `p` (sigma = 0)."""
+    return _perp_masks(standard_quadric(4).context)[p]
+
+
 @cache
 def _column_bands(dim: int) -> tuple[int, ...]:
     """Per column c, the mask of the points whose top bit is c."""
@@ -428,7 +433,7 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     for o in ovoids:
         if not is_ovoid(o.points, gens):
             raise InternalConsistencyError(
-                f"clique {join_words(o.points, ctx.n_qubits)} fails the ovoid test")
+                f"cover {join_words(o.points, ctx.n_qubits)} fails the ovoid test")
     return ovoids
 
 
@@ -500,32 +505,6 @@ def axis_of_partition(o: Ovoid, partition) -> frozenset[int]:
     return frozenset(nuclei)
 
 
-class Tetrad:
-    """Four pairwise disjoint off-quadric lines spanning the whole space.
-
-    The key is the int mask of the 12 points; the lines, sorted tuples of
-    sorted points, are rendered from it only for output, once.
-    """
-
-    __slots__ = ("mask", "_lines")
-
-    def __init__(self, mask: int):
-        self.mask = mask
-        self._lines = None
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Tetrad and other.mask == self.mask
-
-    def __hash__(self) -> int:
-        return hash(self.mask)
-
-    @property
-    def lines(self) -> tuple[tuple[int, int, int], ...]:
-        if self._lines is None:
-            self._lines = tuple(_line_partition(self.mask))
-        return self._lines
-
-
 # Each of the 84 point triples of an ovoid, by index, and every partition
 # pattern as three positions in that list.
 _TRIPLES = tuple(itertools.combinations(range(9), 3))
@@ -535,9 +514,10 @@ _PATTERN_TRIPLES = tuple(
 
 
 def _conic_masks(pts) -> list[int]:
-    """Per triple of `_TRIPLES`, the mask of the conic's external line
-    {a^b, a^c, b^c} and nucleus a^b^c; a partition's tetrad is the union
-    of its three conics' masks."""
+    """Per point triple of `pts` (of an ovoid's points, in `_TRIPLES`
+    order), the mask of the conic's external line {a^b, a^c, b^c} and
+    nucleus a^b^c; a partition's tetrad is the union of its three conics'
+    masks."""
     return [
         1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
         for a, b, c in itertools.combinations(pts, 3)
@@ -551,7 +531,7 @@ def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
             if u ^ v > v and mask >> (u ^ v) & 1]
 
 
-def _line_partition(mask: int) -> list[tuple[int, int, int]]:
+def line_partition(mask: int) -> list[tuple[int, int, int]]:
     """Split a point mask into disjoint full lines, as ascending triples.
 
     Greedy: the lowest point left goes with its lowest partner whose sum
@@ -581,13 +561,13 @@ def _line_partition(mask: int) -> list[tuple[int, int, int]]:
 def _certify_tetrad(mask: int, qmask: int) -> None:
     """Twelve off-quadric points that are four skew lines spanning PG(7, 2).
 
-    The points must split into four disjoint lines (`_line_partition`)
+    The points must split into four disjoint lines (`line_partition`)
     whose eight generators, two per line, have rank 8.  Then the space is
     the direct sum of the four lines, and the set holds no fifth line: a
     line through points of two different summands has its third point in
     their sum, which meets neither summand nor the other two.
     """
-    lines = _line_partition(mask)
+    lines = line_partition(mask)
     if mask.bit_count() != 12 or mask & qmask or len(lines) != 4:
         raise InternalConsistencyError(
             f"tetrad is not four skew off-quadric lines: {join_words(_mask_points(mask))}")
@@ -596,26 +576,26 @@ def _certify_tetrad(mask: int, qmask: int) -> None:
             f"tetrad does not span the whole space: {';'.join(map(join_words, lines))}")
 
 
-def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> Tetrad:
-    """Axis plus the three in-plane external lines of a partition."""
+def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> int:
+    """The 12-point mask of a partition's tetrad: the axis plus the three
+    in-plane external lines, certified."""
     axis_of_partition(o, partition)
-    masks = _conic_masks(o.points)
-    x, y, z = (_TRIPLES.index(tuple(sorted(map(o.points.index, t)))) for t in partition)
-    tetrad = Tetrad(masks[x] | masks[y] | masks[z])
-    _certify_tetrad(tetrad.mask, quadric.mask)
-    return tetrad
+    mask = 0
+    for conic in partition:
+        mask |= _conic_masks(conic)[0]
+    _certify_tetrad(mask, quadric.mask)
+    return mask
 
 
 def tetrad_census(ovoids) -> Counter:
     """Deduplicated tetrads over every (ovoid, partition) pair.
 
-    Returns a counter keyed by the tetrad's 12-point mask (as
-    `Tetrad.mask`) whose values are raw multiplicities; the sum of
-    the values is 280 times the number of ovoids.  Every tetrad is
-    checked to be twelve off-quadric points, and each distinct key is
-    then certified once.  Both depend on the key alone, so each runs once
-    per distinct key; keys iterate in order of first occurrence, so the
-    first bad key is that of the first bad (ovoid, partition) pair.
+    Returns a counter keyed by the tetrad's 12-point mask whose values
+    are raw multiplicities; the sum of the values is 280 times the number
+    of ovoids.  Each distinct key is certified once (it depends on the
+    key alone).  Keys iterate in order of first occurrence, so the first
+    bad key is that of the first bad (ovoid, partition) pair, and the
+    failure names that pair.
     """
     ovoids = tuple(ovoids)
     qmask = standard_quadric(4).mask
@@ -624,16 +604,15 @@ def tetrad_census(ovoids) -> Counter:
         masks = _conic_masks(o.points)
         counts.update([masks[x] | masks[y] | masks[z] for x, y, z in _PATTERN_TRIPLES])
     for key in counts:
-        if key & qmask or key.bit_count() != 12:
-            raise _tetrad_fault(ovoids, key, qmask)
-    for key in counts:
-        _certify_tetrad(key, qmask)
+        try:
+            _certify_tetrad(key, qmask)
+        except InternalConsistencyError as exc:
+            raise _tetrad_fault(ovoids, key, str(exc)) from None
     return counts
 
 
-def _tetrad_fault(ovoids, key: int, qmask: int) -> InternalConsistencyError:
-    """Name, in words, the first ovoid and partition whose tetrad is `key`."""
-    what = "tetrad point on quadric" if key & qmask else "tetrad lines overlap"
+def _tetrad_fault(ovoids, key: int, reason: str) -> InternalConsistencyError:
+    """`reason`, naming in words the first ovoid and partition whose tetrad is `key`."""
     for o in ovoids:  # `key` came from these ovoids, so the scan finds it
         masks = _conic_masks(o.points)
         for triples in _PATTERN_TRIPLES:
@@ -642,7 +621,7 @@ def _tetrad_fault(ovoids, key: int, qmask: int) -> InternalConsistencyError:
                 pts = o.points
                 part = "/".join(join_words(pts[i] for i in _TRIPLES[t]) for t in triples)
                 return InternalConsistencyError(
-                    f"{what}: ovoid {join_words(pts)} partition {part}")
+                    f"{reason}: ovoid {join_words(pts)} partition {part}")
 
 
 def pairwise_intersection_sizes(ovoids: OvoidSet) -> Counter:
@@ -762,8 +741,8 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
 
 def commutation_profile(word_point: int, family) -> tuple[int, ...]:
     """Per-ovoid counts of elements commuting with the given point."""
-    perp = _perp_masks(standard_quadric(4).context)[word_point]
-    return tuple((perp & ov.mask).bit_count() for ov in family)
+    mask = perp(word_point)
+    return tuple((mask & ov.mask).bit_count() for ov in family)
 
 
 def solid_extra_point(o: Ovoid, quad) -> int:

@@ -267,7 +267,7 @@ def _axes_and_tetrads(ost, quadric):
     # tetrad_of_partition checks the axis and certifies the tetrad; a
     # failure raises with the offending lines in words.
     parts = pg.triple_partitions(ost)
-    keys = {pg.tetrad_of_partition(ost, part, quadric).mask for part in parts}
+    keys = {pg.tetrad_of_partition(ost, part, quadric) for part in parts}
     return f"{len(parts)} partitions, {len(keys)} tetrads"
 
 

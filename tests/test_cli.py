@@ -332,6 +332,23 @@ def test_enumerate_heptads_n2_is_usage_error(tmp_path, capsys):
     assert target.read_text() == "keep\n"
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["tetrads", "--dedup", "--ovoid", "bogus"], "tetrads --dedup takes no --ovoid"),
+    (["heptads", "--n", "3", "--ovoid", "bogus"], "heptads --n 3 takes no --ovoid"),
+    (["generators", "--through-point", "XXXX"], "generators takes no --through-point"),
+    (["ovoids", "--space", "quadric"], "ovoids takes no --space"),
+])
+def test_enumerate_flag_the_target_does_not_take_is_usage_error(
+        argv, message, tmp_path, capsys):
+    target = tmp_path / "f.txt"
+    target.write_text("keep\n")
+    code, out, err = run(["enumerate", *argv, "--output", str(target)], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert target.read_text() == "keep\n"
+    code, out, err = run(["enumerate", *argv], capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("point,message", [
     ("IYZX", "error: point IYZX is not on the quadric\n"),
     ("ZIIXX", "error: expected 4 letters, got 'ZIIXX'\n"),

@@ -531,10 +531,37 @@ def test_heptad_triangle_failure_names_the_triangle(ostar, ovoids, gens4, monkey
     a, b, c = ostar.points[:3]
     with pytest.raises(InternalConsistencyError) as exc:
         cfg.figure("heptad-family", ostar, gens4)
-    message = str(exc.value)
-    assert message.startswith("the heptads meet in [")
-    assert message.endswith(f"], not in the nucleus {point_to_word(a ^ b ^ c, 4)}: "
-                            f"ovoid {join_words(ostar.points)} triangle {join_words((a, b, c))}")
+    base = cfg.nuclei_heptad(ostar, a, b)
+    mate = cfg.nuclei_heptad(stranger, a, b)
+    meet = sorted(set(base) & set(mate))
+    assert str(exc.value) == (
+        f"heptads {join_words(base)} and {join_words(mate)} meet in [{join_words(meet)}], "
+        f"not in the nucleus {point_to_word(a ^ b ^ c, 4)}: "
+        f"ovoid {join_words(ostar.points)} triangle {join_words((a, b, c))}")
+
+
+def test_heptad_triangle_checks_every_base_mate_pair(ostar, gens4, monkeypatch):
+    # The mate heptad of the pair (a, c) trades one of its points for one of
+    # the base heptad of (a, b).  All six heptads still meet only in the
+    # nucleus, and so do any two base or any two mate heptads.
+    a, b, c = ostar.points[:3]
+    nucleus = a ^ b ^ c
+    other = pg.second_ovoid_on_conic(ostar, (a, b, c), gens4)
+    base_ab = cfg.nuclei_heptad(ostar, a, b)
+    mate_ac = cfg.nuclei_heptad(other, a, c)
+    stray = next(v for v in base_ab if v != nucleus)
+    own = next(v for v in mate_ac if v != nucleus)
+    planted_ac = tuple(sorted(set(mate_ac) - {own} | {stray}))
+    heptad = cfg.nuclei_heptad
+    monkeypatch.setattr(cfg, "nuclei_heptad", lambda o, p1, p2: planted_ac
+                        if o == other and (p1, p2) == (a, c) else heptad(o, p1, p2))
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.figure("heptad-family", ostar, gens4)
+    assert str(exc.value) == (
+        f"heptads {join_words(base_ab)} and {join_words(planted_ac)} meet in "
+        f"[{join_words(sorted((nucleus, stray)))}], not in the nucleus "
+        f"{point_to_word(nucleus, 4)}: ovoid {join_words(ostar.points)} "
+        f"triangle {join_words((a, b, c))}")
 
 
 def test_heptad_quadrangle_failure_names_the_quadrangle(ostar, gens4, monkeypatch):

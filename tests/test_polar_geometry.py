@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pauligeom import gf2_core
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
 from pauligeom.gf2_core import echelon, rank, span_points
@@ -203,25 +204,6 @@ def test_equal_records_compare_and_hash_equal(ostar, gens4):
     again = pg.Ovoid.from_points(reversed(ostar.points))
     assert again is not ostar and again == ostar and hash(again) == hash(ostar)
     assert ostar != pg.second_ovoid_on_conic(ostar, ostar.points[:3], gens4)
-    mask = next(iter(pg.tetrad_census([ostar])))
-    one, two = pg.Tetrad(mask), pg.Tetrad(mask)
-    assert one is not two and one == two and hash(one) == hash(two)
-    assert one != mask and len({one, two}) == 1
-
-
-def test_tetrad_lines_are_computed_once(ostar, monkeypatch):
-    calls = []
-    partition = pg._line_partition
-
-    def recording(mask):
-        calls.append(mask)
-        return partition(mask)
-
-    mask = next(iter(pg.tetrad_census([ostar])))
-    monkeypatch.setattr(pg, "_line_partition", recording)
-    tetrad = pg.Tetrad(mask)
-    assert tetrad.lines == tetrad.lines
-    assert calls == [mask]
 
 
 def test_families_at_rank_two_are_reguli():
@@ -257,10 +239,10 @@ def test_is_ovoid_rejects_off_quadric_points(gens4):
         pg.is_ovoid((word_to_point("IYZX"),), gens4)
 
 
-def test_failed_ovoid_certificate_names_the_clique(monkeypatch, gens4):
+def test_failed_ovoid_certificate_names_the_cover(monkeypatch, gens4):
     monkeypatch.setattr(pg, "is_ovoid", lambda points, gens: False)
     with pytest.raises(InternalConsistencyError,
-                       match=r"^clique [IXYZ]{4}(,[IXYZ]{4}){8} fails the ovoid test$"):
+                       match=r"^cover [IXYZ]{4}(,[IXYZ]{4}){8} fails the ovoid test$"):
         pg.enumerate_ovoids(gens4.quadric, gens4)
 
 
@@ -417,11 +399,12 @@ def test_partitions_axes_and_tetrads(ostar, quadric4):
         axis = pg.axis_of_partition(ostar, part)
         assert all(not quadric4.contains(p) and p for p in axis)
         tetrad = pg.tetrad_of_partition(ostar, part, quadric4)
-        points = [p for line in tetrad.lines for p in line]
+        points = [p for line in pg.line_partition(tetrad) for p in line]
         assert len(points) == len(set(points)) == 12
+        assert sum(1 << p for p in points) == tetrad
         assert rank(points) == 8
         assert all(not quadric4.contains(p) for p in points)
-        seen.add(tetrad.mask)
+        seen.add(tetrad)
     assert len(seen) == 280
 
 
@@ -452,13 +435,10 @@ def test_single_ovoid_tetrad_census(ostar, quadric4):
     reference = {}
     for part in pg.triple_partitions(ostar):
         mask, lines = _reference_tetrad(part, quadric4)
-        tetrad = pg.tetrad_of_partition(ostar, part, quadric4)
-        assert (tetrad.mask, tetrad.lines) == (mask, lines)
+        assert pg.tetrad_of_partition(ostar, part, quadric4) == mask
         reference[mask] = lines
     assert set(census) == set(reference)
-    assert all(pg.Tetrad(key).lines == reference[key] for key in census)
-    tetrad = pg.Tetrad(next(iter(census)))
-    assert tetrad.lines is tetrad.lines
+    assert all(tuple(pg.line_partition(key)) == reference[key] for key in census)
 
 
 def test_tetrad_census_certifies_each_distinct_key_once(ovoids, monkeypatch):
@@ -484,7 +464,7 @@ def test_tetrad_certifier_rejects_four_skew_lines_of_rank_7(quadric4):
     assert not any(map(quadric4.contains, points))
     mask = sum(1 << p for p in points)
     rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
-                        for line in pg.Tetrad(mask).lines)
+                        for line in pg.line_partition(mask))
     assert sorted(rendered.split(";")) == sorted(words.split(";"))
     with pytest.raises(InternalConsistencyError) as exc:
         pg._certify_tetrad(mask, quadric4.mask)
@@ -495,13 +475,13 @@ def test_line_partition_matches_mask_lines_on_every_census_key(ovoids):
     census = pg.tetrad_census(ovoids)
     assert len(census) == 11200
     for key in census:
-        assert pg._line_partition(key) == pg._mask_lines(key)
+        assert pg.line_partition(key) == pg._mask_lines(key)
 
 
 def _no_partner_set(mask, quadric):
     # A tetrad with one point w of its first line traded for an
     # off-quadric point that leaves some point with no partner.
-    w = pg.Tetrad(mask).lines[0][2]
+    w = pg.line_partition(mask)[0][2]
     for x in quadric.off_points:
         pts = pg._mask_points(mask ^ 1 << w | 1 << x)
         if len(pts) == 12 and any(
@@ -516,7 +496,7 @@ def test_tetrad_certifier_rejects_sets_that_are_not_four_skew_lines(
     mask = min(pg.tetrad_census([ostar]))
     if plant == "no partner":
         mask = _no_partner_set(mask, quadric4)
-        assert mask.bit_count() == 12 and pg._line_partition(mask) == []
+        assert mask.bit_count() == 12 and pg.line_partition(mask) == []
     elif plant == "eleven points":
         mask &= mask - 1
     else:
@@ -529,22 +509,48 @@ def test_tetrad_certifier_rejects_sets_that_are_not_four_skew_lines(
         point_to_word(p, 4) for p in pg._mask_points(mask))
 
 
-@pytest.mark.parametrize("words,fault", [
+def _census_fault_parts(message, o):
+    """The certifier's reason and the partition's three point triples from
+    a census failure on ovoid `o`, checking that the message names `o`."""
+    ovoid_words = ",".join(point_to_word(p, 4) for p in o.points)
+    reason, named, part = message.partition(f": ovoid {ovoid_words} partition ")
+    assert named, message
+    groups = [[word_to_point(w) for w in g.split(",")] for g in part.split("/")]
+    assert sorted(p for g in groups for p in g) == list(o.points)
+    assert [len(g) for g in groups] == [3, 3, 3]
+    return reason, groups
+
+
+@pytest.mark.parametrize("words", [
     # O* with XXXX replaced by IIIX: a partition nucleus lands on the quadric.
-    ("IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX", "tetrad point on quadric"),
-    ("IIIX,IIXZ,IXZZ,XIZY,XZXZ,XYZZ,ZIZZ,YYIY,YYYZ", "tetrad lines overlap"),
-])
-def test_tetrad_census_names_the_failing_ovoid_and_partition(words, fault):
+    "IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX",
+    # Not an ovoid: two conics of a partition share an off-quadric point.
+    "IIIX,IIXZ,IXZZ,XIZY,XZXZ,XYZZ,ZIZZ,YYIY,YYYZ",
+], ids=["point on quadric", "lines overlap"])
+def test_tetrad_census_names_the_failing_ovoid_and_partition(words):
     o = pg.Ovoid.from_points(word_to_point(w) for w in words.split(","))
     with pytest.raises(InternalConsistencyError) as exc:
         pg.tetrad_census([o])
-    ovoid_words = ",".join(point_to_word(p, 4) for p in o.points)
-    head = f"{fault}: ovoid {ovoid_words} partition "
-    message = str(exc.value)
-    assert message.startswith(head)
-    groups = [g.split(",") for g in message[len(head):].split("/")]
-    assert sorted(w for g in groups for w in g) == sorted(ovoid_words.split(","))
-    assert [len(g) for g in groups] == [3, 3, 3]
+    reason, groups = _census_fault_parts(str(exc.value), o)
+    # The reason is the certifier's, on the named partition's 12-point set.
+    key = 0
+    for a, b, c in groups:
+        key |= 1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
+    assert reason == "tetrad is not four skew off-quadric lines: " + ",".join(
+        point_to_word(p, 4) for p in pg._mask_points(key))
+
+
+def test_tetrad_census_names_the_ovoid_and_partition_of_a_rank_failure(
+        ostar, quadric4, monkeypatch):
+    _, lines = _reference_tetrad(pg.triple_partitions(ostar)[0], quadric4)
+    monkeypatch.setattr(gf2_core, "rank", lambda points: 7)
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.tetrad_census([ostar])
+    reason, groups = _census_fault_parts(str(exc.value), ostar)
+    # Keys are certified in order of first occurrence: O*'s first partition.
+    assert groups == [list(t) for t in pg.triple_partitions(ostar)[0]]
+    assert reason == "tetrad does not span the whole space: " + ";".join(
+        ",".join(point_to_word(p, 4) for p in line) for line in lines)
 
 
 def _direct_intersection_sizes(ovoids):
