@@ -32,7 +32,7 @@ def _resolve_ovoid(token: str | None, gens) -> pg.Ovoid:
     words = [w.strip().upper() for w in token.split(",")]
     if len(words) != 9:
         raise UsageError("an ovoid needs nine comma-separated words")
-    o = pg.Ovoid.from_points(word_to_point(w) for w in words)
+    o = pg.Ovoid.from_points(word_to_point(pauli_codec.validate_word(w, 4)) for w in words)
     if not pg.is_ovoid(o.points, gens):
         raise UsageError("the given nine points are not an ovoid")
     return o
@@ -238,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--dedup", action="store_true",
                         help="tetrads: dedup globally over all 960 ovoids")
     p_enum.add_argument("--ovoid",
-                        help='tetrads, heptads at --n 4: nine comma-separated words'
-                             ' or "Ostar" (the default)')
+                        help='tetrads, heptads at --n 4: nine comma-separated'
+                             ' 4-letter words or "Ostar" (the default)')
     p_enum.add_argument("--output", help="write to file instead of stdout")
 
     p_cfg = sub.add_parser("config", help="extract a named configuration")

@@ -11,7 +11,7 @@ point's coordinates.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import lru_cache, partial
 from json.encoder import encode_basestring_ascii
 
 from . import polar_geometry as pg
@@ -292,16 +292,12 @@ def fig_commutation(
     b.add(skew_center, "center-skew")
     sym_profile = pg.commutation_profile(symmetric_center, six)
     skew_profile = pg.commutation_profile(skew_center, six)
-
-    def fault(what: str) -> InternalConsistencyError:
-        part = "/".join(map(join_words, partition))
-        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} partition {part}")
-
+    fail = partial(pg.fault, ovoid=o.points, partition=partition)
     if sym_profile != (5, 5, 5, 5, 5, 5):
-        raise fault(f"symmetric center {_word(symmetric_center)} profile {sym_profile}"
-                    " is not all fives")
+        raise fail(f"symmetric center {_word(symmetric_center)} profile {sym_profile}"
+                   " is not all fives")
     if not set(skew_profile) <= {3, 7}:
-        raise fault(f"skew center {_word(skew_center)} profile {skew_profile} leaves {{3, 7}}")
+        raise fail(f"skew center {_word(skew_center)} profile {skew_profile} leaves {{3, 7}}")
     b.note("symmetric_center", _word(symmetric_center))
     b.note("skew_center", _word(skew_center))
     b.note("symmetric_profile", ",".join(map(str, sym_profile)))
@@ -344,9 +340,8 @@ def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigR
     b.note("through_line", " ".join(map(_word, sorted(line))))
     b.note("extra_points", f"{_word(e1)} {_word(e2)}")
     if len(b.report.points) != 19:
-        raise InternalConsistencyError(
-            f"configuration is {len(b.report.points)} points, not 19: point {_word(p)}"
-            f" split {join_words(split[0])}/{join_words(split[1])}")
+        raise pg.fault(f"configuration is {len(b.report.points)} points, not 19",
+                       point=p, split=split)
     return b.done()
 
 
@@ -414,18 +409,14 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     """
     if p not in o:
         raise UsageError("fan point must lie on the ovoid")
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} point "
-                                        f"{_word(p)} nucleus {_word(singled_nucleus)}")
-
+    fail = partial(pg.fault, ovoid=o.points, point=p, nucleus=singled_nucleus)
     others = o.complement_in((p,))
     nuclei = {
         frozenset(pair): p ^ pair[0] ^ pair[1]
         for pair in itertools.combinations(others, 2)
     }
     if len(set(nuclei.values())) != 28:
-        raise fault(f"the 28 conic nuclei are {len(set(nuclei.values()))} points")
+        raise fail(f"the 28 conic nuclei are {len(set(nuclei.values()))} points")
     match = [k for k, v in nuclei.items() if v == singled_nucleus]
     if len(match) != 1:
         raise UsageError("singled point is not a nucleus of a conic on the point")
@@ -437,17 +428,15 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     concurrence = p ^ singled_nucleus
     quadric = pg.standard_quadric(4)
     cross = {}
+    # six_a[x] ^ six_b[y] = a ^ b ^ x ^ y is symmetric in x and y, and each
+    # pairing line six_a[x], six_b[x] passes through a ^ b, the concurrence.
     for x, y in itertools.combinations(xs, 2):
         w = six_a[x] ^ six_b[y]
-        if w != six_a[y] ^ six_b[x] or not quadric.contains(w):
-            raise fault(f"cross points of {join_words((x, y))} do not pair symmetrically")
+        if not quadric.contains(w):
+            raise fail(f"cross point {_word(w)} of {join_words((x, y))} is off the quadric")
         cross[frozenset((x, y))] = w
     if len(set(cross.values())) != 15:
-        raise fault(f"the 15 cross points are {len(set(cross.values()))} points")
-    for x in xs:
-        if six_a[x] ^ six_b[x] != concurrence:
-            raise fault(f"the pairing line of {_word(x)} misses the concurrence point "
-                        f"{_word(concurrence)}")
+        raise fail(f"the 15 cross points are {len(set(cross.values()))} points")
     # abstract generalized quadrangle on 15 symmetric + 12 skew points
     lines = set()
     for x in xs:
@@ -457,7 +446,7 @@ def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
     for matching in _perfect_matchings(xs):
         lines.add(tuple(sorted(cross[frozenset(pair)] for pair in matching)))
     if len(lines) != 45:
-        raise fault(f"quadrangle structure has {len(lines)} lines, not 45")
+        raise fail(f"quadrangle structure has {len(lines)} lines, not 45")
     points27 = sorted(set(cross.values()) | set(six_a.values()) | set(six_b.values()))
     pg._check_generalized_quadrangle(points27, lines, 2, 4)
     return NucleiFan(
@@ -519,29 +508,25 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     """
     quadric = pg.standard_quadric(4)
     o.distinct_points((p1, p2), 2)
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(
-            f"{what}: ovoid {join_words(o.points)} pair {join_words((p1, p2))}")
-
+    fail = partial(pg.fault, ovoid=o.points, pair=(p1, p2))
     heptad = nuclei_heptad(o, p1, p2)
     if len(set(heptad)) != 7 or any(map(quadric.contains, heptad)):
-        raise fault(f"conic nuclei {join_words(heptad)} are not a skew heptad")
+        raise fail(f"conic nuclei {join_words(heptad)} are not a skew heptad")
     thirds = {}
     for u, v in itertools.combinations(heptad, 2):
         w = u ^ v
         if quadric.contains(w):
-            raise fault(f"heptad line {join_words((u, v, w))} touches the quadric")
+            raise fail(f"heptad line {join_words((u, v, w))} touches the quadric")
         thirds[(u, v)] = w
     if len(set(thirds.values())) != 21 or set(thirds.values()) & set(heptad):
-        raise fault(f"the 28 external points of heptad {join_words(heptad)} "
-                    "are not distinct")
+        raise fail(f"the 28 external points of heptad {join_words(heptad)} "
+                   "are not distinct")
     triple_nuclei = sorted(
         {x ^ y ^ z for x, y, z in itertools.combinations(heptad, 3)}
     )
     if len(triple_nuclei) != 35 or not all(map(quadric.contains, triple_nuclei)):
-        raise fault(f"the triple nuclei of heptad {join_words(heptad)} "
-                    "are not 35 symmetric points")
+        raise fail(f"the triple nuclei of heptad {join_words(heptad)} "
+                   "are not 35 symmetric points")
     b = _Builder("fig10", quadric.context)
     b.add(p1, "shared-ovoid-point")
     b.add(p2, "shared-ovoid-point")
@@ -579,18 +564,14 @@ def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet) -> ConfigReport:
 def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
     ctx = gens.context
     nucleus = vertices[0] ^ vertices[1] ^ vertices[2]
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(
-            f"{what}: ovoid {join_words(o.points)} triangle {join_words(vertices)}")
-
+    fail = partial(pg.fault, ovoid=o.points, triangle=vertices)
     other = pg.second_ovoid_on_conic(o, tuple(vertices), gens)
     heptads = [frozenset(nuclei_heptad(ov, *pr)) for ov in (o, other) for pr in pairs]
     for h1, h2 in itertools.combinations(heptads, 2):
         if h1 & h2 != {nucleus}:
-            raise fault(f"heptads {join_words(sorted(h1))} and {join_words(sorted(h2))} "
-                        f"meet in [{join_words(sorted(h1 & h2))}], "
-                        f"not in the nucleus {_word(nucleus)}")
+            raise fail(f"heptads {join_words(sorted(h1))} and {join_words(sorted(h2))} "
+                       f"meet in [{join_words(sorted(h1 & h2))}], "
+                       f"not in the nucleus {_word(nucleus)}")
     b = _Builder("heptad-family", ctx)
     b.add_all(vertices, "triangle-vertex")
     b.add(nucleus, "common-nucleus")
@@ -613,43 +594,33 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
         nxt = next(pr for pr in rest if set(pr) & set(last))
         rest.remove(nxt)
         cycle.append(nxt)
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} "
-                                        f"quadrangle {'/'.join(map(join_words, cycle))}")
-
+    fail = partial(pg.fault, ovoid=o.points, quadrangle=cycle)
     heptads = [frozenset(nuclei_heptad(o, *pr)) for pr in cycle]
     meet = pg.solid_extra_point(o, tuple(vertices))
     shared = []
     for i in range(4):
         h1, h2 = heptads[i], heptads[(i + 1) % 4]
         if len(h1 & h2) != 1:
-            raise fault(f"consecutive heptads {join_words(sorted(h1))} and "
-                        f"{join_words(sorted(h2))} meet in {len(h1 & h2)} points")
+            raise fail(f"consecutive heptads {join_words(sorted(h1))} and "
+                       f"{join_words(sorted(h2))} meet in {len(h1 & h2)} points")
         shared.append(next(iter(h1 & h2)))
     for i in range(2):
         if heptads[i] & heptads[i + 2]:
-            raise fault(f"opposite heptads {join_words(sorted(heptads[i]))} and "
-                        f"{join_words(sorted(heptads[i + 2]))} meet")
+            raise fail(f"opposite heptads {join_words(sorted(heptads[i]))} and "
+                       f"{join_words(sorted(heptads[i + 2]))} meet")
     b = _Builder("heptad-family", ctx)
     b.add_all(vertices, "quadrangle-vertex")
     b.add(meet, "concurrence-point")
+    roles: dict[int, str] = {}  # each point's heptads, in heptad order
     for k, h in enumerate(heptads, 1):
         for v in sorted(h):
-            idx = b.index.get(v)
-            if idx is None:
-                b.add(v, f"heptad-{k}")
-            else:
-                entry = b.report.points[idx]
-                if f"heptad-{k}" not in entry.role:
-                    b.report.points[idx] = PointEntry(
-                        entry.coords, entry.word, entry.cls,
-                        f"{entry.role}|heptad-{k}",
-                    )
+            roles[v] = f"{roles[v]}|heptad-{k}" if v in roles else f"heptad-{k}"
+    for v, role in roles.items():
+        b.add(v, role)
     for s in shared:
         v = s ^ meet
         if v not in vertices:
-            raise fault(f"the line of {_word(s)} and {_word(meet)} misses the vertices")
+            raise fail(f"the line of {_word(s)} and {_word(meet)} misses the vertices")
         b.line(s, v, meet)
     b.note("kind", "quadrangle")
     b.note("concurrence", _word(meet))
@@ -664,8 +635,7 @@ def sixty_three_split(all_ovoids: pg.OvoidSet, o: Ovoid, p: int) -> ConfigReport
         raise UsageError("census point must lie on the reference ovoid")
     through = pg.ovoids_through(all_ovoids, p)
     if len(through) != 64:
-        raise InternalConsistencyError(
-            f"point is on {len(through)} ovoids, not 64: point {_word(p)}")
+        raise pg.fault(f"point is on {len(through)} ovoids, not 64", point=p)
     one, three = pg.ovoid_intersection_census(through, o, p)
     b = _Builder("split63", ctx)
     b.add(p, "common-point")

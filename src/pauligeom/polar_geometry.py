@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from functools import cache
+from functools import cache, partial
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
@@ -56,6 +56,25 @@ def _transpose(masks) -> dict[int, int]:
 
 def _sorted3(a: int, b: int, c: int) -> tuple[int, int, int]:
     return tuple(sorted((a, b, c)))
+
+
+def fault(what: str, **named) -> InternalConsistencyError:
+    """The error of a failed certificate: `what`, then each named object
+    in four-qubit words, as `what: label words label words ...`.
+
+    A value is a point, a tuple of points, or a tuple of point groups,
+    whose words are joined group by group with '/'.
+    """
+    parts = [f"{what}:"]
+    for label, value in named.items():
+        if isinstance(value, int):
+            words = join_words((value,))
+        else:
+            value = tuple(value)
+            grouped = value and not isinstance(value[0], int)
+            words = "/".join(map(join_words, value)) if grouped else join_words(value)
+        parts += [label, words]
+    return InternalConsistencyError(" ".join(parts))
 
 
 def expected_count(kind: str, measure: str, n: int) -> int:
@@ -308,16 +327,10 @@ class Ovoid:
 
 class OvoidSet(tuple):
     """A tuple of ovoids that carries `through`, the `_transpose` of their
-    masks: per point, the int mask of the indices of the ovoids on it.
-    A slice is an `OvoidSet` too."""
+    masks: per point, the int mask of the indices of the ovoids on it."""
 
     def __init__(self, ovoids):
         self.through = _transpose([o.mask for o in self])
-
-    def __getitem__(self, i):
-        if type(i) is slice:
-            return OvoidSet(tuple.__getitem__(self, i))
-        return tuple.__getitem__(self, i)
 
 
 def ostar() -> Ovoid:
@@ -451,16 +464,14 @@ def get_ovoids(ctx: GeometryContext) -> OvoidSet:
 
 def ovoids_through(ovoids: OvoidSet, p: int) -> tuple[Ovoid, ...]:
     """The ovoids on point `p`, in their order in `ovoids`, read off its index."""
-    get = super(OvoidSet, ovoids).__getitem__  # tuple's own lookup, in C
-    return tuple(map(get, _mask_points(ovoids.through.get(p, 0))))
+    return tuple(map(ovoids.__getitem__, _mask_points(ovoids.through.get(p, 0))))
 
 
 def secant_third_points(o: Ovoid) -> frozenset[int]:
     """Third points of the 36 secant lines; all off the quadric."""
     thirds = {a ^ b for a, b in itertools.combinations(o.points, 2)}
     if len(thirds) != 36:
-        raise InternalConsistencyError(
-            f"secant third points are not distinct: ovoid {join_words(o.points)}")
+        raise fault("secant third points are not distinct", ovoid=o.points)
     return frozenset(thirds)
 
 
@@ -619,9 +630,8 @@ def _tetrad_fault(ovoids, key: int, reason: str) -> InternalConsistencyError:
             x, y, z = triples
             if masks[x] | masks[y] | masks[z] == key:
                 pts = o.points
-                part = "/".join(join_words(pts[i] for i in _TRIPLES[t]) for t in triples)
-                return InternalConsistencyError(
-                    f"{reason}: ovoid {join_words(pts)} partition {part}")
+                return fault(reason, ovoid=pts, partition=tuple(
+                    tuple(pts[i] for i in _TRIPLES[t]) for t in triples))
 
 
 def pairwise_intersection_sizes(ovoids: OvoidSet) -> Counter:
@@ -671,15 +681,11 @@ def second_ovoid_on_conic(o: Ovoid, triple, gens: GeneratorSet) -> Ovoid:
     t = o.distinct_points(triple, 3)
     nucleus = t[0] ^ t[1] ^ t[2]
     other = Ovoid.from_points(t + tuple(nucleus ^ u for u in o.complement_in(t)))
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(
-            f"{what}: ovoid {join_words(o.points)} conic {join_words(t)}")
-
+    fail = partial(fault, ovoid=o.points, conic=t)
     if not is_ovoid(other.points, gens):
-        raise fault(f"nucleus pairing {join_words(other.points)} is not an ovoid")
+        raise fail(f"nucleus pairing {join_words(other.points)} is not an ovoid")
     if (o.mask & other.mask).bit_count() != 3:
-        raise fault(f"second ovoid {join_words(other.points)} does not meet in the conic")
+        raise fail(f"second ovoid {join_words(other.points)} does not meet in the conic")
     return other
 
 
@@ -703,10 +709,7 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
     """Both triads of disjoint ovoids determined by one partition of `o`."""
     t1, t2, t3 = [tuple(sorted(t)) for t in partition]
     axis = axis_of_partition(o, (t1, t2, t3))
-
-    def fault(what: str) -> InternalConsistencyError:
-        part = "/".join(join_words(t) for t in (t1, t2, t3))
-        return InternalConsistencyError(f"{what}: ovoid {join_words(o.points)} partition {part}")
+    fail = partial(fault, ovoid=o.points, partition=(t1, t2, t3))
 
     n1, n2, n3 = (t[0] ^ t[1] ^ t[2] for t in (t1, t2, t3))
     others = tuple(second_ovoid_on_conic(o, t, gens) for t in (t1, t2, t3))
@@ -720,21 +723,21 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
     b = Ovoid.from_points(shifted(n1, t3) + shifted(n2, t1) + shifted(n3, t2))
     for cand in (a, b):
         if not is_ovoid(cand.points, gens):
-            raise fault(f"triad completion {join_words(cand.points)} is not an ovoid")
+            raise fail(f"triad completion {join_words(cand.points)} is not an ovoid")
     union_other = others[0].mask | others[1].mask | others[2].mask
     union_base = o.mask | a.mask | b.mask
     if union_other != union_base or union_other.bit_count() != 27:
-        raise fault("triads do not share the same 27 points")
+        raise fail("triads do not share the same 27 points")
     for x, y in itertools.combinations((o, a, b), 2):
         if x.mask & y.mask:
-            raise fault("base triad is not disjoint")
+            raise fail("base triad is not disjoint")
     for x, y in itertools.combinations(others, 2):
         if x.mask & y.mask:
-            raise fault("other triad is not disjoint")
+            raise fail("other triad is not disjoint")
     for x in (o, a, b):
         for y in others:
             if (x.mask & y.mask).bit_count() != 3:
-                raise fault("cross-triad overlap is not a conic")
+                raise fail("cross-triad overlap is not a conic")
     pts = frozenset(p for ov in (o, a, b) for p in ov.points)
     return SixOvoidFamily(axis, (o, a, b), others, pts)
 
@@ -790,22 +793,20 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
     if set(s1) | set(s2) | {p} != set(o.points) or len(s1) != 4 or len(s2) != 4:
         raise UsageError("split must partition the other eight points into fours")
 
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(
-            f"{what}: point {join_words((p,))} split {join_words(s1)}/{join_words(s2)}")
+    fail = partial(fault, point=p, split=(s1, s2))
 
     e1 = solid_extra_point(o, s1)
     e2 = solid_extra_point(o, s2)
     if e1 ^ e2 != p:
-        raise fault(f"solid extras {join_words((e1, e2))} are not collinear with the point")
+        raise fail(f"solid extras {join_words((e1, e2))} are not collinear with the point")
     line = frozenset((p, e1, e2))
     mate = Ovoid.from_points(
         (p,) + tuple(e1 ^ u for u in s2) + tuple(e2 ^ v for v in s1)
     )
     if not is_ovoid(mate.points, gens):
-        raise fault(f"split reflection {join_words(mate.points)} is not an ovoid")
+        raise fail(f"split reflection {join_words(mate.points)} is not an ovoid")
     if (mate.mask & o.mask) != (1 << p):
-        raise fault(f"mate {join_words(mate.points)} shares more than the chosen point")
+        raise fail(f"mate {join_words(mate.points)} shares more than the chosen point")
     return line, mate
 
 
@@ -845,10 +846,7 @@ class PentadCone:
 def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     """Quadric section of the span of five ovoid points: an 11-point cone."""
     pent = o.distinct_points(pentad, 5)
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(f"{what}: pentad {join_words(pent)}")
-
+    fail = partial(fault, pentad=pent)
     section = sorted(
         v for v in span_points(pent) if quadric.contains(v)
     )
@@ -857,16 +855,16 @@ def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     for p in pent:
         third = vertex ^ p
         if third not in section:
-            raise fault(f"cone line {join_words((vertex, p, third))} leaves the section")
+            raise fail(f"cone line {join_words((vertex, p, third))} leaves the section")
         extra = solid_extra_point(o, tuple(q for q in pent if q != p))
         if third != extra:
-            raise fault(f"cone line {join_words((vertex, p, third))} misses the quartet"
-                        f" extra point {join_words((extra,))}")
+            raise fail(f"cone line {join_words((vertex, p, third))} misses the quartet"
+                       f" extra point {join_words((extra,))}")
         lines.append(_sorted3(vertex, p, third))
     expected = {vertex} | set(pent) | {vertex ^ p for p in pent}
     if len(section) != 11 or set(section) != expected:
-        raise fault(f"section {join_words(section)} is not the 11-point cone"
-                    f" at {join_words((vertex,))}")
+        raise fail(f"section {join_words(section)} is not the 11-point cone"
+                   f" at {join_words((vertex,))}")
     return PentadCone(vertex, tuple(sorted(lines)), tuple(section))
 
 
@@ -898,34 +896,31 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
     points of the cross lines.
     """
     sx = o.distinct_points(sextet, 6)
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(f"{what}: sextet {join_words(sx)}")
-
+    fail = partial(fault, sextet=sx)
     rest = o.complement_in(sx)
     nucleus = rest[0] ^ rest[1] ^ rest[2]
     section = sorted(v for v in span_points(sx) if quadric.contains(v))
     if len(section) != expected_count("elliptic", "points", 3):
-        raise fault("sextet section is not a 27-point quadric")
+        raise fail("sextet section is not a 27-point quadric")
     mates = tuple(solid_extra_point(o, (s,) + rest) for s in sx)
     for s, m in zip(sx, mates):
         if s ^ m != nucleus:
-            raise fault(f"mate pairing {join_words((s, m))} misses the conic nucleus")
+            raise fail(f"mate pairing {join_words((s, m))} misses the conic nucleus")
     pairing = tuple(sorted(_sorted3(s, m, nucleus) for s, m in zip(sx, mates)))
     lines = _mask_lines(_points_mask(section))
     if len(lines) != 45:
-        raise fault(f"sextet section has {len(lines)} lines")
+        raise fail(f"sextet section has {len(lines)} lines")
     degree = Counter(p for line in lines for p in line)
     if set(degree.values()) != {5}:
-        raise fault("section points do not have degree 5")
+        raise fail("section points do not have degree 5")
     double_six = set(sx) | set(mates)
     core = tuple(p for p in section if p not in double_six)
     if len(core) != 15:
-        raise fault("double six is not 12 distinct points")
+        raise fail("double six is not 12 distinct points")
     for i, s in enumerate(sx):
         for j, m in enumerate(mates):
             if i != j and (s ^ m) not in core:
-                raise fault(f"cross line {join_words((s, m, s ^ m))} leaves the 15-point core")
+                raise fail(f"cross line {join_words((s, m, s ^ m))} leaves the 15-point core")
     _check_generalized_quadrangle(section, lines, 2, 4)
     return SextetSection(tuple(section), tuple(lines), sx, mates, core, nucleus, pairing)
 
@@ -991,22 +986,19 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
     line of the two complementary ovoid points.
     """
     hp = o.distinct_points(heptad, 7)
-
-    def fault(what: str) -> InternalConsistencyError:
-        return InternalConsistencyError(f"{what}: heptad {join_words(hp)}")
-
+    fail = partial(fault, heptad=hp)
     section = sorted(v for v in span_points(hp) if quadric.contains(v))
     if len(section) != expected_count("parabolic", "points", 3):
-        raise fault("heptad section is not a 63-point quadric")
+        raise fail("heptad section is not a 63-point quadric")
     rad = radical(hp, quadric.context)
     if len(rad) != 1:
-        raise fault(f"restricted form has a radical of dimension {len(rad)}")
+        raise fail(f"restricted form has a radical of dimension {len(rad)}")
     nucleus = rad[0]
     pair = o.complement_in(hp)
     if nucleus != pair[0] ^ pair[1]:
-        raise fault(f"radical {join_words(rad)} is not the complementary secant point")
+        raise fail(f"radical {join_words(rad)} is not the complementary secant point")
     if quadric.contains(nucleus):
-        raise fault(f"section nucleus {join_words(rad)} lies on the quadric")
+        raise fail(f"section nucleus {join_words(rad)} lies on the quadric")
     return HeptadSection(tuple(section), nucleus)
 
 

@@ -149,6 +149,7 @@ def checks(n: int, level: str) -> list[tuple]:
                         lambda: _conwell_heptads(ctx))]
 
     ost = pg.ostar()
+    subsets = lambda k: itertools.combinations(ost.points, k)
     gens = lambda: pg.get_generators(ctx, "quadric")
     ovoids = lambda: pg.get_ovoids(ctx)
     rows += [
@@ -172,11 +173,16 @@ def checks(n: int, level: str) -> list[tuple]:
          lambda: str(sorted({pg.ovoid_intersection_census(
              pg.ovoids_through(ovoids(), p), ost, p) for p in ost.points}))),
         ("pentad_cones", "126/126 cones", lambda: _pentad_cones(ost, quadric)),
-        ("sextet_sections", "84/84 sections", lambda: _sextet_sections(ost, quadric)),
+        ("sextet_sections", "84/84 sections", lambda: _certify_every(
+            pg.sextet_intersection, ((ost, sx, quadric) for sx in subsets(6)), "sections")),
         ("reference_sextet_nucleus", "ZYII",
          lambda: cfg.figure("fig8", ost, gens()).annotations["pairing_nucleus"]),
-        ("heptad_sections", "36/36 sections", lambda: _heptad_sections(ost, quadric)),
-        ("nuclei_fans", "252/252 fans", lambda: _nuclei_fans(ost)),
+        ("heptad_sections", "36/36 sections", lambda: _certify_every(
+            pg.heptad_intersection, ((ost, hp, quadric) for hp in subsets(7)), "sections")),
+        ("nuclei_fans", "252/252 fans", lambda: _certify_every(
+            cfg.nuclei_fan_structure,
+            ((ost, p, p ^ a ^ b) for p in ost.points
+             for a, b in itertools.combinations(ost.complement_in((p,)), 2)), "fans")),
         ("fan_concurrence_point", "YZXX",
          lambda: cfg.figure("fig9", ost, gens()).annotations["concurrence"]),
         ("heptad_analogues", "36/36 pairs", lambda: _heptad_analogues(ost)),
@@ -289,57 +295,28 @@ def _point_partition_lines(ost, gens):
 
 
 def _pentad_cones(ost, quadric):
-    # The vertex must be the radical of sigma on the pentad's span, a route
-    # independent of the solid extra points that pentad_intersection uses.
-    n_ok = 0
-    for pent in itertools.combinations(ost.points, 5):
+    # pentad_intersection certifies each 11-point cone; the vertex must also
+    # be the radical of sigma on the pentad's span, a route independent of
+    # the solid extra points that pentad_intersection uses.
+    pentads = list(itertools.combinations(ost.points, 5))
+    for pent in pentads:
         cone = pg.pentad_intersection(ost, pent, quadric)
         rad = pg.radical(pent, quadric.context)
         if rad != [cone.vertex]:
             return (f"cone of {join_words(pent)} has vertex {join_words((cone.vertex,))},"
                     f" radical {join_words(rad)}")
-        n_ok += len(cone.points) == 11
-    return f"{n_ok}/126 cones"
+    return f"{len(pentads)}/126 cones"
 
 
-def _sextet_sections(ost, quadric):
-    n_ok = 0
-    for sx in itertools.combinations(ost.points, 6):
-        sec = pg.sextet_intersection(ost, sx, quadric)
-        a, b, c = ost.complement_in(sx)
-        if sec.pairing_nucleus != a ^ b ^ c:
-            return f"sextet {join_words(sx)} pairs at {join_words((sec.pairing_nucleus,))}"
-        n_ok += len(sec.points) == 27 and len(sec.lines) == 45
-    return f"{n_ok}/84 sections"
-
-
-def _heptad_sections(ost, quadric):
-    n_ok = 0
-    for hp in itertools.combinations(ost.points, 7):
-        sec = pg.heptad_intersection(ost, hp, quadric)
-        a, b = ost.complement_in(hp)
-        if sec.nucleus != a ^ b:
-            return f"heptad {join_words(hp)} has nucleus {join_words((sec.nucleus,))}"
-        n_ok += len(sec.points) == 63
-    return f"{n_ok}/36 sections"
-
-
-def _nuclei_fans(ost):
-    """Per ovoid point: 28 distinct conic nuclei, each splitting 6+6+15."""
-    n_ok = 0
-    for p in ost.points:
-        others = ost.complement_in((p,))
-        nuclei = [p ^ a ^ b for a, b in itertools.combinations(others, 2)]
-        if len(set(nuclei)) != 28:
-            return f"{join_words((p,))} has {len(set(nuclei))} conic nuclei"
-        for nucleus in nuclei:
-            fan = cfg.nuclei_fan_structure(ost, p, nucleus)
-            sizes = (len(fan.six_through_first), len(fan.six_through_second),
-                     len(fan.fan15))
-            if sizes != (6, 6, 15):
-                return f"fan {join_words((p, nucleus))} splits {sizes}"
-            n_ok += fan.gq_lines == 45
-    return f"{n_ok}/252 fans"
+def _certify_every(certify, choices, noun):
+    """Call `certify` on each argument tuple in `choices`, "k/k noun" after
+    k calls.  A certifier raises, naming its object in words, on a failed
+    invariant, and that fails the row."""
+    k = 0
+    for args in choices:
+        certify(*args)
+        k += 1
+    return f"{k}/{k} {noun}"
 
 
 def _heptad_analogues(ost):

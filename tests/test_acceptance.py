@@ -16,6 +16,7 @@ import time
 import pytest
 
 import pauligeom
+from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
 from pauligeom import verify
 from pauligeom.pauli_codec import join_words
@@ -77,6 +78,20 @@ def test_pentad_cones_row_names_a_wrong_vertex(monkeypatch):
     row = next(fn for name, _, fn in verify.checks(4, "full") if name == "pentad_cones")
     assert row() == (f"cone of {join_words(bad)} has vertex {join_words((wrong,))},"
                      f" radical {join_words((cones[bad].vertex,))}")
+
+
+def test_nuclei_fans_row_fails_with_the_fan_certificate(monkeypatch):
+    # Without the 15 matching lines the first fan's quadrangle has only its
+    # 30 cross lines: the row fails with the fan's own message.
+    monkeypatch.setattr(cfg, "_perfect_matchings", lambda items: iter(()))
+    ost = pg.ostar()
+    p, a, b = ost.points[:3]
+    [row] = verify.run_checks(r for r in verify.checks(4, "quick") if r[0] == "nuclei_fans")
+    assert not row.ok
+    assert row.computed == (
+        "InternalConsistencyError: quadrangle structure has 30 lines, not 45: "
+        f"ovoid {join_words(ost.points)} point {join_words((p,))}"
+        f" nucleus {join_words((p ^ a ^ b,))}")
 
 
 def test_criterion_14_determinism():

@@ -215,6 +215,21 @@ def test_config_bad_ovoid(capsys):
     assert "nine" in err
 
 
+# O* with short words in three places: ZIZ, XYI and YY encode the same
+# ints as XIZI, IXXZ and XXXX.  And O* with a five-letter last word.
+_OVOID_SHORT = "ZIIX,IZYY,XZXI,ZXZZ,ZIZ,ZZIZ,XYI,YYZX,YY"
+_OVOID_LONG = "ZIIX,IZYY,XZXI,ZXZZ,XIZI,ZZIZ,IXXZ,YYZX,XXXXX"
+
+
+@pytest.mark.parametrize("command", [["config", "fig1"], ["enumerate", "tetrads"],
+                                     ["enumerate", "heptads"]], ids=" ".join)
+@pytest.mark.parametrize("token,word", [(_OVOID_SHORT, "ZIZ"), (_OVOID_LONG, "XXXXX")],
+                         ids=["short", "five-letter"])
+def test_ovoid_word_of_the_wrong_length_is_usage_error(command, token, word, capsys):
+    code, out, err = run([*command, "--ovoid", token], capsys)
+    assert (code, out, err) == (2, "", f"error: expected 4 letters, got {word!r}\n")
+
+
 @pytest.mark.parametrize("argv,k", [
     (["config", "fig3", "--triple", "ZIIX,ZIIX,IZYY"], 3),
     (["config", "fig7", "--pentad", "ZIIX,ZIIX,IZYY,XZXI,ZXZZ"], 5),
@@ -461,6 +476,8 @@ OUTPUT_DIGESTS = [
      "ce57d4650f157d6cd2d17764dfce99c1fb67dbacd7ae83bc714494e4775da135"),
     (["config", "fig7"],
      "96e3eba58617b62db3202fdd917afb4697906704d3c5f46b6ee695586cdef9c4"),
+    (["config", "fig9"],
+     "28352b99d5e9827e54633ae131f88984faa26495a925cf78536545e7e9c8c4ae"),
     (["config", "fig10"],
      "0e596bd768978cd5ff676da169dfe5cedb1321df6dca262197232c19772b326d"),
     (["config", "fig11"],

@@ -170,6 +170,29 @@ def test_fig9_fan_sweep_all_points_and_nuclei(ostar):
     assert checked == 252
 
 
+def test_fig9_quadrangle_is_the_sextet_section_moved_by_translations(ostar, quadric4):
+    # The fan of (p, p + a + b) is the elliptic section over the six points
+    # off the conic {p, a, b}: its sextet moved by p + a, its mates by a and
+    # its 15 core points by p.  Moved so, the 30 lines through a sextet
+    # point still sum to 0, and the 15 core lines sum to p.
+    checked = 0
+    for p in ostar.points:
+        for a, b in itertools.combinations(ostar.complement_in((p,)), 2):
+            fan = cfg.nuclei_fan_structure(ostar, p, p ^ a ^ b)
+            sec = pg.sextet_intersection(ostar, ostar.complement_in((p, a, b)), quadric4)
+            assert fan.six_through_first == tuple(sorted(s ^ p ^ a for s in sec.sextet))
+            assert fan.six_through_second == tuple(sorted(m ^ a for m in sec.mates))
+            assert fan.cross15 == tuple(sorted(c ^ p for c in sec.core15))
+            assert fan.concurrence == sec.pairing_nucleus ^ p
+            shift = {**dict.fromkeys(sec.sextet, p ^ a), **dict.fromkeys(sec.mates, a),
+                     **dict.fromkeys(sec.core15, p)}
+            sums = sorted((bool({x, y, z} & set(sec.sextet)),
+                           x ^ shift[x] ^ y ^ shift[y] ^ z ^ shift[z]) for x, y, z in sec.lines)
+            assert sums == [(False, p)] * 15 + [(True, 0)] * 30
+            checked += 1
+    assert checked == 252
+
+
 def test_fig10_heptad_analogue(ostar):
     rep = cfg.heptad_analogue(
         ostar, word_to_point("ZZIZ"), word_to_point("IXXZ")
