@@ -400,77 +400,57 @@ class NucleiFan:
 
 
 def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
-    """Compute and certify the 15 + 2x6 split and its quadrangle structure.
+    """The 15 + 2x6 split of the 28 conic nuclei on `p`, behind one of them.
 
-    The abstract 27-point generalized quadrangle uses the 30 collinear
-    cross lines plus the 15 triples of concurrence points whose defining
-    pairs form a perfect matching (those triples sum to the common point,
-    not to zero, so they are genuine incidence-only lines).
+    The singled nucleus p + a + b names the conic {p, a, b}.  The fan is
+    the elliptic section over the six other points of `o`, certified as
+    a GQ(2, 4) by `sextet_intersection` and moved into place part by part
+    by `section_fan`: a move that keeps the 27 points distinct carries
+    the section's 45 lines, and so its quadrangle, onto the fan.
     """
     if p not in o:
         raise UsageError("fan point must lie on the ovoid")
     fail = partial(pg.fault, ovoid=o.points, point=p, nucleus=singled_nucleus)
-    others = o.complement_in((p,))
-    nuclei = {
-        frozenset(pair): p ^ pair[0] ^ pair[1]
-        for pair in itertools.combinations(others, 2)
-    }
-    if len(set(nuclei.values())) != 28:
-        raise fail(f"the 28 conic nuclei are {len(set(nuclei.values()))} points")
-    match = [k for k, v in nuclei.items() if v == singled_nucleus]
-    if len(match) != 1:
+    conics = {p ^ a ^ b: (p, a, b) for a, b in itertools.combinations(o.complement_in((p,)), 2)}
+    if len(conics) != 28:
+        raise fail(f"the 28 conic nuclei are {len(conics)} points")
+    if singled_nucleus not in conics:
         raise UsageError("singled point is not a nucleus of a conic on the point")
-    a, b = sorted(match[0])
-    xs = [x for x in others if x not in (a, b)]
-    six_a = {x: p ^ a ^ x for x in xs}
-    six_b = {x: p ^ b ^ x for x in xs}
-    fan15 = sorted(v for k, v in nuclei.items() if not (k & {a, b}))
-    concurrence = p ^ singled_nucleus
+    section = pg.nested(fail, pg.sextet_intersection, o, o.complement_in(conics[singled_nucleus]),
+                        pg.standard_quadric(4))
+    return section_fan(o, section, p)
+
+
+def section_fan(o: Ovoid, section: pg.SextetSection, p: int) -> NucleiFan:
+    """The fan of `p` behind the nucleus p + a + b, as `section` moved into
+    place, where {p, a, b} is the conic of `o` off the section's sextet.
+
+    The sextet moves by p + a onto the nuclei p + a + x, its mates
+    x + p + a + b move by a onto the nuclei p + b + x, and the 15 core
+    points move by p onto the cross points a + b + x + y.  Each of the 30
+    section lines through a sextet point holds one point of each part,
+    so it still sums to 0; each of the 15 core lines sums to p.  The
+    move is a bijection once the 27 moved points are distinct, and then
+    it carries the section's 45 lines and its certified quadrangle
+    GQ(2, 4) onto the fan: no line is built or checked again.
+    """
+    conic = o.complement_in(section.sextet)
+    if p not in conic:
+        raise UsageError("fan point must lie on the conic off the sextet")
+    a, b = (x for x in conic if x != p)
+    fail = partial(pg.fault, ovoid=o.points, point=p, nucleus=section.pairing_nucleus)
     quadric = pg.standard_quadric(4)
-    cross = {}
-    # six_a[x] ^ six_b[y] = a ^ b ^ x ^ y is symmetric in x and y, and each
-    # pairing line six_a[x], six_b[x] passes through a ^ b, the concurrence.
-    for x, y in itertools.combinations(xs, 2):
-        w = six_a[x] ^ six_b[y]
-        if not quadric.contains(w):
-            raise fail(f"cross point {_word(w)} of {join_words((x, y))} is off the quadric")
-        cross[frozenset((x, y))] = w
-    if len(set(cross.values())) != 15:
-        raise fail(f"the 15 cross points are {len(set(cross.values()))} points")
-    # abstract generalized quadrangle on 15 symmetric + 12 skew points
-    lines = set()
-    for x in xs:
-        for y in xs:
-            if x != y:
-                lines.add(tuple(sorted((six_a[x], six_b[y], cross[frozenset((x, y))]))))
-    for matching in _perfect_matchings(xs):
-        lines.add(tuple(sorted(cross[frozenset(pair)] for pair in matching)))
-    if len(lines) != 45:
-        raise fail(f"quadrangle structure has {len(lines)} lines, not 45")
-    points27 = sorted(set(cross.values()) | set(six_a.values()) | set(six_b.values()))
-    pg._check_generalized_quadrangle(points27, lines, 2, 4)
-    return NucleiFan(
-        p,
-        singled_nucleus,
-        (a, b),
-        tuple(sorted(six_a.values())),
-        tuple(sorted(six_b.values())),
-        tuple(fan15),
-        concurrence,
-        tuple(sorted(cross.values())),
-        len(lines),
-    )
-
-
-def _perfect_matchings(items):
-    if not items:
-        yield []
-        return
-    first, rest = items[0], items[1:]
-    for i, partner in enumerate(rest):
-        remaining = rest[:i] + rest[i + 1 :]
-        for m in _perfect_matchings(remaining):
-            yield [(first, partner)] + m
+    for c in section.core15:
+        if not quadric.contains(c ^ p):
+            raise fail(f"core point {_word(c)} moves off the quadric to {_word(c ^ p)}")
+    six_a = tuple(sorted(x ^ p ^ a for x in section.sextet))
+    six_b = tuple(sorted(m ^ a for m in section.mates))
+    cross15 = tuple(sorted(c ^ p for c in section.core15))
+    if len(moved := set(six_a + six_b + cross15)) != 27:
+        raise fail(f"the 27 moved points are {len(moved)} points")
+    fan15 = tuple(sorted(p ^ x ^ y for x, y in itertools.combinations(section.sextet, 2)))
+    return NucleiFan(p, section.pairing_nucleus, (a, b), six_a, six_b, fan15,
+                     p ^ section.pairing_nucleus, cross15, len(section.lines))
 
 
 def fig_nuclei_fan(o: Ovoid, p: int, singled_nucleus: int) -> ConfigReport:

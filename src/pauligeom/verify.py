@@ -179,10 +179,10 @@ def checks(n: int, level: str) -> list[tuple]:
          lambda: cfg.figure("fig8", ost, gens()).annotations["pairing_nucleus"]),
         ("heptad_sections", "36/36 sections", lambda: _certify_every(
             pg.heptad_intersection, ((ost, hp, quadric) for hp in subsets(7)), "sections")),
-        ("nuclei_fans", "252/252 fans", lambda: _certify_every(
-            cfg.nuclei_fan_structure,
-            ((ost, p, p ^ a ^ b) for p in ost.points
-             for a, b in itertools.combinations(ost.complement_in((p,)), 2)), "fans")),
+        ("nuclei_fans", "252/252 fans", lambda: _certify_every(cfg.section_fan, (
+            (ost, section, p)
+            for section in (pg.sextet_intersection(ost, sx, quadric) for sx in subsets(6))
+            for p in ost.complement_in(section.sextet)), "fans")),
         ("fan_concurrence_point", "YZXX",
          lambda: cfg.figure("fig9", ost, gens()).annotations["concurrence"]),
         ("heptad_analogues", "36/36 pairs", lambda: _heptad_analogues(ost)),

@@ -16,7 +16,6 @@ import time
 import pytest
 
 import pauligeom
-from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
 from pauligeom import verify
 from pauligeom.pauli_codec import join_words
@@ -81,16 +80,26 @@ def test_pentad_cones_row_names_a_wrong_vertex(monkeypatch):
 
 
 def test_nuclei_fans_row_fails_with_the_fan_certificate(monkeypatch):
-    # Without the 15 matching lines the first fan's quadrangle has only its
-    # 30 cross lines: the row fails with the fan's own message.
-    monkeypatch.setattr(cfg, "_perfect_matchings", lambda items: iter(()))
-    ost = pg.ostar()
-    p, a, b = ost.points[:3]
+    # The first sextet section with its first core point replaced by a skew
+    # point w: moved by the first point p of the conic off the sextet, w
+    # lands off the quadric, and the row fails with the fan's own message.
+    ost, quadric, real = pg.ostar(), pg.standard_quadric(4), pg.sextet_intersection
+    sextet, (p, a, b) = ost.points[:6], ost.points[6:]
+    w = next(v for v in quadric.off_points if not quadric.contains(v ^ p))
+
+    def sextet_intersection(o, sx, quadric):
+        s = real(o, sx, quadric)
+        if s.sextet != sextet:
+            return s
+        return pg.SextetSection(s.points, s.lines, s.sextet, s.mates, (w,) + s.core15[1:],
+                                s.pairing_nucleus, s.pairing_lines)
+
+    monkeypatch.setattr(pg, "sextet_intersection", sextet_intersection)
     [row] = verify.run_checks(r for r in verify.checks(4, "quick") if r[0] == "nuclei_fans")
     assert not row.ok
     assert row.computed == (
-        "InternalConsistencyError: quadrangle structure has 30 lines, not 45: "
-        f"ovoid {join_words(ost.points)} point {join_words((p,))}"
+        f"InternalConsistencyError: core point {join_words((w,))} moves off the quadric to "
+        f"{join_words((w ^ p,))}: ovoid {join_words(ost.points)} point {join_words((p,))}"
         f" nucleus {join_words((p ^ a ^ b,))}")
 
 

@@ -170,27 +170,36 @@ def test_fig9_fan_sweep_all_points_and_nuclei(ostar):
     assert checked == 252
 
 
-def test_fig9_quadrangle_is_the_sextet_section_moved_by_translations(ostar, quadric4):
+def test_fig9_quadrangle_is_the_sextet_section_moved_by_translations(ostar, ovoids, quadric4):
     # The fan of (p, p + a + b) is the elliptic section over the six points
     # off the conic {p, a, b}: its sextet moved by p + a, its mates by a and
     # its 15 core points by p.  Moved so, the 30 lines through a sextet
-    # point still sum to 0, and the 15 core lines sum to p.
+    # point still sum to 0 and the 15 core lines sum to p, and the 45 moved
+    # lines make the fan's 27 points a GQ(2, 4) by the quadrangle check
+    # itself.  On O* and on the first ovoid disjoint from it.
+    disjoint = next(o for o in ovoids if not o.mask & ostar.mask)
     checked = 0
-    for p in ostar.points:
-        for a, b in itertools.combinations(ostar.complement_in((p,)), 2):
-            fan = cfg.nuclei_fan_structure(ostar, p, p ^ a ^ b)
-            sec = pg.sextet_intersection(ostar, ostar.complement_in((p, a, b)), quadric4)
-            assert fan.six_through_first == tuple(sorted(s ^ p ^ a for s in sec.sextet))
-            assert fan.six_through_second == tuple(sorted(m ^ a for m in sec.mates))
-            assert fan.cross15 == tuple(sorted(c ^ p for c in sec.core15))
-            assert fan.concurrence == sec.pairing_nucleus ^ p
-            shift = {**dict.fromkeys(sec.sextet, p ^ a), **dict.fromkeys(sec.mates, a),
-                     **dict.fromkeys(sec.core15, p)}
-            sums = sorted((bool({x, y, z} & set(sec.sextet)),
-                           x ^ shift[x] ^ y ^ shift[y] ^ z ^ shift[z]) for x, y, z in sec.lines)
-            assert sums == [(False, p)] * 15 + [(True, 0)] * 30
-            checked += 1
-    assert checked == 252
+    for o in (ostar, disjoint):
+        for sextet in itertools.combinations(o.points, 6):
+            sec = pg.sextet_intersection(o, sextet, quadric4)
+            conic = o.complement_in(sextet)
+            for p in conic:
+                a, b = (x for x in conic if x != p)
+                fan = cfg.nuclei_fan_structure(o, p, p ^ a ^ b)
+                assert fan.six_through_first == tuple(sorted(s ^ p ^ a for s in sec.sextet))
+                assert fan.six_through_second == tuple(sorted(m ^ a for m in sec.mates))
+                assert fan.cross15 == tuple(sorted(c ^ p for c in sec.core15))
+                assert fan.concurrence == sec.pairing_nucleus ^ p
+                shift = {**dict.fromkeys(sec.sextet, p ^ a), **dict.fromkeys(sec.mates, a),
+                         **dict.fromkeys(sec.core15, p)}
+                moved = [tuple(x ^ shift[x] for x in line) for line in sec.lines]
+                sums = sorted((bool(set(line) & set(sec.sextet)), x ^ y ^ z)
+                              for line, (x, y, z) in zip(sec.lines, moved))
+                assert sums == [(False, p)] * 15 + [(True, 0)] * 30
+                pg._check_generalized_quadrangle(
+                    fan.six_through_first + fan.six_through_second + fan.cross15, moved, 2, 4)
+                checked += 1
+    assert checked == 504
 
 
 def test_fig10_heptad_analogue(ostar):
@@ -524,12 +533,33 @@ def test_nuclei_heptad(ostar):
 # --- failed invariants name their object in Pauli words -----------------
 
 def test_nuclei_fan_failure_names_the_fan(ostar, monkeypatch):
-    # Without the 15 matching lines the quadrangle has only its 30 cross lines.
-    monkeypatch.setattr(cfg, "_perfect_matchings", lambda items: iter(()))
+    # Without its 15 core lines the section under the fan has only the 30
+    # lines through its double six: the section's fault, named by the fan.
+    p, nucleus = word_to_point("XXXX"), word_to_point("ZYII")
+    sextet = ostar.complement_in(word_to_point(w) for w in ("ZIIX", "XZXI", "XXXX"))
+    double_six = set(sextet) | {x ^ nucleus for x in sextet}
+    real = pg._mask_lines
+    monkeypatch.setattr(pg, "_mask_lines",
+                        lambda mask: [ln for ln in real(mask) if double_six & set(ln)])
     with pytest.raises(InternalConsistencyError) as exc:
-        cfg.nuclei_fan_structure(ostar, word_to_point("XXXX"), word_to_point("ZYII"))
-    assert str(exc.value) == ("quadrangle structure has 30 lines, not 45: "
+        cfg.nuclei_fan_structure(ostar, p, nucleus)
+    assert str(exc.value) == (f"sextet section has 30 lines: sextet {join_words(sextet)}: "
                               f"ovoid {join_words(ostar.points)} point XXXX nucleus ZYII")
+
+
+def test_section_fan_checks_that_the_move_is_a_bijection(ostar, quadric4):
+    # A section whose first core point repeats its second: every moved point
+    # is on the quadric, but the 27 moved points are only 26.
+    sextet, (p, a, b) = ostar.points[:6], ostar.points[6:]
+    s = pg.sextet_intersection(ostar, sextet, quadric4)
+    planted = pg.SextetSection(s.points, s.lines, s.sextet, s.mates, s.core15[1:2] + s.core15[1:],
+                               s.pairing_nucleus, s.pairing_lines)
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.section_fan(ostar, planted, p)
+    assert str(exc.value) == (f"the 27 moved points are 26 points: ovoid {join_words(ostar.points)}"
+                              f" point {point_to_word(p, 4)} nucleus {point_to_word(p ^ a ^ b, 4)}")
+    with pytest.raises(UsageError):
+        cfg.section_fan(ostar, s, sextet[0])
 
 
 def test_heptad_analogue_failure_names_the_pair(ostar, monkeypatch):

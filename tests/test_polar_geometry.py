@@ -870,6 +870,99 @@ def test_solid_extra_point_names_a_quadric_line_in_words():
     assert str(exc.value) == "solid section carries a quadric line: XXXX,ZIZX,YXYI"
 
 
+def _plant_on_quadric(monkeypatch, point):
+    # solid_extra_point and axis_of_partition read standard_quadric(4); the
+    # outer certifiers are handed the real quadric or generators.
+    real = pg.standard_quadric(4)
+    planted = _quadric_with_mask(real, real.mask | 1 << point)
+    monkeypatch.setattr(pg, "standard_quadric", lambda n: planted)
+
+
+def _solid_fault(o, quad, planted):
+    # solid_extra_point's message once `planted`, a skew point in the solid
+    # of `quad`, is put on the quadric.
+    on = sorted({*quad, pg.solid_extra_point(o, quad), planted})
+    return (f"solid section is not five points: {join_words(sorted(quad))}"
+            f" meet the quadric in {join_words(on)}")
+
+
+def _nested_sextet_solid(o, gens, monkeypatch):
+    sextet, rest = o.points[:6], o.points[6:]
+    inner = _solid_fault(o, (sextet[0],) + rest, rest[0] ^ rest[1])
+    _plant_on_quadric(monkeypatch, rest[0] ^ rest[1])
+    return (lambda: pg.sextet_intersection(o, sextet, gens.quadric), inner,
+            f"sextet {join_words(sextet)}")
+
+
+def _nested_sextet_quadrangle(o, gens, monkeypatch):
+    # One point of the first section line swapped for another section point:
+    # the quadrangle check, not a degree count of the section's own, fails.
+    sextet = o.points[:6]
+    section = pg.sextet_intersection(o, sextet, gens.quadric)
+    swapped = _swap_one_point(section.lines, section.points)
+    moved = sorted((section.lines[0][0], swapped[0][0]))
+    monkeypatch.setattr(pg, "_mask_lines", lambda mask: swapped)
+    return (lambda: pg.sextet_intersection(o, sextet, gens.quadric),
+            f"point degree is not t+1: {join_words(moved)}", f"sextet {join_words(sextet)}")
+
+
+def _nested_pentad_vertex(o, gens, monkeypatch):
+    pentad, quartet = o.points[:5], o.points[5:]
+    inner = _solid_fault(o, quartet, quartet[0] ^ quartet[1])
+    _plant_on_quadric(monkeypatch, quartet[0] ^ quartet[1])
+    return (lambda: pg.pentad_intersection(o, pentad, gens.quadric), inner,
+            f"pentad {join_words(pentad)}")
+
+
+def _nested_pentad_quartet(o, gens, monkeypatch):
+    # A secant point of the pentad lies in the solid of the quartet without
+    # its first point, but not in the solid of the complementary quartet.
+    pentad = o.points[:5]
+    inner = _solid_fault(o, pentad[1:], pentad[1] ^ pentad[2])
+    _plant_on_quadric(monkeypatch, pentad[1] ^ pentad[2])
+    return (lambda: pg.pentad_intersection(o, pentad, gens.quadric), inner,
+            f"pentad {join_words(pentad)}")
+
+
+def _nested_point_line(o, gens, monkeypatch):
+    p = o.points[0]
+    s1, s2 = pg.rest_splits(o, p)[0]
+    inner = _solid_fault(o, s1, s1[0] ^ s1[1])
+    _plant_on_quadric(monkeypatch, s1[0] ^ s1[1])
+    return (lambda: pg.point_partition_line(o, p, (s1, s2), gens), inner,
+            f"point {join_words((p,))} split {join_words(s1)}/{join_words(s2)}")
+
+
+def _nested_six_ovoids(o, gens, monkeypatch):
+    part = pg.triple_partitions(o)[0]
+    nuclei = [t[0] ^ t[1] ^ t[2] for t in part]
+    _plant_on_quadric(monkeypatch, nuclei[0])
+    return (lambda: pg.six_ovoid_family(o, part, gens),
+            f"axis touches the quadric: {join_words(nuclei)}",
+            f"ovoid {join_words(o.points)} partition {'/'.join(map(join_words, part))}")
+
+
+_NESTED_FAULTS = {
+    "sextet-solid": _nested_sextet_solid,
+    "sextet-quadrangle": _nested_sextet_quadrangle,
+    "pentad-vertex": _nested_pentad_vertex,
+    "pentad-quartet": _nested_pentad_quartet,
+    "point-line": _nested_point_line,
+    "six-ovoids": _nested_six_ovoids,
+}
+
+
+@pytest.mark.parametrize("case", _NESTED_FAULTS.values(), ids=_NESTED_FAULTS.keys())
+def test_nested_faults_name_the_outer_object(case, ostar, gens4, monkeypatch):
+    # A failed certificate inside an outer certifier keeps its own message,
+    # naming the inner object, and the outer certifier names its object once.
+    call, inner, outer = case(ostar, gens4, monkeypatch)
+    with pytest.raises(InternalConsistencyError) as exc:
+        call()
+    assert str(exc.value) == f"{inner}: {outer}"
+    assert re.search(r"[IXYZ]{4}", inner) and re.search(r"[IXYZ]{4}", outer)
+
+
 def test_sextet_double_six_is_two_ovoid_difference(ostar, gens4, quadric4):
     sextet = ostar.points[:6]
     section = pg.sextet_intersection(ostar, sextet, quadric4)
