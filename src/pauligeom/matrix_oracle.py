@@ -8,7 +8,9 @@ byte strings.  A product is one `bytes.translate`: `_action(b)` is the
 its sign flipped by s, and translating the rows of a through it is the
 product a @ b, computed in C.  Entries must fit in a byte, so words have
 at most 7 letters (2^7 rows, entries below 2^8).  Only `_BASE`, `matmul`,
-`_action`, `kron` and `negated` read or write this encoding.
+`_action`, `kron` and `negated` read or write this encoding, and
+`check_agreement`, which translates a whole row of products through the
+`_action` tables itself.
 
 A product is read back by looking it up among the 2·4^N signed
 realizations ±realize(w) (identity included), which gives its word and
@@ -24,6 +26,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
+from operator import eq
 
 from . import pauli_codec
 from .errors import InternalConsistencyError, UsageError
@@ -113,14 +116,18 @@ def check_agreement(n_qubits: int) -> dict[str, int]:
     One pass computes every ordered matrix product once: the square of
     each word gives its symmetry class, and ab and ba of each unordered
     pair give both ordered products and, by their signs, commutation.
-    Each is compared with `pauli_codec`.  Returns the numbers of checks
-    performed; raises on the first disagreement, naming the ordered pair.
+    Each is compared with `pauli_codec`, a row at a time: for word a, the
+    products ab and ba with every later word b are looked up as two lists
+    and compared with the codec's as two maps.  A row that disagrees is
+    checked again pair by pair, so that the error names its first
+    disagreeing ordered pair.  Returns the numbers of checks performed.
     """
     table = _signed_table(n_qubits)
     identity = "I" * n_qubits
     words = all_words(n_qubits)
     mats = [realize(w) for w in words]
-    for i, (a, ma) in enumerate(zip(words, mats)):
+    acts = [_action(m) for m in mats]
+    for i, (a, ma, act_a) in enumerate(zip(words, mats, acts)):
         square, sign = _lookup(table, matmul(ma, ma), a, a)
         if square != pauli_codec.word_product(a, a):
             raise InternalConsistencyError(f"product disagreement {a},{a}")
@@ -128,18 +135,34 @@ def check_agreement(n_qubits: int) -> dict[str, int]:
             raise InternalConsistencyError(f"{a} does not square to +/- identity")
         if pauli_codec.is_symmetric(a) != (sign == 1):
             raise InternalConsistencyError(f"symmetry disagreement at {a}")
-        for b, mb in zip(words[i + 1 :], mats[i + 1 :]):
-            ab = _lookup(table, matmul(ma, mb), a, b)
-            ba = _lookup(table, matmul(mb, ma), b, a)
-            if ab[0] != pauli_codec.word_product(a, b):
-                raise InternalConsistencyError(f"product disagreement {a},{b}")
-            if ba[0] != pauli_codec.word_product(b, a):
-                raise InternalConsistencyError(f"product disagreement {b},{a}")
-            if pauli_codec.commutes(a, b) != (ab == ba):
-                raise InternalConsistencyError(f"commutation disagreement {a},{b}")
+        later, later_mats = words[i + 1 :], mats[i + 1 :]
+        try:
+            ab = [table[ma.translate(act)] for act in acts[i + 1 :]]
+            ba = [table[mb.translate(act_a)] for mb in later_mats]
+        except KeyError:
+            _check_pairs(table, a, ma, later, later_mats)
+            continue
+        same = itertools.repeat(a)
+        if ([w for w, _ in ab] != list(map(pauli_codec.word_product, same, later))
+                or [w for w, _ in ba] != list(map(pauli_codec.word_product, later, same))
+                or list(map(eq, ab, ba)) != list(map(pauli_codec.commutes, same, later))):
+            _check_pairs(table, a, ma, later, later_mats)
     count = len(words)
     return {
         "words": count,
         "commutation_pairs": count * (count - 1) // 2,
         "product_pairs": count * count,
     }
+
+
+def _check_pairs(table, a: str, ma: bytes, later, later_mats) -> None:
+    """Word a's row, pair by pair: raises on its first disagreeing pair."""
+    for b, mb in zip(later, later_mats):
+        ab = _lookup(table, matmul(ma, mb), a, b)
+        ba = _lookup(table, matmul(mb, ma), b, a)
+        if ab[0] != pauli_codec.word_product(a, b):
+            raise InternalConsistencyError(f"product disagreement {a},{b}")
+        if ba[0] != pauli_codec.word_product(b, a):
+            raise InternalConsistencyError(f"product disagreement {b},{a}")
+        if pauli_codec.commutes(a, b) != (ab == ba):
+            raise InternalConsistencyError(f"commutation disagreement {a},{b}")

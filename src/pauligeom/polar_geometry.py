@@ -187,9 +187,15 @@ def _perp_masks(ctx: GeometryContext) -> dict[int, int]:
     return perp
 
 
+@cache
+def _rank4_perp() -> dict[int, int]:
+    """The rank-4 perp masks, read from `_perp_masks` once per process."""
+    return _perp_masks(GeometryContext(4))
+
+
 def perp(p: int) -> int:
     """The mask of the rank-4 points that commute with point `p` (sigma = 0)."""
-    return _perp_masks(standard_quadric(4).context)[p]
+    return _rank4_perp()[p]
 
 
 @cache
@@ -579,21 +585,56 @@ def line_partition(mask: int) -> list[tuple[int, int, int]]:
 
 
 def _certify_tetrad(mask: int, qmask: int) -> None:
-    """Twelve off-quadric points that are four skew lines spanning PG(7, 2).
+    """Twelve off-quadric points on four mutually commuting lines, which
+    are then four skew lines spanning PG(7, 2).
 
-    The points must split into four disjoint lines (`line_partition`)
-    whose eight generators, two per line, have rank 8.  Then the space is
-    the direct sum of the four lines, and the set holds no fifth line: a
-    line through points of two different summands has its third point in
-    their sum, which meets neither summand nor the other two.
+    Read off the perp masks: the points of the set that anticommute with
+    the lowest point u left must be exactly v and u+v, and those that
+    anticommute with v exactly u and u+v; that line is removed, four times
+    over.  Each line is then non-degenerate (sigma(u, v) = 1) and
+    orthogonal to the other three.  Such lines are independent: a point of
+    one line in the span of the others would be orthogonal to its own
+    line, which has no radical.  So the space is the direct sum of the
+    four lines, and the set holds no fifth line: a line through points of
+    two different summands has its third point in their sum, which meets
+    neither summand nor the other two.
+
+    Every tetrad of an ovoid partition passes.  A point of an off-quadric
+    line {u, v, u+v} anticommutes with the other two, as Q(u+v) = Q(u) +
+    Q(v) + sigma(u, v) reads 1 = 1 + 1 + sigma.  Two points of an ovoid
+    anticommute (else their line lies on the quadric, in a generator
+    that holds both), so for conics {a, b, c} and {d, e, f} of a
+    partition, sigma(a+b, d+e) is a sum of four 1s, sigma(a+b+c, d+e) of
+    six and sigma(a+b+c, a+b) of four: the conics' external lines and the
+    axis of their nuclei commute.
+
+    On failure only, the greedy `line_partition` and the rank of the
+    lines' generators pick the message: not four skew off-quadric lines,
+    four lines that do not span the space, or four spanning lines that do
+    not commute.
     """
+    if mask.bit_count() == 12 and not mask & (qmask | 1):  # bit 0 is no point
+        perp = _rank4_perp()
+        rest = mask
+        while rest:
+            u = (rest & -rest).bit_length() - 1
+            anti = mask & ~perp[u]
+            v = (anti & -anti).bit_length() - 1
+            line = anti | 1 << u
+            if (anti.bit_count() != 2 or not anti >> (u ^ v) & 1
+                    or mask & ~perp[v] != line ^ 1 << v):
+                break
+            rest &= ~line
+        else:
+            return
     lines = line_partition(mask)
     if mask.bit_count() != 12 or mask & qmask or len(lines) != 4:
         raise InternalConsistencyError(
             f"tetrad is not four skew off-quadric lines: {join_words(_mask_points(mask))}")
+    named = ";".join(map(join_words, lines))
     if gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) != 8:
-        raise InternalConsistencyError(
-            f"tetrad does not span the whole space: {';'.join(map(join_words, lines))}")
+        raise InternalConsistencyError(f"tetrad does not span the whole space: {named}")
+    raise InternalConsistencyError(f"tetrad lines do not commute: {named}")
 
 
 def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> int:
@@ -757,10 +798,11 @@ def commutation_profile(word_point: int, family) -> tuple[int, ...]:
     return tuple((mask & ov.mask).bit_count() for ov in family)
 
 
-def solid_extra_point(o: Ovoid, quad) -> int:
-    """The unique fifth quadric point in the solid of four ovoid points."""
+def solid_extra_point(o: Ovoid, quad, quadric: Quadric | None = None) -> int:
+    """The unique fifth point of `quadric` (by default the standard one) in
+    the solid of four ovoid points."""
     q = o.distinct_points(quad, 4)
-    qmask = standard_quadric(4).mask
+    qmask = (quadric or standard_quadric(4)).mask
     span = [0]
     for b in q:
         span += [p ^ b for p in span]
@@ -859,13 +901,13 @@ def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     section = sorted(
         v for v in span_points(pent) if quadric.contains(v)
     )
-    vertex = nested(fail, solid_extra_point, o, o.complement_in(pent))
+    vertex = nested(fail, solid_extra_point, o, o.complement_in(pent), quadric)
     lines = []
     for p in pent:
         third = vertex ^ p
         if third not in section:
             raise fail(f"cone line {join_words((vertex, p, third))} leaves the section")
-        extra = nested(fail, solid_extra_point, o, tuple(q for q in pent if q != p))
+        extra = nested(fail, solid_extra_point, o, tuple(q for q in pent if q != p), quadric)
         if third != extra:
             raise fail(f"cone line {join_words((vertex, p, third))} misses the quartet"
                        f" extra point {join_words((extra,))}")
@@ -911,7 +953,7 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
     section = sorted(v for v in span_points(sx) if quadric.contains(v))
     if len(section) != expected_count("elliptic", "points", 3):
         raise fail("sextet section is not a 27-point quadric")
-    mates = tuple(nested(fail, solid_extra_point, o, (s,) + rest) for s in sx)
+    mates = tuple(nested(fail, solid_extra_point, o, (s,) + rest, quadric) for s in sx)
     for s, m in zip(sx, mates):
         if s ^ m != nucleus:
             raise fail(f"mate pairing {join_words((s, m))} misses the conic nucleus")

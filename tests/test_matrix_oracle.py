@@ -158,6 +158,42 @@ def test_check_agreement_catches_one_wrong_commutation(monkeypatch):
     assert f"{words[-2]},{words[-1]}" in str(exc.value)
 
 
+def test_check_agreement_names_a_wrong_reversed_product(monkeypatch):
+    # Only word_product(b, a) is wrong, for one pair with a before b: the
+    # fault is named as the ordered pair b,a.
+    words = mo.all_words(4)
+    a, b = words[10], words[200]
+    real = pc.word_product
+
+    def word_product(x, y):
+        return x if (x, y) == (b, a) else real(x, y)
+
+    monkeypatch.setattr(pc, "word_product", word_product)
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    assert str(exc.value) == f"product disagreement {b},{a}"
+
+
+def test_check_agreement_names_the_first_faulty_pair_of_a_row(monkeypatch):
+    # A commutation fault at (a, b1) and a product fault at (a, b2), with
+    # b1 before b2 in a's row: the earlier pair is named, whatever its kind.
+    words = mo.all_words(4)
+    a, b1, b2 = words[5], words[50], words[100]
+    real_product, real_commutes = pc.word_product, pc.commutes
+
+    def word_product(x, y):
+        return x if (x, y) == (a, b2) else real_product(x, y)
+
+    def commutes(x, y):
+        return real_commutes(x, y) != ({x, y} == {a, b1})
+
+    monkeypatch.setattr(pc, "word_product", word_product)
+    monkeypatch.setattr(pc, "commutes", commutes)
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    assert str(exc.value) == f"commutation disagreement {a},{b1}"
+
+
 def test_check_agreement_catches_one_wrong_symmetry(monkeypatch):
     bad = mo.all_words(4)[100]
     real = pc.is_symmetric

@@ -468,6 +468,37 @@ def test_tetrad_certifier_rejects_four_skew_lines_of_rank_7(quadric4):
     assert str(exc.value) == f"tetrad does not span the whole space: {rendered}"
 
 
+def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(quadric4):
+    words = "IXIY,XIYX,XXYZ;XXIY,ZZYX,YYYZ;IIZY,ZXXY,ZXYI;IZZY,YXXZ,YYYX"
+    lines = [[word_to_point(w) for w in line.split(",")] for line in words.split(";")]
+    points = [p for line in lines for p in line]
+    assert all(u ^ v == w for u, v, w in lines)
+    assert len(set(points)) == 12 and rank(points) == 8
+    assert not any(map(quadric4.contains, points))
+    sigma = quadric4.context.sigma
+    assert any(sigma(p, q) for k, line in enumerate(lines) for other in lines[k + 1:]
+               for p in line for q in other)
+    mask = sum(1 << p for p in points)
+    rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
+                        for line in pg.line_partition(mask))
+    assert sorted(rendered.split(";")) == sorted(words.split(";"))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg._certify_tetrad(mask, quadric4.mask)
+    assert str(exc.value) == f"tetrad lines do not commute: {rendered}"
+
+
+def test_every_census_tetrad_passes_the_former_certificate_too(ovoids, quadric4):
+    # The former certificate, kept as the reference: the greedy line search
+    # finds four lines, and their eight generators have rank 8.
+    census = pg.tetrad_census(ovoids)
+    assert len(census) == 11200
+    for key in census:
+        pg._certify_tetrad(key, quadric4.mask)
+        lines = pg.line_partition(key)
+        assert len(lines) == 4
+        assert gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) == 8
+
+
 def test_line_partition_matches_mask_lines_on_every_census_key(ovoids):
     census = pg.tetrad_census(ovoids)
     assert len(census) == 11200
@@ -537,16 +568,21 @@ def test_tetrad_census_names_the_failing_ovoid_and_partition(words):
         point_to_word(p, 4) for p in pg._mask_points(key))
 
 
-def test_tetrad_census_names_the_ovoid_and_partition_of_a_rank_failure(
+def test_tetrad_census_names_the_ovoid_and_partition_of_a_commutation_failure(
         ostar, quadric4, monkeypatch):
+    # sigma planted wrong at one pair of points, on two lines of the tetrad
+    # of O*'s first partition, in the perp table that the certifier reads.
     _, lines = _reference_tetrad(pg.triple_partitions(ostar)[0], quadric4)
-    monkeypatch.setattr(gf2_core, "rank", lambda points: 7)
+    u, x = lines[0][0], lines[1][0]
+    table = pg._rank4_perp()
+    monkeypatch.setitem(table, u, table[u] ^ 1 << x)
+    monkeypatch.setitem(table, x, table[x] ^ 1 << u)
     with pytest.raises(InternalConsistencyError) as exc:
         pg.tetrad_census([ostar])
     reason, groups = _census_fault_parts(str(exc.value), ostar)
     # Keys are certified in order of first occurrence: O*'s first partition.
     assert groups == [list(t) for t in pg.triple_partitions(ostar)[0]]
-    assert reason == "tetrad does not span the whole space: " + ";".join(
+    assert reason == "tetrad lines do not commute: " + ";".join(
         ",".join(point_to_word(p, 4) for p in line) for line in lines)
 
 
@@ -753,8 +789,12 @@ def test_pentad_faults_name_the_pentad_in_words(plant, ostar, quadric4, monkeypa
         quadric = _quadric_with_mask(quadric4, quadric4.mask ^ 1 << (vertex ^ pent[0]))
         what = f"cone line {line} leaves the section"
     elif plant == "extra point on":
-        # a secant's third point of the pentad, off the quadric, planted on it
+        # a secant's third point of the pentad, off the quadric, planted on
+        # it; the quartet solids read the standard quadric, so that only the
+        # section check sees the plant
         quadric = _quadric_with_mask(quadric4, quadric4.mask | 1 << (pent[0] ^ pent[1]))
+        real = pg.solid_extra_point
+        monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad, _: real(o, quad))
         section = sorted(v for v in span_points(pent) if quadric.contains(v))
         assert len(section) == 12
         what = (f"section {join_words(section)} is not the 11-point cone"
@@ -762,8 +802,8 @@ def test_pentad_faults_name_the_pentad_in_words(plant, ostar, quadric4, monkeypa
     else:
         # the extra point of every quartet inside the pentad moved onto the ovoid
         real = pg.solid_extra_point
-        monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad: o.points[0]
-                            if set(quad) <= set(pent) else real(o, quad))
+        monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad, quadric: o.points[0]
+                            if set(quad) <= set(pent) else real(o, quad, quadric))
         what = (f"cone line {line} misses the quartet extra point"
                 f" {join_words(ostar.points[:1])}")
     with pytest.raises(InternalConsistencyError) as exc:
@@ -870,11 +910,14 @@ def test_solid_extra_point_names_a_quadric_line_in_words():
     assert str(exc.value) == "solid section carries a quadric line: XXXX,ZIZX,YXYI"
 
 
+def _on_quadric(quadric, point):
+    return _quadric_with_mask(quadric, quadric.mask | 1 << point)
+
+
 def _plant_on_quadric(monkeypatch, point):
-    # solid_extra_point and axis_of_partition read standard_quadric(4); the
-    # outer certifiers are handed the real quadric or generators.
-    real = pg.standard_quadric(4)
-    planted = _quadric_with_mask(real, real.mask | 1 << point)
+    # point_partition_line's solid_extra_point and axis_of_partition read
+    # standard_quadric(4); their outer certifiers take generators.
+    planted = _on_quadric(pg.standard_quadric(4), point)
     monkeypatch.setattr(pg, "standard_quadric", lambda n: planted)
 
 
@@ -889,8 +932,8 @@ def _solid_fault(o, quad, planted):
 def _nested_sextet_solid(o, gens, monkeypatch):
     sextet, rest = o.points[:6], o.points[6:]
     inner = _solid_fault(o, (sextet[0],) + rest, rest[0] ^ rest[1])
-    _plant_on_quadric(monkeypatch, rest[0] ^ rest[1])
-    return (lambda: pg.sextet_intersection(o, sextet, gens.quadric), inner,
+    planted = _on_quadric(gens.quadric, rest[0] ^ rest[1])
+    return (lambda: pg.sextet_intersection(o, sextet, planted), inner,
             f"sextet {join_words(sextet)}")
 
 
@@ -909,8 +952,8 @@ def _nested_sextet_quadrangle(o, gens, monkeypatch):
 def _nested_pentad_vertex(o, gens, monkeypatch):
     pentad, quartet = o.points[:5], o.points[5:]
     inner = _solid_fault(o, quartet, quartet[0] ^ quartet[1])
-    _plant_on_quadric(monkeypatch, quartet[0] ^ quartet[1])
-    return (lambda: pg.pentad_intersection(o, pentad, gens.quadric), inner,
+    planted = _on_quadric(gens.quadric, quartet[0] ^ quartet[1])
+    return (lambda: pg.pentad_intersection(o, pentad, planted), inner,
             f"pentad {join_words(pentad)}")
 
 
@@ -919,8 +962,8 @@ def _nested_pentad_quartet(o, gens, monkeypatch):
     # its first point, but not in the solid of the complementary quartet.
     pentad = o.points[:5]
     inner = _solid_fault(o, pentad[1:], pentad[1] ^ pentad[2])
-    _plant_on_quadric(monkeypatch, pentad[1] ^ pentad[2])
-    return (lambda: pg.pentad_intersection(o, pentad, gens.quadric), inner,
+    planted = _on_quadric(gens.quadric, pentad[1] ^ pentad[2])
+    return (lambda: pg.pentad_intersection(o, pentad, planted), inner,
             f"pentad {join_words(pentad)}")
 
 
