@@ -198,7 +198,7 @@ def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
     b = _Builder("fig2", ctx=quadric.context)
     for k, triple in enumerate(partition, start=1):
         b.add_all(triple, f"conic-{k}")
-    axis = sorted(pg.axis_of_partition(o, partition))
+    axis = sorted(pg.axis_of_partition(o, partition, quadric))
     b.add_all(axis, "nucleus")
     lines = pg.line_partition(pg.tetrad_of_partition(o, partition, quadric))
     for line in lines:  # the axis points keep their nucleus role

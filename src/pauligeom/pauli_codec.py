@@ -66,14 +66,6 @@ def _vector(word: str) -> int:
     return _valid_vector(word)
 
 
-def _vector_pair(a: str, b: str) -> tuple[int, int, int]:
-    """Vectors and length of two words: a's alphabet, b's, then the length."""
-    u, v = _vector(a), _vector(b)
-    if len(b) != len(a):
-        validate_word(b, len(a))  # raises the length mismatch
-    return u, v, len(a)
-
-
 def word_to_point(word: str) -> int:
     """Projective point of a non-identity word."""
     v = _vector(word)
@@ -96,14 +88,21 @@ def point_to_word(v: int, n_qubits: int) -> str:
     )
 
 
-def identity_word(n_qubits: int) -> str:
-    return "I" * n_qubits
-
-
 def word_product(a: str, b: str) -> str:
-    """Sign-free product; addition of coordinate pairs letter by letter."""
-    u, v, n = _vector_pair(a, b)
-    return identity_word(n) if u == v else point_to_word(u ^ v, n)
+    """Sign-free product; addition of coordinate pairs letter by letter.
+
+    Like :func:`commutes`, it checks a's alphabet, b's, then the length,
+    and reads both vectors from the memo in its own frame: the matrix
+    oracle calls both pair functions for every pair of words.
+    """
+    try:
+        u, v = _valid_vector(a), _valid_vector(b)
+    except TypeError:  # an argument the memo cannot hash
+        u, v = _vector(a), _vector(b)
+    n = len(a)
+    if len(b) != n:
+        validate_word(b, n)  # raises the length mismatch
+    return "I" * n if u == v else point_to_word(u ^ v, n)
 
 
 def is_symmetric(word: str) -> bool:
@@ -165,8 +164,15 @@ class GeometryContext:
 
 def commutes(a: str, b: str) -> bool:
     """Whether two words commute: sigma of their points vanishes."""
-    u, v, n = _vector_pair(a, b)
-    return _sigma(u, v, n) == 0
+    try:
+        u, v = _valid_vector(a), _valid_vector(b)
+    except TypeError:  # an argument the memo cannot hash
+        u, v = _vector(a), _vector(b)
+    n = len(a)
+    if len(b) != n:
+        validate_word(b, n)  # raises the length mismatch
+    m = (1 << n) - 1
+    return not (((u >> n) & v & m).bit_count() + ((v >> n) & u & m).bit_count()) & 1
 
 
 def words_to_points(words) -> tuple[int, ...]:

@@ -7,7 +7,9 @@ property rather than trusted from the construction that produced them.
 
 Point sets are bitmask ints over point values, so intersection sizes and
 membership tests are single machine-word style operations even for the
-full 255-point space.
+full 255-point space.  The hot loops write the points of x outside m as
+`x ^ (x & m)`, never `x & ~m`: a negated int is negative, and `&` on a
+negative int of hundreds of bits first converts it to two's complement.
 """
 
 from __future__ import annotations
@@ -248,6 +250,11 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         ground = tuple(ctx.points())
         ground_mask = _points_mask(ground)
 
+    # Per set of free columns (bit c for column c), the OR of their bands.
+    allowed = [0]
+    for band in bands:
+        allowed += [m | band for m in allowed]
+
     # level entries: (RREF basis, its points as bytes, perp mask, OR of the rows)
     xor = _xor_tables(ctx.dim)
     level = [((p,), bytes((p,)), perp[p], p) for p in ground]
@@ -255,12 +262,7 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         nxt = []
         for basis, pts, perpmask, rows in level:
             free = ~rows & ((1 << (basis[-1].bit_length() - 1)) - 1)
-            allowed = 0
-            while free:
-                c = free.bit_length() - 1
-                free ^= 1 << c
-                allowed |= bands[c]
-            cand = perpmask & ground_mask & allowed
+            cand = perpmask & ground_mask & allowed[free]
             while cand:
                 bit = cand & -cand
                 cand ^= bit
@@ -448,7 +450,8 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
         if covered == every:
             found.append(chosen)
             return
-        cand = masks[(~covered & (covered + 1)).bit_length() - 1] & ~blocked
+        lowest = masks[(covered ^ (covered + 1)).bit_length() - 1]
+        cand = lowest ^ (lowest & blocked)
         while cand:
             bit = cand & -cand
             cand ^= bit
@@ -517,8 +520,9 @@ def triple_partitions(o: Ovoid):
     )
 
 
-def axis_of_partition(o: Ovoid, partition) -> frozenset[int]:
-    """The off-quadric line carrying the three nuclei of a partition."""
+def axis_of_partition(o: Ovoid, partition, quadric: Quadric | None = None) -> frozenset[int]:
+    """The line off `quadric` (by default the standard one) carrying the
+    three nuclei of a partition."""
     flat = [p for t in partition for p in t]
     if sorted(flat) != list(o.points):
         raise UsageError("partition must cover the ovoid by disjoint triples")
@@ -526,7 +530,7 @@ def axis_of_partition(o: Ovoid, partition) -> frozenset[int]:
     if len(set(nuclei)) != 3 or nuclei[0] ^ nuclei[1] ^ nuclei[2] != 0:
         raise InternalConsistencyError(
             f"partition nuclei are not a line: {join_words(nuclei)}")
-    if any(map(standard_quadric(4).contains, nuclei)):
+    if any(map((quadric or standard_quadric(4)).contains, nuclei)):
         raise InternalConsistencyError(f"axis touches the quadric: {join_words(nuclei)}")
     return frozenset(nuclei)
 
@@ -539,13 +543,18 @@ _PATTERN_TRIPLES = tuple(
 )
 
 
+# The one-bit mask of each rank-4 point value: built once, not per census.
+_BITS = tuple(1 << p for p in range(256))
+
+
 def _conic_masks(pts) -> list[int]:
-    """Per point triple of `pts` (of an ovoid's points, in `_TRIPLES`
+    """Per point triple of `pts` (of a rank-4 ovoid's points, in `_TRIPLES`
     order), the mask of the conic's external line {a^b, a^c, b^c} and
     nucleus a^b^c; a partition's tetrad is the union of its three conics'
     masks."""
+    bits = _BITS
     return [
-        1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
+        bits[a ^ b] | bits[a ^ c] | bits[b ^ c] | bits[a ^ b ^ c]
         for a, b, c in itertools.combinations(pts, 3)
     ]
 
@@ -608,25 +617,30 @@ def _certify_tetrad(mask: int, qmask: int) -> None:
     six and sigma(a+b+c, a+b) of four: the conics' external lines and the
     axis of their nuclei commute.
 
-    On failure only, the greedy `line_partition` and the rank of the
-    lines' generators pick the message: not four skew off-quadric lines,
-    four lines that do not span the space, or four spanning lines that do
-    not commute.
+    On failure only, the message names the set: one holding the zero
+    vector (three collinear points make a zero nucleus), worded without
+    it, since it has no word.  Otherwise the greedy `line_partition` and
+    the rank of the lines' generators pick it: not four skew off-quadric
+    lines, four lines that do not span the space, or four spanning lines
+    that do not commute.
     """
     if mask.bit_count() == 12 and not mask & (qmask | 1):  # bit 0 is no point
         perp = _rank4_perp()
         rest = mask
         while rest:
             u = (rest & -rest).bit_length() - 1
-            anti = mask & ~perp[u]
+            anti = mask ^ (mask & perp[u])
             v = (anti & -anti).bit_length() - 1
             line = anti | 1 << u
             if (anti.bit_count() != 2 or not anti >> (u ^ v) & 1
-                    or mask & ~perp[v] != line ^ 1 << v):
+                    or mask ^ (mask & perp[v]) != line ^ 1 << v):
                 break
-            rest &= ~line
+            rest ^= line  # u commutes with the lines removed before, so `line` is in `rest`
         else:
             return
+    if mask & 1:
+        raise InternalConsistencyError(
+            f"tetrad holds the zero vector: {join_words(_mask_points(mask ^ 1))}")
     lines = line_partition(mask)
     if mask.bit_count() != 12 or mask & qmask or len(lines) != 4:
         raise InternalConsistencyError(
@@ -640,7 +654,7 @@ def _certify_tetrad(mask: int, qmask: int) -> None:
 def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> int:
     """The 12-point mask of a partition's tetrad: the axis plus the three
     in-plane external lines, certified."""
-    axis_of_partition(o, partition)
+    axis_of_partition(o, partition, quadric)
     mask = 0
     for conic in partition:
         mask |= _conic_masks(conic)[0]
@@ -711,9 +725,10 @@ def pairwise_intersection_sizes(ovoids: OvoidSet) -> Counter:
         for b, plane in enumerate(planes):
             split = {}
             for k, m in sizes.items():
-                if low := m & ~plane:
+                high = m & plane
+                if low := m ^ high:
                     split[k] = low
-                if high := m & plane:
+                if high:
                     split[k | 1 << b] = high
             sizes = split
         for k, m in sizes.items():
@@ -759,7 +774,7 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
     """Both triads of disjoint ovoids determined by one partition of `o`."""
     t1, t2, t3 = [tuple(sorted(t)) for t in partition]
     fail = partial(fault, ovoid=o.points, partition=(t1, t2, t3))
-    axis = nested(fail, axis_of_partition, o, (t1, t2, t3))
+    axis = nested(fail, axis_of_partition, o, (t1, t2, t3), gens.quadric)
 
     n1, n2, n3 = (t[0] ^ t[1] ^ t[2] for t in (t1, t2, t3))
     others = tuple(second_ovoid_on_conic(o, t, gens) for t in (t1, t2, t3))
@@ -846,8 +861,8 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
 
     fail = partial(fault, point=p, split=(s1, s2))
 
-    e1 = nested(fail, solid_extra_point, o, s1)
-    e2 = nested(fail, solid_extra_point, o, s2)
+    e1 = nested(fail, solid_extra_point, o, s1, gens.quadric)
+    e2 = nested(fail, solid_extra_point, o, s2, gens.quadric)
     if e1 ^ e2 != p:
         raise fail(f"solid extras {join_words((e1, e2))} are not collinear with the point")
     line = frozenset((p, e1, e2))

@@ -103,6 +103,22 @@ def test_nuclei_fans_row_fails_with_the_fan_certificate(monkeypatch):
         f" nucleus {join_words((p ^ a ^ b,))}")
 
 
+def test_sextet_sections_are_built_once_for_both_rows(monkeypatch):
+    # The section row and the fan row share O*'s 84 sextet sections.
+    real, calls = pg.sextet_intersection, []
+
+    def sextet_intersection(o, sx, quadric):
+        calls.append(sx)
+        return real(o, sx, quadric)
+
+    monkeypatch.setattr(pg, "sextet_intersection", sextet_intersection)
+    rows = verify.run_checks(r for r in verify.checks(4, "quick")
+                             if r[0] in ("sextet_sections", "nuclei_fans"))
+    assert [(row.computed, row.ok) for row in rows] == [
+        ("84/84 sections", True), ("252/252 fans", True)]
+    assert len(calls) == len(set(calls)) == 84
+
+
 def test_criterion_14_determinism():
     t0 = time.perf_counter()
     cmd = [sys.executable, "-m", "pauligeom", "verify", "--n", "4",

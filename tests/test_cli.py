@@ -464,6 +464,10 @@ OUTPUT_DIGESTS = [
      "b6dce5b6efa1d3692e6fd6109e6a0874de67903c4cf7215d186e0652d5f03885"),
     (["oracle-check", "--n", "4"],
      "414a478767e165bfae93285684809494a41973ee832bc8414a34583564e1dcee"),
+    (["verify", "--n", "2", "--no-timings"],
+     "7eb1265dca9657480d5211f62e749fbf75bdd1b1cfc68dba6aff851990f4bd67"),
+    (["verify", "--n", "3", "--no-timings"],
+     "fe2832fd32060bad56e4c36819deac78387eefe02d76547eebd2174007e5a158"),
     (["config", "fig1"],
      "a0bc24583ad846b54564de176270a26fc73638253e48866145a3e9920b07cb15"),
     (["config", "fig3"],

@@ -549,23 +549,30 @@ def _census_fault_parts(message, o):
     return reason, groups
 
 
-@pytest.mark.parametrize("words", [
+_NOT_FOUR_LINES = "tetrad is not four skew off-quadric lines"
+
+
+@pytest.mark.parametrize("words,what", [
     # O* with XXXX replaced by IIIX: a partition nucleus lands on the quadric.
-    "IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX",
+    ("IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX", _NOT_FOUR_LINES),
     # Not an ovoid: two conics of a partition share an off-quadric point.
-    "IIIX,IIXZ,IXZZ,XIZY,XZXZ,XYZZ,ZIZZ,YYIY,YYYZ",
-], ids=["point on quadric", "lines overlap"])
-def test_tetrad_census_names_the_failing_ovoid_and_partition(words):
+    ("IIIX,IIXZ,IXZZ,XIZY,XZXZ,XYZZ,ZIZZ,YYIY,YYYZ", _NOT_FOUR_LINES),
+    # O* with its third point replaced by the sum of the first two: that
+    # collinear triple's nucleus is the zero vector, which has no word.
+    ("XXXX,IXXZ,XIIY,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX", "tetrad holds the zero vector"),
+], ids=["point on quadric", "lines overlap", "collinear triple"])
+def test_tetrad_census_names_the_failing_ovoid_and_partition(words, what):
     o = pg.Ovoid.from_points(word_to_point(w) for w in words.split(","))
     with pytest.raises(InternalConsistencyError) as exc:
         pg.tetrad_census([o])
     reason, groups = _census_fault_parts(str(exc.value), o)
-    # The reason is the certifier's, on the named partition's 12-point set.
+    # The reason is the certifier's, on the named partition's 12-point set,
+    # worded without the zero vector.
     key = 0
     for a, b, c in groups:
         key |= 1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
-    assert reason == "tetrad is not four skew off-quadric lines: " + ",".join(
-        point_to_word(p, 4) for p in pg._mask_points(key))
+    assert reason == f"{what}: " + ",".join(
+        point_to_word(p, 4) for p in pg._mask_points(key) if p)
 
 
 def test_tetrad_census_names_the_ovoid_and_partition_of_a_commutation_failure(
@@ -914,11 +921,11 @@ def _on_quadric(quadric, point):
     return _quadric_with_mask(quadric, quadric.mask | 1 << point)
 
 
-def _plant_on_quadric(monkeypatch, point):
-    # point_partition_line's solid_extra_point and axis_of_partition read
-    # standard_quadric(4); their outer certifiers take generators.
-    planted = _on_quadric(pg.standard_quadric(4), point)
-    monkeypatch.setattr(pg, "standard_quadric", lambda n: planted)
+def _gens_on_quadric(gens, point):
+    # The generators with `point` planted on their quadric, which the
+    # generator-taking certifiers hand to their solids and axis checks.
+    return pg.GeneratorSet(gens.context, gens.bases, gens.masks, gens.families,
+                           _on_quadric(gens.quadric, point))
 
 
 def _solid_fault(o, quad, planted):
@@ -971,16 +978,16 @@ def _nested_point_line(o, gens, monkeypatch):
     p = o.points[0]
     s1, s2 = pg.rest_splits(o, p)[0]
     inner = _solid_fault(o, s1, s1[0] ^ s1[1])
-    _plant_on_quadric(monkeypatch, s1[0] ^ s1[1])
-    return (lambda: pg.point_partition_line(o, p, (s1, s2), gens), inner,
+    planted = _gens_on_quadric(gens, s1[0] ^ s1[1])
+    return (lambda: pg.point_partition_line(o, p, (s1, s2), planted), inner,
             f"point {join_words((p,))} split {join_words(s1)}/{join_words(s2)}")
 
 
 def _nested_six_ovoids(o, gens, monkeypatch):
     part = pg.triple_partitions(o)[0]
     nuclei = [t[0] ^ t[1] ^ t[2] for t in part]
-    _plant_on_quadric(monkeypatch, nuclei[0])
-    return (lambda: pg.six_ovoid_family(o, part, gens),
+    planted = _gens_on_quadric(gens, nuclei[0])
+    return (lambda: pg.six_ovoid_family(o, part, planted),
             f"axis touches the quadric: {join_words(nuclei)}",
             f"ovoid {join_words(o.points)} partition {'/'.join(map(join_words, part))}")
 
