@@ -490,6 +490,8 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     o.distinct_points((p1, p2), 2)
     fail = partial(pg.fault, ovoid=o.points, pair=(p1, p2))
     heptad = nuclei_heptad(o, p1, p2)
+    if 0 in heptad:  # the zero vector has no word
+        raise fail("collinear triple has no nucleus", triple=sorted((p1, p2, p1 ^ p2)))
     if len(set(heptad)) != 7 or any(map(quadric.contains, heptad)):
         raise fail(f"conic nuclei {join_words(heptad)} are not a skew heptad")
     thirds = {}

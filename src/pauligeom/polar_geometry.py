@@ -527,6 +527,8 @@ def axis_of_partition(o: Ovoid, partition, quadric: Quadric | None = None) -> fr
     if sorted(flat) != list(o.points):
         raise UsageError("partition must cover the ovoid by disjoint triples")
     nuclei = [t[0] ^ t[1] ^ t[2] for t in partition]
+    if 0 in nuclei:  # the zero vector has no word
+        raise fault("collinear triple has no nucleus", triple=partition[nuclei.index(0)])
     if len(set(nuclei)) != 3 or nuclei[0] ^ nuclei[1] ^ nuclei[2] != 0:
         raise InternalConsistencyError(
             f"partition nuclei are not a line: {join_words(nuclei)}")
@@ -793,13 +795,9 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
     union_base = o.mask | a.mask | b.mask
     if union_other != union_base or union_other.bit_count() != 27:
         raise fail("triads do not share the same 27 points")
-    for x, y in itertools.combinations((o, a, b), 2):
-        if x.mask & y.mask:
-            raise fail("base triad is not disjoint")
-    for x, y in itertools.combinations(others, 2):
-        if x.mask & y.mask:
-            raise fail("other triad is not disjoint")
-    for x in (o, a, b):
+    # Three masks of at most 9 points cover 27 only if they are disjoint,
+    # and o meets each mate in its conic by `second_ovoid_on_conic`.
+    for x in (a, b):
         for y in others:
             if (x.mask & y.mask).bit_count() != 3:
                 raise fail("cross-triad overlap is not a conic")

@@ -1,9 +1,9 @@
 import contextlib
 import errno
-import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,6 +18,8 @@ from pauligeom import configurations as cfg
 from pauligeom.errors import InternalConsistencyError
 from pauligeom.gf2_core import standard_to_edge, to_string
 from pauligeom.pauli_codec import word_to_point
+
+from pinned_outputs import OVOID_500, OVOID_SHORT, PARTITION, PINNED, check
 
 
 def run(args, capsys):
@@ -215,15 +217,13 @@ def test_config_bad_ovoid(capsys):
     assert "nine" in err
 
 
-# O* with short words in three places: ZIZ, XYI and YY encode the same
-# ints as XIZI, IXXZ and XXXX.  And O* with a five-letter last word.
-_OVOID_SHORT = "ZIIX,IZYY,XZXI,ZXZZ,ZIZ,ZZIZ,XYI,YYZX,YY"
+# O* with a five-letter last word.
 _OVOID_LONG = "ZIIX,IZYY,XZXI,ZXZZ,XIZI,ZZIZ,IXXZ,YYZX,XXXXX"
 
 
 @pytest.mark.parametrize("command", [["config", "fig1"], ["enumerate", "tetrads"],
                                      ["enumerate", "heptads"]], ids=" ".join)
-@pytest.mark.parametrize("token,word", [(_OVOID_SHORT, "ZIZ"), (_OVOID_LONG, "XXXXX")],
+@pytest.mark.parametrize("token,word", [(OVOID_SHORT, "ZIZ"), (_OVOID_LONG, "XXXXX")],
                          ids=["short", "five-letter"])
 def test_ovoid_word_of_the_wrong_length_is_usage_error(command, token, word, capsys):
     code, out, err = run([*command, "--ovoid", token], capsys)
@@ -416,120 +416,28 @@ def test_removed_flags_are_usage_errors(argv, capsys):
     assert exc.value.code == 2
 
 
-# Pinned sha256 of each command's stdout: a refactor of the enumeration
-# or census code must not change a byte of these outputs.
-_PARTITION = "ZIIX,XIZI,XXXX/IZYY,ZXZZ,IXXZ/XZXI,ZZIZ,YYZX"  # not the first partition
-_OVOID_500 = "XIII,ZXXI,YIXY,ZXZX,ZXZZ,ZZII,ZYXY,YZYI,YZZY"  # 500th of `enumerate ovoids`
-_OVOID_XXXX = "XXXX,IIIZ,IIZX,IZXX,IYZY,ZXXX,YXZY,YZIY,YZYX"  # ZYII is no nucleus on XXXX
-OUTPUT_DIGESTS = [
-    (["verify", "--n", "4", "--level", "full", "--no-timings"],
-     "e032c763b015274d8cf59728c2565c47751b5e1226019bafd2e64e7525397ca1"),
-    (["enumerate", "tetrads", "--dedup"],
-     "00d2f9038d49b393b09384fc12cfaeb11166f20db50ea99299474c7dd92b5062"),
-    (["enumerate", "generators", "--space", "symplectic", "--n", "4"],
-     "4669d2ed126304ca0737cb87540f9401c38a940522f038f1b14cc2690eaa2234"),
-    (["enumerate", "generators", "--space", "quadric", "--n", "4"],
-     "4927824d7b3b84baee5cd7b5410168dfab7d26e6bb0895e32b41ffadf834212e"),
-    (["enumerate", "ovoids"],
-     "b4699a216caf86906a9e6965e3dc38d6f08a99f1d11cbc0ccb1c103574ad30fd"),
-    (["enumerate", "tetrads"],
-     "c58cefe8ea9e22a6b4afd35901e97c5f9bb01f2ee759c0238c6ef3420dccb736"),
-    (["config", "fig2"],
-     "503e80ec7e0f07216d654776bb1383803f3ac347755d70689be2b584dfbc9504"),
-    (["enumerate", "tetrads", "--ovoid", _OVOID_500],
-     "5b0a7d29e57f874412f8fa3d9070559c7e72fde1fef9e5f140c8c840d0c60b3f"),
-    (["config", "fig2", "--ovoid", _OVOID_500],
-     "de4422a1a23747ddf1df99c7afe2f43c23710ad696e3b99d5169df6c9ed47241"),
-    (["enumerate", "generators", "--space", "symplectic", "--n", "2"],
-     "f420c4f9e8891336d0418f98c92a5b9067476b51392c25d781c32896e101c1eb"),
-    (["enumerate", "generators", "--space", "symplectic", "--n", "3"],
-     "efaf9418285aee8aad8340c3a55ad960b12b6b6084e89487c63b399783a70023"),
-    (["enumerate", "generators", "--space", "quadric", "--n", "2"],
-     "c4bbd21b3f088cac2ce11fc5714397488568cb62e939828b432333d24ab1bdfb"),
-    (["enumerate", "generators", "--space", "quadric", "--n", "3"],
-     "05e130761bd3aeb03eec329d9af7e1e7aab183e99e07f93b2a9b07691bc74d6d"),
-    (["config", "fig8"],
-     "80b413bfc3e615f73c8aefa072f70bb617029aafb219668960b1ce8fa6ab368d"),
-    (["config", "split63"],
-     "173fbf0a30676ce41dbe21f244a9ab3e8adbb17a46abffc17d400bc89e78ea96"),
-    (["config", "heptad-family", "--kind", "quadrangle"],
-     "887afdfe66131d7e3c238a632cfda4d99d9d90440d5928ee4eff1d7fb8deee44"),
-    (["config", "fig9", "--format", "dot"],
-     "55fb9e2c011ceaf07350057c23f32e77e9951c499ecf949d93b3cd571fffeccd"),
-    (["enumerate", "ovoids", "--through-point", "XXXX"],
-     "67ad193704b5359508034df98247860fbd0678f6ebb81f038635f3608da7ef2c"),
-    (["enumerate", "ovoids", "--through-point", "00001111"],
-     "67ad193704b5359508034df98247860fbd0678f6ebb81f038635f3608da7ef2c"),
-    (["config", "split63", "--ovoid", _OVOID_500, "--point", "ZZII"],
-     "b6dce5b6efa1d3692e6fd6109e6a0874de67903c4cf7215d186e0652d5f03885"),
-    (["oracle-check", "--n", "4"],
-     "414a478767e165bfae93285684809494a41973ee832bc8414a34583564e1dcee"),
-    (["verify", "--n", "2", "--no-timings"],
-     "7eb1265dca9657480d5211f62e749fbf75bdd1b1cfc68dba6aff851990f4bd67"),
-    (["verify", "--n", "3", "--no-timings"],
-     "fe2832fd32060bad56e4c36819deac78387eefe02d76547eebd2174007e5a158"),
-    (["config", "fig1"],
-     "a0bc24583ad846b54564de176270a26fc73638253e48866145a3e9920b07cb15"),
-    (["config", "fig3"],
-     "7196b1634dc5927c54a60be6cb81f7fdbc44f258569c5d57e18c2ee5706b152a"),
-    (["config", "fig4"],
-     "8ae4515d535088c37fdad32311bc93f14087e82873688d7e935fe4a3f89ec11e"),
-    (["config", "fig5"],
-     "f6255a220285cc6a1b0dcf55e2444ecbaef13a04a87cfdcba5a10cea2225649d"),
-    (["config", "fig6"],
-     "ce57d4650f157d6cd2d17764dfce99c1fb67dbacd7ae83bc714494e4775da135"),
-    (["config", "fig7"],
-     "96e3eba58617b62db3202fdd917afb4697906704d3c5f46b6ee695586cdef9c4"),
-    (["config", "fig9"],
-     "28352b99d5e9827e54633ae131f88984faa26495a925cf78536545e7e9c8c4ae"),
-    (["config", "fig10"],
-     "0e596bd768978cd5ff676da169dfe5cedb1321df6dca262197232c19772b326d"),
-    (["config", "fig11"],
-     "807b944eef5e2bcb07c4b5a4359a37c067fd0298114a7d6cccb6ac5a1751fe10"),
-    (["config", "heptad-analogue"],
-     "cab9bf1bf6355dbf2b08b6e1c6f033d93bfae4362908f34df49a377253da4599"),
-    (["config", "heptad-family"],
-     "428a571b693dca58e32dbaab9a79fe17a4fcd25fe50a140a7eb7f42d7e4e1b7b"),
-    (["config", "fig2", "--partition", _PARTITION, "--format", "dot"],
-     "d29a8b10719fe9b9595c42ca832d928af595ca6829192cbf1f0deef5d933726c"),
-    (["config", "fig4", "--partition", _PARTITION],
-     "ab85942593415f047ef619738f179bb8e1f7169fd422b204ab5838158b4f689d"),
-    (["config", "fig3", "--triple", "ZIIX,XZXI,XXXX"],
-     "b33d539ae65bbe5287d419195e901d74c22283b00a527ec314a93c20172d035c"),
-    (["config", "fig7", "--pentad", "IZYY,ZXZZ,IXXZ,YYZX,XXXX"],
-     "796189a772fc4afaaba73840507bd227e360e35ee0287388e4634ace2158cd10"),
-    (["config", "fig8", "--sextet", "ZIIX,IZYY,XZXI,ZXZZ,XIZI,ZZIZ"],
-     "47d08856c2f691be5dde057a9830c8c40d9a4b3f7b210d14657c2bb4acaeda48"),
-    (["config", "fig6", "--split", "ZIIX,IZYY,XZXI,XIZI/ZXZZ,ZZIZ,IXXZ,YYZX"],
-     "2d19859cf957be289393f7c413cab7d46fd5169183c2193c1cc8999b62c60778"),
-    (["config", "fig11", "--pair", "ZIIX,YYZX"],
-     "a9cd4b4034f7778c8ef22f1f56fc076e7bf04c4080c3fc8dd427beadca85d4b5"),
-    (["config", "heptad-family", "--pairs", "ZIIX,IZYY/IZYY,XZXI/ZIIX,XZXI", "--format", "text"],
-     "f932e2a50c81a6f6fee86ec4cadedefcff770f37090796519cdec14919894a0c"),
-    (["config", "fig6", "--point", "ZIIX"],
-     "07c0f8e0ec84f5da7bda520918af28b0b7f869a29a5aa2213192c3d389a16f60"),
-    (["config", "fig5", "--nucleus", "IYZX", "--format", "text"],
-     "68bd2a21d3831f66a3b1925d213f679afff92b0ad6f02d83ec67702a91c83ed5"),
-    (["config", "fig9", "--point", "ZIIX", "--nucleus", "YYZY"],
-     "3c9bc1e020cfa600d38a5eecda40820b14241b45f4d22857cb28ecf16a095656"),
-    (["config", "fig6", "--ovoid", _OVOID_500],
-     "1c9adfbd9cabc5a8ec6ec7e6aed19700e05c0db7a5424be8755475c026b3001c"),
-    (["config", "fig9", "--ovoid", _OVOID_500],
-     "7eba78f1176e8694232c42796bc282b31446cfc97282c0ac8bdf572906e65c88"),
-    (["config", "split63", "--ovoid", _OVOID_500],
-     "a97ff9f678cd68fa0f2915d26ee08283b5255d92a47ee486db265b9f5844edc0"),
-    (["config", "fig9", "--ovoid", _OVOID_XXXX],
-     "baee1ef4f841f84910a9fc99e0d4720ae5582682a9e385bd1d250bf7998fa580"),
-]
+@pytest.mark.parametrize("argv,expected", PINNED, ids=[
+    "_".join(a.lstrip("-") for a in argv) for argv, _ in PINNED])
+def test_output_is_byte_identical_to_recorded_digest(argv, expected, capsys):
+    assert check(argv, expected, *run(argv, capsys)) is None
 
 
-@pytest.mark.parametrize("argv,digest", OUTPUT_DIGESTS, ids=[
-    "_".join(a.lstrip("-") for a in argv) for argv, _ in OUTPUT_DIGESTS])
-def test_output_is_byte_identical_to_recorded_digest(argv, digest, capsys):
-    code, out, err = run(argv, capsys)
-    assert code == 0
-    assert err == ""
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+@pytest.mark.parametrize("expected,code,out,err,why", [
+    ("0" * 64, 0, "overall: PASS\n", "", "stdout sha256"),
+    ("0" * 64, 1, "", "", "exit 1"),
+    (None, 2, "", "error: one\nerror: two\n", "expected exit 2, no stdout and one 'error: ' line"),
+], ids=["wrong digest", "wrong exit code", "second stderr line"])
+def test_check_names_the_command_line_of_a_broken_entry(expected, code, out, err, why):
+    argv = ["config", "fig2", "--partition", PARTITION]
+    reason = check(argv, expected, code, out, err)
+    assert reason.startswith(f"pauligeom config fig2 --partition {PARTITION}: ")
+    assert why in reason
+
+
+def test_workflow_runs_the_pinned_table_and_pins_nothing_itself():
+    workflow = (Path(__file__).parents[1] / ".github" / "workflows" / "tests.yml").read_text()
+    assert not re.search(r"[0-9a-f]{64}", workflow)
+    assert "run: python tests/pinned_outputs.py\n" in workflow
 
 
 # The argv grammar of the fuzz below: each subcommand (and one that does
@@ -540,7 +448,7 @@ def test_output_is_byte_identical_to_recorded_digest(argv, digest, capsys):
 # points (the first nine words are O*, XIII is on the quadric, IYZX is
 # not).  `--output` is left out, since it writes files.  verify and
 # oracle-check end on `--n 2` or `--n 3`: at n = 4 each takes about half
-# a second, and the digests and the CI steps run them there.
+# a second, and the pinned table runs them there.
 _FUZZ_WORDS = ["ZIIX", "IZYY", "XZXI", "ZXZZ", "XIZI", "ZZIZ", "IXXZ", "YYZX", "XXXX",
                "XIII", "IYZX", "IIII", "XYZ", "QXYZ", "xxxx", "00001111", "00000000", "0101", ""]
 _FUZZ_COMMANDS = {
@@ -562,7 +470,7 @@ _FUZZ_CHOICES = {
 }
 _fuzz_points = st.lists(st.sampled_from(_FUZZ_WORDS[:13]), min_size=1, max_size=9).map(",".join)
 _fuzz_ovoid = st.one_of(
-    st.sampled_from(["Ostar", _OVOID_500]),
+    st.sampled_from(["Ostar", OVOID_500]),
     st.permutations(_FUZZ_WORDS[:11]).map(lambda words: ",".join(words[:9])))
 _fuzz_value = st.one_of(st.sampled_from(_FUZZ_WORDS), _fuzz_points,
                         st.lists(_fuzz_points, min_size=1, max_size=4).map("/".join), _fuzz_ovoid)

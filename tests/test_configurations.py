@@ -577,6 +577,24 @@ def test_heptad_analogue_failure_names_the_pair(ostar, monkeypatch):
                               f"ovoid {join_words(ostar.points)} pair ZZIZ,IXXZ")
 
 
+# O* with its third point replaced by the sum of the first two: that
+# collinear triple's nucleus is the zero vector, which has no word.
+_COLLINEAR = "XXXX,IXXZ,XIIY,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX"
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig4", "fig5", "heptad-analogue"])
+def test_collinear_triple_is_named_in_words(name, gens4):
+    x = pg.Ovoid.from_points(word_to_point(w) for w in _COLLINEAR.split(","))
+    a, b, c = x.points[:3]
+    assert a ^ b == c
+    choices = {"pair": (a, b)} if name == "heptad-analogue" else {}
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.figure(name, x, gens4, **choices)
+    message = str(exc.value)
+    assert message.startswith("collinear triple has no nucleus: ")
+    assert f" triple {join_words((a, b, c))}" in message
+
+
 def test_heptad_triangle_failure_names_the_triangle(ostar, ovoids, gens4, monkeypatch):
     # A second ovoid off the triangle: its heptads miss the triangle nucleus.
     stranger = next(o for o in ovoids if not o.mask & ostar.mask)

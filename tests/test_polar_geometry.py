@@ -644,6 +644,20 @@ def test_six_ovoid_family(ostar, gens4):
         assert sum(p in o for o in fam.triad_other) == 1
 
 
+def test_six_ovoid_family_rejects_an_overlapping_mate(ostar, gens4, monkeypatch):
+    # The second conic's mate planted as the first conic's: the other triad
+    # overlaps and covers 18 points, which the 27-point union test rejects.
+    part = pg.triple_partitions(ostar)[0]
+    second = pg.second_ovoid_on_conic
+    monkeypatch.setattr(pg, "second_ovoid_on_conic", lambda o, triple, gens: second(
+        o, part[0] if triple == part[1] else triple, gens))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.six_ovoid_family(ostar, part, gens4)
+    assert str(exc.value) == (
+        f"triads do not share the same 27 points: ovoid {join_words(ostar.points)} "
+        f"partition {'/'.join(map(join_words, part))}")
+
+
 def test_commutation_profiles(ostar, gens4, quadric4):
     part = pg.triple_partitions(ostar)[0]
     fam = pg.six_ovoid_family(ostar, part, gens4)
