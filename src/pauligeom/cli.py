@@ -2,6 +2,9 @@
 
 Exit codes: 0 all good, 1 verification failure, 2 usage error or output
 that cannot be written (a full disk, a closed pipe).
+
+Each command imports the layers it runs when it runs, so that a cold
+`map` or `config` does not load and compile the verification table.
 """
 
 from __future__ import annotations
@@ -9,24 +12,24 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
-import itertools
-import json
 import os
 import sys
 
-from . import configurations as cfg
-from . import gf2_core, matrix_oracle, pauli_codec, verify
-from . import polar_geometry as pg
+from . import gf2_core, pauli_codec
 from .errors import UsageError
 from .pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
-def cmd_verify(n: int, level: str) -> verify.VerificationReport:
-    """Run the verification table for a rank and level."""
+def cmd_verify(n: int, level: str):
+    """Run the verification table for a rank and level: a `verify.VerificationReport`."""
+    from . import verify
+
     return verify.VerificationReport(n, level, verify.run_checks(verify.checks(n, level)))
 
 
-def _resolve_ovoid(token: str | None, gens) -> pg.Ovoid:
+def _resolve_ovoid(token: str | None, gens):
+    from . import polar_geometry as pg
+
     if token in (None, "Ostar"):
         return pg.ostar()
     words = [w.strip().upper() for w in token.split(",")]
@@ -107,6 +110,8 @@ def _reject_stray_flag(args) -> None:
 
 
 def _enumeration_lines(args) -> list[str]:
+    from . import polar_geometry as pg
+
     _reject_stray_flag(args)
     n = args.n
     ctx = GeometryContext(n)
@@ -122,6 +127,10 @@ def _enumeration_lines(args) -> list[str]:
                     for h in sorted(tuple(sorted(x)) for x in pg.conwell_heptads(ctx))]
         if n != 4:
             raise UsageError("heptads enumeration needs --n 3 or --n 4")
+        import itertools
+
+        from . import configurations as cfg
+
         o = _resolve_ovoid(args.ovoid, pg.get_generators(ctx, "quadric"))
         return [f"{join_words((p1, p2))}\t{join_words(cfg.nuclei_heptad(o, p1, p2))}"
                 for p1, p2 in itertools.combinations(o.points, 2)]
@@ -160,7 +169,10 @@ _CHOICE_FLAGS = {
 }
 
 
-def _build_config(args) -> cfg.ConfigReport:
+def _build_config(args):
+    from . import configurations as cfg
+    from . import polar_geometry as pg
+
     gens = pg.get_generators(GeometryContext(4), "quadric")
     o = _resolve_ovoid(args.ovoid, gens)
     # Parse only the flags the figure takes; `figure` names any other one.
@@ -204,6 +216,8 @@ def cmd_map(token: str, n: int) -> int:
 
 
 def cmd_oracle_check(n: int) -> int:
+    from . import matrix_oracle
+
     stats = matrix_oracle.check_agreement(n)
     print(
         f"n={n}: symmetry on {stats['words']} words, commutation on "
@@ -213,7 +227,9 @@ def cmd_oracle_check(n: int) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None) -> argparse.ArgumentParser:
+    """The parser; only when `command` is "config" does `config --help` name
+    the figures, whose table is imported for it."""
     parser = argparse.ArgumentParser(
         prog="pauligeom",
         description="Finite-geometry model of the real N-qubit Pauli group",
@@ -243,8 +259,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--output", help="write to file instead of stdout")
 
     p_cfg = sub.add_parser("config", help="extract a named configuration")
-    p_cfg.add_argument("name", metavar="name",
-                       help="one of: " + ", ".join(cfg.FIGURES))
+    names = None
+    if command == "config":
+        from . import configurations as cfg
+
+        names = "one of: " + ", ".join(cfg.FIGURES)
+    p_cfg.add_argument("name", metavar="name", help=names)
     p_cfg.add_argument("--ovoid", default="Ostar")
     p_cfg.add_argument("--format", choices=("text", "json", "dot"),
                        default="json")
@@ -269,6 +289,8 @@ def _run(args) -> int:
     if args.command == "verify":
         report = cmd_verify(args.n, args.level)
         if args.format == "json":
+            import json
+
             print(json.dumps(
                 report.to_json_dict(include_ms=not args.no_timings), indent=2
             ))
@@ -304,7 +326,10 @@ def _buffered_stdout():
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # The top-level parser takes no option with a value, so the first
+    # token that is not an option names the command.
+    parser = _build_parser(next((a for a in argv if not a.startswith("-")), None))
     args = parser.parse_args(argv)
     stdout = _buffered_stdout()
     try:

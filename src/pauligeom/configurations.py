@@ -198,9 +198,11 @@ def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
     b = _Builder("fig2", ctx=quadric.context)
     for k, triple in enumerate(partition, start=1):
         b.add_all(triple, f"conic-{k}")
-    axis = sorted(pg.axis_of_partition(o, partition, quadric))
+    fail = partial(pg.fault, ovoid=o.points, partition=partition)
+    lines = pg.line_partition(pg.nested(fail, pg.tetrad_of_partition, o, partition, quadric))
+    # The tetrad's axis, certified with it: the line of the three nuclei.
+    axis = sorted(a ^ b ^ c for a, b, c in partition)
     b.add_all(axis, "nucleus")
-    lines = pg.line_partition(pg.tetrad_of_partition(o, partition, quadric))
     for line in lines:  # the axis points keep their nucleus role
         b.add_all(line, "tetrad-point")
         b.line(*line)

@@ -18,7 +18,6 @@ import itertools
 import time
 from collections import Counter
 
-from . import configurations as cfg
 from . import gf2_core, matrix_oracle, pauli_codec
 from . import polar_geometry as pg
 from .errors import UsageError
@@ -148,6 +147,9 @@ def checks(n: int, level: str) -> list[tuple]:
     if n == 3:
         return rows + [("conwell_heptads", "8 heptads, pairwise [1]",
                         lambda: _conwell_heptads(ctx))]
+
+    # The figure builders, which only rank 4's rows run.
+    from . import configurations as cfg
 
     ost = pg.ostar()
     subsets = lambda k: itertools.combinations(ost.points, k)
@@ -325,6 +327,8 @@ def _certify_every(certify, choices, noun):
 
 
 def _heptad_analogues(ost):
+    from . import configurations as cfg
+
     n_ok = 0
     for p1, p2 in itertools.combinations(ost.points, 2):
         roles = cfg.heptad_analogue(ost, p1, p2).roles()
@@ -335,6 +339,8 @@ def _heptad_analogues(ost):
 
 
 def _heptad_families(ost, gens):
+    from . import configurations as cfg
+
     a, b, c, d = ost.points[:4]
     tri = cfg.figure("heptad-family", ost, gens)
     quad = cfg.figure("heptad-family", ost, gens, kind="quadrangle")
@@ -365,6 +371,8 @@ def _commutation_profiles(ost, quadric, gens):
 
 
 def _figure_reports(ost, gens):
+    from . import configurations as cfg
+
     names = [f"fig{i}" for i in range(1, 11)] + ["split63"]
     return ",".join(str(len(cfg.figure(name, ost, gens).points)) for name in names)
 

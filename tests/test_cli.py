@@ -1,5 +1,7 @@
 import contextlib
 import errno
+import hashlib
+import importlib
 import io
 import json
 import os
@@ -28,19 +30,110 @@ def run(args, capsys):
     return code, out, err
 
 
+def _fresh_python(code, *argv):
+    """Run `code` with `argv` in a fresh interpreter without `site`, so that
+    only the package loads modules; the package comes from the tree under test."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pauligeom.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env,
+                          capture_output=True, text=True)
+
+
+# The layers no command needs before it has read its argv.
+_LAYERS = ("polar_geometry", "configurations", "verify", "matrix_oracle")
+_CORE = {"pauligeom", "pauligeom.cli", "pauligeom.errors", "pauligeom.gf2_core",
+         "pauligeom.pauli_codec"}
+
+
 def test_cli_import_loads_no_code_generation():
-    # A fresh interpreter without `site`, so only the import itself loads
-    # modules; the package comes from the tree under test.
     code = ("import sys; before = set(sys.modules); import pauligeom.cli; "
             "print(' '.join(sorted(set(sys.modules) - before)))")
-    env = dict(os.environ, PYTHONPATH=str(Path(pauligeom.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
-                          capture_output=True, text=True, check=True)
-    loaded = set(proc.stdout.split())
+    loaded = set(_fresh_python(code).stdout.split())
     assert not loaded & {"dataclasses", "inspect", "typing"}
-    layers = ("cli", "polar_geometry", "configurations", "matrix_oracle",
-              "gf2_core", "pauli_codec")
-    assert {f"pauligeom.{m}" for m in layers} <= loaded
+    assert "pauligeom.cli" in loaded
+    assert not loaded & {f"pauligeom.{m}" for m in _LAYERS}
+
+
+# One command of each kind, and the layers it loads.
+_COMMAND_LAYERS = {
+    "map XXXX": (),
+    "enumerate generators": ("polar_geometry",),
+    "config fig3": ("polar_geometry", "configurations"),
+    "verify --n 2": ("polar_geometry", "matrix_oracle", "verify"),
+    "oracle-check --n 2": ("matrix_oracle",),
+}
+
+
+@pytest.mark.parametrize("argv", _COMMAND_LAYERS)
+def test_each_command_loads_only_its_layers(argv):
+    code = ("import sys; from pauligeom.cli import main; code = main(sys.argv[1:]); "
+            "print(' '.join(m for m in sys.modules if m.startswith('pauligeom')), "
+            "file=sys.stderr); sys.exit(code)")
+    proc = _fresh_python(code, *argv.split())
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stderr.split()) == _CORE | {f"pauligeom.{m}" for m in _COMMAND_LAYERS[argv]}
+
+
+def test_package_import_loads_no_module():
+    proc = _fresh_python("import sys, pauligeom; "
+                         "print(' '.join(m for m in sys.modules if m.startswith('pauligeom')))")
+    assert proc.stdout.split() == ["pauligeom"]
+
+
+# Each name the package re-exports, by the module that defines it.
+_REEXPORTS = {
+    "errors": "IdentityNotAPointError InternalConsistencyError UsageError",
+    "gf2_core": "edge_to_standard from_string standard_to_edge to_string",
+    "pauli_codec": "GeometryContext commutes is_symmetric point_to_word word_product"
+                   " word_to_point",
+    "polar_geometry": "OSTAR_WORDS GeneratorSet Ovoid OvoidSet Quadric enumerate_generators"
+                      " enumerate_ovoids expected_count get_generators get_ovoids is_ovoid"
+                      " ostar standard_quadric",
+}
+
+
+def _forget_reexports(monkeypatch):
+    """Drop the names the package has already resolved, so that each lookup
+    resolves it again; monkeypatch puts them back."""
+    for name in pauligeom.__all__:
+        monkeypatch.delitem(vars(pauligeom), name, raising=False)
+
+
+def test_every_reexport_is_its_module_attribute(monkeypatch):
+    assert pauligeom.__all__ == [n for names in _REEXPORTS.values() for n in names.split()]
+    _forget_reexports(monkeypatch)
+    for module, names in _REEXPORTS.items():
+        home = importlib.import_module(f"pauligeom.{module}")
+        for name in names.split():
+            assert getattr(pauligeom, name) is getattr(home, name)
+
+
+def test_dir_and_star_import_list_every_reexport(monkeypatch):
+    _forget_reexports(monkeypatch)
+    assert set(pauligeom.__all__) <= set(dir(pauligeom))
+    namespace = {}
+    exec("from pauligeom import *", namespace)
+    assert {n: namespace[n] for n in pauligeom.__all__} == {
+        n: getattr(pauligeom, n) for n in pauligeom.__all__}
+
+
+def test_unknown_package_attribute_is_named():
+    with pytest.raises(AttributeError, match="'no_such_name'"):
+        pauligeom.no_such_name
+
+
+# sha256 of `pauligeom config --help` at 80 columns.
+_CONFIG_HELP_SHA256 = "08630d28f6ad561b648e680b8f690f9b17b27a49867a08c77abd5296142232d0"
+
+
+def test_config_help_is_pinned_and_names_every_figure(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["config", "--help"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == _CONFIG_HELP_SHA256
+    names = out.split("positional arguments:\n  name")[1].split("\n\n")[0]
+    assert " ".join(names.split()).replace("- ", "-") == "one of: " + ", ".join(cfg.FIGURES)
 
 
 def test_map_word(capsys):

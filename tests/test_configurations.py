@@ -595,6 +595,16 @@ def test_collinear_triple_is_named_in_words(name, gens4):
     assert f" triple {join_words((a, b, c))}" in message
 
 
+@pytest.mark.parametrize("name", ["fig2", "fig4", "fig5"])
+def test_collinear_partition_fault_names_the_ovoid_and_partition(name, gens4):
+    x = pg.Ovoid.from_points(word_to_point(w) for w in _COLLINEAR.split(","))
+    part = pg.triple_partitions(x)[0]
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.figure(name, x, gens4)
+    assert str(exc.value).endswith(
+        f": ovoid {join_words(x.points)} partition {'/'.join(map(join_words, part))}")
+
+
 def test_heptad_triangle_failure_names_the_triangle(ostar, ovoids, gens4, monkeypatch):
     # A second ovoid off the triangle: its heptads miss the triangle nucleus.
     stranger = next(o for o in ovoids if not o.mask & ostar.mask)
