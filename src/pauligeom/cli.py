@@ -117,7 +117,7 @@ def _enumeration_lines(args) -> list[str]:
     ctx = GeometryContext(n)
     if args.what == "generators":
         gens = pg.get_generators(ctx, args.space or "symplectic")
-        lines = [join_words(sorted(gf2_core.span_points(b)), n) for b in gens.bases]
+        lines = [join_words(pg.mask_points(m), n) for m in gens.masks]
         if gens.families is not None:
             lines = [f"{w}\tfamily={fam}" for w, fam in zip(lines, gens.families)]
         return lines

@@ -37,7 +37,8 @@ def _points_mask(points) -> int:
     return m
 
 
-def _mask_points(mask: int) -> list[int]:
+def mask_points(mask: int) -> list[int]:
+    """The points whose bits `mask` sets, in ascending order."""
     out = []
     while mask:
         bit = mask & -mask
@@ -51,7 +52,7 @@ def _transpose(masks) -> dict[int, int]:
     through: dict[int, int] = {}
     for i, m in enumerate(masks):
         bit = 1 << i
-        for p in _mask_points(m):
+        for p in mask_points(m):
             through[p] = through.get(p, 0) | bit
     return through
 
@@ -231,11 +232,13 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     so every totally isotropic (resp. singular) flat is built exactly
     once and needs no deduplication or re-echelonisation.  Candidates are
     read from per-column point bands.  A flat's points are held as bytes:
-    adding p appends p and the old points translated by `v -> v ^ p`, and
-    the int masks are formed once, at the last level.  Three certificates
-    close it: the point-set masks are pairwise distinct, the count equals
-    the closed form, and in the quadric case the two families are equal
-    halves.
+    adding p appends p and the old points translated by `v -> v ^ p`.
+    Flats are extended depth first, so only the current path of at most
+    N flats is held besides the generators found, each kept as its basis
+    and int mask; they are found in sorted order of basis.  Three
+    certificates close it: the point-set masks are pairwise distinct, the
+    count equals the closed form, and in the quadric case the two
+    families are equal halves.
     """
     if space_kind not in ("symplectic", "quadric"):
         raise UsageError(f"unknown space kind {space_kind!r}")
@@ -255,25 +258,31 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     for band in bands:
         allowed += [m | band for m in allowed]
 
-    # level entries: (RREF basis, its points as bytes, perp mask, OR of the rows)
+    # A flat is its RREF basis, its points as bytes, the mask of the ground
+    # points perpendicular to it, and the OR of its rows.
     xor = _xor_tables(ctx.dim)
-    level = [((p,), bytes((p,)), perp[p], p) for p in ground]
-    for _ in range(n - 1):
-        nxt = []
-        for basis, pts, perpmask, rows in level:
-            free = ~rows & ((1 << (basis[-1].bit_length() - 1)) - 1)
-            cand = perpmask & ground_mask & allowed[free]
-            while cand:
-                bit = cand & -cand
-                cand ^= bit
-                p = bit.bit_length() - 1
-                nxt.append((basis + (p,), pts + bytes((p,)) + pts.translate(xor[p]),
-                            perpmask & perp[p], rows | p))
-        level = nxt
+    bases, masks = [], []
 
-    level.sort()
-    bases = tuple(basis for basis, _, _, _ in level)
-    masks = tuple(_points_mask(pts) for _, pts, _, _ in level)
+    def extend(basis, pts, perpmask, rows):
+        if len(basis) == n:
+            bases.append(basis)
+            masks.append(_points_mask(pts))
+            return
+        free = ~rows & ((1 << (basis[-1].bit_length() - 1)) - 1)
+        cand = perpmask & allowed[free]
+        while cand:
+            bit = cand & -cand
+            cand ^= bit
+            p = bit.bit_length() - 1
+            extend(basis + (p,), pts + bytes((p,)) + pts.translate(xor[p]),
+                   perpmask & perp[p], rows | p)
+
+    # The ground points and each flat's candidates are taken in ascending
+    # order and every basis has n rows, so the bases come out sorted.
+    for p in ground:
+        extend((p,), bytes((p,)), perp[p] & ground_mask, p)
+    del extend  # empty its closure cell, so no reference cycle outlives the call
+    bases, masks = tuple(bases), tuple(masks)
     if len(set(masks)) != len(masks):
         twice = next(m for m, k in Counter(masks).items() if k > 1)
         raise InternalConsistencyError(
@@ -440,7 +449,7 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     clash = {}
     for p in quadric.points:
         m = 0
-        for g in _mask_points(through[p]):
+        for g in mask_points(through[p]):
             m |= masks[g]
         clash[p] = m
     every = (1 << len(masks)) - 1
@@ -460,7 +469,7 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
 
     cover(0, 0, 0)
     ovoids = OvoidSet(Ovoid(pts, m) for pts, m in sorted(
-        (tuple(_mask_points(m)), m) for m in found))
+        (tuple(mask_points(m)), m) for m in found))
     for o in ovoids:
         if not is_ovoid(o.points, gens):
             raise InternalConsistencyError(
@@ -482,7 +491,7 @@ def get_ovoids(ctx: GeometryContext) -> OvoidSet:
 
 def ovoids_through(ovoids: OvoidSet, p: int) -> tuple[Ovoid, ...]:
     """The ovoids on point `p`, in their order in `ovoids`, read off its index."""
-    return tuple(map(ovoids.__getitem__, _mask_points(ovoids.through.get(p, 0))))
+    return tuple(map(ovoids.__getitem__, mask_points(ovoids.through.get(p, 0))))
 
 
 def secant_third_points(o: Ovoid) -> frozenset[int]:
@@ -563,7 +572,7 @@ def _conic_masks(pts) -> list[int]:
 
 def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
     """The full lines inside a point mask, as ascending sorted triples."""
-    pts = _mask_points(mask)
+    pts = mask_points(mask)
     return [(u, v, u ^ v) for i, u in enumerate(pts) for v in pts[i + 1:]
             if u ^ v > v and mask >> (u ^ v) & 1]
 
@@ -642,11 +651,11 @@ def _certify_tetrad(mask: int, qmask: int) -> None:
             return
     if mask & 1:
         raise InternalConsistencyError(
-            f"tetrad holds the zero vector: {join_words(_mask_points(mask ^ 1))}")
+            f"tetrad holds the zero vector: {join_words(mask_points(mask ^ 1))}")
     lines = line_partition(mask)
     if mask.bit_count() != 12 or mask & qmask or len(lines) != 4:
         raise InternalConsistencyError(
-            f"tetrad is not four skew off-quadric lines: {join_words(_mask_points(mask))}")
+            f"tetrad is not four skew off-quadric lines: {join_words(mask_points(mask))}")
     named = ";".join(map(join_words, lines))
     if gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) != 8:
         raise InternalConsistencyError(f"tetrad does not span the whole space: {named}")
