@@ -324,8 +324,8 @@ def standard_split(o: Ovoid, p: int):
 def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigReport:
     """Two ovoids on one point: 19 symmetric points and the through line."""
     line, mate = pg.point_partition_line(o, p, split, gens)
-    e1 = pg.solid_extra_point(o, split[0])
-    e2 = pg.solid_extra_point(o, split[1])
+    e1 = pg.solid_extra_point(o, split[0], gens.quadric)
+    e2 = pg.solid_extra_point(o, split[1], gens.quadric)
     b = _Builder("fig6", gens.context)
     b.add(p, "shared-point")
     b.add_all(split[0], "quad-1")
@@ -517,6 +517,9 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     b.add_all(heptad, "heptad-nucleus")
     b.add_all(sorted(thirds.values()), "heptad-line-point")
     b.add_all(triple_nuclei, "triple-nucleus")
+    # A triple nucleus on p1 or p2, which are on the quadric, merges with it.
+    if len(b.report.points) != 65:
+        raise fail(f"configuration is {len(b.report.points)} points, not 65")
     for (u, v), w in sorted(thirds.items()):
         b.line(u, v, w)
     b.note("shared_points", f"{_word(p1)} {_word(p2)}")
@@ -530,19 +533,23 @@ def nuclei_heptad(o: Ovoid, p1: int, p2: int) -> tuple[int, ...]:
     return tuple(sorted(p1 ^ p2 ^ x for x in o.complement_in((p1, p2))))
 
 
-def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet) -> ConfigReport:
-    """Families of external heptads over a triangle or quadrangle of pairs."""
+def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet, kind: str | None = None
+                  ) -> ConfigReport:
+    """Families of external heptads over a triangle or quadrangle of pairs;
+    a given `kind` must name the shape of the pairs."""
     pairs = [o.distinct_points(pr, 2) for pr in pair_set]
     vertices = sorted({p for pr in pairs for p in pr})
     degree = {v: sum(v in pr for pr in pairs) for v in vertices}
-    if len(pairs) == 3 and len(vertices) == 3 and set(degree.values()) == {2}:
-        return _heptad_triangle(o, pairs, vertices, gens)
-    # Four pairs on four vertices of degree 2 form one 4-cycle unless two
-    # pairs repeat, which makes two doubled edges.
-    if (len(pairs) == 4 and len(vertices) == 4 and set(degree.values()) == {2}
-            and len(set(pairs)) == 4):
-        return _heptad_quadrangle(o, pairs, vertices, gens)
-    raise UsageError("pair set is neither a triangle nor a quadrangle")
+    # n distinct pairs on n vertices of degree 2 form one n-cycle for n = 3
+    # or 4; four pairs that repeat make two doubled edges instead.
+    shape = {3: "triangle", 4: "quadrangle"}.get(len(pairs))
+    if not (shape and len(vertices) == len(set(pairs)) == len(pairs)
+            and set(degree.values()) == {2}):
+        raise UsageError("pair set is neither a triangle nor a quadrangle")
+    if kind not in (None, shape):
+        raise UsageError(f"the pairs are a {shape}, not a {kind}")
+    build = _heptad_triangle if shape == "triangle" else _heptad_quadrangle
+    return build(o, pairs, vertices, gens)
 
 
 def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
@@ -580,7 +587,7 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
         cycle.append(nxt)
     fail = partial(pg.fault, ovoid=o.points, quadrangle=cycle)
     heptads = [frozenset(nuclei_heptad(o, *pr)) for pr in cycle]
-    meet = pg.solid_extra_point(o, tuple(vertices))
+    meet = pg.nested(fail, pg.solid_extra_point, o, tuple(vertices), gens.quadric)
     shared = []
     for i in range(4):
         h1, h2 = heptads[i], heptads[(i + 1) % 4]
@@ -648,7 +655,8 @@ REFERENCE_PAIR = words_to_points(("ZZIZ", "IXXZ"))
 # and every choice by name, and the choices it takes, each with the
 # function that gives its reference value from the ovoid and the choices
 # filled in before it.  A reference value off the ovoid falls back to the
-# ovoid's own first points.  fig5's centres are left to `fig_commutation`.
+# ovoid's own first points.  fig5's centres are left to `fig_commutation`,
+# and heptad-family's kind to the shape of its pairs.
 _PARTITION = {"partition": lambda o, c: pg.triple_partitions(o)[0]}
 _POINT = {"point": lambda o, c: REFERENCE_POINT if REFERENCE_POINT in o else o.points[0]}
 
@@ -694,8 +702,8 @@ FIGURES = {
     "fig10": _ANALOGUE,
     "fig11": _ANALOGUE,
     "heptad-analogue": _ANALOGUE,
-    "heptad-family": (lambda o, gens, kind, pairs: heptad_family(o, pairs, gens),
-                      {"kind": lambda o, c: "triangle", "pairs": _reference_pairs}),
+    "heptad-family": (lambda o, gens, kind, pairs: heptad_family(o, pairs, gens, kind),
+                      {"kind": lambda o, c: None, "pairs": _reference_pairs}),
     "split63": (lambda o, gens, point: sixty_three_split(pg.get_ovoids(gens.context), o, point),
                 _POINT),
 }

@@ -8,7 +8,9 @@ its expected value are written here and nowhere else.
 
 A row that certifies more than its summary shows returns a different
 string naming the offending object in Pauli words when a check fails,
-and the same summary as always when every check holds.
+and the same summary as always when every check holds.  A row that
+delegates to a certifier or a figure builder repeats none of its checks:
+it fails with that code's message, which names the object in words.
 """
 
 from __future__ import annotations
@@ -156,10 +158,12 @@ def checks(n: int, level: str) -> list[tuple]:
     gens = lambda: pg.get_generators(ctx, "quadric")
     ovoids = lambda: pg.get_ovoids(ctx)
     # O*'s 84 sextet sections, certified as they are built, for both the
-    # section row and the fan row; a failed build raises again, as
+    # section row and the fan row, and O*'s figures, each built once for
+    # every row that reads it; a failed build raises again, as
     # `functools.cache` keeps no exception.
     sections = functools.cache(
         lambda: tuple(pg.sextet_intersection(ost, sx, quadric) for sx in subsets(6)))
+    figure = functools.cache(lambda name, **choices: cfg.figure(name, ost, gens(), **choices))
     rows += [
         ("edge_map_bijection", 256,
          lambda: len({gf2_core.edge_to_standard(y) for y in range(256)})),
@@ -184,21 +188,24 @@ def checks(n: int, level: str) -> list[tuple]:
         ("sextet_sections", "84/84 sections",
          lambda: "{0}/{0} sections".format(len(sections()))),
         ("reference_sextet_nucleus", "ZYII",
-         lambda: cfg.figure("fig8", ost, gens()).annotations["pairing_nucleus"]),
+         lambda: figure("fig8").annotations["pairing_nucleus"]),
         ("heptad_sections", "36/36 sections", lambda: _certify_every(
             pg.heptad_intersection, ((ost, hp, quadric) for hp in subsets(7)), "sections")),
         ("nuclei_fans", "252/252 fans", lambda: _certify_every(cfg.section_fan, (
             (ost, section, p)
             for section in sections() for p in ost.complement_in(section.sextet)), "fans")),
         ("fan_concurrence_point", "YZXX",
-         lambda: cfg.figure("fig9", ost, gens()).annotations["concurrence"]),
-        ("heptad_analogues", "36/36 pairs", lambda: _heptad_analogues(ost)),
-        ("heptad_families", "triangle+quadrangle",
-         lambda: _heptad_families(ost, gens())),
+         lambda: figure("fig9").annotations["concurrence"]),
+        ("heptad_analogues", "36/36 pairs", lambda: _certify_every(
+            cfg.heptad_analogue, ((ost, *pair) for pair in subsets(2)), "pairs")),
+        ("heptad_families", "triangle+quadrangle", lambda: "+".join(
+            figure("heptad-family", kind=kind).annotations["kind"]
+            for kind in ("triangle", "quadrangle"))),
         ("commutation_profiles", "sym all 5s; skew shapes 3",
          lambda: _commutation_profiles(ost, quadric, gens())),
-        ("figure_reports", "45,21,16,30,29,19,11,28,47,65,1",
-         lambda: _figure_reports(ost, gens())),
+        ("figure_reports", "45,21,16,30,29,19,11,28,47,65,1", lambda: ",".join(
+            str(len(figure(name).points))
+            for name in [*(f"fig{i}" for i in range(1, 11)), "split63"])),
         ("conwell_heptads_rank3", "8",
          lambda: len(pg.conwell_heptads(pg.standard_quadric(3).context))),
     ]
@@ -287,7 +294,8 @@ def _axes_and_tetrads(ost, quadric):
 def _solid_extras(ost, quadric):
     # solid_extra_point checks each section is five points on no quadric
     # line; a failure raises with the solid in words.
-    extras = {pg.solid_extra_point(ost, q) for q in itertools.combinations(ost.points, 4)}
+    extras = {pg.solid_extra_point(ost, q, quadric)
+              for q in itertools.combinations(ost.points, 4)}
     ok = len(extras) == 126 and extras == set(quadric.points) - set(ost.points)
     return f"126 distinct extras = complement: {ok}"
 
@@ -326,34 +334,6 @@ def _certify_every(certify, choices, noun):
     return f"{k}/{k} {noun}"
 
 
-def _heptad_analogues(ost):
-    from . import configurations as cfg
-
-    n_ok = 0
-    for p1, p2 in itertools.combinations(ost.points, 2):
-        roles = cfg.heptad_analogue(ost, p1, p2).roles()
-        n_ok += (roles.get("heptad-nucleus") == 7
-                 and roles.get("heptad-line-point") == 21
-                 and roles.get("triple-nucleus") == 35)
-    return f"{n_ok}/36 pairs"
-
-
-def _heptad_families(ost, gens):
-    from . import configurations as cfg
-
-    a, b, c, d = ost.points[:4]
-    tri = cfg.figure("heptad-family", ost, gens)
-    quad = cfg.figure("heptad-family", ost, gens, kind="quadrangle")
-    if (tri.annotations.get("heptads"), tri.annotations.get("common_point")) != (
-        "6", point_to_word(a ^ b ^ c, 4)
-    ):
-        return f"triangle {join_words((a, b, c))}: {tri.annotations}"
-    meet = pg.solid_extra_point(ost, (a, b, c, d))
-    if quad.annotations.get("concurrence") != point_to_word(meet, 4) or len(quad.lines) != 4:
-        return f"quadrangle {join_words((a, b, c, d))}: {quad.annotations}"
-    return f"{tri.annotations['kind']}+{quad.annotations['kind']}"
-
-
 def _commutation_profiles(ost, quadric, gens):
     part = pg.triple_partitions(ost)[0]
     fam = pg.six_ovoid_family(ost, part, gens)
@@ -368,13 +348,6 @@ def _commutation_profiles(ost, quadric, gens):
             return f"skew profile {prof}"
         shapes[tuple(sorted(prof))] += 1
     return f"sym all 5s; skew shapes {len(shapes)}"
-
-
-def _figure_reports(ost, gens):
-    from . import configurations as cfg
-
-    names = [f"fig{i}" for i in range(1, 11)] + ["split63"]
-    return ",".join(str(len(cfg.figure(name, ost, gens).points)) for name in names)
 
 
 def _tetrad_dedup(ovoids):

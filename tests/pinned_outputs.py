@@ -133,6 +133,9 @@ PINNED = [
     (["config", "fig1", "--pentad", "ZIIX,IZYY,XZXI,ZXZZ,XIZI"], None),
     (["config", "fig1", "--ovoid", OVOID_SHORT], None),
     (["enumerate", "tetrads", "--dedup", "--ovoid", "bogus"], None),
+    # A --kind that the shape of the given --pairs contradicts.
+    (["config", "heptad-family", "--kind", "quadrangle", "--pairs",
+      "ZIIX,IZYY/IZYY,XZXI/ZIIX,XZXI"], None),
 ]
 
 

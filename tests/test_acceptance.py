@@ -12,10 +12,12 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 
 import pytest
 
 import pauligeom
+from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
 from pauligeom import verify
 from pauligeom.pauli_codec import join_words
@@ -117,6 +119,22 @@ def test_sextet_sections_are_built_once_for_both_rows(monkeypatch):
     assert [(row.computed, row.ok) for row in rows] == [
         ("84/84 sections", True), ("252/252 fans", True)]
     assert len(calls) == len(set(calls)) == 84
+
+
+def test_reference_figures_are_built_once_per_table(monkeypatch):
+    # fig8 and fig9 serve both their reference row and the figure_reports
+    # row; heptad-family is built once per kind.
+    real, built = cfg.figure, Counter()
+
+    def figure(name, *args, **choices):
+        built[name] += 1
+        return real(name, *args, **choices)
+
+    monkeypatch.setattr(cfg, "figure", figure)
+    rows = verify.run_checks(verify.checks(4, "quick"))
+    assert [row.name for row in rows if not row.ok] == []
+    assert built == {**dict.fromkeys([*(f"fig{i}" for i in range(1, 11)), "split63"], 1),
+                     "heptad-family": 2}
 
 
 def test_criterion_14_determinism():

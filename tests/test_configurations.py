@@ -577,6 +577,24 @@ def test_heptad_analogue_failure_names_the_pair(ostar, monkeypatch):
                               f"ovoid {join_words(ostar.points)} pair ZZIZ,IXXZ")
 
 
+def test_heptad_analogue_counts_its_points(ostar, ovoids, gens4, monkeypatch):
+    # The nuclei heptad of another ovoid and pair, whose triple nuclei hold
+    # ZZIZ: it passes every heptad check, but its triple nuclei merge with
+    # the shared points.
+    zziz = word_to_point("ZZIZ")
+    heptads = (cfg.nuclei_heptad(o, *pr) for o in ovoids
+               for pr in itertools.combinations(o.points, 2))
+    stranger = next(h for h in heptads
+                    if zziz in {x ^ y ^ z for x, y, z in itertools.combinations(h, 3)})
+    heptad = cfg.nuclei_heptad
+    monkeypatch.setattr(cfg, "nuclei_heptad", lambda o, p1, p2: stranger
+                        if {p1, p2} == set(cfg.REFERENCE_PAIR) else heptad(o, p1, p2))
+    with pytest.raises(InternalConsistencyError) as exc:
+        cfg.figure("fig10", ostar, gens4)
+    assert str(exc.value) == ("configuration is 63 points, not 65: "
+                              f"ovoid {join_words(ostar.points)} pair ZZIZ,IXXZ")
+
+
 # O* with its third point replaced by the sum of the first two: that
 # collinear triple's nucleus is the zero vector, which has no word.
 _COLLINEAR = "XXXX,IXXZ,XIIY,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX"
@@ -648,7 +666,7 @@ def test_heptad_triangle_checks_every_base_mate_pair(ostar, gens4, monkeypatch):
 def test_heptad_quadrangle_failure_names_the_quadrangle(ostar, gens4, monkeypatch):
     # A wrong concurrence point: the pairing lines through it miss the vertices.
     wrong = word_to_point("IIIY")
-    monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad: wrong)
+    monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad, quadric: wrong)
     a, b, c, d = ostar.points[:4]
     pairs = ((a, b), (b, c), (c, d), (d, a))
     with pytest.raises(InternalConsistencyError) as exc:
@@ -659,3 +677,16 @@ def test_heptad_quadrangle_failure_names_the_quadrangle(ostar, gens4, monkeypatc
         " and IIIY misses the vertices: "
         f"ovoid {join_words(ostar.points)} quadrangle "
         + "/".join(join_words(sorted(pr)) for pr in pairs))
+
+
+@pytest.mark.parametrize("kind,shape,count", [("quadrangle", "triangle", 3),
+                                              ("triangle", "quadrangle", 4)])
+def test_heptad_family_kind_must_match_the_pairs(kind, shape, count, ostar, gens4):
+    # A given kind that the pairs contradict is a usage error, not a
+    # figure of the other shape.
+    cycle = ostar.points[:count]
+    pairs = [(cycle[i], cycle[(i + 1) % count]) for i in range(count)]
+    with pytest.raises(UsageError, match=f"^the pairs are a {shape}, not a {kind}$"):
+        cfg.figure("heptad-family", ostar, gens4, kind=kind, pairs=pairs)
+    assert cfg.figure("heptad-family", ostar, gens4, kind=shape,
+                      pairs=pairs).annotations["kind"] == shape

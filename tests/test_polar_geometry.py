@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pauligeom import configurations as cfg
 from pauligeom import gf2_core
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
@@ -1029,6 +1030,17 @@ def _nested_six_ovoids(o, gens, monkeypatch):
             f"ovoid {join_words(o.points)} partition {'/'.join(map(join_words, part))}")
 
 
+def _nested_quadrangle_solid(o, gens, monkeypatch):
+    # The concurrence point of a heptad quadrangle, the solid extra point
+    # of its four vertices, read on the generators' quadric.
+    a, b, c, d = quad = o.points[:4]
+    pairs = ((a, b), (b, c), (c, d), (d, a))
+    planted = _gens_on_quadric(gens, a ^ b)
+    return (lambda: cfg.heptad_family(o, pairs, planted), _solid_fault(o, quad, a ^ b),
+            f"ovoid {join_words(o.points)} quadrangle "
+            + "/".join(join_words(sorted(pr)) for pr in pairs))
+
+
 _NESTED_FAULTS = {
     "sextet-solid": _nested_sextet_solid,
     "sextet-quadrangle": _nested_sextet_quadrangle,
@@ -1036,6 +1048,7 @@ _NESTED_FAULTS = {
     "pentad-quartet": _nested_pentad_quartet,
     "point-line": _nested_point_line,
     "six-ovoids": _nested_six_ovoids,
+    "quadrangle-solid": _nested_quadrangle_solid,
 }
 
 
