@@ -199,7 +199,7 @@ def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
     for k, triple in enumerate(partition, start=1):
         b.add_all(triple, f"conic-{k}")
     fail = partial(pg.fault, ovoid=o.points, partition=partition)
-    lines = pg.line_partition(pg.nested(fail, pg.tetrad_of_partition, o, partition, quadric))
+    lines = pg.nested(fail, pg.tetrad_of_partition, o, partition, quadric)
     # The tetrad's axis, certified with it: the line of the three nuclei.
     axis = sorted(a ^ b ^ c for a, b, c in partition)
     b.add_all(axis, "nucleus")
@@ -311,10 +311,11 @@ def standard_split(o: Ovoid, p: int):
     """The 4+4 split of the reference point whose solid extras are
     XXII and IIXX; falls back to the first split for other inputs."""
     wanted = {word_to_point("XXII"), word_to_point("IIXX")}
+    quadric = pg.standard_quadric(4)
     for split in pg.rest_splits(o, p):
         extras = {
-            pg.solid_extra_point(o, split[0]),
-            pg.solid_extra_point(o, split[1]),
+            pg.solid_extra_point(o, split[0], quadric),
+            pg.solid_extra_point(o, split[1], quadric),
         }
         if extras == wanted:
             return split
@@ -323,9 +324,7 @@ def standard_split(o: Ovoid, p: int):
 
 def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigReport:
     """Two ovoids on one point: 19 symmetric points and the through line."""
-    line, mate = pg.point_partition_line(o, p, split, gens)
-    e1 = pg.solid_extra_point(o, split[0], gens.quadric)
-    e2 = pg.solid_extra_point(o, split[1], gens.quadric)
+    (e1, e2), mate = pg.point_partition_line(o, p, split, gens)
     b = _Builder("fig6", gens.context)
     b.add(p, "shared-point")
     b.add_all(split[0], "quad-1")
@@ -339,7 +338,7 @@ def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigR
         b.line(e1, u, e1 ^ u)
     for u in split[0]:
         b.line(e2, u, e2 ^ u)
-    b.note("through_line", " ".join(map(_word, sorted(line))))
+    b.note("through_line", " ".join(map(_word, sorted((p, e1, e2)))))
     b.note("extra_points", f"{_word(e1)} {_word(e2)}")
     if len(b.report.points) != 19:
         raise pg.fault(f"configuration is {len(b.report.points)} points, not 19",

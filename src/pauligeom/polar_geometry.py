@@ -529,9 +529,8 @@ def triple_partitions(o: Ovoid):
     )
 
 
-def axis_of_partition(o: Ovoid, partition, quadric: Quadric | None = None) -> frozenset[int]:
-    """The line off `quadric` (by default the standard one) carrying the
-    three nuclei of a partition."""
+def axis_of_partition(o: Ovoid, partition, quadric: Quadric) -> frozenset[int]:
+    """The line off `quadric` carrying the three nuclei of a partition."""
     flat = [p for t in partition for p in t]
     if sorted(flat) != list(o.points):
         raise UsageError("partition must cover the ovoid by disjoint triples")
@@ -541,7 +540,7 @@ def axis_of_partition(o: Ovoid, partition, quadric: Quadric | None = None) -> fr
     if len(set(nuclei)) != 3 or nuclei[0] ^ nuclei[1] ^ nuclei[2] != 0:
         raise InternalConsistencyError(
             f"partition nuclei are not a line: {join_words(nuclei)}")
-    if any(map((quadric or standard_quadric(4)).contains, nuclei)):
+    if any(map(quadric.contains, nuclei)):
         raise InternalConsistencyError(f"axis touches the quadric: {join_words(nuclei)}")
     return frozenset(nuclei)
 
@@ -577,36 +576,10 @@ def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
             if u ^ v > v and mask >> (u ^ v) & 1]
 
 
-def line_partition(mask: int) -> list[tuple[int, int, int]]:
-    """Split a point mask into disjoint full lines, as ascending triples.
-
-    Greedy: the lowest point left goes with its lowest partner whose sum
-    is also left, and that line is removed.  Returns [] as soon as some
-    point has no partner.  On a set that holds exactly its partition's
-    lines (a tetrad) this lists the same lines in the same order as
-    `_mask_lines`.
-    """
-    lines = []
-    while mask:
-        low = mask & -mask
-        u = low.bit_length() - 1
-        rest = scan = mask ^ low
-        while scan:
-            bit = scan & -scan
-            v = bit.bit_length() - 1
-            if rest >> (u ^ v) & 1:
-                break
-            scan ^= bit
-        else:
-            return []
-        lines.append((u, v, u ^ v))
-        mask = rest ^ bit ^ 1 << (u ^ v)
-    return lines
-
-
-def _certify_tetrad(mask: int, qmask: int) -> None:
+def certify_tetrad(mask: int, qmask: int) -> list[tuple[int, int, int]]:
     """Twelve off-quadric points on four mutually commuting lines, which
-    are then four skew lines spanning PG(7, 2).
+    are then four skew lines spanning PG(7, 2); returns the four lines as
+    ascending triples, ordered by lowest point.
 
     Read off the perp masks: the points of the set that anticommute with
     the lowest point u left must be exactly v and u+v, and those that
@@ -630,13 +603,14 @@ def _certify_tetrad(mask: int, qmask: int) -> None:
 
     On failure only, the message names the set: one holding the zero
     vector (three collinear points make a zero nucleus), worded without
-    it, since it has no word.  Otherwise the greedy `line_partition` and
-    the rank of the lines' generators pick it: not four skew off-quadric
-    lines, four lines that do not span the space, or four spanning lines
-    that do not commute.
+    it, since it has no word.  Otherwise the set's full lines
+    (`_mask_lines`) and the rank of their generators pick it: not exactly
+    four lines covering twelve off-quadric points, four lines that do not
+    span the space, or four spanning lines that do not commute.
     """
     if mask.bit_count() == 12 and not mask & (qmask | 1):  # bit 0 is no point
         perp = _rank4_perp()
+        lines = []
         rest = mask
         while rest:
             u = (rest & -rest).bit_length() - 1
@@ -646,14 +620,16 @@ def _certify_tetrad(mask: int, qmask: int) -> None:
             if (anti.bit_count() != 2 or not anti >> (u ^ v) & 1
                     or mask ^ (mask & perp[v]) != line ^ 1 << v):
                 break
+            lines.append((u, v, u ^ v))
             rest ^= line  # u commutes with the lines removed before, so `line` is in `rest`
         else:
-            return
+            return lines
     if mask & 1:
         raise InternalConsistencyError(
             f"tetrad holds the zero vector: {join_words(mask_points(mask ^ 1))}")
-    lines = line_partition(mask)
-    if mask.bit_count() != 12 or mask & qmask or len(lines) != 4:
+    lines = _mask_lines(mask)
+    if (mask.bit_count() != 12 or mask & qmask or len(lines) != 4
+            or len({p for line in lines for p in line}) != 12):
         raise InternalConsistencyError(
             f"tetrad is not four skew off-quadric lines: {join_words(mask_points(mask))}")
     named = ";".join(map(join_words, lines))
@@ -662,15 +638,14 @@ def _certify_tetrad(mask: int, qmask: int) -> None:
     raise InternalConsistencyError(f"tetrad lines do not commute: {named}")
 
 
-def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> int:
-    """The 12-point mask of a partition's tetrad: the axis plus the three
-    in-plane external lines, certified."""
+def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> list[tuple[int, int, int]]:
+    """The four lines of a partition's tetrad, the axis plus the three
+    in-plane external lines, as `certify_tetrad` certifies and lists them."""
     axis_of_partition(o, partition, quadric)
     mask = 0
     for conic in partition:
         mask |= _conic_masks(conic)[0]
-    _certify_tetrad(mask, quadric.mask)
-    return mask
+    return certify_tetrad(mask, quadric.mask)
 
 
 def tetrad_census(ovoids) -> Counter:
@@ -691,7 +666,7 @@ def tetrad_census(ovoids) -> Counter:
         counts.update([masks[x] | masks[y] | masks[z] for x, y, z in _PATTERN_TRIPLES])
     for key in counts:
         try:
-            _certify_tetrad(key, qmask)
+            certify_tetrad(key, qmask)
         except InternalConsistencyError as exc:
             raise _tetrad_fault(ovoids, key, str(exc)) from None
     return counts
@@ -820,11 +795,10 @@ def commutation_profile(word_point: int, family) -> tuple[int, ...]:
     return tuple((mask & ov.mask).bit_count() for ov in family)
 
 
-def solid_extra_point(o: Ovoid, quad, quadric: Quadric | None = None) -> int:
-    """The unique fifth point of `quadric` (by default the standard one) in
-    the solid of four ovoid points."""
+def solid_extra_point(o: Ovoid, quad, quadric: Quadric) -> int:
+    """The unique fifth point of `quadric` in the solid of four ovoid points."""
     q = o.distinct_points(quad, 4)
-    qmask = (quadric or standard_quadric(4)).mask
+    qmask = quadric.mask
     span = [0]
     for b in q:
         span += [p ^ b for p in span]
@@ -855,7 +829,8 @@ def rest_splits(o: Ovoid, p: int):
 
 
 def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
-    """Line through `p` carried by a 4+4 split, plus the one-point mate.
+    """The line through `p` carried by a 4+4 split, as its two solid
+    extras in split order, plus the one-point mate.
 
     The two solids of the split meet the quadric in one extra point each;
     those extras are collinear with `p`, and reflecting each half through
@@ -872,7 +847,6 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
     e2 = nested(fail, solid_extra_point, o, s2, gens.quadric)
     if e1 ^ e2 != p:
         raise fail(f"solid extras {join_words((e1, e2))} are not collinear with the point")
-    line = frozenset((p, e1, e2))
     mate = Ovoid.from_points(
         (p,) + tuple(e1 ^ u for u in s2) + tuple(e2 ^ v for v in s1)
     )
@@ -880,7 +854,7 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
         raise fail(f"split reflection {join_words(mate.points)} is not an ovoid")
     if (mate.mask & o.mask) != (1 << p):
         raise fail(f"mate {join_words(mate.points)} shares more than the chosen point")
-    return line, mate
+    return (e1, e2), mate
 
 
 def ovoid_intersection_census(through, o: Ovoid, p: int) -> tuple[int, int]:

@@ -224,14 +224,17 @@ def _fmt_counter(counter: Counter) -> str:
 
 
 def _symmetry_agreement(ctx, quadric):
-    """Words squaring to +I (even number of Y) are the quadric points."""
-    good = 0
+    """Words squaring to +I (even number of Y) are the quadric points; a
+    failure names the first word that disagrees."""
+    bad = []
     for v in ctx.points():
         w = point_to_word(v, ctx.n_qubits)
-        if (pauli_codec.is_symmetric(w) == (w.count("Y") % 2 == 0)
+        if not (pauli_codec.is_symmetric(w) == (w.count("Y") % 2 == 0)
                 == quadric.contains(v) == (ctx.quadratic(v) == 0)):
-            good += 1
-    return f"{good}/{len(ctx.points())}"
+            bad.append(w)
+    total = len(ctx.points())
+    agree = f"{total - len(bad)}/{total}"
+    return f"{agree}: first disagreement {bad[0]}" if bad else agree
 
 
 def _oracle_stats(n):
@@ -266,12 +269,15 @@ def _edge_rows():
 
 
 def _census(o, quadric):
-    """36 secant third points and 84 conic nuclei split the 120 skew points."""
+    """36 secant third points and 84 conic nuclei split the 120 skew points;
+    a failure names the first point in both or in neither, and the ovoid."""
     thirds = pg.secant_third_points(o)
     nuclei = {a ^ b ^ c for a, b, c in itertools.combinations(o.points, 3)}
-    off = set(quadric.off_points)
-    ok = (not thirds & nuclei) and thirds | nuclei == off
-    return f"{len(thirds)}+{len(nuclei)}={'120' if ok else 'bad'}"
+    bad = (thirds & nuclei) | ((thirds | nuclei) ^ set(quadric.off_points))
+    if bad:
+        return (f"{len(thirds)}+{len(nuclei)}=bad: point {join_words((min(bad),))}"
+                f" ovoid {join_words(o.points)}")
+    return f"{len(thirds)}+{len(nuclei)}=120"
 
 
 def _census_per_intersection_class(ovoids, ost, quadric):
@@ -287,7 +293,7 @@ def _axes_and_tetrads(ost, quadric):
     # tetrad_of_partition checks the axis and certifies the tetrad; a
     # failure raises with the offending lines in words.
     parts = pg.triple_partitions(ost)
-    keys = {pg.tetrad_of_partition(ost, part, quadric) for part in parts}
+    keys = {tuple(pg.tetrad_of_partition(ost, part, quadric)) for part in parts}
     return f"{len(parts)} partitions, {len(keys)} tetrads"
 
 
@@ -339,13 +345,16 @@ def _commutation_profiles(ost, quadric, gens):
     fam = pg.six_ovoid_family(ost, part, gens)
     six = fam.all_ovoids()
     for w in quadric.points:
-        if w not in fam.points and pg.commutation_profile(w, six) != (5,) * 6:
-            return "symmetric profile broken"
+        if w in fam.points:
+            continue
+        prof = pg.commutation_profile(w, six)
+        if prof != (5,) * 6:
+            return f"symmetric profile {prof}: point {join_words((w,))}"
     shapes = Counter()
     for w in quadric.off_points:
         prof = pg.commutation_profile(w, six)
         if not set(prof) <= {3, 7}:
-            return f"skew profile {prof}"
+            return f"skew profile {prof}: point {join_words((w,))}"
         shapes[tuple(sorted(prof))] += 1
     return f"sym all 5s; skew shapes {len(shapes)}"
 

@@ -19,7 +19,7 @@ import pytest
 import pauligeom
 from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
-from pauligeom import verify
+from pauligeom import pauli_codec, verify
 from pauligeom.pauli_codec import join_words
 
 TABLES = {"n2": (2, "quick"), "n3": (3, "quick"), "n4": (4, "full")}
@@ -65,7 +65,7 @@ def test_pentad_cones_row_names_a_wrong_vertex(monkeypatch):
     def solid_extra_point(o, quad):
         if sorted(quad) == sorted(o.complement_in(bad)):
             return wrong
-        return real_extra(o, quad)
+        return real_extra(o, quad, quadric)
 
     def pentad_intersection(o, pentad, quadric):
         if tuple(sorted(pentad)) != bad:
@@ -103,6 +103,49 @@ def test_nuclei_fans_row_fails_with_the_fan_certificate(monkeypatch):
         f"InternalConsistencyError: core point {join_words((w,))} moves off the quadric to "
         f"{join_words((w ^ p,))}: ovoid {join_words(ost.points)} point {join_words((p,))}"
         f" nucleus {join_words((p ^ a ^ b,))}")
+
+
+def _row(n, level, name):
+    return next(fn for row, _, fn in verify.checks(n, level) if row == name)
+
+
+def test_symmetry_row_names_the_first_word_that_disagrees(monkeypatch):
+    # is_symmetric wrong on two rank-2 words: the row names the lower point.
+    real = pauli_codec.is_symmetric
+    monkeypatch.setattr(pauli_codec, "is_symmetric", lambda w: real(w) != (w in ("ZY", "XI")))
+    first = min(("ZY", "XI"), key=pauli_codec.word_to_point)
+    assert _row(2, "quick", "symmetry_matches_quadric")() == (
+        f"13/15: first disagreement {first}")
+
+
+@pytest.mark.parametrize("name", ["ostar_census_36_84", "random_ovoid_censuses"])
+def test_census_rows_name_the_point_and_the_ovoid(name, monkeypatch):
+    # One secant third point dropped, of O* or of the first ovoid meeting O*
+    # in one point: that point is then neither a third point nor a nucleus.
+    ost, real = pg.ostar(), pg.secant_third_points
+    o = ost if name == "ostar_census_36_84" else next(
+        x for x in pg.get_ovoids(pg.standard_quadric(4).context)
+        if (x.mask & ost.mask).bit_count() == 1)
+    dropped = max(real(o))
+    monkeypatch.setattr(pg, "secant_third_points",
+                        lambda x: real(x) - {dropped} if x == o else real(x))
+    fault = f"35+84=bad: point {join_words((dropped,))} ovoid {join_words(o.points)}"
+    assert _row(4, "quick", name)() == (
+        fault if o is ost else f"36+84=120 {fault} 36+84=120")
+
+
+@pytest.mark.parametrize("kind", ["symmetric", "skew"])
+def test_commutation_profiles_row_names_the_point(kind, monkeypatch):
+    # A profile of fours planted on the last point of its kind that the row
+    # reads: the quadric points off the six-ovoid family, or the skew points.
+    ost, quadric, real = pg.ostar(), pg.standard_quadric(4), pg.commutation_profile
+    fam = pg.six_ovoid_family(ost, pg.triple_partitions(ost)[0],
+                              pg.get_generators(quadric.context, "quadric"))
+    w = max(set(quadric.points) - fam.points if kind == "symmetric" else quadric.off_points)
+    monkeypatch.setattr(pg, "commutation_profile",
+                        lambda p, six: (4,) * 6 if p == w else real(p, six))
+    assert _row(4, "quick", "commutation_profiles")() == (
+        f"{kind} profile (4, 4, 4, 4, 4, 4): point {join_words((w,))}")
 
 
 def test_sextet_sections_are_built_once_for_both_rows(monkeypatch):

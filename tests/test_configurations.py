@@ -92,8 +92,8 @@ def test_fig6_wrong_point_count_names_the_point_and_split(ostar, gens4, quadric4
     extra = next(q for q in quadric4.points if q not in ostar)
 
     def padded(o, point, s, gens):
-        line, mate = real(o, point, s, gens)
-        return line, pg.Ovoid.from_points(mate.points + (extra,))
+        extras, mate = real(o, point, s, gens)
+        return extras, pg.Ovoid.from_points(mate.points + (extra,))
 
     monkeypatch.setattr(pg, "point_partition_line", padded)
     with pytest.raises(InternalConsistencyError) as exc:
@@ -236,12 +236,12 @@ def test_heptad_family_triangle(ostar, gens4):
     assert common == point_to_word(a ^ b ^ c, 4)
 
 
-def test_heptad_family_quadrangle(ostar, gens4):
+def test_heptad_family_quadrangle(ostar, gens4, quadric4):
     a, b, c, d = ostar.points[:4]
     rep = cfg.heptad_family(ostar, ((a, b), (b, c), (c, d), (d, a)), gens4)
     assert rep.annotations["kind"] == "quadrangle"
     assert len(rep.lines) == 4
-    meet = pg.solid_extra_point(ostar, (a, b, c, d))
+    meet = pg.solid_extra_point(ostar, (a, b, c, d), quadric4)
     assert rep.annotations["concurrence"] == point_to_word(meet, 4)
     meet_idx = next(
         i for i, p in enumerate(rep.points) if p.role == "concurrence-point"

@@ -401,7 +401,7 @@ def test_section_builders_reject_repeated_points(ostar, gens4, quadric4):
     with pytest.raises(UsageError, match="need 3 distinct points"):
         pg.second_ovoid_on_conic(ostar, (a, b, b), gens4)
     with pytest.raises(UsageError, match="need 4 distinct points"):
-        pg.solid_extra_point(ostar, (a, b, c, c))
+        pg.solid_extra_point(ostar, (a, b, c, c), quadric4)
     with pytest.raises(UsageError, match="need 5 distinct points"):
         pg.pentad_intersection(ostar, (a, a, b, c, d), quadric4)
     with pytest.raises(UsageError, match="need 6 distinct points"):
@@ -417,15 +417,14 @@ def test_partitions_axes_and_tetrads(ostar, quadric4):
     assert len(partitions) == 280
     seen = set()
     for part in partitions:
-        axis = pg.axis_of_partition(ostar, part)
+        axis = pg.axis_of_partition(ostar, part, quadric4)
         assert all(not quadric4.contains(p) and p for p in axis)
-        tetrad = pg.tetrad_of_partition(ostar, part, quadric4)
-        points = [p for line in pg.line_partition(tetrad) for p in line]
+        lines = pg.tetrad_of_partition(ostar, part, quadric4)
+        points = [p for line in lines for p in line]
         assert len(points) == len(set(points)) == 12
-        assert sum(1 << p for p in points) == tetrad
         assert rank(points) == 8
         assert all(not quadric4.contains(p) for p in points)
-        seen.add(tetrad)
+        seen.add(tuple(lines))
     assert len(seen) == 280
 
 
@@ -456,21 +455,22 @@ def test_single_ovoid_tetrad_census(ostar, quadric4):
     reference = {}
     for part in pg.triple_partitions(ostar):
         mask, lines = _reference_tetrad(part, quadric4)
-        assert pg.tetrad_of_partition(ostar, part, quadric4) == mask
+        assert tuple(pg.tetrad_of_partition(ostar, part, quadric4)) == lines
         reference[mask] = lines
     assert set(census) == set(reference)
-    assert all(tuple(pg.line_partition(key)) == reference[key] for key in census)
+    assert all(tuple(pg.certify_tetrad(key, quadric4.mask)) == reference[key]
+               for key in census)
 
 
 def test_tetrad_census_certifies_each_distinct_key_once(ovoids, monkeypatch):
     certified = []
-    certify = pg._certify_tetrad
+    certify = pg.certify_tetrad
 
     def recording(mask, qmask):
         certified.append(mask)
-        certify(mask, qmask)
+        return certify(mask, qmask)
 
-    monkeypatch.setattr(pg, "_certify_tetrad", recording)
+    monkeypatch.setattr(pg, "certify_tetrad", recording)
     census = pg.tetrad_census(ovoids[:20])
     assert sum(census.values()) == 20 * 280 > len(census)
     assert sorted(certified) == sorted(census)
@@ -485,10 +485,10 @@ def test_tetrad_certifier_rejects_four_skew_lines_of_rank_7(quadric4):
     assert not any(map(quadric4.contains, points))
     mask = sum(1 << p for p in points)
     rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
-                        for line in pg.line_partition(mask))
+                        for line in pg._mask_lines(mask))
     assert sorted(rendered.split(";")) == sorted(words.split(";"))
     with pytest.raises(InternalConsistencyError) as exc:
-        pg._certify_tetrad(mask, quadric4.mask)
+        pg.certify_tetrad(mask, quadric4.mask)
     assert str(exc.value) == f"tetrad does not span the whole space: {rendered}"
 
 
@@ -504,36 +504,36 @@ def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(q
                for p in line for q in other)
     mask = sum(1 << p for p in points)
     rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
-                        for line in pg.line_partition(mask))
+                        for line in pg._mask_lines(mask))
     assert sorted(rendered.split(";")) == sorted(words.split(";"))
     with pytest.raises(InternalConsistencyError) as exc:
-        pg._certify_tetrad(mask, quadric4.mask)
+        pg.certify_tetrad(mask, quadric4.mask)
     assert str(exc.value) == f"tetrad lines do not commute: {rendered}"
 
 
 def test_every_census_tetrad_passes_the_former_certificate_too(ovoids, quadric4):
-    # The former certificate, kept as the reference: the greedy line search
-    # finds four lines, and their eight generators have rank 8.
+    # The former certificate, kept as the reference: the set holds exactly
+    # four full lines, and their eight generators have rank 8.
     census = pg.tetrad_census(ovoids)
     assert len(census) == 11200
     for key in census:
-        pg._certify_tetrad(key, quadric4.mask)
-        lines = pg.line_partition(key)
+        pg.certify_tetrad(key, quadric4.mask)
+        lines = pg._mask_lines(key)
         assert len(lines) == 4
         assert gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) == 8
 
 
-def test_line_partition_matches_mask_lines_on_every_census_key(ovoids):
+def test_tetrad_certificate_lists_the_full_lines_of_every_census_key(ovoids, quadric4):
     census = pg.tetrad_census(ovoids)
     assert len(census) == 11200
     for key in census:
-        assert pg.line_partition(key) == pg._mask_lines(key)
+        assert pg.certify_tetrad(key, quadric4.mask) == pg._mask_lines(key)
 
 
 def _no_partner_set(mask, quadric):
     # A tetrad with one point w of its first line traded for an
     # off-quadric point that leaves some point with no partner.
-    w = pg.line_partition(mask)[0][2]
+    w = pg.certify_tetrad(mask, quadric.mask)[0][2]
     for x in quadric.off_points:
         pts = pg.mask_points(mask ^ 1 << w | 1 << x)
         if len(pts) == 12 and any(
@@ -542,13 +542,29 @@ def _no_partner_set(mask, quadric):
     raise AssertionError("no such point")
 
 
-@pytest.mark.parametrize("plant", ["no partner", "eleven points", "on quadric"])
+# Twelve off-quadric points on four disjoint lines that also hold a fifth
+# line, so that no four of their lines make a tetrad.  In the first, the
+# lowest point's lowest partner lies on one of the four lines; in the
+# second, on the fifth.
+_FIFTH_LINE_SETS = {
+    "fifth line off the lowest point": "XXXY,YIXI,ZXIY;IXZY,IZIY,IYZI;XIYZ,YIXX,ZIZY;"
+                                       "IYXI,YIZI,YYYI",
+    "fifth line on the lowest point": "IXYZ,YIXI,YXZZ;XZXY,YXZI,ZYYY;XYXZ,YIII,ZYXZ;"
+                                      "XYZX,YXIZ,ZZZY",
+}
+
+
+@pytest.mark.parametrize("plant", ["no partner", "eleven points", "on quadric",
+                                   *_FIFTH_LINE_SETS])
 def test_tetrad_certifier_rejects_sets_that_are_not_four_skew_lines(
         plant, ostar, quadric4):
     mask = min(pg.tetrad_census([ostar]))
-    if plant == "no partner":
+    if plant in _FIFTH_LINE_SETS:
+        mask = sum(1 << word_to_point(w) for w in re.split("[,;]", _FIFTH_LINE_SETS[plant]))
+        assert mask.bit_count() == 12 and len(pg._mask_lines(mask)) == 5
+    elif plant == "no partner":
         mask = _no_partner_set(mask, quadric4)
-        assert mask.bit_count() == 12 and pg.line_partition(mask) == []
+        assert mask.bit_count() == 12 and len(set().union(*pg._mask_lines(mask))) < 12
     elif plant == "eleven points":
         mask &= mask - 1
     else:
@@ -556,7 +572,7 @@ def test_tetrad_certifier_rejects_sets_that_are_not_four_skew_lines(
         mask ^= low | 1 << min(quadric4.points)
         assert mask.bit_count() == 12
     with pytest.raises(InternalConsistencyError) as exc:
-        pg._certify_tetrad(mask, quadric4.mask)
+        pg.certify_tetrad(mask, quadric4.mask)
     assert str(exc.value) == "tetrad is not four skew off-quadric lines: " + ",".join(
         point_to_word(p, 4) for p in pg.mask_points(mask))
 
@@ -652,11 +668,11 @@ def test_second_ovoid_on_conic(ostar, gens4, quadric4):
     assert len(lines) == 6
 
 
-def test_six_ovoid_family(ostar, gens4):
+def test_six_ovoid_family(ostar, gens4, quadric4):
     part = pg.triple_partitions(ostar)[0]
     fam = pg.six_ovoid_family(ostar, part, gens4)
     assert len(fam.points) == 27
-    assert fam.axis == pg.axis_of_partition(ostar, part)
+    assert fam.axis == pg.axis_of_partition(ostar, part, quadric4)
     for ov in fam.all_ovoids():
         assert pg.is_ovoid(ov.points, gens4)
     for x in fam.triad_with_base:
@@ -699,7 +715,7 @@ def test_commutation_profiles(ostar, gens4, quadric4):
 
 def test_solid_extra_points(ostar, quadric4):
     extras = [
-        pg.solid_extra_point(ostar, quad)
+        pg.solid_extra_point(ostar, quad, quadric4)
         for quad in itertools.combinations(ostar.points, 4)
     ]
     assert len(extras) == 126
@@ -709,18 +725,19 @@ def test_solid_extra_points(ostar, quadric4):
     assert not (set(extras) & set(ostar.points))
 
 
-def test_fig6_split_extras(ostar, gens4):
+def test_fig6_split_extras(ostar, gens4, quadric4):
     p = word_to_point("XXXX")
     wanted = {word_to_point("XXII"), word_to_point("IIXX")}
     matches = [
         split
         for split in pg.rest_splits(ostar, p)
-        if {pg.solid_extra_point(ostar, split[0]),
-            pg.solid_extra_point(ostar, split[1])} == wanted
+        if {pg.solid_extra_point(ostar, split[0], quadric4),
+            pg.solid_extra_point(ostar, split[1], quadric4)} == wanted
     ]
     assert len(matches) == 1
-    line, mate = pg.point_partition_line(ostar, p, matches[0], gens4)
-    assert line == frozenset({p} | wanted)
+    extras, mate = pg.point_partition_line(ostar, p, matches[0], gens4)
+    assert extras == tuple(pg.solid_extra_point(ostar, half, quadric4) for half in matches[0])
+    assert set(extras) == wanted
     assert (mate.mask & ostar.mask) == 1 << p
 
 
@@ -730,8 +747,8 @@ def test_point_partition_lines_per_point(ostar, gens4):
         assert len(splits) == 35
         mates = set()
         for split in splits:
-            line, mate = pg.point_partition_line(ostar, p, split, gens4)
-            assert p in line
+            (e1, e2), mate = pg.point_partition_line(ostar, p, split, gens4)
+            assert e1 ^ e2 == p
             mates.add(mate.points)
         assert len(mates) == 35
 
@@ -809,7 +826,7 @@ def test_pentad_cones(ostar, quadric4):
         cone = pg.pentad_intersection(ostar, pentad, quadric4)
         assert len(cone.points) == 11
         complement = ostar.complement_in(pentad)
-        assert cone.vertex == pg.solid_extra_point(ostar, complement)
+        assert cone.vertex == pg.solid_extra_point(ostar, complement, quadric4)
         assert len(cone.lines) == 5
         assert all(cone.vertex in line for line in cone.lines)
         paired = set()
@@ -839,7 +856,7 @@ def test_pentad_faults_name_the_pentad_in_words(plant, ostar, quadric4, monkeypa
         # section check sees the plant
         quadric = _quadric_with_mask(quadric4, quadric4.mask | 1 << (pent[0] ^ pent[1]))
         real = pg.solid_extra_point
-        monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad, _: real(o, quad))
+        monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad, _: real(o, quad, quadric4))
         section = sorted(v for v in span_points(pent) if quadric.contains(v))
         assert len(section) == 12
         what = (f"section {join_words(section)} is not the 11-point cone"
@@ -930,28 +947,28 @@ def test_quadrangle_axiom_names_the_first_fault_of_a_brute_force_scan(
                               f" off line {','.join(point_to_word(x, 4) for x in line)}")
 
 
-def test_axis_and_solid_checks_name_their_points_in_words():
+def test_axis_and_solid_checks_name_their_points_in_words(quadric4):
     # O* with XXXX replaced by IIIX: the nine points no longer sum to zero.
     words = "IIIX,IXXZ,XIZI,XZXI,IZYY,ZIIX,ZXZZ,ZZIZ,YYZX"
     o = pg.Ovoid.from_points(word_to_point(w) for w in words.split(","))
     part = pg.triple_partitions(o)[0]
     with pytest.raises(InternalConsistencyError) as exc:
-        pg.axis_of_partition(o, part)
+        pg.axis_of_partition(o, part, quadric4)
     assert str(exc.value) == "partition nuclei are not a line: XXYY,YIZZ,YIIX"
     quad = [word_to_point(w) for w in ("IIIX", "IXXZ", "XIZI", "XZXI")]
     with pytest.raises(InternalConsistencyError) as exc:
-        pg.solid_extra_point(o, quad)
+        pg.solid_extra_point(o, quad, quadric4)
     assert str(exc.value) == (
         "solid section is not five points: IIIX,IXXZ,XIZI,XZXI meet the quadric in"
         " IIIX,IXXZ,XIZI,XIZX,XXYY,XZXI,XZXX,XYIY,IYZY")
 
 
-def test_solid_extra_point_names_a_quadric_line_in_words():
+def test_solid_extra_point_names_a_quadric_line_in_words(quadric4):
     # Four quadric points, not of one ovoid: XXXX and YXYI are perpendicular,
     # so their solid meets the quadric in five points that hold a line.
     quad = [word_to_point(w) for w in ("XXXX", "XIXZ", "YXYI", "ZXZZ")]
     with pytest.raises(InternalConsistencyError) as exc:
-        pg.solid_extra_point(pg.Ovoid.from_points(quad), quad)
+        pg.solid_extra_point(pg.Ovoid.from_points(quad), quad, quadric4)
     assert str(exc.value) == "solid section carries a quadric line: XXXX,ZIZX,YXYI"
 
 
@@ -969,7 +986,7 @@ def _gens_on_quadric(gens, point):
 def _solid_fault(o, quad, planted):
     # solid_extra_point's message once `planted`, a skew point in the solid
     # of `quad`, is put on the quadric.
-    on = sorted({*quad, pg.solid_extra_point(o, quad), planted})
+    on = sorted({*quad, pg.solid_extra_point(o, quad, pg.standard_quadric(4)), planted})
     return (f"solid section is not five points: {join_words(sorted(quad))}"
             f" meet the quadric in {join_words(on)}")
 
