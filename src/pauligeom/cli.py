@@ -147,8 +147,7 @@ def _enumeration_lines(args) -> list[str]:
         return [join_words(o.points) for o in ovoids]
     if args.what == "tetrads":
         ovoids = pg.get_ovoids(ctx) if args.dedup else [_resolve_ovoid(args.ovoid, gens)]
-        qmask = gens.quadric.mask
-        lines = sorted(pg.certify_tetrad(key, qmask) for key in pg.tetrad_census(ovoids))
+        lines = sorted(pg.tetrad_lines(key) for key in pg.tetrad_census(ovoids))
         return [";".join(map(join_words, tetrad)) for tetrad in lines]
     raise UsageError(f"unknown enumeration target {args.what!r}")
 

@@ -553,20 +553,42 @@ _PATTERN_TRIPLES = tuple(
 )
 
 
-# The one-bit mask of each rank-4 point value: built once, not per census.
-_BITS = tuple(1 << p for p in range(256))
+@cache
+def _skew_frame() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The rank-4 skew frame, built on first use: bit i of a frame key is
+    point i of `standard_quadric(4).off_points`, the 120 skew points.
+
+    Returns the frame bit of each point value (0 for quadric points and
+    0), the point of each index, and per index the frame mask of the skew
+    points that anticommute with it, read from the perp masks.
+    """
+    points = standard_quadric(4).off_points
+    bit = [0] * 256
+    for i, p in enumerate(points):
+        bit[p] = 1 << i
+    perp = _rank4_perp()
+    anti = tuple(sum(bit[q] for q in points if not perp[p] >> q & 1) for p in points)
+    return tuple(bit), points, anti
 
 
 def _conic_masks(pts) -> list[int]:
     """Per point triple of `pts` (of a rank-4 ovoid's points, in `_TRIPLES`
-    order), the mask of the conic's external line {a^b, a^c, b^c} and
-    nucleus a^b^c; a partition's tetrad is the union of its three conics'
-    masks."""
-    bits = _BITS
+    order), the frame key of the conic's external line {a^b, a^c, b^c} and
+    nucleus a^b^c; a partition's tetrad key is the union of its three
+    conics' keys.  A quadric point or 0 among the four has no frame bit."""
+    bit = _skew_frame()[0]
     return [
-        bits[a ^ b] | bits[a ^ c] | bits[b ^ c] | bits[a ^ b ^ c]
+        bit[a ^ b] | bit[a ^ c] | bit[b ^ c] | bit[a ^ b ^ c]
         for a, b, c in itertools.combinations(pts, 3)
     ]
+
+
+def _partition_mask(partition) -> int:
+    """The 12-point mask of a partition's tetrad, over point values."""
+    mask = 0
+    for a, b, c in partition:
+        mask |= 1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
+    return mask
 
 
 def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
@@ -576,15 +598,46 @@ def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
             if u ^ v > v and mask >> (u ^ v) & 1]
 
 
+def tetrad_lines(key: int) -> list[tuple[int, int, int]] | None:
+    """The commutation walk on a frame key (`_skew_frame`): the four lines
+    of the tetrad on the key's twelve points, as ascending triples ordered
+    by lowest point, or None if the key is no tetrad.  `certify_tetrad`
+    shows why a key that passes is one.
+
+    The points of the set that anticommute with the lowest point u left
+    must be exactly v and u+v, and those that anticommute with v exactly
+    u and u+v; that line is removed, four times over.  Frame bits ascend
+    with the points, so the lowest bit is the lowest point.
+    """
+    if key.bit_count() != 12:
+        return None
+    bit, points, anti = _skew_frame()
+    lines = []
+    rest = key
+    while rest:
+        ubit = rest & -rest
+        u = ubit.bit_length() - 1
+        partners = key & anti[u]
+        if partners.bit_count() != 2:
+            return None
+        vbit = partners & -partners
+        v = vbit.bit_length() - 1
+        w = points[u] ^ points[v]
+        if partners != vbit | bit[w] or key & anti[v] != ubit | bit[w]:
+            return None
+        lines.append((points[u], points[v], w))
+        rest ^= partners | ubit  # u commutes with the lines removed, so its line is left
+    return lines
+
+
 def certify_tetrad(mask: int, qmask: int) -> list[tuple[int, int, int]]:
     """Twelve off-quadric points on four mutually commuting lines, which
     are then four skew lines spanning PG(7, 2); returns the four lines as
     ascending triples, ordered by lowest point.
 
-    Read off the perp masks: the points of the set that anticommute with
-    the lowest point u left must be exactly v and u+v, and those that
-    anticommute with v exactly u and u+v; that line is removed, four times
-    over.  Each line is then non-degenerate (sigma(u, v) = 1) and
+    `mask` is over point values.  A 12-point off-quadric mask is mapped
+    into the skew frame and walked there (`tetrad_lines`).  Each line
+    that the walk removes is non-degenerate (sigma(u, v) = 1) and
     orthogonal to the other three.  Such lines are independent: a point of
     one line in the span of the others would be orthogonal to its own
     line, which has no radical.  So the space is the direct sum of the
@@ -601,87 +654,84 @@ def certify_tetrad(mask: int, qmask: int) -> list[tuple[int, int, int]]:
     six and sigma(a+b+c, a+b) of four: the conics' external lines and the
     axis of their nuclei commute.
 
-    On failure only, the message names the set: one holding the zero
-    vector (three collinear points make a zero nucleus), worded without
-    it, since it has no word.  Otherwise the set's full lines
-    (`_mask_lines`) and the rank of their generators pick it: not exactly
-    four lines covering twelve off-quadric points, four lines that do not
-    span the space, or four spanning lines that do not commute.
+    On failure only, `_tetrad_error` names the set.
     """
     if mask.bit_count() == 12 and not mask & (qmask | 1):  # bit 0 is no point
-        perp = _rank4_perp()
-        lines = []
-        rest = mask
-        while rest:
-            u = (rest & -rest).bit_length() - 1
-            anti = mask ^ (mask & perp[u])
-            v = (anti & -anti).bit_length() - 1
-            line = anti | 1 << u
-            if (anti.bit_count() != 2 or not anti >> (u ^ v) & 1
-                    or mask ^ (mask & perp[v]) != line ^ 1 << v):
-                break
-            lines.append((u, v, u ^ v))
-            rest ^= line  # u commutes with the lines removed before, so `line` is in `rest`
-        else:
+        bit = _skew_frame()[0]
+        lines = tetrad_lines(sum(bit[p] for p in mask_points(mask)))
+        if lines is not None:
             return lines
+    raise _tetrad_error(mask, qmask)
+
+
+def _tetrad_error(mask: int, qmask: int) -> InternalConsistencyError:
+    """Why the point mask `mask` failed the certificate, given that it did.
+
+    A set holding the zero vector (three collinear points make a zero
+    nucleus) is worded without it, since it has no word.  Otherwise the
+    set's full lines (`_mask_lines`) and the rank of their generators pick
+    it: not exactly four lines covering twelve off-quadric points, four
+    lines that do not span the space, or four spanning lines that do not
+    commute.
+    """
     if mask & 1:
-        raise InternalConsistencyError(
+        return InternalConsistencyError(
             f"tetrad holds the zero vector: {join_words(mask_points(mask ^ 1))}")
     lines = _mask_lines(mask)
     if (mask.bit_count() != 12 or mask & qmask or len(lines) != 4
             or len({p for line in lines for p in line}) != 12):
-        raise InternalConsistencyError(
+        return InternalConsistencyError(
             f"tetrad is not four skew off-quadric lines: {join_words(mask_points(mask))}")
     named = ";".join(map(join_words, lines))
     if gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) != 8:
-        raise InternalConsistencyError(f"tetrad does not span the whole space: {named}")
-    raise InternalConsistencyError(f"tetrad lines do not commute: {named}")
+        return InternalConsistencyError(f"tetrad does not span the whole space: {named}")
+    return InternalConsistencyError(f"tetrad lines do not commute: {named}")
 
 
 def tetrad_of_partition(o: Ovoid, partition, quadric: Quadric) -> list[tuple[int, int, int]]:
     """The four lines of a partition's tetrad, the axis plus the three
     in-plane external lines, as `certify_tetrad` certifies and lists them."""
     axis_of_partition(o, partition, quadric)
-    mask = 0
-    for conic in partition:
-        mask |= _conic_masks(conic)[0]
-    return certify_tetrad(mask, quadric.mask)
+    return certify_tetrad(_partition_mask(partition), quadric.mask)
 
 
 def tetrad_census(ovoids) -> Counter:
-    """Deduplicated tetrads over every (ovoid, partition) pair.
+    """Deduplicated tetrads over every (ovoid, partition) pair of rank 4.
 
-    Returns a counter keyed by the tetrad's 12-point mask whose values
-    are raw multiplicities; the sum of the values is 280 times the number
-    of ovoids.  Each distinct key is certified once (it depends on the
-    key alone).  Keys iterate in order of first occurrence, so the first
-    bad key is that of the first bad (ovoid, partition) pair, and the
-    failure names that pair.
+    Returns a counter keyed by the tetrad's frame key, the 120-bit mask of
+    its 12 points in the skew frame (`tetrad_lines` lists its lines), whose
+    values are raw multiplicities; the sum of the values is 280 times the
+    number of ovoids.  Each distinct key is walked once (it depends on the
+    key alone).  The frame is injective on skew points, and a set holding
+    a quadric point or 0 has fewer than 12 frame bits, so a key passes
+    exactly when its 12-point set does.  Keys iterate in order of first
+    occurrence, so the first bad key is that of the first bad (ovoid,
+    partition) pair, and the failure names that pair.
     """
     ovoids = tuple(ovoids)
-    qmask = standard_quadric(4).mask
     counts: Counter = Counter()
     for o in ovoids:
         masks = _conic_masks(o.points)
         counts.update([masks[x] | masks[y] | masks[z] for x, y, z in _PATTERN_TRIPLES])
     for key in counts:
-        try:
-            certify_tetrad(key, qmask)
-        except InternalConsistencyError as exc:
-            raise _tetrad_fault(ovoids, key, str(exc)) from None
+        if tetrad_lines(key) is None:
+            raise _tetrad_fault(ovoids, key)
     return counts
 
 
-def _tetrad_fault(ovoids, key: int, reason: str) -> InternalConsistencyError:
-    """`reason`, naming in words the first ovoid and partition whose tetrad is `key`."""
+def _tetrad_fault(ovoids, key: int) -> InternalConsistencyError:
+    """The certificate's failure on the 12-point set of the first ovoid
+    partition whose frame key is `key`, naming that ovoid and partition in
+    words."""
     for o in ovoids:  # `key` came from these ovoids, so the scan finds it
         masks = _conic_masks(o.points)
         for triples in _PATTERN_TRIPLES:
             x, y, z = triples
             if masks[x] | masks[y] | masks[z] == key:
                 pts = o.points
-                return fault(reason, ovoid=pts, partition=tuple(
-                    tuple(pts[i] for i in _TRIPLES[t]) for t in triples))
+                partition = tuple(tuple(pts[i] for i in _TRIPLES[t]) for t in triples)
+                reason = _tetrad_error(_partition_mask(partition), standard_quadric(4).mask)
+                return fault(str(reason), ovoid=pts, partition=partition)
 
 
 def pairwise_intersection_sizes(ovoids: OvoidSet) -> Counter:

@@ -48,3 +48,9 @@ def ovoids(ctx4):
 @pytest.fixture(scope="session")
 def ostar():
     return pg.ostar()
+
+
+@pytest.fixture(scope="session")
+def census(ovoids):
+    """The tetrad census over all 960 ovoids, built once per session."""
+    return pg.tetrad_census(ovoids)

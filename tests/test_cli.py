@@ -73,6 +73,18 @@ def test_each_command_loads_only_its_layers(argv):
     assert set(proc.stderr.split()) == _CORE | {f"pauligeom.{m}" for m in _COMMAND_LAYERS[argv]}
 
 
+def test_import_and_config_fig1_build_no_skew_frame():
+    # The tetrad layer's frame is built on first use, not at import: a
+    # command that certifies no tetrad does not pay for it.
+    code = ("import sys; import pauligeom.polar_geometry as pg; from pauligeom.cli import main; "
+            "built = [pg._skew_frame.cache_info().currsize]; code = main(sys.argv[1:]); "
+            "built.append(pg._skew_frame.cache_info().currsize); "
+            "print(*built, file=sys.stderr); sys.exit(code)")
+    proc = _fresh_python(code, "config", "fig1")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout and proc.stderr.split() == ["0", "0"]
+
+
 def test_package_import_loads_no_module():
     proc = _fresh_python("import sys, pauligeom; "
                          "print(' '.join(m for m in sys.modules if m.startswith('pauligeom')))")

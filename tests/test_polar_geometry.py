@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -447,6 +448,52 @@ def _reference_tetrad(part, quadric):
     return sum(1 << p for p in points), tuple(sorted(lines))
 
 
+@functools.cache
+def _off_index(quadric):
+    return {p: i for i, p in enumerate(quadric.off_points)}
+
+
+def _to_frame(mask, quadric):
+    """The frame key of a mask of skew points: bit i for off point i."""
+    index = _off_index(quadric)
+    return sum(1 << index[p] for p in pg.mask_points(mask))
+
+
+def _from_frame(key, quadric):
+    """The point mask of a frame key."""
+    return sum(1 << quadric.off_points[i] for i in pg.mask_points(key))
+
+
+def test_skew_frame_indexes_the_off_points_in_order_with_sigma(ctx4, quadric4):
+    bit, points, anti = pg._skew_frame()
+    assert points == quadric4.off_points and list(points) == sorted(points)
+    assert len(points) == 120
+    assert bit == tuple(1 << points.index(p) if p in points else 0 for p in range(256))
+    # every ordered pair of skew points, against sigma itself
+    for i, p in enumerate(points):
+        for j, q in enumerate(points):
+            assert anti[i] >> j & 1 == ctx4.sigma(p, q)
+
+
+def test_tetrad_census_is_the_full_mask_census_mapped_into_the_frame(
+        ovoids, census, quadric4):
+    # Each partition's 12-point mask over point values, as
+    # `_reference_tetrad` returns it: per conic {a, b, c}, the points
+    # a^b, a^c, b^c and a^b^c.  (That those are the conic plane's four
+    # off-quadric points is checked through span_points on O*.)
+    full = Counter()
+    for o in ovoids:
+        conic = [1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
+                 for a, b, c in itertools.combinations(o.points, 3)]
+        full.update([conic[x] | conic[y] | conic[z] for x, y, z in pg._PATTERN_TRIPLES])
+    assert all(mask.bit_count() == 12 and not mask & quadric4.mask for mask in full)
+    mapped = Counter()
+    for mask, count in full.items():
+        mapped[_to_frame(mask, quadric4)] += count
+    assert mapped == census
+    assert len(census) == 11200 and set(census.values()) == {24}
+
+
 def test_single_ovoid_tetrad_census(ostar, quadric4):
     census = pg.tetrad_census([ostar])
     assert len(census) == 280
@@ -456,21 +503,21 @@ def test_single_ovoid_tetrad_census(ostar, quadric4):
     for part in pg.triple_partitions(ostar):
         mask, lines = _reference_tetrad(part, quadric4)
         assert tuple(pg.tetrad_of_partition(ostar, part, quadric4)) == lines
-        reference[mask] = lines
+        reference[_to_frame(mask, quadric4)] = lines
     assert set(census) == set(reference)
-    assert all(tuple(pg.certify_tetrad(key, quadric4.mask)) == reference[key]
-               for key in census)
+    assert all(tuple(pg.certify_tetrad(_from_frame(key, quadric4), quadric4.mask))
+               == tuple(pg.tetrad_lines(key)) == reference[key] for key in census)
 
 
 def test_tetrad_census_certifies_each_distinct_key_once(ovoids, monkeypatch):
     certified = []
-    certify = pg.certify_tetrad
+    walk = pg.tetrad_lines
 
-    def recording(mask, qmask):
-        certified.append(mask)
-        return certify(mask, qmask)
+    def recording(key):
+        certified.append(key)
+        return walk(key)
 
-    monkeypatch.setattr(pg, "certify_tetrad", recording)
+    monkeypatch.setattr(pg, "tetrad_lines", recording)
     census = pg.tetrad_census(ovoids[:20])
     assert sum(census.values()) == 20 * 280 > len(census)
     assert sorted(certified) == sorted(census)
@@ -492,8 +539,15 @@ def test_tetrad_certifier_rejects_four_skew_lines_of_rank_7(quadric4):
     assert str(exc.value) == f"tetrad does not span the whole space: {rendered}"
 
 
-def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(quadric4):
-    words = "IXIY,XIYX,XXYZ;XXIY,ZZYX,YYYZ;IIZY,ZXXY,ZXYI;IZZY,YXXZ,YYYX"
+# Four skew spanning lines that do not commute.  In the second, the lowest
+# point of each line commutes with the other three lines, so only the check
+# on each line's second point rejects it.
+@pytest.mark.parametrize("words,lowest_commute", [
+    ("IXIY,XIYX,XXYZ;XXIY,ZZYX,YYYZ;IIZY,ZXXY,ZXYI;IZZY,YXXZ,YYYX", False),
+    ("IIYI,IYXX,IYZX;IXYX,IYII,IZYX;IYYY,YIIX,YYYZ;XYYY,YXIX,ZZYZ", True),
+], ids=["some lowest point anticommutes", "only second points anticommute"])
+def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(
+        words, lowest_commute, quadric4):
     lines = [[word_to_point(w) for w in line.split(",")] for line in words.split(";")]
     points = [p for line in lines for p in line]
     assert all(u ^ v == w for u, v, w in lines)
@@ -502,6 +556,8 @@ def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(q
     sigma = quadric4.context.sigma
     assert any(sigma(p, q) for k, line in enumerate(lines) for other in lines[k + 1:]
                for p in line for q in other)
+    assert lowest_commute == all(not sigma(min(line), q) for line in lines
+                                 for other in lines if other is not line for q in other)
     mask = sum(1 << p for p in points)
     rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
                         for line in pg._mask_lines(mask))
@@ -511,23 +567,38 @@ def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(q
     assert str(exc.value) == f"tetrad lines do not commute: {rendered}"
 
 
-def test_every_census_tetrad_passes_the_former_certificate_too(ovoids, quadric4):
+def test_tetrad_walk_rejects_the_lines_of_a_tetrad_short_of_twelve_points(ostar):
+    # One, two or three of a tetrad's four commuting lines, as a census key
+    # of a set holding quadric points or 0 can be.
+    bit = pg._skew_frame()[0]
+    for key in pg.tetrad_census([ostar]):
+        lines = [bit[u] | bit[v] | bit[w] for u, v, w in pg.tetrad_lines(key)]
+        for k in (1, 2, 3):
+            for kept in itertools.combinations(lines, k):
+                assert pg.tetrad_lines(sum(kept)) is None
+
+
+@pytest.fixture(scope="module")
+def census_masks(census, quadric4):
+    """The point mask of each census key."""
+    return [_from_frame(key, quadric4) for key in census]
+
+
+def test_every_census_tetrad_passes_the_former_certificate_too(census_masks, quadric4):
     # The former certificate, kept as the reference: the set holds exactly
     # four full lines, and their eight generators have rank 8.
-    census = pg.tetrad_census(ovoids)
-    assert len(census) == 11200
-    for key in census:
-        pg.certify_tetrad(key, quadric4.mask)
-        lines = pg._mask_lines(key)
+    assert len(census_masks) == 11200
+    for mask in census_masks:
+        pg.certify_tetrad(mask, quadric4.mask)
+        lines = pg._mask_lines(mask)
         assert len(lines) == 4
         assert gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) == 8
 
 
-def test_tetrad_certificate_lists_the_full_lines_of_every_census_key(ovoids, quadric4):
-    census = pg.tetrad_census(ovoids)
-    assert len(census) == 11200
-    for key in census:
-        assert pg.certify_tetrad(key, quadric4.mask) == pg._mask_lines(key)
+def test_tetrad_certificate_lists_the_full_lines_of_every_census_key(census_masks, quadric4):
+    assert len(census_masks) == 11200
+    for mask in census_masks:
+        assert pg.certify_tetrad(mask, quadric4.mask) == pg._mask_lines(mask)
 
 
 def _no_partner_set(mask, quadric):
@@ -558,7 +629,7 @@ _FIFTH_LINE_SETS = {
                                    *_FIFTH_LINE_SETS])
 def test_tetrad_certifier_rejects_sets_that_are_not_four_skew_lines(
         plant, ostar, quadric4):
-    mask = min(pg.tetrad_census([ostar]))
+    mask = min(_from_frame(key, quadric4) for key in pg.tetrad_census([ostar]))
     if plant in _FIFTH_LINE_SETS:
         mask = sum(1 << word_to_point(w) for w in re.split("[,;]", _FIFTH_LINE_SETS[plant]))
         assert mask.bit_count() == 12 and len(pg._mask_lines(mask)) == 5
@@ -618,12 +689,14 @@ def test_tetrad_census_names_the_failing_ovoid_and_partition(words, what):
 def test_tetrad_census_names_the_ovoid_and_partition_of_a_commutation_failure(
         ostar, quadric4, monkeypatch):
     # sigma planted wrong at one pair of points, on two lines of the tetrad
-    # of O*'s first partition, in the perp table that the certifier reads.
+    # of O*'s first partition, in the perp table; the walk reads the skew
+    # frame built from it, so a fresh frame cache is put in place for the test.
     _, lines = _reference_tetrad(pg.triple_partitions(ostar)[0], quadric4)
     u, x = lines[0][0], lines[1][0]
     table = pg._rank4_perp()
     monkeypatch.setitem(table, u, table[u] ^ 1 << x)
     monkeypatch.setitem(table, x, table[x] ^ 1 << u)
+    monkeypatch.setattr(pg, "_skew_frame", functools.cache(pg._skew_frame.__wrapped__))
     with pytest.raises(InternalConsistencyError) as exc:
         pg.tetrad_census([ostar])
     reason, groups = _census_fault_parts(str(exc.value), ostar)
