@@ -190,15 +190,9 @@ def _perp_masks(ctx: GeometryContext) -> dict[int, int]:
     return perp
 
 
-@cache
-def _rank4_perp() -> dict[int, int]:
-    """The rank-4 perp masks, read from `_perp_masks` once per process."""
-    return _perp_masks(GeometryContext(4))
-
-
 def perp(p: int) -> int:
     """The mask of the rank-4 points that commute with point `p` (sigma = 0)."""
-    return _rank4_perp()[p]
+    return _perp_masks(standard_quadric(4).context)[p]
 
 
 @cache
@@ -388,24 +382,10 @@ def is_ovoid(points, gens: GeneratorSet) -> bool:
     return covered == (1 << len(gens.masks)) - 1
 
 
-def _nonperp_adjacency(ctx: GeometryContext, points: tuple[int, ...]):
-    """Index-space masks of strictly-greater neighbours with sigma = 1.
-
-    Read off the perp masks: sigma(p, q) = 1 iff bit q of p's perp mask is clear.
-    """
-    perp = _perp_masks(ctx)
-    adj = []
-    for i, p in enumerate(points):
-        row, mask = 0, perp[p]
-        for j in range(i + 1, len(points)):
-            if not mask >> points[j] & 1:
-                row |= 1 << j
-        adj.append(row)
-    return adj
-
-
-def _cliques(adj_gt: list[int], size: int, roots) -> list[tuple[int, ...]]:
-    """All `size`-cliques (as ascending index tuples) rooted at `roots`."""
+def _cliques(adj: list[int], size: int, roots) -> list[tuple[int, ...]]:
+    """All `size`-cliques (as ascending index tuples) with lowest index in
+    `roots`, in the graph of full neighbour masks `adj`: a root keeps its
+    neighbours above it, and each later candidate lies above the last."""
     out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
@@ -421,12 +401,12 @@ def _cliques(adj_gt: list[int], size: int, roots) -> list[tuple[int, ...]]:
             cand ^= bit
             i = bit.bit_length() - 1
             stack.append(i)
-            rec(cand & adj_gt[i])
+            rec(cand & adj[i])
             stack.pop()
 
     for r in roots:
         stack[:] = [r]
-        rec(adj_gt[r])
+        rec(adj[r] >> r + 1 << r + 1)
     return out
 
 
@@ -554,19 +534,21 @@ _PATTERN_TRIPLES = tuple(
 
 
 @cache
-def _skew_frame() -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
-    """The rank-4 skew frame, built on first use: bit i of a frame key is
-    point i of `standard_quadric(4).off_points`, the 120 skew points.
+def _skew_frame(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The skew frame of rank `n`, built on first use: bit i of a frame key
+    is point i of `standard_quadric(n).off_points`, the 6, 28 or 120 skew points.
 
     Returns the frame bit of each point value (0 for quadric points and
-    0), the point of each index, and per index the frame mask of the skew
-    points that anticommute with it, read from the perp masks.
+    0), the point of each index, and per index the full mask of the skew
+    points that anticommute with it: the sigma = 1 graph, read from the perp
+    masks, of the tetrad walk (rank 4) and the Conwell search (rank 3).
     """
-    points = standard_quadric(4).off_points
-    bit = [0] * 256
+    quadric = standard_quadric(n)
+    points = quadric.off_points
+    bit = [0] * (1 << quadric.context.dim)
     for i, p in enumerate(points):
         bit[p] = 1 << i
-    perp = _rank4_perp()
+    perp = _perp_masks(quadric.context)
     anti = tuple(sum(bit[q] for q in points if not perp[p] >> q & 1) for p in points)
     return tuple(bit), points, anti
 
@@ -576,7 +558,7 @@ def _conic_masks(pts) -> list[int]:
     order), the frame key of the conic's external line {a^b, a^c, b^c} and
     nucleus a^b^c; a partition's tetrad key is the union of its three
     conics' keys.  A quadric point or 0 among the four has no frame bit."""
-    bit = _skew_frame()[0]
+    bit = _skew_frame(4)[0]
     return [
         bit[a ^ b] | bit[a ^ c] | bit[b ^ c] | bit[a ^ b ^ c]
         for a, b, c in itertools.combinations(pts, 3)
@@ -599,7 +581,7 @@ def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
 
 
 def tetrad_lines(key: int) -> list[tuple[int, int, int]] | None:
-    """The commutation walk on a frame key (`_skew_frame`): the four lines
+    """The commutation walk on a frame key (`_skew_frame(4)`): the four lines
     of the tetrad on the key's twelve points, as ascending triples ordered
     by lowest point, or None if the key is no tetrad.  `certify_tetrad`
     shows why a key that passes is one.
@@ -611,7 +593,7 @@ def tetrad_lines(key: int) -> list[tuple[int, int, int]] | None:
     """
     if key.bit_count() != 12:
         return None
-    bit, points, anti = _skew_frame()
+    bit, points, anti = _skew_frame(4)
     lines = []
     rest = key
     while rest:
@@ -657,7 +639,7 @@ def certify_tetrad(mask: int, qmask: int) -> list[tuple[int, int, int]]:
     On failure only, `_tetrad_error` names the set.
     """
     if mask.bit_count() == 12 and not mask & (qmask | 1):  # bit 0 is no point
-        bit = _skew_frame()[0]
+        bit = _skew_frame(4)[0]
         lines = tetrad_lines(sum(bit[p] for p in mask_points(mask)))
         if lines is not None:
             return lines
@@ -1111,13 +1093,13 @@ def conwell_heptads(ctx: GeometryContext):
     Seven external points whose 21 connecting lines all miss the quadric;
     found as 7-cliques of the "joining line misses the quadric" graph on
     the 28 external points.  For skew u and v, Q(u + v) = sigma(u, v), so
-    that graph is the sigma = 1 graph on those points (`_nonperp_adjacency`).
+    that graph is the sigma = 1 graph of the skew frame `_skew_frame(3)`.
     """
     if ctx.n_qubits != 3:
         raise UsageError("Conwell heptads live off the rank-3 quadric")
     quadric = standard_quadric(3)
-    off = quadric.off_points
-    cliques = _cliques(_nonperp_adjacency(ctx, off), 7, range(len(off)))
+    _, off, anti = _skew_frame(3)
+    cliques = _cliques(anti, 7, range(len(off)))
     heptads = tuple(frozenset(off[i] for i in c) for c in cliques)
     for h in heptads:
         for u, v in itertools.combinations(sorted(h), 2):

@@ -75,6 +75,10 @@ PINNED = [
      "7eb1265dca9657480d5211f62e749fbf75bdd1b1cfc68dba6aff851990f4bd67"),
     (["verify", "--n", "3", "--no-timings"],
      "fe2832fd32060bad56e4c36819deac78387eefe02d76547eebd2174007e5a158"),
+    (["enumerate", "heptads", "--n", "3"],
+     "9d0675b3ae3954f33d53f223afb1b16f9eb1068c499061cbffdc2b2001a5d911"),
+    (["enumerate", "heptads"],
+     "1f15e551e4d9a4d1438803edbf3c1214fe2afb34a6b84a2d6e6572f1849bdf32"),
     (["config", "fig1"],
      "a0bc24583ad846b54564de176270a26fc73638253e48866145a3e9920b07cb15"),
     (["config", "fig3"],

@@ -74,15 +74,18 @@ def test_each_command_loads_only_its_layers(argv):
 
 
 def test_import_and_config_fig1_build_no_skew_frame():
-    # The tetrad layer's frame is built on first use, not at import: a
-    # command that certifies no tetrad does not pay for it.
+    # The skew frames are built on first use, one per rank, not at import:
+    # a command that reads no sigma graph of skew points builds none, and
+    # the rank-3 run builds the 28-point frame alone, not the 120-point one.
     code = ("import sys; import pauligeom.polar_geometry as pg; from pauligeom.cli import main; "
             "built = [pg._skew_frame.cache_info().currsize]; code = main(sys.argv[1:]); "
             "built.append(pg._skew_frame.cache_info().currsize); "
             "print(*built, file=sys.stderr); sys.exit(code)")
-    proc = _fresh_python(code, "config", "fig1")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout and proc.stderr.split() == ["0", "0"]
+    for argv, built in ((["config", "fig1"], ["0", "0"]),
+                        (["verify", "--n", "3", "--no-timings"], ["0", "1"])):
+        proc = _fresh_python(code, *argv)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout and proc.stderr.split() == built
 
 
 def test_package_import_loads_no_module():

@@ -184,17 +184,6 @@ def test_perp_masks_by_bilinearity_match_direct_masks(n):
     assert pg._perp_masks.__wrapped__(ctx) == {p: ctx.perp_mask(p) for p in ctx.points()}
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_nonperp_adjacency_is_the_sigma_graph(n):
-    ctx = GeometryContext(n)
-    for pts in (pg.standard_quadric(n).points, tuple(ctx.points())):
-        adj = pg._nonperp_adjacency(ctx, pts)
-        assert adj == [
-            sum(1 << j for j in range(i + 1, len(pts)) if ctx.sigma(p, pts[j]) == 1)
-            for i, p in enumerate(pts)
-        ]
-
-
 def test_family_relation_is_consistent(gens4):
     # same label iff the linear intersection dimension has the rank parity
     n = 4
@@ -311,8 +300,9 @@ def test_ovoids_through_reads_the_index_of_an_ovoid_subset(ovoids, quadric4):
 def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, quadric4):
     # Exhaustive: the 9-cliques of the sigma = 1 graph on the quadric are
     # the ovoids the exact-cover search finds, set for set.
-    pts = quadric4.points
-    cliques = pg._cliques(pg._nonperp_adjacency(quadric4.context, pts), 9, range(len(pts)))
+    pts, ctx = quadric4.points, quadric4.context
+    adj = [sum(1 << j for j, q in enumerate(pts) if ctx.sigma(p, q)) for p in pts]
+    cliques = pg._cliques(adj, 9, range(len(pts)))
     assert sorted(tuple(pts[i] for i in c) for c in cliques) == [o.points for o in ovoids]
 
 
@@ -464,15 +454,27 @@ def _from_frame(key, quadric):
     return sum(1 << quadric.off_points[i] for i in pg.mask_points(key))
 
 
-def test_skew_frame_indexes_the_off_points_in_order_with_sigma(ctx4, quadric4):
-    bit, points, anti = pg._skew_frame()
-    assert points == quadric4.off_points and list(points) == sorted(points)
-    assert len(points) == 120
-    assert bit == tuple(1 << points.index(p) if p in points else 0 for p in range(256))
+@pytest.mark.parametrize("n, size", [(2, 6), (3, 28), (4, 120)])
+def test_skew_frame_indexes_the_off_points_in_order_with_sigma(n, size):
+    ctx = GeometryContext(n)
+    bit, points, anti = pg._skew_frame(n)
+    assert points == pg.standard_quadric(n).off_points and list(points) == sorted(points)
+    assert len(points) == size
+    assert bit == tuple(1 << points.index(p) if p in points else 0 for p in range(1 << 2 * n))
     # every ordered pair of skew points, against sigma itself
     for i, p in enumerate(points):
         for j, q in enumerate(points):
-            assert anti[i] >> j & 1 == ctx4.sigma(p, q)
+            assert anti[i] >> j & 1 == ctx.sigma(p, q)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_cliques_on_the_rank3_frame_are_the_brute_force_cliques(k):
+    # Full neighbour masks: each clique once, ascending, in lexicographic
+    # order, rooted at its lowest index.
+    anti = pg._skew_frame(3)[2]
+    brute = [c for c in itertools.combinations(range(28), k)
+             if all(anti[i] >> j & 1 for i, j in itertools.combinations(c, 2))]
+    assert pg._cliques(anti, k, range(28)) == brute
 
 
 def test_tetrad_census_is_the_full_mask_census_mapped_into_the_frame(
@@ -570,7 +572,7 @@ def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(
 def test_tetrad_walk_rejects_the_lines_of_a_tetrad_short_of_twelve_points(ostar):
     # One, two or three of a tetrad's four commuting lines, as a census key
     # of a set holding quadric points or 0 can be.
-    bit = pg._skew_frame()[0]
+    bit = pg._skew_frame(4)[0]
     for key in pg.tetrad_census([ostar]):
         lines = [bit[u] | bit[v] | bit[w] for u, v, w in pg.tetrad_lines(key)]
         for k in (1, 2, 3):
@@ -584,21 +586,15 @@ def census_masks(census, quadric4):
     return [_from_frame(key, quadric4) for key in census]
 
 
-def test_every_census_tetrad_passes_the_former_certificate_too(census_masks, quadric4):
+def test_tetrad_certificate_lists_the_full_lines_of_every_census_key(census_masks, quadric4):
     # The former certificate, kept as the reference: the set holds exactly
     # four full lines, and their eight generators have rank 8.
     assert len(census_masks) == 11200
     for mask in census_masks:
-        pg.certify_tetrad(mask, quadric4.mask)
         lines = pg._mask_lines(mask)
+        assert pg.certify_tetrad(mask, quadric4.mask) == lines
         assert len(lines) == 4
         assert gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) == 8
-
-
-def test_tetrad_certificate_lists_the_full_lines_of_every_census_key(census_masks, quadric4):
-    assert len(census_masks) == 11200
-    for mask in census_masks:
-        assert pg.certify_tetrad(mask, quadric4.mask) == pg._mask_lines(mask)
 
 
 def _no_partner_set(mask, quadric):
@@ -693,7 +689,7 @@ def test_tetrad_census_names_the_ovoid_and_partition_of_a_commutation_failure(
     # frame built from it, so a fresh frame cache is put in place for the test.
     _, lines = _reference_tetrad(pg.triple_partitions(ostar)[0], quadric4)
     u, x = lines[0][0], lines[1][0]
-    table = pg._rank4_perp()
+    table = pg._perp_masks(quadric4.context)
     monkeypatch.setitem(table, u, table[u] ^ 1 << x)
     monkeypatch.setitem(table, x, table[x] ^ 1 << u)
     monkeypatch.setattr(pg, "_skew_frame", functools.cache(pg._skew_frame.__wrapped__))
