@@ -14,9 +14,7 @@ commutation is vanishing of the alternating form sigma.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from .errors import IdentityNotAPointError, UsageError
+from .errors import IdentityNotAPointError, InternalConsistencyError, UsageError
 
 LETTERS = "IXYZ"
 
@@ -33,16 +31,16 @@ def validate_word(word: str, n_qubits: int | None = None) -> str:
     return word
 
 
-@lru_cache(maxsize=1024)
-def _valid_vector(word: str) -> int:
-    """Vector of a word that passes :func:`validate_word`; the identity is 0.
+# The rank-n codec tables, rank -> (word of each vector, identity at 0;
+# vector of each word), built by `_tables` on first use of the rank.
+# Ranks above `_MAX_TABLED`, the matrix oracle's 7 letters, get no table:
+# their words are encoded and decoded letter by letter on every call.
+_TABLES: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
+_MAX_TABLED = 7
 
-    Memoized, like :func:`point_to_word`: the checks convert the same few
-    hundred words over and over, so each is validated and encoded once.
-    1024 entries hold every word of one to four qubits; a word that fails
-    validation raises and is not remembered.
-    """
-    validate_word(word)
+
+def _encode(word: str) -> int:
+    """Vector of a valid word, letter by letter; the identity is 0."""
     n = len(word)
     hi = lo = 0
     for c in word:
@@ -52,18 +50,44 @@ def _valid_vector(word: str) -> int:
     return (hi << n) | lo
 
 
-def _vector(word: str) -> int:
-    """:func:`_valid_vector`, raising exactly what `validate_word` raises.
+def _decode(v: int, n: int) -> str:
+    """Word of a vector of rank n, letter by letter; 0 is the identity."""
+    hi, lo = v >> n, v & ((1 << n) - 1)
+    return "".join(_PAIR_LETTER[(hi >> i) & 1, (lo >> i) & 1] for i in range(n - 1, -1, -1))
 
-    An input the memo cannot hash (a list, a dict) is validated outside
-    it, so the caller sees validation's own error, not the memo's.
+
+def _tables(n: int) -> tuple[tuple[str, ...], dict[str, int]]:
+    """The two tables of rank n (1 to `_MAX_TABLED`), built on first use.
+
+    The words come from the decoder; the build checks that the encoder
+    inverts it on all 4^n of them, so a table read gives exactly what the
+    letter-by-letter code gives.
     """
+    if n not in _TABLES:
+        words = tuple(_decode(v, n) for v in range(4**n))
+        vectors = {w: v for v, w in enumerate(words)}
+        if len(vectors) != len(words) or any(_encode(w) != v for w, v in vectors.items()):
+            raise InternalConsistencyError(f"rank-{n} encoder does not invert the decoder")
+        _TABLES[n] = words, vectors
+    return _TABLES[n]
+
+
+def _vector(word: str) -> int:
+    """Vector of a word, raising exactly what `validate_word` raises; the
+    identity is 0.  A word of a tabled rank is read from its table, which
+    holds only valid words, so only a miss is validated."""
     try:
-        return _valid_vector(word)
-    except TypeError:
+        return _TABLES[len(word)][1][word]
+    except (KeyError, TypeError):  # rank not built yet, or not a word of it
         pass
     validate_word(word)
-    return _valid_vector(word)
+    n = len(word)
+    return _tables(n)[1][word] if n <= _MAX_TABLED else _encode(word)
+
+
+def _word(v: int, n: int) -> str:
+    """Word of a vector 0 <= v < 4^n."""
+    return _tables(n)[0][v] if n <= _MAX_TABLED else _decode(v, n)
 
 
 def word_to_point(word: str) -> int:
@@ -74,35 +98,35 @@ def word_to_point(word: str) -> int:
     return v
 
 
-@lru_cache(maxsize=1024)
 def point_to_word(v: int, n_qubits: int) -> str:
     """Word of a nonzero point; inverse of :func:`word_to_point`."""
     if v == 0:
         raise IdentityNotAPointError("the zero vector has no word")
     if v < 0 or v >> (2 * n_qubits):
         raise UsageError(f"point {v} does not fit {n_qubits} qubits")
-    hi, lo = v >> n_qubits, v & ((1 << n_qubits) - 1)
-    return "".join(
-        _PAIR_LETTER[(hi >> i) & 1, (lo >> i) & 1]
-        for i in range(n_qubits - 1, -1, -1)
-    )
+    try:
+        return _TABLES[n_qubits][0][v]
+    except KeyError:  # the rank's tables are not built yet, or it has none
+        return _word(v, n_qubits)
 
 
 def word_product(a: str, b: str) -> str:
     """Sign-free product; addition of coordinate pairs letter by letter.
 
-    Like :func:`commutes`, it checks a's alphabet, b's, then the length,
-    and reads both vectors from the memo in its own frame: the matrix
-    oracle calls both pair functions for every pair of words.
+    Two words of one built rank are read from its tables: the product is
+    the word of u ^ v.  Otherwise, like :func:`commutes`, it checks a's
+    alphabet, b's, then the length, and builds the rank's tables.
     """
     try:
-        u, v = _valid_vector(a), _valid_vector(b)
-    except TypeError:  # an argument the memo cannot hash
-        u, v = _vector(a), _vector(b)
+        words, vectors = _TABLES[len(a)]
+        return words[vectors[a] ^ vectors[b]]
+    except (KeyError, TypeError):  # a miss: validate, then build or encode
+        pass
+    u, v = _vector(a), _vector(b)
     n = len(a)
     if len(b) != n:
         validate_word(b, n)  # raises the length mismatch
-    return "I" * n if u == v else point_to_word(u ^ v, n)
+    return _word(u ^ v, n)
 
 
 def is_symmetric(word: str) -> bool:
@@ -163,16 +187,21 @@ class GeometryContext:
 
 
 def commutes(a: str, b: str) -> bool:
-    """Whether two words commute: sigma of their points vanishes."""
+    """Whether two words commute: sigma of their points vanishes.
+
+    sigma is the parity of one popcount: (u >> n) & v and (v >> n) & u
+    hold only the low n bits, and the parities of two masks add as their
+    xor's.
+    """
     try:
-        u, v = _valid_vector(a), _valid_vector(b)
-    except TypeError:  # an argument the memo cannot hash
+        vectors = _TABLES[len(a)][1]
+        u, v = vectors[a], vectors[b]
+    except (KeyError, TypeError):  # a miss: validate as `word_product` does
         u, v = _vector(a), _vector(b)
+        if len(b) != len(a):
+            validate_word(b, len(a))  # raises the length mismatch
     n = len(a)
-    if len(b) != n:
-        validate_word(b, n)  # raises the length mismatch
-    m = (1 << n) - 1
-    return not (((u >> n) & v & m).bit_count() + ((v >> n) & u & m).bit_count()) & 1
+    return not (u >> n & v ^ v >> n & u).bit_count() & 1
 
 
 def words_to_points(words) -> tuple[int, ...]:

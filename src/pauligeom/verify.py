@@ -171,7 +171,7 @@ def checks(n: int, level: str) -> list[tuple]:
         ("ostar_is_ovoid", True, lambda: pg.is_ovoid(ost.points, gens())),
         ("ovoid_total", 960, lambda: len(ovoids())),
         ("ovoids_through_each_point", "{64}",
-         lambda: str({len(pg.ovoids_through(ovoids(), p)) for p in quadric.points})),
+         lambda: _ovoids_on_each_point(ovoids(), quadric)),
         ("ostar_census_36_84", "36+84=120", lambda: _census(ost, quadric)),
         ("random_ovoid_censuses", "36+84=120 36+84=120 36+84=120",
          lambda: _census_per_intersection_class(ovoids(), ost, quadric)),
@@ -214,13 +214,20 @@ def checks(n: int, level: str) -> list[tuple]:
             ("tetrad_dedup_global", "11200 distinct, multiplicity [24]",
              lambda: _tetrad_dedup(ovoids())),
             ("pairwise_intersection_law", "0:268800 1:151200 3:40320",
-             lambda: _fmt_counter(pg.pairwise_intersection_sizes(ovoids()))),
+             lambda: _pairwise_law(ovoids())),
         ]
     return rows
 
 
 def _fmt_counter(counter: Counter) -> str:
     return " ".join(f"{k}:{counter[k]}" for k in sorted(counter))
+
+
+def _first_off_mean(counts: dict):
+    """The first (key, count) of `counts` whose count is off their mean, or
+    None when the counts are all equal (and so each is the mean)."""
+    total, n = sum(counts.values()), len(counts)
+    return next(((key, k) for key, k in counts.items() if k * n != total), None)
 
 
 def _symmetry_agreement(ctx, quadric):
@@ -280,13 +287,29 @@ def _census(o, quadric):
     return f"{len(thirds)}+{len(nuclei)}=120"
 
 
+def _ovoids_on_each_point(ovoids, quadric):
+    """The set of the numbers of ovoids on each quadric point; if they
+    differ, the first point whose number is off their mean, in words."""
+    counts = {p: len(pg.ovoids_through(ovoids, p)) for p in quadric.points}
+    if off := _first_off_mean(counts):
+        return f"point {join_words(off[:1])} on {off[1]} ovoids"
+    return str(set(counts.values()))
+
+
+# Two distinct rank-4 ovoids meet in 0, 1 or 3 points (a conic).
+_MEETINGS = (0, 1, 3)
+
+
 def _census_per_intersection_class(ovoids, ost, quadric):
     # The first ovoid, in canonical order, meeting O* in 0, 1 and 3
     # points: one of each relation to O* besides O* itself.
     firsts = {}
     for o in ovoids:
         firsts.setdefault((o.mask & ost.mask).bit_count(), o)
-    return " ".join(_census(firsts[k], quadric) for k in (0, 1, 3))
+    for k in _MEETINGS:
+        if k not in firsts:
+            return f"no ovoid meets O* in {k} point" + "s" * (k != 1)
+    return " ".join(_census(firsts[k], quadric) for k in _MEETINGS)
 
 
 def _axes_and_tetrads(ost, quadric):
@@ -360,5 +383,25 @@ def _commutation_profiles(ost, quadric, gens):
 
 
 def _tetrad_dedup(ovoids):
+    """Distinct tetrads and their multiplicities; if these differ, the first
+    tetrad in census order whose multiplicity is off their mean, by its four
+    lines in words."""
     counts = pg.tetrad_census(ovoids)
+    if off := _first_off_mean(counts):
+        key, k = off
+        lines = ";".join(map(join_words, pg.tetrad_lines(key)))
+        return f"{len(counts)} distinct, tetrad {lines} multiplicity {k}"
     return f"{len(counts)} distinct, multiplicity {sorted(set(counts.values()))}"
+
+
+def _pairwise_law(ovoids):
+    """The census of |A ∩ B| over unordered pairs of ovoids; a size off the
+    law (`_MEETINGS`) names the first pair, in the ovoids' order, that has it."""
+    counts = pg.pairwise_intersection_sizes(ovoids)
+    if counts.keys() <= set(_MEETINGS):
+        return _fmt_counter(counts)
+    for i, a in enumerate(ovoids):
+        for b in ovoids[i + 1:]:
+            if (k := (a.mask & b.mask).bit_count()) not in _MEETINGS:
+                return (f"ovoids {join_words(a.points)} and {join_words(b.points)}"
+                        f" meet in {k} points")

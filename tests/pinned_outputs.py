@@ -71,6 +71,15 @@ PINNED = [
      "b6dce5b6efa1d3692e6fd6109e6a0874de67903c4cf7215d186e0652d5f03885"),
     (["oracle-check", "--n", "4"],
      "414a478767e165bfae93285684809494a41973ee832bc8414a34583564e1dcee"),
+    (["oracle-check", "--n", "2"],
+     "73468643fc2c79421ffa765ec75d6e2fe529ae5612b979a43002d51538636ba5"),
+    (["oracle-check", "--n", "3"],
+     "c10009b38270d6db448b47de3a46aa3ee7b19f148457250efd100115a48b68ee"),
+    # A word and its coordinates map to the same record.
+    (["map", "IYZX"],
+     "e668959c062aa2776372ce870eaa9bdf7c28a0a56c19432d399e0556b269f662"),
+    (["map", "01100101"],
+     "e668959c062aa2776372ce870eaa9bdf7c28a0a56c19432d399e0556b269f662"),
     (["verify", "--n", "2", "--no-timings"],
      "7eb1265dca9657480d5211f62e749fbf75bdd1b1cfc68dba6aff851990f4bd67"),
     (["verify", "--n", "3", "--no-timings"],

@@ -134,6 +134,54 @@ def test_census_rows_name_the_point_and_the_ovoid(name, monkeypatch):
         fault if o is ost else f"36+84=120 {fault} 36+84=120")
 
 
+@pytest.fixture(scope="module")
+def copied_ovoid():
+    """The cached ovoids with the second replaced by a copy of the first,
+    and the table's rows that read them; the rows run once."""
+    ovoids = pg.get_ovoids(pg.standard_quadric(4).context)
+    planted = pg.OvoidSet((ovoids[0],) + ovoids[:1] + ovoids[2:])
+    names = ("ovoid_total", "ovoids_through_each_point", "tetrad_dedup_global",
+             "pairwise_intersection_law")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pg, "get_ovoids", lambda ctx: planted)
+        rows = verify.run_checks(r for r in verify.checks(4, "full") if r[0] in names)
+    return ovoids, {row.name: row for row in rows}
+
+
+def test_census_rows_name_the_first_offender_of_a_copied_ovoid(copied_ovoid):
+    # 960 ovoids still, so the count passes; the three censuses name, in
+    # words, the first point off 64, the first tetrad off 24 and the pair.
+    ovoids, rows = copied_ovoid
+    first, lost = ovoids[0], ovoids[1]
+    assert rows.pop("ovoid_total").ok
+    assert not any(row.ok for row in rows.values())
+    p = min(set(first.points) ^ set(lost.points))
+    assert rows["ovoids_through_each_point"].computed == (
+        f"point {join_words((p,))} on {65 if p in first else 63} ovoids")
+    quadric = pg.standard_quadric(4)
+
+    def tetrads(o):
+        return [pg.tetrad_of_partition(o, part, quadric) for part in pg.triple_partitions(o)]
+
+    lost_sets = {frozenset(itertools.chain(*lines)) for lines in tetrads(lost)}
+    lines = next(lines for lines in tetrads(first)
+                 if frozenset(itertools.chain(*lines)) not in lost_sets)
+    assert rows["tetrad_dedup_global"].computed == (
+        f"11200 distinct, tetrad {';'.join(map(join_words, lines))} multiplicity 25")
+    assert rows["pairwise_intersection_law"].computed == (
+        f"ovoids {join_words(first.points)} and {join_words(first.points)} meet in 9 points")
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_random_ovoid_censuses_row_names_a_missing_class(k, monkeypatch):
+    # No ovoid meets O* in k points: the row names the class it lacks.
+    ost, ovoids = pg.ostar(), pg.get_ovoids(pg.standard_quadric(4).context)
+    planted = pg.OvoidSet(o for o in ovoids if (o.mask & ost.mask).bit_count() != k)
+    monkeypatch.setattr(pg, "get_ovoids", lambda ctx: planted)
+    assert _row(4, "quick", "random_ovoid_censuses")() == (
+        f"no ovoid meets O* in {k} point" + "s" * (k != 1))
+
+
 @pytest.mark.parametrize("kind", ["symmetric", "skew"])
 def test_commutation_profiles_row_names_the_point(kind, monkeypatch):
     # A profile of fours planted on the last point of its kind that the row

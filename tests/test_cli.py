@@ -88,6 +88,18 @@ def test_import_and_config_fig1_build_no_skew_frame():
         assert proc.stdout and proc.stderr.split() == built
 
 
+def test_commands_build_only_their_own_ranks_codec_tables():
+    # The codec's tables are built per rank on first use, not at import.
+    code = ("import sys; import pauligeom.pauli_codec as pc; from pauligeom.cli import main; "
+            "built = [len(pc._TABLES)]; code = main(sys.argv[1:]); "
+            "built += sorted(pc._TABLES); print(*built, file=sys.stderr); sys.exit(code)")
+    for argv, built in (("map IYZX", ["0", "4"]), ("map 0110 --n 2", ["0", "2"]),
+                        ("config fig2", ["0", "4"]), ("oracle-check --n 3", ["0", "3"])):
+        proc = _fresh_python(code, *argv.split())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout and proc.stderr.split() == built
+
+
 def test_package_import_loads_no_module():
     proc = _fresh_python("import sys, pauligeom; "
                          "print(' '.join(m for m in sys.modules if m.startswith('pauligeom')))")

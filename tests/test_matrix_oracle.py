@@ -238,3 +238,19 @@ def test_signed_table_holds_every_signed_realization():
         m = mo.realize(word)
         assert table[m] == (word, 1)
         assert table[mo.negated(m)] == (word, -1)
+
+
+def test_check_agreement_names_the_pair_a_wrong_word_table_entry_breaks(monkeypatch):
+    # One entry of the codec's rank-4 word table is wrong: the word of
+    # XZYI's vector reads ZZZZ.  The oracle multiplies matrices and calls
+    # the codec's public functions, so it names the first ordered pair, in
+    # its own order, whose product is that vector.
+    words, vectors = pc._tables(4)
+    v = vectors["XZYI"]
+    monkeypatch.setitem(pc._TABLES, 4, (words[:v] + ("ZZZZ",) + words[v + 1:], vectors))
+    listed = mo.all_words(4)  # lists ZZZZ twice, through the same table
+    a, b = next((a, b) for i, a in enumerate(listed) for b in listed[i + 1:]
+                if vectors[a] ^ vectors[b] == v)
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    assert str(exc.value) == f"product disagreement {a},{b}"

@@ -189,3 +189,62 @@ def test_is_symmetric_rejects_bad_words(word, exc, message):
             pc.is_symmetric(word)
         assert type(err.value) is exc
         assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rank_tables_agree_with_the_letter_by_letter_codec(n):
+    words, vectors = pc._tables(n)
+    every = list(map("".join, itertools.product(pc.LETTERS, repeat=n)))
+    assert len(words) == len(vectors) == len(every) == 4**n
+    assert sorted(words) == sorted(vectors) == sorted(every)
+    for w in every:
+        v = pc._encode(w)
+        assert vectors[w] == v and words[v] == w == pc._decode(v, n)
+        assert pc.is_symmetric(w) == (w.count("Y") % 2 == 0)
+        if v:
+            assert pc.word_to_point(w) == v and pc.point_to_word(v, n) == w
+
+
+def test_words_longer_than_the_tables_are_coded_letter_by_letter():
+    a, b = "IXYZZYXIX", "ZZZZZZZZY"
+    u, v = pc.word_to_point(a), pc.word_to_point(b)
+    assert (u, v) == (pc._encode(a), pc._encode(b))
+    assert pc.point_to_word(u, 9) == a
+    assert pc.word_product(a, b) == pc._decode(u ^ v, 9) == "ZYXIIXYZZ"
+    assert pc.word_product(a, a) == "I" * 9
+    assert pc.commutes(a, b) == (pc.GeometryContext(9).sigma(u, v) == 0)
+    assert 9 not in pc._TABLES
+
+
+@pytest.mark.parametrize("v,n,exc,message", [
+    (0, 4, IdentityNotAPointError, "the zero vector has no word"),
+    (0, 9, IdentityNotAPointError, "the zero vector has no word"),
+    (-1, 4, UsageError, "point -1 does not fit 4 qubits"),
+    (-255, 2, UsageError, "point -255 does not fit 2 qubits"),
+    (256, 4, UsageError, "point 256 does not fit 4 qubits"),
+    (16, 2, UsageError, "point 16 does not fit 2 qubits"),
+    (1, 0, UsageError, "point 1 does not fit 0 qubits"),
+    (1 << 18, 9, UsageError, "point 262144 does not fit 9 qubits"),
+])
+def test_point_to_word_rejects_points_off_the_rank(v, n, exc, message):
+    for _ in range(2):  # a failed call is not remembered
+        with pytest.raises(exc) as err:
+            pc.point_to_word(v, n)
+        assert type(err.value) is exc
+        assert str(err.value) == message
+    assert 0 not in pc._TABLES
+
+
+@pytest.mark.parametrize("fn", [pc.word_product, pc.commutes])
+def test_bad_words_raise_alike_with_no_table_and_build_only_valid_ranks(fn, monkeypatch):
+    # From no table at all: each bad pair raises as with its rank's tables
+    # built, and only the valid words' ranks get tables.
+    monkeypatch.setattr(pc, "_TABLES", {})
+    for _ in range(2):
+        for a, b, exc, message in _BAD_PAIRS:
+            with pytest.raises(exc) as err:
+                fn(a, b)
+            assert type(err.value) is exc and str(err.value) == message
+    valid = {w for a, b, *_ in _BAD_PAIRS for w in (a, b)
+             if isinstance(w, str) and w and not w.strip(pc.LETTERS)}
+    assert sorted(pc._TABLES) == sorted({len(w) for w in valid}) == [1, 2, 3, 4]

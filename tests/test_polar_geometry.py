@@ -457,14 +457,22 @@ def _from_frame(key, quadric):
 @pytest.mark.parametrize("n, size", [(2, 6), (3, 28), (4, 120)])
 def test_skew_frame_indexes_the_off_points_in_order_with_sigma(n, size):
     ctx = GeometryContext(n)
-    bit, points, anti = pg._skew_frame(n)
+    bit, points, anti, lines = pg._skew_frame(n)
     assert points == pg.standard_quadric(n).off_points and list(points) == sorted(points)
     assert len(points) == size
     assert bit == tuple(1 << points.index(p) if p in points else 0 for p in range(1 << 2 * n))
-    # every ordered pair of skew points, against sigma itself
+    # every ordered pair of skew points, against sigma itself; each mask
+    # also holds its own point
     for i, p in enumerate(points):
         for j, q in enumerate(points):
-            assert anti[i] >> j & 1 == ctx.sigma(p, q)
+            assert anti[i] >> j & 1 == (1 if i == j else ctx.sigma(p, q))
+    # the lines off the quadric: the triples of skew points summing to 0,
+    # one per unordered pair of anticommuting skew points and its sum
+    assert lines == {1 << i | 1 << j | 1 << k: j
+                     for i, j, k in itertools.combinations(range(size), 3)
+                     if points[i] ^ points[j] ^ points[k] == 0}
+    partners = sum(a.bit_count() - 1 for a in anti)
+    assert len(lines) == partners // 6 == {6: 2, 28: 56, 120: 1120}[size]
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
@@ -567,6 +575,18 @@ def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(
     with pytest.raises(InternalConsistencyError) as exc:
         pg.certify_tetrad(mask, quadric4.mask)
     assert str(exc.value) == f"tetrad lines do not commute: {rendered}"
+
+
+def test_tetrad_walk_rejects_every_one_point_swap_of_a_census_key(census):
+    # The first key with one of its 12 points traded for one of the 108
+    # other skew points: 11 points of a tetrad fix its four lines, so no
+    # such key is a tetrad.
+    key = next(iter(census))
+    swapped = [key ^ 1 << i | 1 << j for i in range(120) if key >> i & 1
+               for j in range(120) if not key >> j & 1]
+    assert len(swapped) == 12 * 108
+    assert pg.tetrad_lines(key) is not None
+    assert [k for k in swapped if pg.tetrad_lines(k) is not None] == []
 
 
 def test_tetrad_walk_rejects_the_lines_of_a_tetrad_short_of_twelve_points(ostar):
@@ -792,6 +812,32 @@ def test_solid_extra_points(ostar, quadric4):
     off_ovoid = set(quadric4.points) - set(ostar.points)
     assert set(extras) == off_ovoid
     assert not (set(extras) & set(ostar.points))
+
+
+def test_a_failed_solid_certificate_raises_on_every_call(quadric4):
+    # O* with XXXX replaced by IIIX: this quartet's solid meets the quadric
+    # in nine points, and the memo keeps no failure.
+    words = ("IIIX", "IXXZ", "XIZI", "XZXI")
+    o = pg.Ovoid.from_points(word_to_point(w) for w in words)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError) as exc:
+            pg.solid_extra_point(o, o.points, quadric4)
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("solid section is not five points: IIIX,IXXZ,XIZI,XZXI")
+
+
+def test_a_remembered_solid_still_checks_its_quartet_on_the_ovoid(ostar, ovoids, quadric4):
+    # The quartet's solid is certified and remembered on O*; on an ovoid
+    # that misses it, the same quartet is a usage error.
+    quad = ostar.points[:4]
+    extra = pg.solid_extra_point(ostar, quad, quadric4)
+    other = next(o for o in ovoids if not set(quad) <= set(o.points))
+    for o, points in ((other, quad), (ostar, quad[:3] + (extra,))):
+        with pytest.raises(UsageError, match="need 4 distinct points of the ovoid"):
+            pg.solid_extra_point(o, points, quadric4)
+    assert pg.solid_extra_point(ostar, quad[::-1], quadric4) == extra
 
 
 def test_fig6_split_extras(ostar, gens4, quadric4):
