@@ -33,10 +33,11 @@ def validate_word(word: str, n_qubits: int | None = None) -> str:
 
 # The rank-n codec tables, rank -> (word of each vector, identity at 0;
 # vector of each word), built by `_tables` on first use of the rank.
-# Ranks above `_MAX_TABLED`, the matrix oracle's 7 letters, get no table:
-# their words are encoded and decoded letter by letter on every call.
+# Ranks above `_MAX_TABLED`, the largest rank of any command (`--n` is 2, 3
+# or 4), get no table: their words are encoded and decoded letter by
+# letter on every call, so no call builds more than 256 words.
 _TABLES: dict[int, tuple[tuple[str, ...], dict[str, int]]] = {}
-_MAX_TABLED = 7
+_MAX_TABLED = 4
 
 
 def _encode(word: str) -> int:
@@ -115,7 +116,8 @@ def word_product(a: str, b: str) -> str:
 
     Two words of one built rank are read from its tables: the product is
     the word of u ^ v.  Otherwise, like :func:`commutes`, it checks a's
-    alphabet, b's, then the length, and builds the rank's tables.
+    alphabet, b's, then the length, and builds the rank's tables (or, above
+    `_MAX_TABLED` letters, encodes the product letter by letter).
     """
     try:
         words, vectors = _TABLES[len(a)]

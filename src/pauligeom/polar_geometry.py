@@ -385,8 +385,7 @@ def is_ovoid(points, gens: GeneratorSet) -> bool:
 def _cliques(adj: list[int], size: int, roots) -> list[tuple[int, ...]]:
     """All `size`-cliques (as ascending index tuples) with lowest index in
     `roots`, in the graph of full neighbour masks `adj`: a root keeps its
-    neighbours above it, and each later candidate lies above the last, so
-    a vertex's own bit in its mask is never read."""
+    neighbours above it, and each later candidate lies above the last."""
     out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
@@ -535,18 +534,14 @@ _PATTERN_TRIPLES = tuple(
 
 
 @cache
-def _skew_frame(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...],
-                                 dict[int, int]]:
+def _skew_frame(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """The skew frame of rank `n`, built on first use: bit i of a frame key
     is point i of `standard_quadric(n).off_points`, the 6, 28 or 120 skew points.
 
     Returns the frame bit of each point value (0 for quadric points and
-    0), the point of each index, per index the full mask of the skew
-    points that anticommute with it and of its own point, and the lines
-    that miss the quadric (2, 56 or 1120): the frame mask of each line ->
-    the index of its middle point.  The masks are the sigma = 1 graph, with
-    a loop at each point, read from the perp masks, of the tetrad walk
-    (rank 4) and the Conwell search (rank 3); the lines are the walk's.
+    0), the point of each index, and per index the full mask of the skew
+    points that anticommute with it: the sigma = 1 graph, read from the perp
+    masks, of the tetrad walk (rank 4) and the Conwell search (rank 3).
     """
     quadric = standard_quadric(n)
     points = quadric.off_points
@@ -554,10 +549,8 @@ def _skew_frame(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     for i, p in enumerate(points):
         bit[p] = 1 << i
     perp = _perp_masks(quadric.context)
-    anti = tuple(bit[p] | sum(bit[q] for q in points if not perp[p] >> q & 1) for p in points)
-    lines = {bit[p] | bit[q] | bit[p ^ q]: j for i, p in enumerate(points)
-             for j, q in enumerate(points[i + 1:], i + 1) if q < p ^ q and bit[p ^ q]}
-    return tuple(bit), points, anti, lines
+    anti = tuple(sum(bit[q] for q in points if not perp[p] >> q & 1) for p in points)
+    return tuple(bit), points, anti
 
 
 def _conic_masks(pts) -> list[int]:
@@ -594,29 +587,28 @@ def tetrad_lines(key: int) -> list[tuple[int, int, int]] | None:
     shows why a key that passes is one.
 
     The points of the set that anticommute with the lowest point u left
-    must be exactly v and u+v, so that with u they make a line off the
-    quadric (a lookup in the frame, which gives v, the middle point), and
-    those that anticommute with v exactly u and u+v; that line is removed,
-    four times over.  Each frame mask holds its own point, so the key's
-    points in u's mask are u and its partners at once.  Frame bits ascend
-    with the points, so the lowest bit is the lowest point.  A point of a
-    removed line anticommutes with none of the set off its line, by
-    linearity, so u is the lowest point of its own line.
+    must be exactly v and u+v, and those that anticommute with v exactly
+    u and u+v; that line is removed, four times over.  Frame bits ascend
+    with the points, so the lowest bit is the lowest point.
     """
     if key.bit_count() != 12:
         return None
-    _, points, anti, off_lines = _skew_frame(4)
+    bit, points, anti = _skew_frame(4)
     lines = []
     rest = key
     while rest:
         ubit = rest & -rest
         u = ubit.bit_length() - 1
-        line = key & anti[u]
-        v = off_lines.get(line)
-        if v is None or key & anti[v] != line:
+        partners = key & anti[u]
+        if partners.bit_count() != 2:
             return None
-        lines.append((points[u], points[v], points[line.bit_length() - 1]))
-        rest ^= line
+        vbit = partners & -partners
+        v = vbit.bit_length() - 1
+        w = points[u] ^ points[v]
+        if partners != vbit | bit[w] or key & anti[v] != ubit | bit[w]:
+            return None
+        lines.append((points[u], points[v], w))
+        rest ^= partners | ubit  # u commutes with the lines removed, so its line is left
     return lines
 
 
@@ -1119,7 +1111,7 @@ def conwell_heptads(ctx: GeometryContext):
     if ctx.n_qubits != 3:
         raise UsageError("Conwell heptads live off the rank-3 quadric")
     quadric = standard_quadric(3)
-    _, off, anti, _ = _skew_frame(3)
+    _, off, anti = _skew_frame(3)
     cliques = _cliques(anti, 7, range(len(off)))
     heptads = tuple(frozenset(off[i] for i in c) for c in cliques)
     for h in heptads:

@@ -213,7 +213,11 @@ def test_words_longer_than_the_tables_are_coded_letter_by_letter():
     assert pc.word_product(a, b) == pc._decode(u ^ v, 9) == "ZYXIIXYZZ"
     assert pc.word_product(a, a) == "I" * 9
     assert pc.commutes(a, b) == (pc.GeometryContext(9).sigma(u, v) == 0)
-    assert 9 not in pc._TABLES
+    # five letters, one above the largest command rank, get no table either
+    assert pc.word_to_point("XYZIX") == pc._encode("XYZIX")
+    assert pc.point_to_word(pc._encode("XYZIX"), 5) == "XYZIX"
+    assert pc.word_product("XYZIX", "ZZZZZ") == "YXIZY"
+    assert not {5, 9} & set(pc._TABLES)
 
 
 @pytest.mark.parametrize("v,n,exc,message", [
