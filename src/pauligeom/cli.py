@@ -1,7 +1,7 @@
 """Command-line driver: verification suite, enumeration dumps, configs.
 
-Exit codes: 0 all good, 1 verification failure, 2 usage error or output
-that cannot be written (a full disk, a closed pipe).
+Exit codes: 0 all good, 1 a failed check or certificate, 2 usage error or
+output that cannot be written (a full disk, a closed pipe).
 
 Each command imports the layers it runs when it runs, so that a cold
 `map` or `config` does not load and compile the verification table.
@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import gf2_core, pauli_codec
-from .errors import UsageError
+from .errors import InternalConsistencyError, UsageError
 from .pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
@@ -336,9 +336,9 @@ def main(argv=None) -> int:
         with contextlib.redirect_stdout(stdout):
             code = _run(args)
         stdout.flush()  # buffered output fails here, not at interpreter exit
-    except UsageError as exc:
+    except (UsageError, InternalConsistencyError) as exc:  # a failed certificate is exit 1
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, UsageError) else 1
     except OSError as exc:
         # Stdout cannot take the rest: point it at devnull so that the flush
         # at exit does not fail again (the `signal` docs' "Note on SIGPIPE").

@@ -20,7 +20,7 @@ from functools import cache, lru_cache, partial
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
-from .gf2_core import echelon, span_points
+from .gf2_core import span_points
 from .pauli_codec import GeometryContext, join_words, point_to_word, words_to_points
 
 # The distinguished ovoid: in the product-of-pairs frame it is the eight
@@ -936,28 +936,32 @@ class PentadCone:
 
 
 def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
-    """Quadric section of the span of five ovoid points: an 11-point cone."""
+    """Quadric section of the span of five ovoid points: an 11-point cone
+    whose vertex, the radical of sigma on the span, is the solid extra
+    point of the complementary quartet."""
     pent = o.distinct_points(pentad, 5)
     fail = partial(fault, pentad=pent)
-    section = sorted(
-        v for v in span_points(pent) if quadric.contains(v)
-    )
+    span = _points_mask(span_points(pent))
     vertex = nested(fail, solid_extra_point, o, o.complement_in(pent), quadric)
+    rad = _radical(span, pent, quadric.context)
+    if rad != 1 << vertex:
+        raise fail(f"radical {join_words(mask_points(rad))} is not the vertex"
+                   f" {join_words((vertex,))}")
+    section = span & quadric.mask
     lines = []
     for p in pent:
         third = vertex ^ p
-        if third not in section:
+        if not section >> third & 1:
             raise fail(f"cone line {join_words((vertex, p, third))} leaves the section")
         extra = nested(fail, solid_extra_point, o, tuple(q for q in pent if q != p), quadric)
         if third != extra:
             raise fail(f"cone line {join_words((vertex, p, third))} misses the quartet"
                        f" extra point {join_words((extra,))}")
         lines.append(_sorted3(vertex, p, third))
-    expected = {vertex} | set(pent) | {vertex ^ p for p in pent}
-    if len(section) != 11 or set(section) != expected:
-        raise fail(f"section {join_words(section)} is not the 11-point cone"
+    if section != 1 << vertex | _points_mask(pent) | _points_mask(vertex ^ p for p in pent):
+        raise fail(f"section {join_words(mask_points(section))} is not the 11-point cone"
                    f" at {join_words((vertex,))}")
-    return PentadCone(vertex, tuple(sorted(lines)), tuple(section))
+    return PentadCone(vertex, tuple(sorted(lines)), tuple(mask_points(section)))
 
 
 class SextetSection:
@@ -991,27 +995,28 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
     fail = partial(fault, sextet=sx)
     rest = o.complement_in(sx)
     nucleus = rest[0] ^ rest[1] ^ rest[2]
-    section = sorted(v for v in span_points(sx) if quadric.contains(v))
-    if len(section) != expected_count("elliptic", "points", 3):
+    section = _points_mask(span_points(sx)) & quadric.mask
+    if section.bit_count() != expected_count("elliptic", "points", 3):
         raise fail("sextet section is not a 27-point quadric")
     mates = tuple(nested(fail, solid_extra_point, o, (s,) + rest, quadric) for s in sx)
     for s, m in zip(sx, mates):
         if s ^ m != nucleus:
             raise fail(f"mate pairing {join_words((s, m))} misses the conic nucleus")
     pairing = tuple(sorted(_sorted3(s, m, nucleus) for s, m in zip(sx, mates)))
-    lines = _mask_lines(_points_mask(section))
+    lines = _mask_lines(section)
     if len(lines) != 45:
         raise fail(f"sextet section has {len(lines)} lines")
+    points = mask_points(section)
     double_six = set(sx) | set(mates)
-    core = tuple(p for p in section if p not in double_six)
+    core = tuple(p for p in points if p not in double_six)
     if len(core) != 15:
         raise fail("double six is not 12 distinct points")
     for i, s in enumerate(sx):
         for j, m in enumerate(mates):
             if i != j and (s ^ m) not in core:
                 raise fail(f"cross line {join_words((s, m, s ^ m))} leaves the 15-point core")
-    nested(fail, _check_generalized_quadrangle, section, lines, 2, 4)
-    return SextetSection(tuple(section), tuple(lines), sx, mates, core, nucleus, pairing)
+    nested(fail, _check_generalized_quadrangle, points, lines, 2, 4)
+    return SextetSection(tuple(points), tuple(lines), sx, mates, core, nucleus, pairing)
 
 
 def _check_generalized_quadrangle(points, lines, s: int, t: int):
@@ -1076,28 +1081,28 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
     """
     hp = o.distinct_points(heptad, 7)
     fail = partial(fault, heptad=hp)
-    section = sorted(v for v in span_points(hp) if quadric.contains(v))
-    if len(section) != expected_count("parabolic", "points", 3):
+    span = _points_mask(span_points(hp))
+    section = span & quadric.mask
+    if section.bit_count() != expected_count("parabolic", "points", 3):
         raise fail("heptad section is not a 63-point quadric")
-    rad = radical(hp, quadric.context)
-    if len(rad) != 1:
-        raise fail(f"restricted form has a radical of dimension {len(rad)}")
-    nucleus = rad[0]
     pair = o.complement_in(hp)
-    if nucleus != pair[0] ^ pair[1]:
-        raise fail(f"radical {join_words(rad)} is not the complementary secant point")
+    nucleus = pair[0] ^ pair[1]
+    rad = _radical(span, hp, quadric.context)
+    if rad != 1 << nucleus:
+        raise fail(f"radical {join_words(mask_points(rad))} is not the complementary"
+                   f" secant point {join_words((nucleus,))}")
     if quadric.contains(nucleus):
-        raise fail(f"section nucleus {join_words(rad)} lies on the quadric")
-    return HeptadSection(tuple(section), nucleus)
+        raise fail(f"section nucleus {join_words((nucleus,))} lies on the quadric")
+    return HeptadSection(tuple(mask_points(section)), nucleus)
 
 
-def radical(points, ctx: GeometryContext) -> list[int]:
-    """A basis of the radical of sigma restricted to the span of `points`:
-    the span's points perpendicular to every one of `points`."""
-    masks, perp = _perp_masks(ctx), -1
+def _radical(span: int, points, ctx: GeometryContext) -> int:
+    """The mask of the radical of sigma on the subspace of point mask `span`
+    spanned by `points`: its points perpendicular to every one of them."""
+    masks = _perp_masks(ctx)
     for p in points:
-        perp &= masks[p]
-    return list(echelon(v for v in span_points(points) if perp >> v & 1))
+        span &= masks[p]
+    return span
 
 
 def conwell_heptads(ctx: GeometryContext):

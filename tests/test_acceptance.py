@@ -19,7 +19,7 @@ import pytest
 import pauligeom
 from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
-from pauligeom import pauli_codec, verify
+from pauligeom import cli, pauli_codec, verify
 from pauligeom.pauli_codec import join_words
 
 TABLES = {"n2": (2, "quick"), "n3": (3, "quick"), "n4": (4, "full")}
@@ -52,33 +52,78 @@ def test_verify_row(computed, table, name, expected):
 
 
 def test_pentad_cones_row_names_a_wrong_vertex(monkeypatch):
-    # A fault in solid_extra_point that pentad_intersection passes on: one
-    # pentad's cone gets a wrong vertex, with lines drawn through it.  The
-    # row checks the vertex against the radical of sigma on the span, so
-    # it names the pentad even though the two faulty routes agree.
+    # A fault in solid_extra_point: the complementary quartet of O*'s first
+    # pentad gets one of the pentad's points as its extra point, so that
+    # vertex + p is the zero vector for that point p.  pentad_intersection
+    # checks the vertex against the radical of sigma on the pentad's span
+    # first, so the row names the pentad.  (The five other pentads that
+    # read the quartet come later in the row's order.)
     ost, real_extra = pg.ostar(), pg.solid_extra_point
     quadric = pg.standard_quadric(4)
-    pentads = list(itertools.combinations(ost.points, 5))
-    cones = {pent: pg.pentad_intersection(ost, pent, quadric) for pent in pentads}
-    bad, wrong = pentads[-1], ost.points[0]
+    bad = ost.points[:5]
+    wrong = bad[0]
+    vertex = pg.pentad_intersection(ost, bad, quadric).vertex
 
-    def solid_extra_point(o, quad):
+    def solid_extra_point(o, quad, quadric):
         if sorted(quad) == sorted(o.complement_in(bad)):
             return wrong
         return real_extra(o, quad, quadric)
 
-    def pentad_intersection(o, pentad, quadric):
-        if tuple(sorted(pentad)) != bad:
-            return cones[tuple(sorted(pentad))]
-        vertex = pg.solid_extra_point(o, o.complement_in(pentad))
-        lines = tuple(sorted(tuple(sorted((vertex, p, vertex ^ p))) for p in pentad))
-        return pg.PentadCone(vertex, lines, cones[bad].points)
-
     monkeypatch.setattr(pg, "solid_extra_point", solid_extra_point)
-    monkeypatch.setattr(pg, "pentad_intersection", pentad_intersection)
-    row = next(fn for name, _, fn in verify.checks(4, "full") if name == "pentad_cones")
-    assert row() == (f"cone of {join_words(bad)} has vertex {join_words((wrong,))},"
-                     f" radical {join_words((cones[bad].vertex,))}")
+    [row] = verify.run_checks(r for r in verify.checks(4, "full") if r[0] == "pentad_cones")
+    assert not row.ok
+    assert row.computed == (
+        f"InternalConsistencyError: radical {join_words((vertex,))} is not the vertex"
+        f" {join_words((wrong,))}: pentad {join_words(bad)}")
+
+
+def _plant_pentad_radical(ost, quadric, monkeypatch):
+    # sigma wrong on the span of O*'s last pentad: its radical is a pentad
+    # point.  fig7 reads the first pentad, so only the cone row reads this one.
+    bad, real = ost.points[-5:], pg._radical
+    vertex = pg.pentad_intersection(ost, bad, quadric).vertex
+    monkeypatch.setattr(pg, "_radical", lambda span, points, ctx: 1 << bad[0]
+                        if tuple(points) == bad else real(span, points, ctx))
+    return {"pentad_cones": f"radical {join_words(bad[:1])} is not the vertex"
+                            f" {join_words((vertex,))}: pentad {join_words(bad)}"}
+
+
+def _plant_sextet_line(ost, quadric, monkeypatch):
+    # O*'s last sextet section loses one line; the fan row reads the same
+    # 84 sections, and neither fig8 nor fig9 is built on this sextet.
+    bad, real = ost.points[-6:], pg._mask_lines
+    section = pg.sextet_intersection(ost, bad, quadric)
+    mask = sum(1 << p for p in section.points)
+    monkeypatch.setattr(pg, "_mask_lines",
+                        lambda m: real(m)[1:] if m == mask else real(m))
+    message = f"sextet section has 44 lines: sextet {join_words(bad)}"
+    return {"sextet_sections": message, "nuclei_fans": message}
+
+
+def _plant_heptad_radical(ost, quadric, monkeypatch):
+    # sigma wrong on the span of O*'s last heptad: its radical is a line
+    # through the nucleus.
+    bad, real = ost.points[-7:], pg._radical
+    nucleus = pg.heptad_intersection(ost, bad, quadric).nucleus
+    line = sorted((nucleus, bad[0], nucleus ^ bad[0]))
+    monkeypatch.setattr(pg, "_radical", lambda span, points, ctx: sum(1 << p for p in line)
+                        if tuple(points) == bad else real(span, points, ctx))
+    return {"heptad_sections": f"radical {join_words(line)} is not the complementary"
+                               f" secant point {join_words((nucleus,))}:"
+                               f" heptad {join_words(bad)}"}
+
+
+@pytest.mark.parametrize("plant", [_plant_pentad_radical, _plant_sextet_line,
+                                   _plant_heptad_radical], ids=["pentad", "sextet", "heptad"])
+def test_section_rows_fail_naming_their_object(plant, monkeypatch, capsys):
+    # One section of O* planted wrong: `verify` exits 1, the rows that read
+    # that section fail with its certificate's message, and the rest pass.
+    failing = plant(pg.ostar(), pg.standard_quadric(4), monkeypatch)
+    assert cli.main(["verify", "--n", "4", "--no-timings"]) == 1
+    rows = [line.split(" | ") for line in capsys.readouterr().out.splitlines()[2:-1]]
+    assert {name.rstrip(): computed.rstrip() for name, _, computed, status in rows
+            if status.rstrip() == "FAIL"} == {
+        name: f"InternalConsistencyError: {message}" for name, message in failing.items()}
 
 
 def test_nuclei_fans_row_fails_with_the_fan_certificate(monkeypatch):
@@ -107,6 +152,17 @@ def test_nuclei_fans_row_fails_with_the_fan_certificate(monkeypatch):
 
 def _row(n, level, name):
     return next(fn for row, _, fn in verify.checks(n, level) if row == name)
+
+
+def test_regulus_row_names_the_family_that_is_not_a_spread(monkeypatch):
+    # The first rank-2 line moved to the other family: family 0 is left
+    # with two lines, which cover six points, not nine.
+    gens = pg.get_generators(pg.standard_quadric(2).context, "quadric")
+    flipped = pg.GeneratorSet(gens.context, gens.bases, gens.masks,
+                              [1 - gens.families[0], *gens.families[1:]], gens.quadric)
+    monkeypatch.setattr(pg, "get_generators", lambda ctx, space: flipped)
+    assert _row(2, "quick", "regulus_families")() == (
+        "family 0 is not a spread: IZ,ZI,ZZ;XZ,ZX,YY")
 
 
 def test_symmetry_row_names_the_first_word_that_disagrees(monkeypatch):

@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 import pauligeom
 from pauligeom import cli, matrix_oracle
 from pauligeom import configurations as cfg
+from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError
 from pauligeom.gf2_core import standard_to_edge, to_string
-from pauligeom.pauli_codec import word_to_point
+from pauligeom.pauli_codec import join_words, word_to_point
 
 from pinned_outputs import OVOID_500, OVOID_SHORT, PARTITION, PINNED, check
 
@@ -516,6 +517,44 @@ def test_verify_failed_check_exits_1(monkeypatch, capsys):
     assert oracle.rstrip().endswith("| FAIL")
     assert sum(r.rstrip().endswith("| pass") for r in rows) == 9
     assert rows[-1] == "overall: FAIL (10 checks, n=2, level=quick)"
+
+
+def _plant_fig7_vertex(monkeypatch):
+    # The complementary quartet's solid extra of O*'s first pentad moved onto
+    # the pentad's first point, so that vertex + point is the zero vector.
+    ost, quadric, real = pg.ostar(), pg.standard_quadric(4), pg.solid_extra_point
+    pent = ost.points[:5]
+    vertex = pg.pentad_intersection(ost, pent, quadric).vertex
+    monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad, q: pent[0] if sorted(quad)
+                        == sorted(o.complement_in(pent)) else real(o, quad, q))
+    return (f"radical {join_words((vertex,))} is not the vertex {join_words(pent[:1])}:"
+            f" pentad {join_words(pent)}")
+
+
+def _plant_fig8_lines(monkeypatch):
+    monkeypatch.setattr(pg, "_mask_lines", lambda mask: [])
+    sextet = pg.ostar().complement_in(cfg.REFERENCE_CONIC)
+    return f"sextet section has 0 lines: sextet {join_words(sextet)}"
+
+
+def _plant_oracle(monkeypatch):
+    def broken(n):
+        raise InternalConsistencyError("planted disagreement")
+
+    monkeypatch.setattr(matrix_oracle, "check_agreement", broken)
+    return "planted disagreement"
+
+
+@pytest.mark.parametrize("argv,plant", [
+    (["config", "fig7"], _plant_fig7_vertex),
+    (["config", "fig8"], _plant_fig8_lines),
+    (["oracle-check", "--n", "2"], _plant_oracle),
+], ids=["fig7-vertex", "fig8-lines", "oracle"])
+def test_failed_certificate_is_one_error_line_and_exit_1(argv, plant, monkeypatch, capsys):
+    # A failed check outside verify's table is exit 1, not a usage error's 2
+    # or a traceback, with the certificate's message naming its object.
+    message = plant(monkeypatch)
+    assert run(argv, capsys) == (1, "", f"error: {message}\n")
 
 
 def test_oracle_check_command(capsys):

@@ -1,7 +1,9 @@
-"""No pauligeom module reads a private name of another pauligeom module.
+"""No pauligeom module reads a private name of another pauligeom module,
+and none holds a name it never reads.
 
 A name with a leading underscore belongs to its module; a layer that needs
-it from another layer gets a public name for it instead.
+it from another layer gets a public name for it instead.  So a private
+name, or an imported one, that its own module does not read is dead.
 """
 
 import ast
@@ -45,3 +47,42 @@ def test_the_guard_sees_both_kinds_of_read():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_modules_read_no_private_name_of_another_module(path):
     assert _private_reads(ast.parse(path.read_text())) == []
+
+
+def _unread_names(tree):
+    """Each name bound by a top-level import, and each private top-level
+    function, class or constant, that the module never reads, as (line, name)."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) != "__future__":
+                bound += [(node.lineno, (a.asname or a.name).split(".")[0]) for a in node.names]
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target)
+                     if isinstance(t, ast.Name)]
+        else:
+            continue
+        bound += [(node.lineno, name) for name in names if _private(name)]
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted((line, name) for line, name in bound if name not in read)
+
+
+def test_the_dead_name_guard_sees_an_unread_import_and_helper():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from .gf2_core import echelon, span_points\n"
+                     "import os.path\n"
+                     "_USED, _SPARE = 1, 2\n"
+                     "def _pentad_cones(ost):\n    return span_points(ost)\n"
+                     "def public():\n    return _USED\n")
+    assert _unread_names(tree) == [(2, "echelon"), (3, "os"), (4, "_SPARE"),
+                                   (5, "_pentad_cones")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_modules_read_every_import_and_private_name(path):
+    assert _unread_names(ast.parse(path.read_text())) == []
