@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 
 from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
-from .gf2_core import span_points, to_string
+from .gf2_core import span_mask, to_string
 from .pauli_codec import (GeometryContext, is_symmetric, join_words, point_to_word,
                           word_to_point, words_to_points)
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
@@ -224,7 +224,7 @@ def fig_two_ovoids_conic(o: Ovoid, triple, gens: GeneratorSet) -> ConfigReport:
     b.add(nucleus, "nucleus")
     for u in o.complement_in(triple):
         b.line(u, nucleus ^ u, nucleus)
-    plane = sorted(span_points(triple))
+    plane = pg.mask_points(span_mask(triple))
     b.note("conic_plane", " ".join(map(_word, plane)))
     b.note("nucleus", _word(nucleus))
     return b.done()

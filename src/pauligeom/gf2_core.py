@@ -14,6 +14,7 @@ unique canonical basis.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from functools import cache
 
 from .errors import UsageError
 
@@ -66,13 +67,38 @@ def rank(rows: Iterable[int]) -> int:
     return len(pivots)
 
 
-def span_points(basis: Iterable[int]) -> frozenset[int]:
-    """All nonzero vectors in the span of `basis`."""
-    pts = {0}
+def points_mask(points: Iterable[int]) -> int:
+    """The point mask of `points`: bit p set for each point p."""
+    m = 0
+    for p in points:
+        m |= 1 << p
+    return m
+
+
+@cache
+def xor_tables(dim: int) -> tuple[bytes, ...]:
+    """Per vector v of `dim` <= 8 coordinates, the `bytes.translate` table
+    sending u to u ^ v.
+
+    Built by doubling: the tables of the vectors below 2^(c+1) are those
+    below 2^c, each followed by the unit table of column c.
+    """
+    tables = [bytes(range(256))]
+    for c in range(dim):
+        unit = bytes(v ^ 1 << c for v in range(256))
+        tables += [t.translate(unit) for t in tables]
+    return tuple(tables)
+
+
+def span_mask(basis: Iterable[int]) -> int:
+    """The `points_mask` of the nonzero vectors spanned by `basis` (at most
+    8 coordinates): the span doubles as bytes, one `translate` per vector,
+    and the repeats of a dependent basis fall away in the mask."""
+    xor = xor_tables(8)
+    span = b"\0"
     for b in basis:
-        pts |= {p ^ b for p in pts}
-    pts.discard(0)
-    return frozenset(pts)
+        span += span.translate(xor[b])
+    return points_mask(span) ^ 1
 
 
 # Coordinate change between the frame where the 8-dimensional hyperbolic

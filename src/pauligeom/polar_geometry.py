@@ -20,7 +20,7 @@ from functools import cache, lru_cache, partial
 
 from . import gf2_core
 from .errors import InternalConsistencyError, UsageError
-from .gf2_core import span_points
+from .gf2_core import points_mask, span_mask, xor_tables
 from .pauli_codec import GeometryContext, join_words, point_to_word, words_to_points
 
 # The distinguished ovoid: in the product-of-pairs frame it is the eight
@@ -28,13 +28,6 @@ from .pauli_codec import GeometryContext, join_words, point_to_word, words_to_po
 # form are its image under the coordinate change and the letter code.
 EDGE_OVOID_Y = (128, 64, 32, 16, 8, 4, 2, 1, 255)
 OSTAR_WORDS = ("ZIIX", "IZYY", "XZXI", "ZXZZ", "XIZI", "ZZIZ", "IXXZ", "YYZX", "XXXX")
-
-
-def _points_mask(points) -> int:
-    m = 0
-    for p in points:
-        m |= 1 << p
-    return m
 
 
 def mask_points(mask: int) -> list[int]:
@@ -55,10 +48,6 @@ def _transpose(masks) -> dict[int, int]:
         for p in mask_points(m):
             through[p] = through.get(p, 0) | bit
     return through
-
-
-def _sorted3(a: int, b: int, c: int) -> tuple[int, int, int]:
-    return tuple(sorted((a, b, c)))
 
 
 def fault(what: str, **named) -> InternalConsistencyError:
@@ -141,7 +130,7 @@ def standard_quadric(n_qubits: int) -> Quadric:
     """The standard hyperbolic quadric {v : Q(v) = 0} of N qubits, one per rank."""
     ctx = GeometryContext(n_qubits)
     pts = tuple(v for v in ctx.points() if ctx.quadratic(v) == 0)
-    mask = _points_mask(pts)
+    mask = points_mask(pts)
     return Quadric(ctx, pts, mask, tuple(v for v in ctx.points() if not mask >> v & 1))
 
 
@@ -201,20 +190,6 @@ def _column_bands(dim: int) -> tuple[int, ...]:
     return tuple((1 << (2 << c)) - (1 << (1 << c)) for c in range(dim))
 
 
-@cache
-def _xor_tables(dim: int) -> tuple[bytes, ...]:
-    """Per point p, the `bytes.translate` table sending v to v ^ p.
-
-    Built by doubling: the tables of the points below 2^(c+1) are those
-    below 2^c, each followed by the unit table of column c.
-    """
-    tables = [bytes(range(256))]
-    for c in range(dim):
-        unit = bytes(v ^ 1 << c for v in range(256))
-        tables += [t.translate(unit) for t in tables]
-    return tuple(tables)
-
-
 def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     """All generators of W(2N-1,2) or of the standard hyperbolic quadric.
 
@@ -245,7 +220,7 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         ground_mask = quadric.mask
     else:
         ground = tuple(ctx.points())
-        ground_mask = _points_mask(ground)
+        ground_mask = points_mask(ground)
 
     # Per set of free columns (bit c for column c), the OR of their bands.
     allowed = [0]
@@ -254,13 +229,13 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
 
     # A flat is its RREF basis, its points as bytes, the mask of the ground
     # points perpendicular to it, and the OR of its rows.
-    xor = _xor_tables(ctx.dim)
+    xor = xor_tables(ctx.dim)
     bases, masks = [], []
 
     def extend(basis, pts, perpmask, rows):
         if len(basis) == n:
             bases.append(basis)
-            masks.append(_points_mask(pts))
+            masks.append(points_mask(pts))
             return
         free = ~rows & ((1 << (basis[-1].bit_length() - 1)) - 1)
         cand = perpmask & allowed[free]
@@ -328,7 +303,7 @@ class Ovoid:
     @classmethod
     def from_points(cls, points) -> "Ovoid":
         pts = tuple(sorted(points))
-        return cls(pts, _points_mask(pts))
+        return cls(pts, points_mask(pts))
 
     def __contains__(self, v: int) -> bool:
         return bool(self.mask >> v & 1)
@@ -839,15 +814,12 @@ def solid_extra_point(o: Ovoid, quad, quadric: Quadric) -> int:
 @lru_cache(maxsize=128)
 def _solid_extra(q: tuple[int, ...], qmask: int) -> int:
     """The certificate of :func:`solid_extra_point` on a sorted quartet and
-    a quadric mask: the solid meets the quadric in five points on no
-    quadric line.  Memoized, bounded by one ovoid's 126 quartets: a full
-    verify asks for O*'s 126 solids 2 067 times, while figure queries over
-    many ovoids rarely repeat one.  A failed certificate is not remembered.
+    a quadric mask: the solid's `span_mask` meets the quadric in five points
+    on no quadric line.  Memoized, bounded by one ovoid's 126 quartets: a
+    full verify asks for O*'s 126 solids 2 067 times, while figure queries
+    over many ovoids rarely repeat one.  A failed certificate is not remembered.
     """
-    span = [0]
-    for b in q:
-        span += [p ^ b for p in span]
-    on = sorted({p for p in span if qmask >> p & 1})  # a set: dependent points repeat
+    on = mask_points(span_mask(q) & qmask)
     extra = [p for p in on if p not in q]
     if len(on) != 5 or len(extra) != 1:
         raise InternalConsistencyError(f"solid section is not five points: {join_words(q)}"
@@ -936,12 +908,13 @@ class PentadCone:
 
 
 def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
-    """Quadric section of the span of five ovoid points: an 11-point cone
-    whose vertex, the radical of sigma on the span, is the solid extra
-    point of the complementary quartet."""
+    """Quadric section of the span of five ovoid points, one `span_mask`:
+    an 11-point cone whose vertex, the radical of sigma on the span (the
+    mask ANDed with the points' perps), is the complementary quartet's
+    solid extra point."""
     pent = o.distinct_points(pentad, 5)
     fail = partial(fault, pentad=pent)
-    span = _points_mask(span_points(pent))
+    span = span_mask(pent)
     vertex = nested(fail, solid_extra_point, o, o.complement_in(pent), quadric)
     rad = _radical(span, pent, quadric.context)
     if rad != 1 << vertex:
@@ -957,8 +930,8 @@ def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
         if third != extra:
             raise fail(f"cone line {join_words((vertex, p, third))} misses the quartet"
                        f" extra point {join_words((extra,))}")
-        lines.append(_sorted3(vertex, p, third))
-    if section != 1 << vertex | _points_mask(pent) | _points_mask(vertex ^ p for p in pent):
+        lines.append(tuple(sorted((vertex, p, third))))
+    if section != 1 << vertex | points_mask(pent) | points_mask(vertex ^ p for p in pent):
         raise fail(f"section {join_words(mask_points(section))} is not the 11-point cone"
                    f" at {join_words((vertex,))}")
     return PentadCone(vertex, tuple(sorted(lines)), tuple(mask_points(section)))
@@ -988,78 +961,78 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
     The 27 points carry the generalized-quadrangle structure of an
     elliptic quadric in five dimensions: the sextet and its six mates
     form a double six whose pairing lines concur at the nucleus of the
-    complementary conic; the remaining 15 points are the concurrence
+    complementary conic; the remaining 15 points, a mask like the
+    section (the `span_mask` ANDed with the quadric), are the concurrence
     points of the cross lines.
     """
     sx = o.distinct_points(sextet, 6)
     fail = partial(fault, sextet=sx)
     rest = o.complement_in(sx)
     nucleus = rest[0] ^ rest[1] ^ rest[2]
-    section = _points_mask(span_points(sx)) & quadric.mask
+    section = span_mask(sx) & quadric.mask
     if section.bit_count() != expected_count("elliptic", "points", 3):
         raise fail("sextet section is not a 27-point quadric")
     mates = tuple(nested(fail, solid_extra_point, o, (s,) + rest, quadric) for s in sx)
     for s, m in zip(sx, mates):
         if s ^ m != nucleus:
             raise fail(f"mate pairing {join_words((s, m))} misses the conic nucleus")
-    pairing = tuple(sorted(_sorted3(s, m, nucleus) for s, m in zip(sx, mates)))
+    pairing = tuple(sorted(tuple(sorted((s, m, nucleus))) for s, m in zip(sx, mates)))
     lines = _mask_lines(section)
     if len(lines) != 45:
         raise fail(f"sextet section has {len(lines)} lines")
-    points = mask_points(section)
-    double_six = set(sx) | set(mates)
-    core = tuple(p for p in points if p not in double_six)
-    if len(core) != 15:
+    core = section ^ (section & points_mask(sx + mates))
+    if core.bit_count() != 15:
         raise fail("double six is not 12 distinct points")
     for i, s in enumerate(sx):
         for j, m in enumerate(mates):
-            if i != j and (s ^ m) not in core:
+            if i != j and not core >> (s ^ m) & 1:
                 raise fail(f"cross line {join_words((s, m, s ^ m))} leaves the 15-point core")
+    points, core15 = tuple(mask_points(section)), tuple(mask_points(core))
     nested(fail, _check_generalized_quadrangle, points, lines, 2, 4)
-    return SextetSection(tuple(points), tuple(lines), sx, mates, core, nucleus, pairing)
+    return SextetSection(points, tuple(lines), sx, mates, core15, nucleus, pairing)
 
 
 def _check_generalized_quadrangle(points, lines, s: int, t: int):
-    """Axiomatic GQ(s, t) check on an explicit incidence structure.
+    """Axiomatic GQ(s, t) check on an incidence structure of point triples (s = 2).
 
     Lines and collinearity sets are masks over the points' indices.  The
     quadrangle axiom (a point off a line is collinear with exactly one of
-    its points) is checked for all points of a line at once, bit-sliced:
-    OR-ing the line's points' collinearity masks into `once` and, where
-    already set, into `more` leaves `once & ~more` as the points collinear
-    with exactly one point of the line.  With the line's own points added,
-    that must be every point.  A failure names the lowest failing point
-    of the first failing line.
+    its points) is checked for all points at once: with na, nb, nc the
+    collinearity masks of the line's points a, b, c, the points in exactly
+    one are na ^ nb ^ nc ^ (na & nb & nc), the XOR less the points in all
+    three.  With the line's own points added, that must be every point.  A
+    failure names the first failing point, in `points` order, of the first
+    failing line.
     """
-    index = {p: i for i, p in enumerate(points)}
-    on_lines = [0] * len(index)
-    collinear = [0] * len(index)
-    line_masks = []
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    collinear, line_masks = dict.fromkeys(bit, 0), []
     for line in lines:
-        if len(set(line)) != s + 1:
+        if len(line) != s + 1:
             raise InternalConsistencyError(f"line size is not s+1: {join_words(line)}")
-        m = 0
-        for p in line:
-            m |= 1 << index[p]
+        a, b, c = line
+        try:
+            m = bit[a] | bit[b] | bit[c]
+        except KeyError:
+            raise InternalConsistencyError(
+                f"line leaves the point set: {join_words(line)}") from None
+        if m.bit_count() != s + 1:
+            raise InternalConsistencyError(f"line size is not s+1: {join_words(line)}")
         line_masks.append(m)
-        for p in line:
-            on_lines[index[p]] += 1
-            collinear[index[p]] |= m
-    bad = [p for p, d in zip(points, on_lines) if d != t + 1]
+        collinear[a] |= m
+        collinear[b] |= m
+        collinear[c] |= m
+    degree = Counter(itertools.chain.from_iterable(lines))
+    bad = [p for p in points if degree[p] != t + 1]
     if bad:
         raise InternalConsistencyError(f"point degree is not t+1: {join_words(bad)}")
-    full = (1 << len(index)) - 1
-    for line, m in zip(lines, line_masks):
-        once = more = 0
-        for p in set(line):
-            near = collinear[index[p]]
-            more |= once & near
-            once |= near
-        bad = full & ~(once & ~more | m)
+    full = (1 << len(bit)) - 1
+    for (a, b, c), m in zip(lines, line_masks):
+        na, nb, nc = collinear[a], collinear[b], collinear[c]
+        bad = full ^ (na ^ nb ^ nc ^ (na & nb & nc) | m)
         if bad:
             i = (bad & -bad).bit_length() - 1
             raise InternalConsistencyError(f"quadrangle axiom fails: point "
-                f"{join_words(points[i:i + 1])} off line {join_words(line)}")
+                f"{join_words(points[i:i + 1])} off line {join_words((a, b, c))}")
 
 
 class HeptadSection:
@@ -1076,12 +1049,13 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
     """Quadric section of the span of seven ovoid points: 63 points.
 
     The restricted alternating form degenerates on the hyperplane; its
-    radical is the nucleus, which coincides with the third point on the
-    line of the two complementary ovoid points.
+    radical (the `span_mask` ANDed with the points' perps) is the nucleus,
+    which coincides with the third point on the line of the two
+    complementary ovoid points.
     """
     hp = o.distinct_points(heptad, 7)
     fail = partial(fault, heptad=hp)
-    span = _points_mask(span_points(hp))
+    span = span_mask(hp)
     section = span & quadric.mask
     if section.bit_count() != expected_count("parabolic", "points", 3):
         raise fail("heptad section is not a 63-point quadric")

@@ -141,6 +141,13 @@ PINNED = [
      "a97ff9f678cd68fa0f2915d26ee08283b5255d92a47ee486db265b9f5844edc0"),
     (["config", "fig9", "--ovoid", OVOID_XXXX],
      "baee1ef4f841f84910a9fc99e0d4720ae5582682a9e385bd1d250bf7998fa580"),
+    # Sections on ovoids other than O*.
+    (["config", "fig8", "--ovoid", OVOID_500],
+     "c55962e5dea0b34e382d876db180234cd74f5a8a39c0bb9368d433bd0325ebf4"),
+    (["config", "fig8", "--ovoid", OVOID_XXXX, "--format", "json"],
+     "7174ef55b2b88820199fbfb2fe76274bc2d5d59eaab6e9a943442e9879be19da"),
+    (["config", "fig7", "--ovoid", OVOID_500],
+     "28245b085045e58874902b9c60d5626932f6a477269d4917e33ccfe6a2ee642d"),
     # A flag the figure or the listing does not take, and an --ovoid word
     # of the wrong length.
     (["config", "fig1", "--pentad", "ZIIX,IZYY,XZXI,ZXZZ,XIZI"], None),

@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 import random
 
 import pytest
@@ -15,6 +17,10 @@ def vec(s):
     return g.from_string(s)
 
 
+def points_of(mask):
+    return [p for p in range(256) if mask >> p & 1]
+
+
 def test_span_dimensions():
     assert g.echelon([]) == ()
     assert len(g.echelon([vec("10000000"), vec("01000000")])) == 2
@@ -26,12 +32,12 @@ def test_span_dimensions():
 
 def test_flat_points_cardinalities():
     line = g.echelon([vec("10000000"), vec("01000000")])
-    assert len(g.span_points(line)) == 3
+    assert g.span_mask(line).bit_count() == 3
     solid = g.echelon([1, 2, 4, 8])
     assert len(solid) == 4
-    assert len(g.span_points(solid)) == 15
+    assert g.span_mask(solid).bit_count() == 15
     full = g.echelon([1 << i for i in range(8)])
-    assert len(g.span_points(full)) == 255
+    assert g.span_mask(full).bit_count() == 255
 
 
 def test_span_idempotent_and_order_independent():
@@ -39,7 +45,7 @@ def test_span_idempotent_and_order_independent():
     for _ in range(25):
         pts = [rng.randrange(1, 256) for _ in range(rng.randrange(1, 6))]
         basis = g.echelon(pts)
-        assert g.echelon(g.span_points(basis)) == basis
+        assert g.echelon(points_of(g.span_mask(basis))) == basis
         shuffled = list(pts)
         rng.shuffle(shuffled)
         assert g.echelon(shuffled) == basis
@@ -94,4 +100,32 @@ def test_echelon_depends_only_on_the_span(rows, data):
             mixed[i] ^= mixed[j]
     basis = g.echelon(rows)
     assert g.echelon(mixed) == basis
-    assert g.span_points(basis) == g.span_points(rows)
+    assert g.span_mask(basis) == g.span_mask(rows)
+
+
+def _brute_span(rows):
+    # Every sum of a subset of the rows, 0 left out.
+    sums = {functools.reduce(operator.xor, c, 0)
+            for k in range(len(rows) + 1) for c in itertools.combinations(rows, k)}
+    return sorted(sums - {0})
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_span_mask_matches_a_brute_force_span(rank):
+    rng = random.Random(rank)
+    while len(g.echelon(rows := [rng.randrange(1, 256) for _ in range(rank)])) != rank:
+        pass
+    a, b = rows[0], rows[-1]
+    for basis in (rows, rows + [a], rows + [a ^ b], rows + [0], [0] + rows[::-1]):
+        span = _brute_span(basis)
+        assert len(span) == 2**rank - 1
+        assert points_of(g.span_mask(basis)) == span
+        assert g.span_mask(basis) == g.points_mask(span)
+    assert g.span_mask([]) == g.span_mask([0]) == 0
+
+
+def test_xor_tables_translate_by_each_vector():
+    tables = g.xor_tables(3)
+    assert len(tables) == 8
+    for v, table in enumerate(tables):
+        assert bytes(range(8)).translate(table) == bytes(u ^ v for u in range(8))

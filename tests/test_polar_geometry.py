@@ -13,8 +13,13 @@ from pauligeom import configurations as cfg
 from pauligeom import gf2_core
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
-from pauligeom.gf2_core import echelon, rank, span_points
+from pauligeom.gf2_core import echelon, rank, span_mask
 from pauligeom.pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
+
+
+def _span(basis):
+    """The nonzero vectors in the span of `basis`, as a set, from `span_mask`."""
+    return set(pg.mask_points(span_mask(basis)))
 
 
 def test_expected_count_examples():
@@ -77,7 +82,7 @@ def _brute_force_generators(ctx, space_kind):
         if any(ctx.sigma(u, v) for u, v in itertools.combinations(subset, 2)):
             continue
         basis = echelon(subset)
-        pts = span_points(basis)
+        pts = _span(basis)
         isotropic = all(ctx.sigma(u, v) == 0 for u, v in itertools.combinations(pts, 2))
         singular = space_kind == "symplectic" or all(ctx.quadratic(p) == 0 for p in pts)
         if len(basis) == n and isotropic and singular:
@@ -94,7 +99,7 @@ def _assert_generators_complete(gs, count):
     perp = {p: ctx.perp_mask(p) for p in ctx.points()}
     assert len(gs) == len(gs.masks) == count
     for basis, mask in zip(gs.bases, gs.masks):
-        pts = span_points(basis)
+        pts = _span(basis)
         assert len(basis) == n and len(pts) == 2**n - 1
         assert mask == sum(1 << p for p in pts)
         assert all(mask & ~perp[p] == 0 for p in pts)
@@ -116,7 +121,7 @@ def test_quadric_generators(n, count):
     assert gq.family_sizes() == (count // 2, count // 2)
     quadric = gq.quadric
     for basis in gq.bases:
-        assert all(quadric.contains(p) for p in span_points(basis))
+        assert all(quadric.contains(p) for p in _span(basis))
 
 
 @pytest.mark.parametrize("space_kind", ["symplectic", "quadric"])
@@ -155,7 +160,7 @@ def test_generator_enumeration_holds_one_path_of_flats(space_kind, limit_kb):
     ctx = GeometryContext(4)
     # Fill the tables the enumeration reads first, so only it is traced.
     pg._perp_masks(ctx)
-    pg._xor_tables(ctx.dim)
+    gf2_core.xor_tables(ctx.dim)
     pg._column_bands(ctx.dim)
     pg.standard_quadric(4)
     tracemalloc.start()
@@ -225,7 +230,7 @@ def test_families_at_rank_two_are_reguli():
     for fam in (0, 1):
         lines = [b for b, lab in zip(gq.bases, gq.families) if lab == fam]
         assert len(lines) == 3
-        pts = [span_points(b) for b in lines]
+        pts = [_span(b) for b in lines]
         assert not (pts[0] & pts[1] or pts[0] & pts[2] or pts[1] & pts[2])
         assert len(pts[0] | pts[1] | pts[2]) == 9
 
@@ -280,7 +285,7 @@ def test_generator_index_matches_membership(gens4, quadric4):
     # Bit j of generators_through[p] is set exactly when p lies on
     # generator j, read from the span of its basis: all 135 x 270 pairs.
     through = gens4.generators_through
-    spans = [span_points(b) for b in gens4.bases]
+    spans = [_span(b) for b in gens4.bases]
     assert set(through) == set(quadric4.points)
     for p in quadric4.points:
         assert [bool(through[p] >> j & 1) for j in range(270)] == [p in f for f in spans]
@@ -382,7 +387,7 @@ def test_conic_census(ostar, quadric4):
     assert nuclei | thirds == off
     assert len(off) == 120
     for a, b, c in triples:
-        plane = span_points((a, b, c))
+        plane = _span((a, b, c))
         assert len(plane) == 7 and a ^ b ^ c in plane
         assert sorted(p for p in plane if quadric4.contains(p)) == [a, b, c]
 
@@ -425,7 +430,7 @@ def _reference_tetrad(part, quadric):
     nucleus, with the three nuclei making the axis."""
     lines, nuclei, points = [], [], set()
     for triple in part:
-        off = {p for p in span_points(triple) if not quadric.contains(p)}
+        off = {p for p in _span(triple) if not quadric.contains(p)}
         assert len(off) == 4
         (line,) = {tuple(sorted((u, v, u ^ v)))
                    for u, v in itertools.combinations(off, 2) if u ^ v in off}
@@ -482,7 +487,7 @@ def test_tetrad_census_is_the_full_mask_census_mapped_into_the_frame(
     # Each partition's 12-point mask over point values, as
     # `_reference_tetrad` returns it: per conic {a, b, c}, the points
     # a^b, a^c, b^c and a^b^c.  (That those are the conic plane's four
-    # off-quadric points is checked through span_points on O*.)
+    # off-quadric points is checked through span_mask on O*.)
     full = Counter()
     for o in ovoids:
         conic = [1 << (a ^ b) | 1 << (a ^ c) | 1 << (b ^ c) | 1 << (a ^ b ^ c)
@@ -500,7 +505,7 @@ def test_single_ovoid_tetrad_census(ostar, quadric4):
     census = pg.tetrad_census([ostar])
     assert len(census) == 280
     assert set(census.values()) == {1}
-    # independent construction through span_points and rank
+    # independent construction through span_mask and rank
     reference = {}
     for part in pg.triple_partitions(ostar):
         mask, lines = _reference_tetrad(part, quadric4)
@@ -964,7 +969,7 @@ def test_pentad_faults_name_the_pentad_in_words(plant, ostar, quadric4, monkeypa
         quadric = _quadric_with_mask(quadric4, quadric4.mask | 1 << (pent[0] ^ pent[1]))
         real = pg.solid_extra_point
         monkeypatch.setattr(pg, "solid_extra_point", lambda o, quad, _: real(o, quad, quadric4))
-        section = sorted(v for v in span_points(pent) if quadric.contains(v))
+        section = sorted(v for v in _span(pent) if quadric.contains(v))
         assert len(section) == 12
         what = (f"section {join_words(section)} is not the 11-point cone"
                 f" at {join_words((vertex,))}")
@@ -1029,6 +1034,22 @@ def test_generalized_quadrangle_check_rejects_a_perturbed_section(ostar, quadric
     assert tuple(line) in exchanged and point not in line
     collinear = {q for ln in exchanged if point in ln for q in ln}
     assert len(collinear & set(line)) != 1
+
+
+@pytest.mark.parametrize("make,what", [
+    (lambda first, other: (1, 2, 3), "line leaves the point set"),
+    (lambda first, other: first[:2], "line size is not s+1"),
+    (lambda first, other: first + (other,), "line size is not s+1"),
+    (lambda first, other: first[:1] + first[:2], "line size is not s+1"),
+], ids=["off-the-point-set", "two-points", "four-points", "repeated-point"])
+def test_generalized_quadrangle_check_names_a_malformed_line(make, what, ostar, quadric4):
+    # (1, 2, 3) is IIIX,IIXI,IIXX, none of them on the section.
+    section = pg.sextet_intersection(ostar, ostar.points[:6], quadric4)
+    first = section.lines[0]
+    line = make(first, next(p for p in section.points if p not in first))
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg._check_generalized_quadrangle(section.points, [line] + list(section.lines[1:]), 2, 4)
+    assert str(exc.value) == f"{what}: {join_words(line)}"
 
 
 def _first_quadrangle_fault(points, lines):
@@ -1216,13 +1237,13 @@ def test_heptad_sections(ostar, quadric4):
 
 def _radical_by_sigma(points, ctx):
     """The radical of sigma on the span of `points`, from its definition."""
-    return {v for v in span_points(points)
+    return {v for v in _span(points)
             if all(ctx.sigma(v, b) == 0 for b in points)}
 
 
 def _radical(points, ctx):
     """The radical's points, from `_radical` on the span mask of `points`."""
-    span = sum(1 << v for v in span_points(points))
+    span = span_mask(points)
     return set(pg.mask_points(pg._radical(span, points, ctx)))
 
 
@@ -1237,7 +1258,7 @@ def test_radical_matches_its_definition_on_ostar_subsets(ostar, ctx4):
 def test_radical_of_a_generator_is_the_generator(gens4, ctx4):
     for basis in gens4.bases:
         rad = _radical(basis, ctx4)
-        assert len(rad) == 15 and rad == span_points(basis)
+        assert len(rad) == 15 and rad == _span(basis)
         assert rad == _radical_by_sigma(basis, ctx4)
 
 
