@@ -18,14 +18,15 @@ its sign.  This is a second, representation-independent route to symmetry
 class, commutation and products that never touches the coordinate
 bijection: the square of a word is ±identity with sign + exactly when the
 word is symmetric, and two words commute exactly when ab and ba carry the
-same sign.  `check_agreement` computes each of the (4^N - 1)² ordered
-products once.
+same sign.  There is no memo: `check_agreement` realizes each word once,
+in `_signed_table`, reads the codec's words' matrices from it by word (a
+codec word missing from it fails the check), builds one `_action` table
+per word and computes each of the (4^N - 1)² ordered products once.
 """
 
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
 from operator import eq
 
 from . import pauli_codec
@@ -35,7 +36,6 @@ _BASE = {"I": bytes((0, 2)), "X": bytes((2, 0)), "Y": bytes((3, 0)), "Z": bytes(
 _MAX_QUBITS = 7
 
 
-@lru_cache(maxsize=1024)
 def _action(b: bytes) -> bytes:
     """Translate table of b: signed basis vector 2c+s goes to b[c] ^ s."""
     return bytes([y ^ s for y in b for s in (0, 1)]).ljust(256, b"\0")
@@ -58,15 +58,11 @@ def negated(m: bytes) -> bytes:
     return bytes([x ^ 1 for x in m])
 
 
-@lru_cache(maxsize=512)
 def realize(word: str) -> bytes:
     """Kronecker product of the base matrices in letter order.
 
-    Memoized: there are only 4^N words, and the checks below realize each
-    one thousands of times.  The 340 words of one to four letters all fit
-    in the cache; the result is immutable, so sharing it is safe.  Words
-    longer than `_MAX_QUBITS` letters are a usage error: their entries
-    would not fit in a byte.
+    Words longer than `_MAX_QUBITS` letters are a usage error: their
+    entries would not fit in a byte.
     """
     pauli_codec.validate_word(word)
     if len(word) > _MAX_QUBITS:
@@ -77,12 +73,12 @@ def realize(word: str) -> bytes:
     return out
 
 
-@lru_cache(maxsize=4)
 def _signed_table(n_qubits: int) -> dict[bytes, tuple[str, int]]:
     """Map each signed realization ±realize(w) of rank N to (w, ±1).
 
-    The 2·4^N entries must be distinct: a realization that coincides with
-    another up to sign would make the lookup ambiguous.
+    The words are spelled from the letters, not read from the codec it
+    checks.  The 2·4^N entries must be distinct: a realization that
+    coincides with another up to sign would make the lookup ambiguous.
     """
     table = {}
     for letters in itertools.product(_BASE, repeat=n_qubits):
@@ -123,12 +119,17 @@ def check_agreement(n_qubits: int) -> dict[str, int]:
     disagreeing ordered pair.  Returns the numbers of checks performed.
     """
     table = _signed_table(n_qubits)
+    matrix = {w: m for m, (w, sign) in table.items() if sign == 1}
     identity = "I" * n_qubits
     words = all_words(n_qubits)
-    mats = [realize(w) for w in words]
+    try:
+        mats = [matrix[w] for w in words]
+    except KeyError as exc:
+        raise InternalConsistencyError(
+            f"codec word {exc.args[0]!r} has no rank-{n_qubits} matrix") from None
     acts = [_action(m) for m in mats]
     for i, (a, ma, act_a) in enumerate(zip(words, mats, acts)):
-        square, sign = _lookup(table, matmul(ma, ma), a, a)
+        square, sign = _lookup(table, ma.translate(act_a), a, a)
         if square != pauli_codec.word_product(a, a):
             raise InternalConsistencyError(f"product disagreement {a},{a}")
         if square != identity:

@@ -184,7 +184,6 @@ def perp(p: int) -> int:
     return _perp_masks(standard_quadric(4).context)[p]
 
 
-@cache
 def _column_bands(dim: int) -> tuple[int, ...]:
     """Per column c, the mask of the points whose top bit is c."""
     return tuple((1 << (2 << c)) - (1 << (1 << c)) for c in range(dim))
@@ -357,10 +356,10 @@ def is_ovoid(points, gens: GeneratorSet) -> bool:
     return covered == (1 << len(gens.masks)) - 1
 
 
-def _cliques(adj: list[int], size: int, roots) -> list[tuple[int, ...]]:
-    """All `size`-cliques (as ascending index tuples) with lowest index in
-    `roots`, in the graph of full neighbour masks `adj`: a root keeps its
-    neighbours above it, and each later candidate lies above the last."""
+def _cliques(adj: list[int], size: int) -> list[tuple[int, ...]]:
+    """All `size`-cliques (as ascending index tuples) in the graph of full
+    neighbour masks `adj`: each is rooted at its lowest index, which keeps
+    its neighbours above it, and each later candidate lies above the last."""
     out: list[tuple[int, ...]] = []
     stack: list[int] = []
 
@@ -379,7 +378,7 @@ def _cliques(adj: list[int], size: int, roots) -> list[tuple[int, ...]]:
             rec(cand & adj[i])
             stack.pop()
 
-    for r in roots:
+    for r in range(len(adj)):
         stack[:] = [r]
         rec(adj[r] >> r + 1 << r + 1)
     return out
@@ -391,22 +390,19 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     Search: exact cover of the 270 generators by quadric points, straight
     from the definition.  Each step branches on the points of the lowest
     generator not yet covered that share no generator with a point
-    already chosen (per point, its clash mask is the union of the
-    generators through it), and a search that covers every generator has
-    found an ovoid.  An ovoid holds exactly one point of that lowest
-    generator, so the search reaches every ovoid exactly once.  Every
+    already chosen (two quadric points share one exactly when they are
+    perpendicular, so a chosen point blocks its `_perp_masks` entry; the
+    test `test_points_sharing_a_generator_are_the_perpendicular_quadric_points`
+    checks this on all 135 points), and a search that covers every
+    generator has found an ovoid.  An ovoid holds exactly one point of that
+    lowest generator, so the search reaches every ovoid exactly once.  Every
     result is still confirmed by :func:`is_ovoid` before it is returned.
     """
     ctx = quadric.context
     if ctx.n_qubits != 4:
         raise UsageError("ovoid enumeration targets the rank-4 hyperbolic quadric")
     masks, through = gens.masks, gens.generators_through
-    clash = {}
-    for p in quadric.points:
-        m = 0
-        for g in mask_points(through[p]):
-            m |= masks[g]
-        clash[p] = m
+    perp = _perp_masks(ctx)
     every = (1 << len(masks)) - 1
     found: list[int] = []
 
@@ -420,7 +416,7 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
             bit = cand & -cand
             cand ^= bit
             p = bit.bit_length() - 1
-            cover(chosen | bit, covered | through[p], blocked | clash[p])
+            cover(chosen | bit, covered | through[p], blocked | perp[p])
 
     cover(0, 0, 0)
     ovoids = OvoidSet(Ovoid(pts, m) for pts, m in sorted(
@@ -548,9 +544,9 @@ def _partition_mask(partition) -> int:
     return mask
 
 
-def _mask_lines(mask: int) -> list[tuple[int, int, int]]:
-    """The full lines inside a point mask, as ascending sorted triples."""
-    pts = mask_points(mask)
+def _mask_lines(pts, mask: int) -> list[tuple[int, int, int]]:
+    """The full lines inside a point mask, as ascending sorted triples;
+    `pts` lists the mask's points in ascending order."""
     return [(u, v, u ^ v) for i, u in enumerate(pts) for v in pts[i + 1:]
             if u ^ v > v and mask >> (u ^ v) & 1]
 
@@ -631,14 +627,14 @@ def _tetrad_error(mask: int, qmask: int) -> InternalConsistencyError:
     lines that do not span the space, or four spanning lines that do not
     commute.
     """
+    pts = mask_points(mask)
     if mask & 1:
-        return InternalConsistencyError(
-            f"tetrad holds the zero vector: {join_words(mask_points(mask ^ 1))}")
-    lines = _mask_lines(mask)
+        return InternalConsistencyError(f"tetrad holds the zero vector: {join_words(pts[1:])}")
+    lines = _mask_lines(pts, mask)
     if (mask.bit_count() != 12 or mask & qmask or len(lines) != 4
             or len({p for line in lines for p in line}) != 12):
         return InternalConsistencyError(
-            f"tetrad is not four skew off-quadric lines: {join_words(mask_points(mask))}")
+            f"tetrad is not four skew off-quadric lines: {join_words(pts)}")
     named = ";".join(map(join_words, lines))
     if gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) != 8:
         return InternalConsistencyError(f"tetrad does not span the whole space: {named}")
@@ -977,7 +973,8 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
         if s ^ m != nucleus:
             raise fail(f"mate pairing {join_words((s, m))} misses the conic nucleus")
     pairing = tuple(sorted(tuple(sorted((s, m, nucleus))) for s, m in zip(sx, mates)))
-    lines = _mask_lines(section)
+    points = tuple(mask_points(section))
+    lines = _mask_lines(points, section)
     if len(lines) != 45:
         raise fail(f"sextet section has {len(lines)} lines")
     core = section ^ (section & points_mask(sx + mates))
@@ -987,13 +984,14 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
         for j, m in enumerate(mates):
             if i != j and not core >> (s ^ m) & 1:
                 raise fail(f"cross line {join_words((s, m, s ^ m))} leaves the 15-point core")
-    points, core15 = tuple(mask_points(section)), tuple(mask_points(core))
-    nested(fail, _check_generalized_quadrangle, points, lines, 2, 4)
+    core15 = tuple(mask_points(core))
+    nested(fail, _check_generalized_quadrangle, points, lines)
     return SextetSection(points, tuple(lines), sx, mates, core15, nucleus, pairing)
 
 
-def _check_generalized_quadrangle(points, lines, s: int, t: int):
-    """Axiomatic GQ(s, t) check on an incidence structure of point triples (s = 2).
+def _check_generalized_quadrangle(points, lines):
+    """Axiomatic GQ(s, t) check, s = 2 and t = 4, on an incidence structure
+    of point triples: the elliptic quadric's in PG(5, 2).
 
     Lines and collinearity sets are masks over the points' indices.  The
     quadrangle axiom (a point off a line is collinear with exactly one of
@@ -1007,7 +1005,7 @@ def _check_generalized_quadrangle(points, lines, s: int, t: int):
     bit = {p: 1 << i for i, p in enumerate(points)}
     collinear, line_masks = dict.fromkeys(bit, 0), []
     for line in lines:
-        if len(line) != s + 1:
+        if len(line) != 3:
             raise InternalConsistencyError(f"line size is not s+1: {join_words(line)}")
         a, b, c = line
         try:
@@ -1015,14 +1013,14 @@ def _check_generalized_quadrangle(points, lines, s: int, t: int):
         except KeyError:
             raise InternalConsistencyError(
                 f"line leaves the point set: {join_words(line)}") from None
-        if m.bit_count() != s + 1:
+        if m.bit_count() != 3:
             raise InternalConsistencyError(f"line size is not s+1: {join_words(line)}")
         line_masks.append(m)
         collinear[a] |= m
         collinear[b] |= m
         collinear[c] |= m
     degree = Counter(itertools.chain.from_iterable(lines))
-    bad = [p for p in points if degree[p] != t + 1]
+    bad = [p for p in points if degree[p] != 5]
     if bad:
         raise InternalConsistencyError(f"point degree is not t+1: {join_words(bad)}")
     full = (1 << len(bit)) - 1
@@ -1091,7 +1089,7 @@ def conwell_heptads(ctx: GeometryContext):
         raise UsageError("Conwell heptads live off the rank-3 quadric")
     quadric = standard_quadric(3)
     _, off, anti = _skew_frame(3)
-    cliques = _cliques(anti, 7, range(len(off)))
+    cliques = _cliques(anti, 7)
     heptads = tuple(frozenset(off[i] for i in c) for c in cliques)
     for h in heptads:
         for u, v in itertools.combinations(sorted(h), 2):

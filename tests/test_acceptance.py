@@ -95,7 +95,7 @@ def _plant_sextet_line(ost, quadric, monkeypatch):
     section = pg.sextet_intersection(ost, bad, quadric)
     mask = sum(1 << p for p in section.points)
     monkeypatch.setattr(pg, "_mask_lines",
-                        lambda m: real(m)[1:] if m == mask else real(m))
+                        lambda pts, m: real(pts, m)[1:] if m == mask else real(pts, m))
     message = f"sextet section has 44 lines: sextet {join_words(bad)}"
     return {"sextet_sections": message, "nuclei_fans": message}
 

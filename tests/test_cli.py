@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pauligeom
-from pauligeom import cli, matrix_oracle
+from pauligeom import cli, matrix_oracle, pauli_codec
 from pauligeom import configurations as cfg
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError
@@ -532,7 +532,7 @@ def _plant_fig7_vertex(monkeypatch):
 
 
 def _plant_fig8_lines(monkeypatch):
-    monkeypatch.setattr(pg, "_mask_lines", lambda mask: [])
+    monkeypatch.setattr(pg, "_mask_lines", lambda pts, mask: [])
     sextet = pg.ostar().complement_in(cfg.REFERENCE_CONIC)
     return f"sextet section has 0 lines: sextet {join_words(sextet)}"
 
@@ -545,11 +545,21 @@ def _plant_oracle(monkeypatch):
     return "planted disagreement"
 
 
+def _plant_codec_word(monkeypatch):
+    # The codec's rank-4 word table lists a word that is no Pauli word.
+    words, vectors = pauli_codec._tables(4)
+    v = vectors["XZYI"]
+    monkeypatch.setitem(pauli_codec._TABLES, 4,
+                        (words[:v] + ("QQQQ",) + words[v + 1:], vectors))
+    return "codec word 'QQQQ' has no rank-4 matrix"
+
+
 @pytest.mark.parametrize("argv,plant", [
     (["config", "fig7"], _plant_fig7_vertex),
     (["config", "fig8"], _plant_fig8_lines),
     (["oracle-check", "--n", "2"], _plant_oracle),
-], ids=["fig7-vertex", "fig8-lines", "oracle"])
+    (["oracle-check", "--n", "4"], _plant_codec_word),
+], ids=["fig7-vertex", "fig8-lines", "oracle", "oracle-codec-word"])
 def test_failed_certificate_is_one_error_line_and_exit_1(argv, plant, monkeypatch, capsys):
     # A failed check outside verify's table is exit 1, not a usage error's 2
     # or a traceback, with the certificate's message naming its object.

@@ -197,7 +197,7 @@ def test_fig9_quadrangle_is_the_sextet_section_moved_by_translations(ostar, ovoi
                               for line, (x, y, z) in zip(sec.lines, moved))
                 assert sums == [(False, p)] * 15 + [(True, 0)] * 30
                 pg._check_generalized_quadrangle(
-                    fan.six_through_first + fan.six_through_second + fan.cross15, moved, 2, 4)
+                    fan.six_through_first + fan.six_through_second + fan.cross15, moved)
                 checked += 1
     assert checked == 504
 
@@ -540,7 +540,7 @@ def test_nuclei_fan_failure_names_the_fan(ostar, monkeypatch):
     double_six = set(sextet) | {x ^ nucleus for x in sextet}
     real = pg._mask_lines
     monkeypatch.setattr(pg, "_mask_lines",
-                        lambda mask: [ln for ln in real(mask) if double_six & set(ln)])
+                        lambda pts, mask: [ln for ln in real(pts, mask) if double_six & set(ln)])
     with pytest.raises(InternalConsistencyError) as exc:
         cfg.nuclei_fan_structure(ostar, p, nucleus)
     assert str(exc.value) == (f"sextet section has 30 lines: sextet {join_words(sextet)}: "

@@ -58,12 +58,23 @@ def test_realize_matches_dense_all_four_qubit_words():
         assert np.array_equal(as_dense(mo.realize(word)), dense(word))
 
 
-def test_realize_is_memoized():
-    words = mo.all_words(4)
-    first = [mo.realize(w) for w in words]
-    misses = mo.realize.cache_info().misses
-    assert all(mo.realize(w) is m for w, m in zip(words, first))
-    assert mo.realize.cache_info().misses == misses
+def test_check_agreement_builds_each_matrix_and_action_table_once(monkeypatch):
+    # One matrix per rank-4 word, identity included, and one action table
+    # per non-identity word: the squares are read through the same tables.
+    calls = {"realize": 0, "_action": 0}
+
+    def counted(name):
+        real = getattr(mo, name)
+
+        def wrapper(m):
+            calls[name] += 1
+            return real(m)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(mo, name, counted(name))
+    mo.check_agreement(4)
+    assert calls == {"realize": 256, "_action": 255}
 
 
 def test_matmul_matches_dense():
@@ -219,9 +230,6 @@ def test_check_agreement_catches_a_corrupted_realization(monkeypatch):
             return m
         return bytes([m[0] ^ 1]) + m[1:]
 
-    # Build the lookup from the true realizations before corrupting one,
-    # so the cached table stays correct for later tests.
-    mo._signed_table(4)
     monkeypatch.setattr(mo, "realize", realize)
     with pytest.raises(InternalConsistencyError) as exc:
         mo.check_agreement(4)
@@ -254,3 +262,15 @@ def test_check_agreement_names_the_pair_a_wrong_word_table_entry_breaks(monkeypa
     with pytest.raises(InternalConsistencyError) as exc:
         mo.check_agreement(4)
     assert str(exc.value) == f"product disagreement {a},{b}"
+
+
+def test_check_agreement_names_a_codec_word_that_is_no_pauli_word(monkeypatch):
+    # The codec's rank-4 word table lists QQQQ at XZYI's vector.  Matrices
+    # are read by word from the table built from the letters, so the word
+    # is a failed check, not a usage error.
+    words, vectors = pc._tables(4)
+    v = vectors["XZYI"]
+    monkeypatch.setitem(pc._TABLES, 4, (words[:v] + ("QQQQ",) + words[v + 1:], vectors))
+    with pytest.raises(InternalConsistencyError) as exc:
+        mo.check_agreement(4)
+    assert str(exc.value) == "codec word 'QQQQ' has no rank-4 matrix"

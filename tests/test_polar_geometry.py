@@ -161,7 +161,6 @@ def test_generator_enumeration_holds_one_path_of_flats(space_kind, limit_kb):
     # Fill the tables the enumeration reads first, so only it is traced.
     pg._perp_masks(ctx)
     gf2_core.xor_tables(ctx.dim)
-    pg._column_bands(ctx.dim)
     pg.standard_quadric(4)
     tracemalloc.start()
     try:
@@ -307,13 +306,15 @@ def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, quadric4):
     # the ovoids the exact-cover search finds, set for set.
     pts, ctx = quadric4.points, quadric4.context
     adj = [sum(1 << j for j, q in enumerate(pts) if ctx.sigma(p, q)) for p in pts]
-    cliques = pg._cliques(adj, 9, range(len(pts)))
+    cliques = pg._cliques(adj, 9)
     assert sorted(tuple(pts[i] for i in c) for c in cliques) == [o.points for o in ovoids]
 
 
 def test_points_sharing_a_generator_are_the_perpendicular_quadric_points(gens4, quadric4):
-    # The ovoid search's clash mask, read off the generators, is the perp
-    # mask on the quadric: for all 135 points.
+    # The reference for the ovoid search's blocking: the search blocks a
+    # chosen point's perp mask, and the points sharing a generator with it,
+    # read off the generators, are that perp mask on the quadric, for all
+    # 135 points.
     perp = pg._perp_masks(quadric4.context)
     for p in quadric4.points:
         clash = 0
@@ -459,6 +460,11 @@ def _from_frame(key, quadric):
     return sum(1 << quadric.off_points[i] for i in pg.mask_points(key))
 
 
+def _lines_of(mask):
+    """The full lines inside a point mask."""
+    return pg._mask_lines(pg.mask_points(mask), mask)
+
+
 @pytest.mark.parametrize("n, size", [(2, 6), (3, 28), (4, 120)])
 def test_skew_frame_indexes_the_off_points_in_order_with_sigma(n, size):
     ctx = GeometryContext(n)
@@ -479,7 +485,7 @@ def test_cliques_on_the_rank3_frame_are_the_brute_force_cliques(k):
     anti = pg._skew_frame(3)[2]
     brute = [c for c in itertools.combinations(range(28), k)
              if all(anti[i] >> j & 1 for i, j in itertools.combinations(c, 2))]
-    assert pg._cliques(anti, k, range(28)) == brute
+    assert pg._cliques(anti, k) == brute
 
 
 def test_tetrad_census_is_the_full_mask_census_mapped_into_the_frame(
@@ -539,7 +545,7 @@ def test_tetrad_certifier_rejects_four_skew_lines_of_rank_7(quadric4):
     assert not any(map(quadric4.contains, points))
     mask = sum(1 << p for p in points)
     rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
-                        for line in pg._mask_lines(mask))
+                        for line in _lines_of(mask))
     assert sorted(rendered.split(";")) == sorted(words.split(";"))
     with pytest.raises(InternalConsistencyError) as exc:
         pg.certify_tetrad(mask, quadric4.mask)
@@ -567,7 +573,7 @@ def test_tetrad_certifier_rejects_four_skew_spanning_lines_that_do_not_commute(
                                  for other in lines if other is not line for q in other)
     mask = sum(1 << p for p in points)
     rendered = ";".join(",".join(point_to_word(p, 4) for p in line)
-                        for line in pg._mask_lines(mask))
+                        for line in _lines_of(mask))
     assert sorted(rendered.split(";")) == sorted(words.split(";"))
     with pytest.raises(InternalConsistencyError) as exc:
         pg.certify_tetrad(mask, quadric4.mask)
@@ -608,7 +614,7 @@ def test_tetrad_certificate_lists_the_full_lines_of_every_census_key(census_mask
     # four full lines, and their eight generators have rank 8.
     assert len(census_masks) == 11200
     for mask in census_masks:
-        lines = pg._mask_lines(mask)
+        lines = _lines_of(mask)
         assert pg.certify_tetrad(mask, quadric4.mask) == lines
         assert len(lines) == 4
         assert gf2_core.rank([p for u, v, _ in lines for p in (u, v)]) == 8
@@ -645,10 +651,10 @@ def test_tetrad_certifier_rejects_sets_that_are_not_four_skew_lines(
     mask = min(_from_frame(key, quadric4) for key in pg.tetrad_census([ostar]))
     if plant in _FIFTH_LINE_SETS:
         mask = sum(1 << word_to_point(w) for w in re.split("[,;]", _FIFTH_LINE_SETS[plant]))
-        assert mask.bit_count() == 12 and len(pg._mask_lines(mask)) == 5
+        assert mask.bit_count() == 12 and len(_lines_of(mask)) == 5
     elif plant == "no partner":
         mask = _no_partner_set(mask, quadric4)
-        assert mask.bit_count() == 12 and len(set().union(*pg._mask_lines(mask))) < 12
+        assert mask.bit_count() == 12 and len(set().union(*_lines_of(mask))) < 12
     elif plant == "eleven points":
         mask &= mask - 1
     else:
@@ -896,7 +902,7 @@ def _second_ovoid_case(o, gens):
 
 # (builder, the helper it trusts, a broken stand-in, the call and its object)
 _SECTION_FAULTS = [
-    ("sextet", "_mask_lines", lambda mask: [], _sextet_case),
+    ("sextet", "_mask_lines", lambda pts, mask: [], _sextet_case),
     ("heptad", "_radical", lambda span, points, ctx: span, _heptad_case),
     ("six_ovoids", "second_ovoid_on_conic", lambda o, triple, gens: o, _six_ovoids_case),
     ("point_line", "is_ovoid", lambda points, gens: False, _point_line_case),
@@ -1015,18 +1021,18 @@ def _exchange_two_points(lines, which=0):
 
 def test_generalized_quadrangle_check_rejects_a_perturbed_section(ostar, quadric4):
     section = pg.sextet_intersection(ostar, ostar.points[:6], quadric4)
-    pg._check_generalized_quadrangle(section.points, section.lines, 2, 4)
+    pg._check_generalized_quadrangle(section.points, section.lines)
     swapped = _swap_one_point(section.lines, section.points)
     # The point taken off the first line drops to degree 4 and the one put
     # on rises to 6: the check names both, in point order.
     moved = sorted((section.lines[0][0], swapped[0][0]))
     with pytest.raises(InternalConsistencyError) as exc:
-        pg._check_generalized_quadrangle(section.points, swapped, 2, 4)
+        pg._check_generalized_quadrangle(section.points, swapped)
     assert str(exc.value) == "point degree is not t+1: " + ",".join(
         point_to_word(p, 4) for p in moved)
     exchanged = _exchange_two_points(section.lines)
     with pytest.raises(InternalConsistencyError) as exc:
-        pg._check_generalized_quadrangle(section.points, exchanged, 2, 4)
+        pg._check_generalized_quadrangle(section.points, exchanged)
     found = re.fullmatch(r"quadrangle axiom fails: point (\w{4}) off line"
                          r" (\w{4}),(\w{4}),(\w{4})", str(exc.value))
     assert found
@@ -1048,7 +1054,7 @@ def test_generalized_quadrangle_check_names_a_malformed_line(make, what, ostar, 
     first = section.lines[0]
     line = make(first, next(p for p in section.points if p not in first))
     with pytest.raises(InternalConsistencyError) as exc:
-        pg._check_generalized_quadrangle(section.points, [line] + list(section.lines[1:]), 2, 4)
+        pg._check_generalized_quadrangle(section.points, [line] + list(section.lines[1:]))
     assert str(exc.value) == f"{what}: {join_words(line)}"
 
 
@@ -1070,7 +1076,7 @@ def test_quadrangle_axiom_names_the_first_fault_of_a_brute_force_scan(
     lines = _exchange_two_points(section.lines, which)
     point, line = _first_quadrangle_fault(section.points, lines)
     with pytest.raises(InternalConsistencyError) as exc:
-        pg._check_generalized_quadrangle(section.points, lines, 2, 4)
+        pg._check_generalized_quadrangle(section.points, lines)
     assert str(exc.value) == (f"quadrangle axiom fails: point {point_to_word(point, 4)}"
                               f" off line {','.join(point_to_word(x, 4) for x in line)}")
 
@@ -1134,7 +1140,7 @@ def _nested_sextet_quadrangle(o, gens, monkeypatch):
     section = pg.sextet_intersection(o, sextet, gens.quadric)
     swapped = _swap_one_point(section.lines, section.points)
     moved = sorted((section.lines[0][0], swapped[0][0]))
-    monkeypatch.setattr(pg, "_mask_lines", lambda mask: swapped)
+    monkeypatch.setattr(pg, "_mask_lines", lambda pts, mask: swapped)
     return (lambda: pg.sextet_intersection(o, sextet, gens.quadric),
             f"point degree is not t+1: {join_words(moved)}", f"sextet {join_words(sextet)}")
 
@@ -1284,7 +1290,7 @@ def test_conwell_heptads(ctx3):
 def test_conwell_heptad_line_on_the_quadric_is_named_in_rank3_words(ctx3, monkeypatch):
     # A clique search that returns the first seven external points: some
     # line joining two of them has its third point on the quadric.
-    monkeypatch.setattr(pg, "_cliques", lambda adj, size, roots: [tuple(range(7))])
+    monkeypatch.setattr(pg, "_cliques", lambda adj, size: [tuple(range(7))])
     quadric = pg.standard_quadric(3)
     heptad = sorted(quadric.off_points[:7])
     u, v = next((u, v) for u, v in itertools.combinations(heptad, 2)
