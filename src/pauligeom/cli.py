@@ -205,8 +205,7 @@ def cmd_config(args) -> int:
 
 def cmd_map(token: str, n: int) -> int:
     v = _parse_point(token, n)
-    word = point_to_word(v, n)
-    cls = "symmetric" if pauli_codec.is_symmetric(word) else "skew"
+    word, cls = pauli_codec.point_class(v, n)
     print(f"word:   {word}")
     print(f"coords: {gf2_core.to_string(v, 2 * n)}")
     print(f"class:  {cls}")

@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii
 from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
 from .gf2_core import span_mask, to_string
-from .pauli_codec import (GeometryContext, is_symmetric, join_words, point_to_word,
-                          word_to_point, words_to_points)
+from .pauli_codec import (GeometryContext, codec_word_fault, is_symmetric, join_words,
+                          point_to_word, word_to_point, words_to_points)
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
 
 
@@ -33,7 +33,15 @@ class PointEntry:
 
 
 class ConfigReport:
-    """A named configuration: points with roles, lines, annotations."""
+    """A named configuration: points with roles, lines, annotations.
+
+    Work that depends only on a point's value is paid once per process
+    through bounded memos, none filled at import: `verify` reads each
+    point's value and class off its coordinate string (never its word)
+    from `_coords_point`, keyed by that string, and `to_json` takes each
+    point's escaped head from `_json_head`, keyed by the exact (coords,
+    word, class) triple.
+    """
 
     __slots__ = ("name", "points", "lines", "annotations")
 
@@ -52,15 +60,14 @@ class ConfigReport:
     def verify(self) -> "ConfigReport":
         """Check each class tag against the quadric membership of the
         point's coordinates (not its word), and that each line sums to zero."""
-        values = [int(p.coords, 2) for p in self.points]
-        quadric_masks = {bits: pg.standard_quadric(bits // 2).mask
-                         for bits in {len(p.coords) for p in self.points}}
-        for p, v in zip(self.points, values):
+        values = []
+        for p in self.points:
+            v, cls = _coords_point(p.coords)
             if v == 0:
                 raise InternalConsistencyError("zero vector listed as a point")
-            on = quadric_masks[len(p.coords)] >> v & 1
-            if p.cls != ("symmetric" if on else "skew"):
+            if p.cls != cls:
                 raise InternalConsistencyError(f"class tag of {p.word} is wrong")
+            values.append(v)
         for i, j, k in self.lines:
             if values[i] ^ values[j] ^ values[k] != 0:
                 words = ",".join(self.points[t].word for t in (i, j, k))
@@ -86,10 +93,12 @@ class ConfigReport:
         through the C escaper `json.dumps` uses (ASCII output), every int
         with %d, each nesting level two spaces deeper.  Points and lines
         open four spaces in, so each is one format with its keys as text.
+        A point's lines up to its role come from `_json_head`; each distinct
+        role is escaped once per call.
         """
         q = encode_basestring_ascii
-        points = [f'{{\n      "coords": {q(p.coords)},\n      "word": {q(p.word)},'
-                  f'\n      "class": {q(p.cls)},\n      "role": {q(p.role)}\n    }}'
+        roles = {r: q(r) for r in {p.role for p in self.points}}
+        points = [f"{_json_head(p.coords, p.word, p.cls)}{roles[p.role]}\n    }}"
                   for p in self.points]
         lines = ["[\n      %d,\n      %d,\n      %d\n    ]" % line for line in self.lines]
         notes = [f"{q(k)}: {q(v)}" for k, v in self.annotations.items()]
@@ -144,26 +153,54 @@ def _point_fields(value: int, n_qubits: int) -> tuple[str, str, str]:
     Memoized; 256 entries hold all 255 points of four qubits.
     """
     word = point_to_word(value, n_qubits)
-    cls = "symmetric" if is_symmetric(word) else "skew"
+    try:
+        cls = "symmetric" if is_symmetric(word) else "skew"
+    except UsageError:  # the codec's own word
+        raise codec_word_fault(word, value, n_qubits) from None
     return to_string(value, 2 * n_qubits), word, cls
+
+
+@lru_cache(maxsize=512)
+def _coords_point(coords: str) -> tuple[int, str]:
+    """(value, class) of a coordinate string, the class read off the
+    quadric of its length (len // 2 qubits), never off a word: what
+    `ConfigReport.verify` checks each point's tag against.
+
+    Memoized by the string; 512 entries hold every point of ranks 1 to 4.
+    """
+    v = int(coords, 2)
+    return v, "symmetric" if pg.standard_quadric(len(coords) // 2).mask >> v & 1 else "skew"
+
+
+@lru_cache(maxsize=512)
+def _json_head(coords: str, word: str, cls: str) -> str:
+    """A point block of `ConfigReport.to_json` up to its role's value.
+
+    Memoized by the exact triple, so an entry whose word or class
+    disagrees with its coordinates gets its own head; 512 entries hold
+    every point of ranks 1 to 4.
+    """
+    q = encode_basestring_ascii
+    return (f'{{\n      "coords": {q(coords)},\n      "word": {q(word)},'
+            f'\n      "class": {q(cls)},\n      "role": ')
 
 
 class _Builder:
     def __init__(self, name: str, ctx: GeometryContext):
         self.report = ConfigReport(name)
-        self.ctx = ctx
+        self.n_qubits = ctx.n_qubits
         self.index: dict[int, int] = {}
 
-    def add(self, value: int, role: str) -> int:
-        i = self.index.get(value)
-        if i is None:
-            i = self.index[value] = len(self.report.points)
-            self.report.points.append(PointEntry(*_point_fields(value, self.ctx.n_qubits), role))
-        return i
+    def add(self, value: int, role: str):
+        """List the point with `role`, unless it is listed already."""
+        if value not in self.index:
+            self.index[value] = len(self.report.points)
+            self.report.points.append(PointEntry(*_point_fields(value, self.n_qubits), role))
 
     def add_all(self, values, role: str):
+        add = self.add
         for v in sorted(values):
-            self.add(v, role)
+            add(v, role)
 
     def line(self, a: int, b: int, c: int):
         self.report.lines.append((self.index[a], self.index[b], self.index[c]))
@@ -234,10 +271,11 @@ def fig_six_ovoids(o: Ovoid, partition, gens: GeneratorSet) -> ConfigReport:
     """27 symmetric points that split into three ovoids in two ways."""
     fam = pg.six_ovoid_family(o, partition, gens)
     b = _Builder("fig4", gens.context)
+    # Each triad is three disjoint ovoids: one index per point and triad.
+    first, second = ({p: k for k, ov in enumerate(triad, 1) for p in ov.points}
+                     for triad in (fam.triad_with_base, fam.triad_other))
     for p in sorted(fam.points):
-        i = next(k for k, ov in enumerate(fam.triad_with_base, 1) if p in ov)
-        j = next(k for k, ov in enumerate(fam.triad_other, 1) if p in ov)
-        b.add(p, f"triad1-{i}|triad2-{j}")
+        b.add(p, f"triad1-{first[p]}|triad2-{second[p]}")
     axis = sorted(fam.axis)
     b.add_all(axis, "axis-point")
     b.line(*axis)
@@ -626,19 +664,16 @@ def sixty_three_split(all_ovoids: pg.OvoidSet, o: Ovoid, p: int) -> ConfigReport
     through = pg.ovoids_through(all_ovoids, p)
     if len(through) != 64:
         raise pg.fault(f"point is on {len(through)} ovoids, not 64", point=p)
-    one, three = pg.ovoid_intersection_census(through, o, p)
+    sizes = pg.ovoid_intersection_sizes(through, o, p)
     b = _Builder("split63", ctx)
     b.add(p, "common-point")
     b.note("ovoids_through_point", len(through))
-    b.note("one_point_neighbours", one)
-    b.note("conic_neighbours", three)
+    b.note("one_point_neighbours", sizes.count(1))
+    b.note("conic_neighbours", sizes.count(3))
     b.note("reference", " ".join(map(_word, o.points)))
-    for k, ov in enumerate(through):
-        if ov == o:
-            tag = "reference"
-        else:
-            tag = "one-point" if (ov.mask & o.mask).bit_count() == 1 else "conic"
-        b.note(f"ovoid_{k:02d}[{tag}]", " ".join(map(_word, ov.points)))
+    tags = {1: "one-point", 3: "conic", 9: "reference"}
+    for k, (ov, size) in enumerate(zip(through, sizes)):
+        b.note(f"ovoid_{k:02d}[{tags[size]}]", " ".join(map(_word, ov.points)))
     return b.done()
 
 

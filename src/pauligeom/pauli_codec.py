@@ -137,6 +137,24 @@ def is_symmetric(word: str) -> bool:
     return word.count("Y") % 2 == 0
 
 
+def point_class(v: int, n_qubits: int) -> tuple[str, str]:
+    """(word, class) of a nonzero point, the class "symmetric" or "skew"
+    read off the word by :func:`is_symmetric`."""
+    word = point_to_word(v, n_qubits)
+    try:
+        return word, "symmetric" if is_symmetric(word) else "skew"
+    except UsageError:
+        raise codec_word_fault(word, v, n_qubits) from None
+
+
+def codec_word_fault(word: str, v: int, n_qubits: int) -> InternalConsistencyError:
+    """The failed check of a codec word that fails validation where it is
+    classified: the codec gave it, so it is no usage error.  Names the
+    point by its letter-by-letter word."""
+    return InternalConsistencyError(
+        f"codec word {word!r} of point {_decode(v, n_qubits)} is not a Pauli word")
+
+
 def _sigma(u: int, v: int, n: int) -> int:
     """The alternating form on N-qubit vectors (see GeometryContext)."""
     m = (1 << n) - 1

@@ -873,22 +873,23 @@ def point_partition_line(o: Ovoid, p: int, split, gens: GeneratorSet):
 def ovoid_intersection_census(through, o: Ovoid, p: int) -> tuple[int, int]:
     """(one-point, three-point) counts among the ovoids `through` point `p`
     (as `ovoids_through` lists them) other than `o`."""
+    sizes = ovoid_intersection_sizes(through, o, p)
+    return sizes.count(1), sizes.count(3)
+
+
+def ovoid_intersection_sizes(through, o: Ovoid, p: int) -> tuple[int, ...]:
+    """How many points each ovoid `through` point `p` shares with `o`:
+    1 or 3 for each ovoid other than `o`, whose mask it does not equal,
+    and 9 for `o` itself."""
     if p not in o:
         raise UsageError("census point must lie on the ovoid")
-    one = three = 0
-    for other in through:
-        if other == o:
-            continue
-        size = (other.mask & o.mask).bit_count()
-        if size == 1:
-            one += 1
-        elif size == 3:
-            three += 1
-        else:
+    sizes = tuple((other.mask & o.mask).bit_count() for other in through)
+    for other, size in zip(through, sizes):
+        if size != 1 and size != 3 and other.mask != o.mask:
             raise InternalConsistencyError(
                 f"intersection of size {size} through point {join_words((p,))}: "
                 f"ovoid {join_words(o.points)} and ovoid {join_words(other.points)}")
-    return one, three
+    return sizes
 
 
 class PentadCone:
@@ -968,7 +969,10 @@ def sextet_intersection(o: Ovoid, sextet, quadric: Quadric) -> SextetSection:
     section = span_mask(sx) & quadric.mask
     if section.bit_count() != expected_count("elliptic", "points", 3):
         raise fail("sextet section is not a 27-point quadric")
-    mates = tuple(nested(fail, solid_extra_point, o, (s,) + rest, quadric) for s in sx)
+    # Each quartet (s,) + rest holds distinct points of `o`, as `sx` and
+    # `rest` do, so it goes to the solid certificate sorted, unchecked.
+    mates = nested(fail, lambda: tuple(_solid_extra(tuple(sorted((s,) + rest)), quadric.mask)
+                                       for s in sx))
     for s, m in zip(sx, mates):
         if s ^ m != nucleus:
             raise fail(f"mate pairing {join_words((s, m))} misses the conic nucleus")

@@ -23,7 +23,7 @@ from collections import Counter
 from . import gf2_core, matrix_oracle, pauli_codec
 from . import polar_geometry as pg
 from .errors import UsageError
-from .pauli_codec import join_words, point_to_word, word_to_point
+from .pauli_codec import join_words, word_to_point
 
 
 class VerifyRow:
@@ -236,8 +236,8 @@ def _symmetry_agreement(ctx, quadric):
     failure names the first word that disagrees."""
     bad = []
     for v in ctx.points():
-        w = point_to_word(v, ctx.n_qubits)
-        if not (pauli_codec.is_symmetric(w) == (w.count("Y") % 2 == 0)
+        w, cls = pauli_codec.point_class(v, ctx.n_qubits)
+        if not ((cls == "symmetric") == (w.count("Y") % 2 == 0)
                 == quadric.contains(v) == (ctx.quadratic(v) == 0)):
             bad.append(w)
     total = len(ctx.points())

@@ -567,6 +567,28 @@ def test_failed_certificate_is_one_error_line_and_exit_1(argv, plant, monkeypatc
     assert run(argv, capsys) == (1, "", f"error: {message}\n")
 
 
+def test_codec_word_that_is_no_pauli_word_fails_where_it_is_classified(monkeypatch, capsys):
+    # The planted QQQQ is the codec's own word for XZYI: `map` and the rows
+    # that classify it report a failed check naming the point, not a usage
+    # error.  The point memo is emptied so that the builders read the plant.
+    oracle = _plant_codec_word(monkeypatch)
+    fault = "InternalConsistencyError: codec word 'QQQQ' of point XZYI is not a Pauli word"
+    cfg._point_fields.cache_clear()
+    try:
+        assert run(["map", "XZYI", "--n", "4"], capsys) == (
+            1, "", "error: codec word 'QQQQ' of point XZYI is not a Pauli word\n")
+        assert cli.main(["verify", "--n", "4", "--no-timings"]) == 1
+    finally:
+        cfg._point_fields.cache_clear()
+    rows = [line.split(" | ") for line in capsys.readouterr().out.splitlines()[2:-1]]
+    failing = {name.rstrip(): computed.rstrip() for name, _, computed, status in rows
+               if status.rstrip() == "FAIL"}
+    assert failing == {
+        **{name: fault for name in ("symmetry_matches_quadric", "fan_concurrence_point",
+                                    "heptad_analogues", "heptad_families", "figure_reports")},
+        "oracle_agreement": f"InternalConsistencyError: {oracle}"}
+
+
 def test_oracle_check_command(capsys):
     code, out, _ = run(["oracle-check", "--n", "2"], capsys)
     assert code == 0

@@ -1,5 +1,9 @@
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +63,22 @@ def test_fig4_six_ovoids(ostar, gens4, partition):
         a, b = r.split("|")
         assert a.startswith("triad1-") and b.startswith("triad2-")
     assert len(rep.lines) == 1
+
+
+def test_fig4_roles_name_the_first_triad_ovoid_of_each_point(ostar, gens4):
+    # On every partition of O*, each of the 27 points is tagged with the
+    # first ovoid of each triad that holds it.
+    partitions = pg.triple_partitions(ostar)
+    assert len(partitions) == 280
+    for partition in partitions:
+        fam = pg.six_ovoid_family(ostar, partition, gens4)
+        expected = {}
+        for p in sorted(fam.points):
+            i = next(k for k, ov in enumerate(fam.triad_with_base, 1) if p in ov)
+            j = next(k for k, ov in enumerate(fam.triad_other, 1) if p in ov)
+            expected[point_to_word(p, 4)] = f"triad1-{i}|triad2-{j}"
+        rep = cfg.fig_six_ovoids(ostar, partition, gens4)
+        assert {e.word: e.role for e in rep.points if e.role != "axis-point"} == expected
 
 
 def test_fig5_commutation(ostar, gens4, partition):
@@ -442,6 +462,52 @@ def test_to_json_edge_cases_match_json_dumps():
     assert json.loads(rep.to_json())["annotations"][odd] == odd
     rep.lines.append((0, 0, 0))
     assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)
+
+
+
+def test_report_verify_checks_every_entry_of_repeated_coords():
+    # XXXX's coordinates listed twice, tagged right and then wrong: the
+    # class read off the coordinates for the first entry still rejects the
+    # second, on a cold and on a warm memo.
+    coords = to_string(word_to_point("XXXX"), 8)
+    right, wrong = (coords, "XXXX", "symmetric"), (coords, "XXXX", "skew")
+    assert _hand_built(right).verify().points[0].cls == "symmetric"
+    for entries in ((right, wrong), (wrong, right)):
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError,
+                               match="^class tag of XXXX is wrong$"):
+                _hand_built(*entries).verify()
+
+
+def test_to_json_keeps_entries_with_equal_coords_apart():
+    # One coordinate string under two words and two classes: each entry
+    # writes its own word and class, also once the heads are memoized.
+    coords = to_string(word_to_point("XXXX"), 8)
+    rep = _hand_built((coords, "XXXX", "symmetric"), (coords, "IIIY", "symmetric"),
+                      (coords, "XXXX", "skew"), (coords, "XXXX", "symmetric"))
+    rep.points[-1].role = "s"
+    for _ in range(2):
+        assert rep.to_json() == json.dumps(rep.to_json_dict(), indent=2)
+    assert [(p["word"], p["class"], p["role"]) for p in json.loads(rep.to_json())["points"]] == [
+        ("XXXX", "symmetric", "r"), ("IIIY", "symmetric", "r"), ("XXXX", "skew", "r"),
+        ("XXXX", "symmetric", "s")]
+
+
+def test_import_fills_no_memo():
+    # The report memos fill as reports are built, not at import: a cold
+    # `config` command pays only for the points of its one report.
+    code = ("import sys, pauligeom.configurations as cfg\n"
+            "print(*sorted(k for k, f in vars(cfg).items() if hasattr(f, 'cache_info')))\n"
+            "print(*sorted(f'{m.__name__}.{k}' for m in list(sys.modules.values())\n"
+            "              if m.__name__.startswith('pauligeom') for k, f in vars(m).items()\n"
+            "              if hasattr(f, 'cache_info') and f.cache_info().currsize))")
+    env = dict(os.environ, PYTHONPATH=str(Path(cfg.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert (done.returncode, done.stderr) == (0, "")
+    memos, filled = done.stdout.split("\n")[:2]
+    assert {"_coords_point", "_json_head", "_point_fields"} <= set(memos.split())
+    assert filled == ""
 
 
 # --- the figure table ---------------------------------------------------

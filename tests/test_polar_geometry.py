@@ -991,6 +991,22 @@ def test_pentad_faults_name_the_pentad_in_words(plant, ostar, quadric4, monkeypa
     assert str(exc.value) == f"{what}: pentad {join_words(pent)}"
 
 
+def test_sextet_mate_fault_names_the_sextet(ostar, quadric4):
+    # A secant point of the conic off the sextet planted on the quadric: it
+    # is off the sextet's span, so the section still has 27 points, but
+    # every solid of one sextet point and the conic meets the quadric in six.
+    sextet, conic = ostar.points[:6], ostar.points[6:]
+    quadric = _quadric_with_mask(quadric4, quadric4.mask | 1 << (conic[0] ^ conic[1]))
+    quartet = tuple(sorted(sextet[:1] + conic))
+    on = [v for v in _span(quartet) if quadric.contains(v)]
+    assert len(on) == 6
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.sextet_intersection(ostar, sextet, quadric)
+    assert str(exc.value) == (f"solid section is not five points: {join_words(quartet)}"
+                              f" meet the quadric in {join_words(sorted(on))}:"
+                              f" sextet {join_words(sextet)}")
+
+
 def test_sextet_sections(ostar, quadric4):
     for sextet in itertools.combinations(ostar.points, 6):
         section = pg.sextet_intersection(ostar, sextet, quadric4)
