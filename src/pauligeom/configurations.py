@@ -17,8 +17,8 @@ from json.encoder import encode_basestring_ascii
 from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
 from .gf2_core import span_mask, to_string
-from .pauli_codec import (GeometryContext, codec_word_fault, is_symmetric, join_words,
-                          point_to_word, word_to_point, words_to_points)
+from .pauli_codec import (GeometryContext, join_words, point_class, point_to_word,
+                          word_to_point, words_to_points)
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
 
 
@@ -152,12 +152,7 @@ def _point_fields(value: int, n_qubits: int) -> tuple[str, str, str]:
 
     Memoized; 256 entries hold all 255 points of four qubits.
     """
-    word = point_to_word(value, n_qubits)
-    try:
-        cls = "symmetric" if is_symmetric(word) else "skew"
-    except UsageError:  # the codec's own word
-        raise codec_word_fault(word, value, n_qubits) from None
-    return to_string(value, 2 * n_qubits), word, cls
+    return (to_string(value, 2 * n_qubits), *point_class(value, n_qubits))
 
 
 @lru_cache(maxsize=512)
@@ -314,7 +309,7 @@ def fig_commutation(
     if symmetric_center in fam.points:
         raise UsageError("symmetric center must lie outside the 27-point family")
     b = _Builder("fig5", ctx)
-    sym_perp, skew_perp = pg.perp(symmetric_center), pg.perp(skew_center)
+    sym_perp, skew_perp = quadric.perp[symmetric_center], quadric.perp[skew_center]
     for p in sorted(fam.points):
         with_sym = sym_perp >> p & 1
         with_skew = skew_perp >> p & 1

@@ -7,8 +7,8 @@ MSB to LSB, and the canonical order on projective points is ordinary
 integer order.  The zero vector is a valid vector but never a projective
 point.
 
-A subspace is held as its reduced row-echelon basis (`echelon`), its
-unique canonical basis.
+A subspace is held as a basis, read through `rank` and `span_mask`: the
+point mask of its nonzero vectors, one canonical key per subspace.
 """
 
 from __future__ import annotations
@@ -31,29 +31,6 @@ def from_string(s: str) -> int:
     if not s or any(c not in "01" for c in s):
         raise UsageError(f"not a binary coordinate string: {s!r}")
     return int(s, 2)
-
-
-def echelon(rows: Iterable[int]) -> tuple[int, ...]:
-    """Reduced row-echelon basis of the span of `rows`.
-
-    Returns the unique canonical basis, ordered by descending pivot bit,
-    with zero rows dropped.  Two inputs span the same subspace iff their
-    echelon tuples are equal.
-    """
-    pivots: dict[int, int] = {}
-    for r in rows:
-        cur = r
-        for b in sorted(pivots, reverse=True):
-            if (cur >> b) & 1:
-                cur ^= pivots[b]
-        if not cur:
-            continue
-        nb = cur.bit_length() - 1
-        for b, row in pivots.items():
-            if (row >> nb) & 1:
-                pivots[b] = row ^ cur
-        pivots[nb] = cur
-    return tuple(pivots[b] for b in sorted(pivots, reverse=True))
 
 
 def rank(rows: Iterable[int]) -> int:

@@ -139,20 +139,18 @@ def is_symmetric(word: str) -> bool:
 
 def point_class(v: int, n_qubits: int) -> tuple[str, str]:
     """(word, class) of a nonzero point, the class "symmetric" or "skew"
-    read off the word by :func:`is_symmetric`."""
+    read off the word by :func:`is_symmetric`.
+
+    A codec word that fails validation here is a failed check, not a
+    usage error, as the codec gave it; the error names the point by its
+    letter-by-letter word.
+    """
     word = point_to_word(v, n_qubits)
     try:
         return word, "symmetric" if is_symmetric(word) else "skew"
     except UsageError:
-        raise codec_word_fault(word, v, n_qubits) from None
-
-
-def codec_word_fault(word: str, v: int, n_qubits: int) -> InternalConsistencyError:
-    """The failed check of a codec word that fails validation where it is
-    classified: the codec gave it, so it is no usage error.  Names the
-    point by its letter-by-letter word."""
-    return InternalConsistencyError(
-        f"codec word {word!r} of point {_decode(v, n_qubits)} is not a Pauli word")
+        raise InternalConsistencyError(f"codec word {word!r} of point"
+                                       f" {_decode(v, n_qubits)} is not a Pauli word") from None
 
 
 def _sigma(u: int, v: int, n: int) -> int:

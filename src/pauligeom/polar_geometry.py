@@ -109,17 +109,19 @@ def expected_count(kind: str, measure: str, n: int) -> int:
 
 
 class Quadric:
-    """A quadric as an explicit point set with a membership bitmask, and
-    the points off it."""
+    """A quadric as an explicit point set with a membership bitmask, the
+    points off it, and `perp`: per point p of its rank, the mask of the
+    points v with sigma(p, v) = 0 (`_perp_masks`)."""
 
-    __slots__ = ("context", "points", "mask", "off_points")
+    __slots__ = ("context", "points", "mask", "off_points", "perp")
 
     def __init__(self, context: GeometryContext, points: tuple[int, ...], mask: int,
-                 off_points: tuple[int, ...]):
+                 off_points: tuple[int, ...], perp: dict[int, int]):
         self.context = context
         self.points = points
         self.mask = mask
         self.off_points = off_points
+        self.perp = perp
 
     def contains(self, v: int) -> bool:
         return bool(self.mask >> v & 1)
@@ -127,11 +129,13 @@ class Quadric:
 
 @cache
 def standard_quadric(n_qubits: int) -> Quadric:
-    """The standard hyperbolic quadric {v : Q(v) = 0} of N qubits, one per rank."""
+    """The standard hyperbolic quadric {v : Q(v) = 0} of N qubits, one per
+    rank, which holds that rank's perp masks."""
     ctx = GeometryContext(n_qubits)
     pts = tuple(v for v in ctx.points() if ctx.quadratic(v) == 0)
     mask = points_mask(pts)
-    return Quadric(ctx, pts, mask, tuple(v for v in ctx.points() if not mask >> v & 1))
+    return Quadric(ctx, pts, mask, tuple(v for v in ctx.points() if not mask >> v & 1),
+                   _perp_masks(ctx))
 
 
 class GeneratorSet:
@@ -164,7 +168,6 @@ class GeneratorSet:
         return self.families.count(0), self.families.count(1)
 
 
-@cache
 def _perp_masks(ctx: GeometryContext) -> dict[int, int]:
     """`ctx.perp_mask` of every point; only the unit vectors compute it.
 
@@ -177,11 +180,6 @@ def _perp_masks(ctx: GeometryContext) -> dict[int, int]:
         low = p & -p
         perp[p] = ctx.perp_mask(p) if p == low else perp[p ^ low] ^ perp[low] ^ every
     return perp
-
-
-def perp(p: int) -> int:
-    """The mask of the rank-4 points that commute with point `p` (sigma = 0)."""
-    return _perp_masks(standard_quadric(4).context)[p]
 
 
 def _column_bands(dim: int) -> tuple[int, ...]:
@@ -211,12 +209,11 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     if space_kind not in ("symplectic", "quadric"):
         raise UsageError(f"unknown space kind {space_kind!r}")
     n = ctx.n_qubits
-    perp = _perp_masks(ctx)
+    quadric = standard_quadric(n)
+    perp = quadric.perp
     bands = _column_bands(ctx.dim)
-    quadric = standard_quadric(n) if space_kind == "quadric" else None
-    if quadric is not None:
-        ground = quadric.points
-        ground_mask = quadric.mask
+    if space_kind == "quadric":
+        ground, ground_mask = quadric.points, quadric.mask
     else:
         ground = tuple(ctx.points())
         ground_mask = points_mask(ground)
@@ -263,13 +260,13 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
             f"{space_kind} generator count {len(masks)} != {expected}"
         )
 
-    families = None
-    if space_kind == "quadric":
-        families = tuple(_family_of(masks[0], m, n) for m in masks)
-        if families.count(0) != families.count(1):
-            raise InternalConsistencyError(
-                f"generator families are not equal halves: {families.count(0)} and"
-                f" {families.count(1)} against generator {join_words(bases[0], n)}")
+    if space_kind == "symplectic":
+        return GeneratorSet(ctx, bases, masks)
+    families = tuple(_family_of(masks[0], m, n) for m in masks)
+    if families.count(0) != families.count(1):
+        raise InternalConsistencyError(
+            f"generator families are not equal halves: {families.count(0)} and"
+            f" {families.count(1)} against generator {join_words(bases[0], n)}")
     return GeneratorSet(ctx, bases, masks, families, quadric)
 
 
@@ -391,7 +388,7 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     from the definition.  Each step branches on the points of the lowest
     generator not yet covered that share no generator with a point
     already chosen (two quadric points share one exactly when they are
-    perpendicular, so a chosen point blocks its `_perp_masks` entry; the
+    perpendicular, so a chosen point blocks its mask in `quadric.perp`; the
     test `test_points_sharing_a_generator_are_the_perpendicular_quadric_points`
     checks this on all 135 points), and a search that covers every
     generator has found an ovoid.  An ovoid holds exactly one point of that
@@ -401,8 +398,7 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     ctx = quadric.context
     if ctx.n_qubits != 4:
         raise UsageError("ovoid enumeration targets the rank-4 hyperbolic quadric")
-    masks, through = gens.masks, gens.generators_through
-    perp = _perp_masks(ctx)
+    masks, through, perp = gens.masks, gens.generators_through, quadric.perp
     every = (1 << len(masks)) - 1
     found: list[int] = []
 
@@ -519,7 +515,7 @@ def _skew_frame(n: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ..
     bit = [0] * (1 << quadric.context.dim)
     for i, p in enumerate(points):
         bit[p] = 1 << i
-    perp = _perp_masks(quadric.context)
+    perp = quadric.perp
     anti = tuple(sum(bit[q] for q in points if not perp[p] >> q & 1) for p in points)
     return tuple(bit), points, anti
 
@@ -794,7 +790,7 @@ def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
 
 def commutation_profile(word_point: int, family) -> tuple[int, ...]:
     """Per-ovoid counts of elements commuting with the given point."""
-    mask = perp(word_point)
+    mask = standard_quadric(4).perp[word_point]
     return tuple((mask & ov.mask).bit_count() for ov in family)
 
 
@@ -913,7 +909,7 @@ def pentad_intersection(o: Ovoid, pentad, quadric: Quadric) -> PentadCone:
     fail = partial(fault, pentad=pent)
     span = span_mask(pent)
     vertex = nested(fail, solid_extra_point, o, o.complement_in(pent), quadric)
-    rad = _radical(span, pent, quadric.context)
+    rad = _radical(span, pent, quadric)
     if rad != 1 << vertex:
         raise fail(f"radical {join_words(mask_points(rad))} is not the vertex"
                    f" {join_words((vertex,))}")
@@ -1063,7 +1059,7 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
         raise fail("heptad section is not a 63-point quadric")
     pair = o.complement_in(hp)
     nucleus = pair[0] ^ pair[1]
-    rad = _radical(span, hp, quadric.context)
+    rad = _radical(span, hp, quadric)
     if rad != 1 << nucleus:
         raise fail(f"radical {join_words(mask_points(rad))} is not the complementary"
                    f" secant point {join_words((nucleus,))}")
@@ -1072,12 +1068,11 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
     return HeptadSection(tuple(mask_points(section)), nucleus)
 
 
-def _radical(span: int, points, ctx: GeometryContext) -> int:
+def _radical(span: int, points, quadric: Quadric) -> int:
     """The mask of the radical of sigma on the subspace of point mask `span`
     spanned by `points`: its points perpendicular to every one of them."""
-    masks = _perp_masks(ctx)
     for p in points:
-        span &= masks[p]
+        span &= quadric.perp[p]
     return span
 
 

@@ -82,8 +82,8 @@ def _plant_pentad_radical(ost, quadric, monkeypatch):
     # point.  fig7 reads the first pentad, so only the cone row reads this one.
     bad, real = ost.points[-5:], pg._radical
     vertex = pg.pentad_intersection(ost, bad, quadric).vertex
-    monkeypatch.setattr(pg, "_radical", lambda span, points, ctx: 1 << bad[0]
-                        if tuple(points) == bad else real(span, points, ctx))
+    monkeypatch.setattr(pg, "_radical", lambda span, points, q: 1 << bad[0]
+                        if tuple(points) == bad else real(span, points, q))
     return {"pentad_cones": f"radical {join_words(bad[:1])} is not the vertex"
                             f" {join_words((vertex,))}: pentad {join_words(bad)}"}
 
@@ -106,8 +106,8 @@ def _plant_heptad_radical(ost, quadric, monkeypatch):
     bad, real = ost.points[-7:], pg._radical
     nucleus = pg.heptad_intersection(ost, bad, quadric).nucleus
     line = sorted((nucleus, bad[0], nucleus ^ bad[0]))
-    monkeypatch.setattr(pg, "_radical", lambda span, points, ctx: sum(1 << p for p in line)
-                        if tuple(points) == bad else real(span, points, ctx))
+    monkeypatch.setattr(pg, "_radical", lambda span, points, q: sum(1 << p for p in line)
+                        if tuple(points) == bad else real(span, points, q))
     return {"heptad_sections": f"radical {join_words(line)} is not the complementary"
                                f" secant point {join_words((nucleus,))}:"
                                f" heptad {join_words(bad)}"}

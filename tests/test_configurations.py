@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from pauligeom import configurations as cfg
+from pauligeom import pauli_codec
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
 from pauligeom.gf2_core import to_string
@@ -359,8 +360,8 @@ def test_report_verify_rejects_fake_line(ostar, ctx4):
 def test_report_verify_checks_class_tags_against_the_quadric(ostar, ctx4, monkeypatch):
     # A word-level symmetry test that calls XXXX skew: the tag it writes
     # disagrees with the quadric membership of XXXX's coordinates.
-    real = cfg.is_symmetric
-    monkeypatch.setattr(cfg, "is_symmetric", lambda word: word != "XXXX" and real(word))
+    real = pauli_codec.is_symmetric
+    monkeypatch.setattr(pauli_codec, "is_symmetric", lambda word: word != "XXXX" and real(word))
     cfg._point_fields.cache_clear()
     try:
         with pytest.raises(InternalConsistencyError, match="^class tag of XXXX is wrong$"):

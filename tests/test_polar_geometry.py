@@ -1,9 +1,13 @@
 import functools
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -13,13 +17,21 @@ from pauligeom import configurations as cfg
 from pauligeom import gf2_core
 from pauligeom import polar_geometry as pg
 from pauligeom.errors import InternalConsistencyError, UsageError
-from pauligeom.gf2_core import echelon, rank, span_mask
+from pauligeom.gf2_core import rank, span_mask
 from pauligeom.pauli_codec import GeometryContext, join_words, point_to_word, word_to_point
 
 
 def _span(basis):
     """The nonzero vectors in the span of `basis`, as a set, from `span_mask`."""
     return set(pg.mask_points(span_mask(basis)))
+
+
+def _is_rref(basis):
+    """Reduced row-echelon form: the rows are nonzero, their leading bits
+    strictly descend, and each is set in its own row alone."""
+    tops = [r.bit_length() - 1 for r in basis]
+    return (all(a > b for a, b in zip(tops, tops[1:] + [-1]))
+            and all(sum(r >> t & 1 for r in basis) == 1 for t in tops))
 
 
 def test_expected_count_examples():
@@ -72,7 +84,7 @@ def test_standard_quadric_is_the_zero_set_of_the_quadratic_form(n):
 
 
 def _brute_force_generators(ctx, space_kind):
-    """Echelon bases of the spans of all n-subsets of ground points whose
+    """The span masks of all n-subsets of ground points of rank n whose
     span is totally isotropic (every pair has sigma 0), and for the
     quadric also totally singular, in sorted order."""
     n = ctx.n_qubits
@@ -81,12 +93,11 @@ def _brute_force_generators(ctx, space_kind):
     for subset in itertools.combinations(ground, n):
         if any(ctx.sigma(u, v) for u, v in itertools.combinations(subset, 2)):
             continue
-        basis = echelon(subset)
-        pts = _span(basis)
+        pts = _span(subset)
         isotropic = all(ctx.sigma(u, v) == 0 for u, v in itertools.combinations(pts, 2))
         singular = space_kind == "symplectic" or all(ctx.quadratic(p) == 0 for p in pts)
-        if len(basis) == n and isotropic and singular:
-            found.add(basis)
+        if rank(subset) == n and isotropic and singular:
+            found.add(span_mask(subset))
     return sorted(found)
 
 
@@ -129,7 +140,10 @@ def test_quadric_generators(n, count):
 def test_generators_match_brute_force_spans(n, space_kind):
     ctx = GeometryContext(n)
     gens = pg.enumerate_generators(ctx, space_kind)
-    assert list(gens.bases) == _brute_force_generators(ctx, space_kind)
+    # A span has one RREF basis, so RREF bases of the same spans are the same bases.
+    assert all(_is_rref(b) for b in gens.bases)
+    assert [span_mask(b) for b in gens.bases] == list(gens.masks)
+    assert sorted(gens.masks) == _brute_force_generators(ctx, space_kind)
 
 
 @pytest.mark.parametrize("space_kind", ["symplectic", "quadric"])
@@ -137,7 +151,7 @@ def test_generators_match_brute_force_spans(n, space_kind):
 def test_generator_bases_are_in_reduced_row_echelon_form(n, space_kind):
     gens = pg.get_generators(GeometryContext(n), space_kind)
     assert len(gens.bases) == len(gens)
-    assert all(echelon(b) == b for b in gens.bases)
+    assert all(_is_rref(b) and rank(b) == len(b) == n for b in gens.bases)
     assert list(gens.bases) == sorted(gens.bases)
 
 
@@ -159,7 +173,6 @@ def test_generator_enumeration_holds_one_path_of_flats(space_kind, limit_kb):
     # (quadric: about 50 KB, against 0.5 MB).
     ctx = GeometryContext(4)
     # Fill the tables the enumeration reads first, so only it is traced.
-    pg._perp_masks(ctx)
     gf2_core.xor_tables(ctx.dim)
     pg.standard_quadric(4)
     tracemalloc.start()
@@ -185,7 +198,41 @@ def test_unequal_generator_families_are_named_in_words(monkeypatch):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_perp_masks_by_bilinearity_match_direct_masks(n):
     ctx = GeometryContext(n)
-    assert pg._perp_masks.__wrapped__(ctx) == {p: ctx.perp_mask(p) for p in ctx.points()}
+    assert pg.standard_quadric(n).perp == {p: ctx.perp_mask(p) for p in ctx.points()}
+
+
+# Runs one command line in a fresh process and prints its exit status and
+# the rank of each `_perp_masks` call: a profiler counts the calls made by
+# importing `polar_geometry`, a wrapper those made by the command.
+_COUNT_PERP_FILLS = """\
+import sys
+ranks = []
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "_perp_masks":
+        ranks.append(frame.f_locals["ctx"].n_qubits)
+sys.setprofile(count)
+import pauligeom.polar_geometry as pg
+sys.setprofile(None)
+fill = pg._perp_masks
+pg._perp_masks = lambda ctx: ranks.append(ctx.n_qubits) or fill(ctx)
+from pauligeom import cli
+status = cli.main(sys.argv[1:]) if sys.argv[1:] else 0
+print(status, *sorted(ranks), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,fills", [
+    ([], "0"),
+    (["config", "fig1"], "0 4"),
+    (["verify", "--n", "4", "--level", "full", "--no-timings"], "0 3 4"),
+], ids=["import", "config-fig1", "verify-full"])
+def test_each_rank_fills_its_perp_masks_once_and_on_first_use(argv, fills):
+    # The rank's quadric owns its perp masks: importing fills none, and a
+    # command fills each rank it reads exactly once.
+    env = dict(os.environ, PYTHONPATH=str(Path(pg.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", _COUNT_PERP_FILLS, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.stderr == fills + "\n"
 
 
 def test_family_relation_is_consistent(gens4):
@@ -195,7 +242,7 @@ def test_family_relation_is_consistent(gens4):
     rng = random.Random(13)
     idx = rng.sample(range(len(bases)), 60)
     for i, j in itertools.combinations(idx, 2):
-        inter = 2 * n - len(echelon(bases[i] + bases[j]))
+        inter = 2 * n - rank(bases[i] + bases[j])
         same = (inter - n) % 2 == 0
         assert same == (fams[i] == fams[j])
 
@@ -203,12 +250,12 @@ def test_family_relation_is_consistent(gens4):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_families_by_popcount_match_the_echelon_rule(n):
     # every generator against the first: same family iff the linear
-    # dimension of the intersection, from the echelon of both bases, has
+    # dimension of the intersection, from the rank of both bases, has
     # the parity of n
     gens = pg.get_generators(GeometryContext(n), "quadric")
     ref = gens.bases[0]
     assert list(gens.families) == [
-        (2 * n - len(echelon(ref + b)) - n) % 2 for b in gens.bases]
+        (2 * n - rank(ref + b) - n) % 2 for b in gens.bases]
 
 
 def test_generator_cache_is_keyed_by_rank():
@@ -315,7 +362,7 @@ def test_points_sharing_a_generator_are_the_perpendicular_quadric_points(gens4, 
     # chosen point's perp mask, and the points sharing a generator with it,
     # read off the generators, are that perp mask on the quadric, for all
     # 135 points.
-    perp = pg._perp_masks(quadric4.context)
+    perp = quadric4.perp
     for p in quadric4.points:
         clash = 0
         for m in gens4.masks:
@@ -712,7 +759,7 @@ def test_tetrad_census_names_the_ovoid_and_partition_of_a_commutation_failure(
     # frame built from it, so a fresh frame cache is put in place for the test.
     _, lines = _reference_tetrad(pg.triple_partitions(ostar)[0], quadric4)
     u, x = lines[0][0], lines[1][0]
-    table = pg._perp_masks(quadric4.context)
+    table = quadric4.perp
     monkeypatch.setitem(table, u, table[u] ^ 1 << x)
     monkeypatch.setitem(table, x, table[x] ^ 1 << u)
     monkeypatch.setattr(pg, "_skew_frame", functools.cache(pg._skew_frame.__wrapped__))
@@ -903,7 +950,7 @@ def _second_ovoid_case(o, gens):
 # (builder, the helper it trusts, a broken stand-in, the call and its object)
 _SECTION_FAULTS = [
     ("sextet", "_mask_lines", lambda pts, mask: [], _sextet_case),
-    ("heptad", "_radical", lambda span, points, ctx: span, _heptad_case),
+    ("heptad", "_radical", lambda span, points, quadric: span, _heptad_case),
     ("six_ovoids", "second_ovoid_on_conic", lambda o, triple, gens: o, _six_ovoids_case),
     ("point_line", "is_ovoid", lambda points, gens: False, _point_line_case),
     ("second_ovoid", "is_ovoid", lambda points, gens: False, _second_ovoid_case),
@@ -956,7 +1003,7 @@ def test_pentad_cones(ostar, quadric4):
 
 
 def _quadric_with_mask(quadric, mask):
-    return pg.Quadric(quadric.context, quadric.points, mask, quadric.off_points)
+    return pg.Quadric(quadric.context, quadric.points, mask, quadric.off_points, quadric.perp)
 
 
 @pytest.mark.parametrize("plant", ["third point off", "extra point on", "quartet extra"])
@@ -1263,29 +1310,29 @@ def _radical_by_sigma(points, ctx):
             if all(ctx.sigma(v, b) == 0 for b in points)}
 
 
-def _radical(points, ctx):
+def _radical(points, quadric):
     """The radical's points, from `_radical` on the span mask of `points`."""
     span = span_mask(points)
-    return set(pg.mask_points(pg._radical(span, points, ctx)))
+    return set(pg.mask_points(pg._radical(span, points, quadric)))
 
 
-def test_radical_matches_its_definition_on_ostar_subsets(ostar, ctx4):
+def test_radical_matches_its_definition_on_ostar_subsets(ostar, quadric4, ctx4):
     cases = [ostar.points] + [t for k in (5, 6, 7)
                               for t in itertools.combinations(ostar.points, k)]
     assert len(cases) == 1 + 126 + 84 + 36
     for pts in cases:
-        assert _radical(pts, ctx4) == _radical_by_sigma(pts, ctx4)
+        assert _radical(pts, quadric4) == _radical_by_sigma(pts, ctx4)
 
 
-def test_radical_of_a_generator_is_the_generator(gens4, ctx4):
+def test_radical_of_a_generator_is_the_generator(gens4, quadric4, ctx4):
     for basis in gens4.bases:
-        rad = _radical(basis, ctx4)
+        rad = _radical(basis, quadric4)
         assert len(rad) == 15 and rad == _span(basis)
         assert rad == _radical_by_sigma(basis, ctx4)
 
 
-def test_radical_of_the_unit_vectors_is_empty(ctx4):
-    assert _radical([1 << i for i in range(8)], ctx4) == set()
+def test_radical_of_the_unit_vectors_is_empty(quadric4):
+    assert _radical([1 << i for i in range(8)], quadric4) == set()
 
 
 def test_conwell_heptads(ctx3):
