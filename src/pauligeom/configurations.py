@@ -212,6 +212,14 @@ def _word(v: int) -> str:
     return point_to_word(v, 4)
 
 
+@lru_cache(maxsize=1)
+def _word_table() -> tuple[str, ...]:
+    """The codec's word of each rank-4 point, indexed by value (0 holds
+    no point and no word), listed once per process for reports that
+    spell hundreds of points."""
+    return ("", *map(_word, range(1, 256)))
+
+
 def fig_secants(o: Ovoid, ctx: GeometryContext) -> ConfigReport:
     """The ovoid and the 36 skew third points of its secant lines."""
     b = _Builder("fig1", ctx)
@@ -667,8 +675,9 @@ def sixty_three_split(all_ovoids: pg.OvoidSet, o: Ovoid, p: int) -> ConfigReport
     b.note("conic_neighbours", sizes.count(3))
     b.note("reference", " ".join(map(_word, o.points)))
     tags = {1: "one-point", 3: "conic", 9: "reference"}
+    words = _word_table()
     for k, (ov, size) in enumerate(zip(through, sizes)):
-        b.note(f"ovoid_{k:02d}[{tags[size]}]", " ".join(map(_word, ov.points)))
+        b.note(f"ovoid_{k:02d}[{tags[size]}]", " ".join([words[q] for q in ov.points]))
     return b.done()
 
 

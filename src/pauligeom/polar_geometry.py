@@ -40,13 +40,15 @@ def mask_points(mask: int) -> list[int]:
     return out
 
 
-def _transpose(masks) -> dict[int, int]:
-    """The per-point index: per point, the mask of the indices i whose masks[i] hold it."""
+def _transpose(point_lists) -> dict[int, int]:
+    """The per-point index of numbered point sets: per point, the mask of
+    the indices i whose `point_lists[i]` hold it."""
     through: dict[int, int] = {}
-    for i, m in enumerate(masks):
+    get = through.get
+    for i, pts in enumerate(point_lists):
         bit = 1 << i
-        for p in mask_points(m):
-            through[p] = through.get(p, 0) | bit
+        for p in pts:
+            through[p] = get(p, 0) | bit
     return through
 
 
@@ -143,21 +145,26 @@ class GeneratorSet:
 
     Generator i is `bases[i]`, its reduced row-echelon basis, and
     `masks[i]`, the int mask of its points.  A quadric generator set also
-    carries the transposed incidence (`_transpose`): per quadric point,
-    the int mask of the indices of the generators through it.
+    carries the transposed incidence, the `_transpose` of the generators'
+    point lists (`points`, or read off `masks` if not given): per quadric
+    point, the int mask of the indices of the generators through it.
     """
 
     __slots__ = ("context", "bases", "masks", "families", "quadric", "generators_through")
 
     def __init__(self, context: GeometryContext, bases: tuple[tuple[int, ...], ...],
                  masks: tuple[int, ...], families: tuple[int, ...] | None = None,
-                 quadric: Quadric | None = None):
+                 quadric: Quadric | None = None, points=None):
         self.context = context
         self.bases = bases
         self.masks = masks
         self.families = families
         self.quadric = quadric
-        self.generators_through = _transpose(masks) if quadric is not None else {}
+        if quadric is None:
+            self.generators_through = {}
+        else:
+            self.generators_through = _transpose(
+                map(mask_points, masks) if points is None else points)
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -199,12 +206,16 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     once and needs no deduplication or re-echelonisation.  Candidates are
     read from per-column point bands.  A flat's points are held as bytes:
     adding p appends p and the old points translated by `v -> v ^ p`.
+    The search looks one step ahead: a child's candidate mask is computed
+    before the child is built, and a child that is no generator and has
+    no candidate (about two thirds of them at rank 4) is never built.
     Flats are extended depth first, so only the current path of at most
     N flats is held besides the generators found, each kept as its basis
     and int mask; they are found in sorted order of basis.  Three
     certificates close it: the point-set masks are pairwise distinct, the
     count equals the closed form, and in the quadric case the two
-    families are equal halves.
+    families are equal halves.  The quadric set's index of generators
+    through each point is read off the generators' point bytes.
     """
     if space_kind not in ("symplectic", "quadric"):
         raise UsageError(f"unknown space kind {space_kind!r}")
@@ -212,11 +223,11 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     quadric = standard_quadric(n)
     perp = quadric.perp
     bands = _column_bands(ctx.dim)
-    if space_kind == "quadric":
-        ground, ground_mask = quadric.points, quadric.mask
+    on_quadric = space_kind == "quadric"
+    if on_quadric:
+        ground_mask = quadric.mask
     else:
-        ground = tuple(ctx.points())
-        ground_mask = points_mask(ground)
+        ground_mask = points_mask(ctx.points())
 
     # Per set of free columns (bit c for column c), the OR of their bands.
     allowed = [0]
@@ -224,28 +235,33 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         allowed += [m | band for m in allowed]
 
     # A flat is its RREF basis, its points as bytes, the mask of the ground
-    # points perpendicular to it, and the OR of its rows.
+    # points perpendicular to it, the OR of its rows and its candidates.
     xor = xor_tables(ctx.dim)
-    bases, masks = [], []
+    bases, points, masks = [], [], []
 
-    def extend(basis, pts, perpmask, rows):
-        if len(basis) == n:
-            bases.append(basis)
-            masks.append(points_mask(pts))
-            return
-        free = ~rows & ((1 << (basis[-1].bit_length() - 1)) - 1)
-        cand = perpmask & allowed[free]
+    def extend(basis, pts, perpmask, rows, cand):
+        last = len(basis) == n - 1
         while cand:
             bit = cand & -cand
             cand ^= bit
             p = bit.bit_length() - 1
-            extend(basis + (p,), pts + bytes((p,)) + pts.translate(xor[p]),
-                   perpmask & perp[p], rows | p)
+            if last:
+                child = pts + bytes((p,)) + pts.translate(xor[p])
+                bases.append(basis + (p,))
+                masks.append(points_mask(child))
+                if on_quadric:  # only the quadric set indexes its points
+                    points.append(child)
+                continue
+            sub = perpmask & perp[p]
+            below = sub & allowed[~(rows | p) & ((1 << (p.bit_length() - 1)) - 1)]
+            if below:
+                extend(basis + (p,), pts + bytes((p,)) + pts.translate(xor[p]),
+                       sub, rows | p, below)
 
-    # The ground points and each flat's candidates are taken in ascending
-    # order and every basis has n rows, so the bases come out sorted.
-    for p in ground:
-        extend((p,), bytes((p,)), perp[p] & ground_mask, p)
+    # The empty flat's candidates are the ground points.  Candidates are
+    # taken in ascending order and every basis has n rows, so the bases
+    # come out sorted.
+    extend((), b"", ground_mask, 0, ground_mask)
     del extend  # empty its closure cell, so no reference cycle outlives the call
     bases, masks = tuple(bases), tuple(masks)
     if len(set(masks)) != len(masks):
@@ -253,21 +269,21 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
         raise InternalConsistencyError(
             f"{space_kind} generator {join_words(bases[masks.index(twice)], n)} is built twice")
     expected = expected_count(
-        "hyperbolic" if space_kind == "quadric" else "symplectic", "generators", n
+        "hyperbolic" if on_quadric else "symplectic", "generators", n
     )
     if len(masks) != expected:
         raise InternalConsistencyError(
             f"{space_kind} generator count {len(masks)} != {expected}"
         )
 
-    if space_kind == "symplectic":
+    if not on_quadric:
         return GeneratorSet(ctx, bases, masks)
     families = tuple(_family_of(masks[0], m, n) for m in masks)
     if families.count(0) != families.count(1):
         raise InternalConsistencyError(
             f"generator families are not equal halves: {families.count(0)} and"
             f" {families.count(1)} against generator {join_words(bases[0], n)}")
-    return GeneratorSet(ctx, bases, masks, families, quadric)
+    return GeneratorSet(ctx, bases, masks, families, quadric, points)
 
 
 def _family_of(ref: int, g: int, n: int) -> int:
@@ -318,10 +334,14 @@ class Ovoid:
 
 class OvoidSet(tuple):
     """A tuple of ovoids that carries `through`, the `_transpose` of their
-    masks: per point, the int mask of the indices of the ovoids on it."""
+    point lists: per point, the int mask of the indices of the ovoids on it.
+
+    A slice of an `OvoidSet` is a plain tuple without the index; wrap it
+    as `OvoidSet(...)` to read it through `ovoids_through`.
+    """
 
     def __init__(self, ovoids):
-        self.through = _transpose([o.mask for o in self])
+        self.through = _transpose([o.points for o in self])
 
 
 def ostar() -> Ovoid:
@@ -333,7 +353,9 @@ def is_ovoid(points, gens: GeneratorSet) -> bool:
 
     Read through the transposed incidence: the nine points' masks of
     generators through them are pairwise disjoint (no generator holds
-    two of the points) and together cover every generator.
+    two of the points) and together cover every generator.  It tests
+    single sets; `enumerate_ovoids` tests all its covers at once
+    (`_failing_covers`).
     """
     if gens.quadric is None:
         raise UsageError("is_ovoid needs quadric generators")
@@ -392,19 +414,21 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
     test `test_points_sharing_a_generator_are_the_perpendicular_quadric_points`
     checks this on all 135 points), and a search that covers every
     generator has found an ovoid.  An ovoid holds exactly one point of that
-    lowest generator, so the search reaches every ovoid exactly once.  Every
-    result is still confirmed by :func:`is_ovoid` before it is returned.
+    lowest generator, so the search reaches every ovoid exactly once.  A
+    cover carries its points down the search, so the sort and the set's
+    index read them as found.  Every cover is still certified against the
+    definition, all at once by `_failing_covers`, before it is returned.
     """
     ctx = quadric.context
     if ctx.n_qubits != 4:
         raise UsageError("ovoid enumeration targets the rank-4 hyperbolic quadric")
     masks, through, perp = gens.masks, gens.generators_through, quadric.perp
     every = (1 << len(masks)) - 1
-    found: list[int] = []
+    found: list[tuple[tuple[int, ...], int]] = []
 
-    def cover(chosen: int, covered: int, blocked: int):
+    def cover(pts: tuple[int, ...], chosen: int, covered: int, blocked: int):
         if covered == every:
-            found.append(chosen)
+            found.append((tuple(sorted(pts)), chosen))
             return
         lowest = masks[(covered ^ (covered + 1)).bit_length() - 1]
         cand = lowest ^ (lowest & blocked)
@@ -412,16 +436,44 @@ def enumerate_ovoids(quadric: Quadric, gens: GeneratorSet) -> OvoidSet:
             bit = cand & -cand
             cand ^= bit
             p = bit.bit_length() - 1
-            cover(chosen | bit, covered | through[p], blocked | perp[p])
+            cover(pts + (p,), chosen | bit, covered | through[p], blocked | perp[p])
 
-    cover(0, 0, 0)
-    ovoids = OvoidSet(Ovoid(pts, m) for pts, m in sorted(
-        (tuple(mask_points(m)), m) for m in found))
-    for o in ovoids:
-        if not is_ovoid(o.points, gens):
-            raise InternalConsistencyError(
-                f"cover {join_words(o.points, ctx.n_qubits)} fails the ovoid test")
+    cover((), 0, 0, 0)
+    del cover  # empty its closure cell, so no reference cycle outlives the call
+    found.sort()
+    ovoids = OvoidSet(Ovoid(pts, m) for pts, m in found)
+    if bad := _failing_covers(ovoids, gens):
+        o = ovoids[(bad & -bad).bit_length() - 1]
+        raise InternalConsistencyError(
+            f"cover {join_words(o.points, ctx.n_qubits)} fails the ovoid test")
     return ovoids
+
+
+def _failing_covers(ovoids: OvoidSet, gens: GeneratorSet) -> int:
+    """The mask of the indices of the sets in `ovoids` that are no ovoid.
+
+    The test of :func:`is_ovoid`, read generator by generator over all
+    the sets at once through their index `ovoids.through`: a set must
+    have nine points, all on the quadric, and for every generator the
+    index masks of its points must be pairwise disjoint (no set holds two
+    of them) and together hold every set (each set meets it).
+    """
+    qmask, through = gens.quadric.mask, ovoids.through
+    every = (1 << len(ovoids)) - 1
+    bad = 0
+    for i, o in enumerate(ovoids):
+        if o.mask.bit_count() != 9 or o.mask ^ (o.mask & qmask):
+            bad |= 1 << i
+    for g in gens.masks:
+        seen = 0
+        while g:
+            bit = g & -g
+            g ^= bit
+            on = through.get(bit.bit_length() - 1, 0)
+            bad |= seen & on
+            seen |= on
+        bad |= every ^ seen
+    return bad
 
 
 @cache
@@ -438,7 +490,16 @@ def get_ovoids(ctx: GeometryContext) -> OvoidSet:
 
 def ovoids_through(ovoids: OvoidSet, p: int) -> tuple[Ovoid, ...]:
     """The ovoids on point `p`, in their order in `ovoids`, read off its index."""
-    return tuple(map(ovoids.__getitem__, mask_points(ovoids.through.get(p, 0))))
+    return tuple(map(ovoids.__getitem__, mask_points(_index(ovoids).get(p, 0))))
+
+
+def _index(ovoids: OvoidSet) -> dict[int, int]:
+    """`ovoids.through`, or a usage error if `ovoids` carries no index."""
+    try:
+        return ovoids.through
+    except AttributeError:
+        raise UsageError(f"need an OvoidSet, not a {type(ovoids).__name__}; wrap a slice"
+                         " of one as OvoidSet(...)") from None
 
 
 def secant_third_points(o: Ovoid) -> frozenset[int]:
@@ -694,8 +755,8 @@ def pairwise_intersection_sizes(ovoids: OvoidSet) -> Counter:
     positions plane by plane into the masks of equal low bits, and then
     one popcount per size k, counts every pair (i, j) with i < j once.
     """
+    through = _index(ovoids)
     points = [o.points for o in ovoids]
-    through = ovoids.through
     width = max(map(len, points), default=0).bit_length()
     counts: Counter = Counter()
     for i, pts in enumerate(points[:-1]):

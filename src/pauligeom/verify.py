@@ -293,7 +293,8 @@ def _census(o, quadric):
 def _ovoids_on_each_point(ovoids, quadric):
     """The set of the numbers of ovoids on each quadric point; if they
     differ, the first point whose number is off their mean, in words."""
-    counts = {p: len(pg.ovoids_through(ovoids, p)) for p in quadric.points}
+    through = ovoids.through
+    counts = {p: through.get(p, 0).bit_count() for p in quadric.points}
     if off := _first_off_mean(counts):
         return f"point {join_words(off[:1])} on {off[1]} ovoids"
     return str(set(counts.values()))

@@ -304,11 +304,88 @@ def test_is_ovoid_rejects_off_quadric_points(gens4):
         pg.is_ovoid((word_to_point("IYZX"),), gens4)
 
 
-def test_failed_ovoid_certificate_names_the_cover(monkeypatch, gens4):
-    monkeypatch.setattr(pg, "is_ovoid", lambda points, gens: False)
+def test_failed_ovoid_certificate_names_the_cover(monkeypatch, gens4, quadric4):
+    # A quadric copy whose perp entry for XXXX blocks nothing: the search
+    # may then choose points that share a generator with XXXX, and emits
+    # covers that are no ovoids.  The certificate names the first one in
+    # the sorted order of the covers it was handed.
+    planted = word_to_point("XXXX")
+    perp = dict(quadric4.perp)
+    perp[planted] = 0
+    bad = pg.Quadric(quadric4.context, quadric4.points, quadric4.mask,
+                     quadric4.off_points, perp)
+    handed = []
+    certify = pg._failing_covers
+    monkeypatch.setattr(pg, "_failing_covers",
+                        lambda ovoids, gens: handed.append(ovoids) or certify(ovoids, gens))
     with pytest.raises(InternalConsistencyError,
-                       match=r"^cover [IXYZ]{4}(,[IXYZ]{4}){8} fails the ovoid test$"):
-        pg.enumerate_ovoids(gens4.quadric, gens4)
+                       match=r"^cover [IXYZ]{4}(,[IXYZ]{4})+ fails the ovoid test$") as exc:
+        pg.enumerate_ovoids(bad, gens4)
+    first = next(o.points for o in handed[0]
+                 if not _meets_every_generator_once(o.points, gens4))
+    assert str(exc.value) == f"cover {join_words(first)} fails the ovoid test"
+    assert planted in first
+
+
+def _certificate_verdict(points, gens):
+    """The set-wide ovoid certificate on a set of one planted cover."""
+    pts = tuple(sorted(points))
+    one = pg.OvoidSet((pg.Ovoid(pts, sum(1 << p for p in pts)),))
+    return pg._failing_covers(one, gens) == 0
+
+
+def test_ovoid_certificate_agrees_with_is_ovoid(ovoids, gens4, quadric4, ostar):
+    # Every ovoid, every one-point swap of O* and every eight of its points.
+    pts = ostar.points
+    cases = [o.points for o in ovoids]
+    cases += [pts[:i] + pts[i + 1:] + (q,) for i in range(9)
+              for q in quadric4.points if q not in ostar]
+    cases += [pts[:i] + pts[i + 1:] for i in range(9)]
+    verdicts = [_certificate_verdict(c, gens4) for c in cases]
+    assert verdicts == [pg.is_ovoid(c, gens4) for c in cases]
+    assert verdicts.count(True) == 960
+
+
+def test_ovoid_certificate_names_each_failing_cover(ovoids, gens4, ostar):
+    # Bit i is set exactly for the planted sets at i: an eight-point set,
+    # a swapped point, and a point off the quadric.
+    pts = ostar.points
+    swap = next(q for q in gens4.quadric.points if q not in ostar)
+    planted = [pg.Ovoid.from_points(pts[1:]),
+               pg.Ovoid.from_points(pts[1:] + (word_to_point("IYZX"),)),
+               pg.Ovoid.from_points(pts[1:] + (swap,))]
+    mixed = pg.OvoidSet([ovoids[0], planted[0], ovoids[1], planted[1], planted[2]])
+    assert pg._failing_covers(mixed, gens4) == 0b11010
+    assert pg._failing_covers(ovoids, gens4) == 0
+
+
+# Runs one command line in a fresh process and prints its exit status and
+# the number of `is_ovoid` calls it made, counted by a profiler.
+_COUNT_OVOID_TESTS = """\
+import sys
+calls = []
+def count(frame, event, arg):
+    if event == "call" and frame.f_code.co_name == "is_ovoid":
+        calls.append(1)
+from pauligeom import cli
+sys.setprofile(count)
+status = cli.main(sys.argv[1:])
+sys.setprofile(None)
+print(status, len(calls), file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,calls", [
+    (["enumerate", "ovoids"], "0 0"),
+    (["enumerate", "tetrads", "--ovoid", ",".join(pg.OSTAR_WORDS)], "0 1"),
+], ids=["enumerate-ovoids", "enumerate-tetrads-ovoid"])
+def test_cold_ovoid_enumeration_calls_no_single_ovoid_test(argv, calls):
+    # The 960 covers are certified together; `is_ovoid` is left for single
+    # ovoids, such as a given --ovoid, which the second case counts.
+    env = dict(os.environ, PYTHONPATH=str(Path(pg.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-S", "-c", _COUNT_OVOID_TESTS, *argv], env=env,
+                          capture_output=True, text=True)
+    assert done.stderr == calls + "\n"
 
 
 def test_ovoid_enumeration_counts(ovoids, quadric4):
@@ -346,6 +423,15 @@ def test_ovoids_through_reads_the_index_of_an_ovoid_subset(ovoids, quadric4):
     first = pg.OvoidSet(ovoids[:10])
     for p in quadric4.points:
         assert pg.ovoids_through(first, p) == tuple(o for o in first if p in o)
+
+
+def test_a_slice_without_its_index_is_a_usage_error(ovoids, quadric4):
+    # A slice of an OvoidSet is a plain tuple; the error says how to wrap it.
+    p = quadric4.points[0]
+    for read in (lambda s: pg.ovoids_through(s, p), pg.pairwise_intersection_sizes):
+        with pytest.raises(UsageError, match=r"^need an OvoidSet, not a tuple; wrap a slice"
+                                             r" of one as OvoidSet\(\.\.\.\)$"):
+            read(ovoids[:10])
 
 
 def test_every_ovoid_is_a_nonperp_clique_and_conversely(ovoids, quadric4):
