@@ -1,11 +1,11 @@
 """Named, exportable configurations of the four-qubit dissection.
 
-Each extractor packages one of the distinguished ovoid substructures as a
-ConfigReport: labelled points (coordinates, word, symmetry class, role),
-the collinear triples that the structure draws, and free-form
-annotations.  Reports self-verify on construction: every listed line sums
-to zero and every class tag agrees with the quadric membership of the
-point's coordinates.
+Each extractor builds one of the distinguished ovoid substructures as a
+ConfigReport of four qubits: labelled points (coordinates, word, symmetry
+class, role), the collinear triples that the structure draws, and
+free-form annotations.  `done` self-verifies each report: every listed
+line sums to zero and every class tag agrees with the quadric membership
+of the point's coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from . import polar_geometry as pg
 from .errors import InternalConsistencyError, UsageError
 from .gf2_core import span_mask, to_string
 from .pauli_codec import (GeometryContext, join_words, point_class, point_to_word,
-                          word_to_point, words_to_points)
+                          word_table, word_to_point, words_to_points)
 from .polar_geometry import GeneratorSet, Ovoid, Quadric
 
 
@@ -35,21 +35,44 @@ class PointEntry:
 class ConfigReport:
     """A named configuration: points with roles, lines, annotations.
 
-    Work that depends only on a point's value is paid once per process
-    through bounded memos, none filled at import: `verify` reads each
-    point's value and class off its coordinate string (never its word)
-    from `_coords_point`, keyed by that string, and `to_json` takes each
-    point's escaped head from `_json_head`, keyed by the exact (coords,
-    word, class) triple.
+    A report is its own builder: `add` lists a rank-4 point by value
+    (`index` maps it to its position), `line` joins three listed points,
+    `note` annotates and `done` sorts the lines and verifies.  Per-point
+    work is memoized per process, none at import: `add` reads (coords,
+    word, class) from `_point_fields` by value, `verify` reads value and
+    class off the coordinates (never the word) from `_coords_point`, and
+    `to_json` the escaped head from `_json_head`, keyed by that triple.
     """
 
-    __slots__ = ("name", "points", "lines", "annotations")
+    __slots__ = ("name", "points", "lines", "annotations", "index")
 
     def __init__(self, name: str):
         self.name = name
         self.points: list[PointEntry] = []
         self.lines: list[tuple[int, int, int]] = []
         self.annotations: dict[str, str] = {}
+        self.index: dict[int, int] = {}
+
+    def add(self, value: int, role: str):
+        """List the point with `role`, unless it is listed already."""
+        if value not in self.index:
+            self.index[value] = len(self.points)
+            self.points.append(PointEntry(*_point_fields(value), role))
+
+    def add_all(self, values, role: str):
+        add = self.add
+        for v in sorted(values):
+            add(v, role)
+
+    def line(self, a: int, b: int, c: int):
+        self.lines.append((self.index[a], self.index[b], self.index[c]))
+
+    def note(self, key: str, value):
+        self.annotations[key] = str(value)
+
+    def done(self) -> "ConfigReport":
+        self.lines.sort()
+        return self.verify()
 
     def roles(self) -> dict[str, int]:
         counts: dict[str, int] = {}
@@ -147,12 +170,12 @@ def _json_block(members: list[str], indent: int, brackets: str) -> str:
 
 
 @lru_cache(maxsize=256)
-def _point_fields(value: int, n_qubits: int) -> tuple[str, str, str]:
-    """(coords, word, class) of a point: they depend on its value alone.
+def _point_fields(value: int) -> tuple[str, str, str]:
+    """(coords, word, class) of a rank-4 point: they depend on its value alone.
 
     Memoized; 256 entries hold all 255 points of four qubits.
     """
-    return (to_string(value, 2 * n_qubits), *point_class(value, n_qubits))
+    return (to_string(value, 8), *point_class(value, 4))
 
 
 @lru_cache(maxsize=512)
@@ -180,49 +203,13 @@ def _json_head(coords: str, word: str, cls: str) -> str:
             f'\n      "class": {q(cls)},\n      "role": ')
 
 
-class _Builder:
-    def __init__(self, name: str, ctx: GeometryContext):
-        self.report = ConfigReport(name)
-        self.n_qubits = ctx.n_qubits
-        self.index: dict[int, int] = {}
-
-    def add(self, value: int, role: str):
-        """List the point with `role`, unless it is listed already."""
-        if value not in self.index:
-            self.index[value] = len(self.report.points)
-            self.report.points.append(PointEntry(*_point_fields(value, self.n_qubits), role))
-
-    def add_all(self, values, role: str):
-        add = self.add
-        for v in sorted(values):
-            add(v, role)
-
-    def line(self, a: int, b: int, c: int):
-        self.report.lines.append((self.index[a], self.index[b], self.index[c]))
-
-    def note(self, key: str, value):
-        self.report.annotations[key] = str(value)
-
-    def done(self) -> ConfigReport:
-        self.report.lines.sort()
-        return self.report.verify()
-
-
 def _word(v: int) -> str:
     return point_to_word(v, 4)
 
 
-@lru_cache(maxsize=1)
-def _word_table() -> tuple[str, ...]:
-    """The codec's word of each rank-4 point, indexed by value (0 holds
-    no point and no word), listed once per process for reports that
-    spell hundreds of points."""
-    return ("", *map(_word, range(1, 256)))
-
-
 def fig_secants(o: Ovoid, ctx: GeometryContext) -> ConfigReport:
     """The ovoid and the 36 skew third points of its secant lines."""
-    b = _Builder("fig1", ctx)
+    b = ConfigReport("fig1")
     b.add_all(o.points, "ovoid")
     thirds = pg.secant_third_points(o)
     b.add_all(thirds, "secant-point")
@@ -235,11 +222,11 @@ def fig_secants(o: Ovoid, ctx: GeometryContext) -> ConfigReport:
 
 def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
     """A partition into three conics, its axis, and the full tetrad."""
-    b = _Builder("fig2", ctx=quadric.context)
-    for k, triple in enumerate(partition, start=1):
-        b.add_all(triple, f"conic-{k}")
     fail = partial(pg.fault, ovoid=o.points, partition=partition)
     lines = pg.nested(fail, pg.tetrad_of_partition, o, partition, quadric)
+    b = ConfigReport("fig2")
+    for k, triple in enumerate(partition, start=1):
+        b.add_all(triple, f"conic-{k}")
     # The tetrad's axis, certified with it: the line of the three nuclei.
     axis = sorted(a ^ b ^ c for a, b, c in partition)
     b.add_all(axis, "nucleus")
@@ -253,11 +240,10 @@ def fig_conic_partition(o: Ovoid, partition, quadric: Quadric) -> ConfigReport:
 
 def fig_two_ovoids_conic(o: Ovoid, triple, gens: GeneratorSet) -> ConfigReport:
     """Two ovoids on a conic: 15 symmetric points, six lines on the nucleus."""
-    ctx = gens.context
     triple = tuple(sorted(triple))
     other = pg.second_ovoid_on_conic(o, triple, gens)
     nucleus = triple[0] ^ triple[1] ^ triple[2]
-    b = _Builder("fig3", ctx)
+    b = ConfigReport("fig3")
     b.add_all(triple, "shared-conic")
     b.add_all(o.complement_in(triple), "ovoid-1")
     b.add_all(other.complement_in(triple), "ovoid-2")
@@ -273,7 +259,7 @@ def fig_two_ovoids_conic(o: Ovoid, triple, gens: GeneratorSet) -> ConfigReport:
 def fig_six_ovoids(o: Ovoid, partition, gens: GeneratorSet) -> ConfigReport:
     """27 symmetric points that split into three ovoids in two ways."""
     fam = pg.six_ovoid_family(o, partition, gens)
-    b = _Builder("fig4", gens.context)
+    b = ConfigReport("fig4")
     # Each triad is three disjoint ovoids: one index per point and triad.
     first, second = ({p: k for k, ov in enumerate(triad, 1) for p in ov.points}
                      for triad in (fam.triad_with_base, fam.triad_other))
@@ -302,7 +288,6 @@ def fig_commutation(
     Defaults: the first symmetric point outside the family and the first
     skew point, in canonical order.
     """
-    ctx = gens.context
     fam = pg.six_ovoid_family(o, partition, gens)
     six = fam.all_ovoids()
     quadric = gens.quadric
@@ -312,11 +297,11 @@ def fig_commutation(
         )
     if skew_center is None:
         skew_center = quadric.off_points[0]
-    if quadric.contains(skew_center) or not quadric.contains(symmetric_center):
+    if skew_center not in quadric.off_points or symmetric_center not in quadric.points:
         raise UsageError("centers must be one symmetric and one skew point")
     if symmetric_center in fam.points:
         raise UsageError("symmetric center must lie outside the 27-point family")
-    b = _Builder("fig5", ctx)
+    b = ConfigReport("fig5")
     sym_perp, skew_perp = quadric.perp[symmetric_center], quadric.perp[skew_center]
     for p in sorted(fam.points):
         with_sym = sym_perp >> p & 1
@@ -366,7 +351,7 @@ def standard_split(o: Ovoid, p: int):
 def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigReport:
     """Two ovoids on one point: 19 symmetric points and the through line."""
     (e1, e2), mate = pg.point_partition_line(o, p, split, gens)
-    b = _Builder("fig6", gens.context)
+    b = ConfigReport("fig6")
     b.add(p, "shared-point")
     b.add_all(split[0], "quad-1")
     b.add_all(split[1], "quad-2")
@@ -381,8 +366,8 @@ def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigR
         b.line(e2, u, e2 ^ u)
     b.note("through_line", " ".join(map(_word, sorted((p, e1, e2)))))
     b.note("extra_points", f"{_word(e1)} {_word(e2)}")
-    if len(b.report.points) != 19:
-        raise pg.fault(f"configuration is {len(b.report.points)} points, not 19",
+    if len(b.points) != 19:
+        raise pg.fault(f"configuration is {len(b.points)} points, not 19",
                        point=p, split=split)
     return b.done()
 
@@ -390,7 +375,7 @@ def fig_two_ovoids_point(o: Ovoid, p: int, split, gens: GeneratorSet) -> ConfigR
 def fig_pentad(o: Ovoid, pentad, quadric: Quadric) -> ConfigReport:
     """The 11-point cone cut by the span of five ovoid points."""
     cone = pg.pentad_intersection(o, pentad, quadric)
-    b = _Builder("fig7", quadric.context)
+    b = ConfigReport("fig7")
     b.add(cone.vertex, "vertex")
     b.add_all(sorted(pentad), "pentad")
     b.add_all((p for p in cone.points if p != cone.vertex and p not in pentad),
@@ -406,7 +391,7 @@ def fig_pentad(o: Ovoid, pentad, quadric: Quadric) -> ConfigReport:
 def fig_sextet(o: Ovoid, sextet, quadric: Quadric) -> ConfigReport:
     """The 27-point elliptic section over six ovoid points."""
     section = pg.sextet_intersection(o, sextet, quadric)
-    b = _Builder("fig8", quadric.context)
+    b = ConfigReport("fig8")
     b.add_all(section.sextet, "double-six-ovoid")
     b.add_all(section.mates, "double-six-mate")
     b.add_all(section.core15, "core")
@@ -497,9 +482,8 @@ def section_fan(o: Ovoid, section: pg.SextetSection, p: int) -> NucleiFan:
 
 def fig_nuclei_fan(o: Ovoid, p: int, singled_nucleus: int) -> ConfigReport:
     """28 nuclei on a point with the 15 + 2x6 split behind one of them."""
-    ctx = GeometryContext(4)
     fan = nuclei_fan_structure(o, p, singled_nucleus)
-    b = _Builder("fig9", ctx)
+    b = ConfigReport("fig9")
     b.add(p, "common-point")
     b.add(fan.singled_nucleus, "singled-nucleus")
     a, bb = fan.conic_pair
@@ -551,15 +535,15 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     if len(triple_nuclei) != 35 or not all(map(quadric.contains, triple_nuclei)):
         raise fail(f"the triple nuclei of heptad {join_words(heptad)} "
                    "are not 35 symmetric points")
-    b = _Builder("fig10", quadric.context)
+    b = ConfigReport("fig10")
     b.add(p1, "shared-ovoid-point")
     b.add(p2, "shared-ovoid-point")
     b.add_all(heptad, "heptad-nucleus")
     b.add_all(sorted(thirds.values()), "heptad-line-point")
     b.add_all(triple_nuclei, "triple-nucleus")
     # A triple nucleus on p1 or p2, which are on the quadric, merges with it.
-    if len(b.report.points) != 65:
-        raise fail(f"configuration is {len(b.report.points)} points, not 65")
+    if len(b.points) != 65:
+        raise fail(f"configuration is {len(b.points)} points, not 65")
     for (u, v), w in sorted(thirds.items()):
         b.line(u, v, w)
     b.note("shared_points", f"{_word(p1)} {_word(p2)}")
@@ -593,7 +577,6 @@ def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet, kind: str | None = Non
 
 
 def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
-    ctx = gens.context
     nucleus = vertices[0] ^ vertices[1] ^ vertices[2]
     fail = partial(pg.fault, ovoid=o.points, triangle=vertices)
     other = pg.second_ovoid_on_conic(o, tuple(vertices), gens)
@@ -603,7 +586,7 @@ def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
             raise fail(f"heptads {join_words(sorted(h1))} and {join_words(sorted(h2))} "
                        f"meet in [{join_words(sorted(h1 & h2))}], "
                        f"not in the nucleus {_word(nucleus)}")
-    b = _Builder("heptad-family", ctx)
+    b = ConfigReport("heptad-family")
     b.add_all(vertices, "triangle-vertex")
     b.add(nucleus, "common-nucleus")
     # The heptads meet only in the nucleus, so each other point has one owner.
@@ -616,7 +599,6 @@ def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
 
 
 def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
-    ctx = gens.context
     # order the pairs around the cycle
     cycle = [pairs[0]]
     rest = list(pairs[1:])
@@ -639,7 +621,7 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
         if heptads[i] & heptads[i + 2]:
             raise fail(f"opposite heptads {join_words(sorted(heptads[i]))} and "
                        f"{join_words(sorted(heptads[i + 2]))} meet")
-    b = _Builder("heptad-family", ctx)
+    b = ConfigReport("heptad-family")
     b.add_all(vertices, "quadrangle-vertex")
     b.add(meet, "concurrence-point")
     roles: dict[int, str] = {}  # each point's heptads, in heptad order
@@ -661,21 +643,20 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
 
 def sixty_three_split(all_ovoids: pg.OvoidSet, o: Ovoid, p: int) -> ConfigReport:
     """The 64 ovoids on a point and their 35/28 census against `o`."""
-    ctx = GeometryContext(4)
     if p not in o:
         raise UsageError("census point must lie on the reference ovoid")
     through = pg.ovoids_through(all_ovoids, p)
     if len(through) != 64:
         raise pg.fault(f"point is on {len(through)} ovoids, not 64", point=p)
     sizes = pg.ovoid_intersection_sizes(through, o, p)
-    b = _Builder("split63", ctx)
+    b = ConfigReport("split63")
     b.add(p, "common-point")
     b.note("ovoids_through_point", len(through))
     b.note("one_point_neighbours", sizes.count(1))
     b.note("conic_neighbours", sizes.count(3))
     b.note("reference", " ".join(map(_word, o.points)))
     tags = {1: "one-point", 3: "conic", 9: "reference"}
-    words = _word_table()
+    words = word_table(4)
     for k, (ov, size) in enumerate(zip(through, sizes)):
         b.note(f"ovoid_{k:02d}[{tags[size]}]", " ".join([words[q] for q in ov.points]))
     return b.done()

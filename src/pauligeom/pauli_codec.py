@@ -91,6 +91,12 @@ def _word(v: int, n: int) -> str:
     return _tables(n)[0][v] if n <= _MAX_TABLED else _decode(v, n)
 
 
+def word_table(n: int) -> tuple[str, ...]:
+    """The word of each vector of rank n (1 to 4), indexed by the vector
+    (the identity at 0): the codec's own table, built on first use."""
+    return _tables(n)[0]
+
+
 def word_to_point(word: str) -> int:
     """Projective point of a non-identity word."""
     v = _vector(word)

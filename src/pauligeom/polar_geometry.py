@@ -540,7 +540,7 @@ def triple_partitions(o: Ovoid):
 def axis_of_partition(o: Ovoid, partition, quadric: Quadric) -> frozenset[int]:
     """The line off `quadric` carrying the three nuclei of a partition."""
     flat = [p for t in partition for p in t]
-    if sorted(flat) != list(o.points):
+    if any(len(t) != 3 for t in partition) or sorted(flat) != list(o.points):
         raise UsageError("partition must cover the ovoid by disjoint triples")
     nuclei = [t[0] ^ t[1] ^ t[2] for t in partition]
     if 0 in nuclei:  # the zero vector has no word
@@ -818,9 +818,10 @@ class SixOvoidFamily:
 
 def six_ovoid_family(o: Ovoid, partition, gens: GeneratorSet) -> SixOvoidFamily:
     """Both triads of disjoint ovoids determined by one partition of `o`."""
-    t1, t2, t3 = [tuple(sorted(t)) for t in partition]
-    fail = partial(fault, ovoid=o.points, partition=(t1, t2, t3))
-    axis = nested(fail, axis_of_partition, o, (t1, t2, t3), gens.quadric)
+    triples = tuple(tuple(sorted(t)) for t in partition)
+    fail = partial(fault, ovoid=o.points, partition=triples)
+    axis = nested(fail, axis_of_partition, o, triples, gens.quadric)
+    t1, t2, t3 = triples
 
     n1, n2, n3 = (t[0] ^ t[1] ^ t[2] for t in (t1, t2, t3))
     others = tuple(second_ovoid_on_conic(o, t, gens) for t in (t1, t2, t3))
@@ -1094,18 +1095,9 @@ def _check_generalized_quadrangle(points, lines):
                 f"{join_words(points[i:i + 1])} off line {join_words((a, b, c))}")
 
 
-class HeptadSection:
-    """Parabolic section over seven ovoid points, with its nucleus."""
-
-    __slots__ = ("points", "nucleus")
-
-    def __init__(self, points: tuple[int, ...], nucleus: int):
-        self.points = points
-        self.nucleus = nucleus
-
-
-def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
-    """Quadric section of the span of seven ovoid points: 63 points.
+def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> int:
+    """The nucleus of the quadric section of the span of seven ovoid
+    points, certified with the section's 63 points.
 
     The restricted alternating form degenerates on the hyperplane; its
     radical (the `span_mask` ANDed with the points' perps) is the nucleus,
@@ -1126,7 +1118,7 @@ def heptad_intersection(o: Ovoid, heptad, quadric: Quadric) -> HeptadSection:
                    f" secant point {join_words((nucleus,))}")
     if quadric.contains(nucleus):
         raise fail(f"section nucleus {join_words((nucleus,))} lies on the quadric")
-    return HeptadSection(tuple(mask_points(section)), nucleus)
+    return nucleus
 
 
 def _radical(span: int, points, quadric: Quadric) -> int:

@@ -104,7 +104,7 @@ def _plant_heptad_radical(ost, quadric, monkeypatch):
     # sigma wrong on the span of O*'s last heptad: its radical is a line
     # through the nucleus.
     bad, real = ost.points[-7:], pg._radical
-    nucleus = pg.heptad_intersection(ost, bad, quadric).nucleus
+    nucleus = pg.heptad_intersection(ost, bad, quadric)
     line = sorted((nucleus, bad[0], nucleus ^ bad[0]))
     monkeypatch.setattr(pg, "_radical", lambda span, points, q: sum(1 << p for p in line)
                         if tuple(points) == bad else real(span, points, q))

@@ -104,6 +104,37 @@ def test_fig5_profile_faults_name_the_center_and_family(center, profile, ostar, 
     assert str(exc.value) == f"{center} center {word} profile {profile} {what}: {family}"
 
 
+@pytest.mark.parametrize("choice,value", [
+    ("nucleus", 0), ("nucleus", 300), ("nucleus", -1), ("point", 0), ("point", -1),
+    ("nucleus", word_to_point("XXXX")), ("point", word_to_point("YIII"))])
+def test_fig5_center_that_is_no_point_of_its_kind_is_a_usage_error(choice, value,
+                                                                  ostar, gens4):
+    with pytest.raises(UsageError, match="^centers must be one symmetric and one skew point$"):
+        cfg.figure("fig5", ostar, gens4, **{choice: value})
+
+
+def _malformed_partitions(o):
+    """Groups that cover `o` but are not three triples (2 + 4 + 3 points,
+    nine singletons, four groups of 3 + 3 + 2 + 1), and three triples
+    with one point of `o` replaced by the zero vector or by no point."""
+    a, b, c, d, e, f, g, h, i = o.points
+    return (((a, b), (c, d, e, f), (g, h, i)), tuple((p,) for p in o.points),
+            ((a, b, c), (d, e, f), (g, h), (i,)),
+            ((0, b, c), (d, e, f), (g, h, i)), ((300, b, c), (d, e, f), (g, h, i)))
+
+
+@pytest.mark.parametrize("shape", range(5), ids=["2+4+3", "singletons", "3+3+2+1",
+                                                 "zero-vector", "no-point"])
+def test_malformed_partition_is_a_usage_error(shape, ostar, gens4, quadric4):
+    part = _malformed_partitions(ostar)[shape]
+    message = "^partition must cover the ovoid by disjoint triples$"
+    for name in ("fig2", "fig4", "fig5"):
+        with pytest.raises(UsageError, match=message):
+            cfg.figure(name, ostar, gens4, partition=part)
+    with pytest.raises(UsageError, match=message):
+        pg.tetrad_of_partition(ostar, part, quadric4)
+
+
 def test_fig6_wrong_point_count_names_the_point_and_split(ostar, gens4, quadric4,
                                                           monkeypatch):
     # A mate with a tenth point: the report then holds 20 points.
@@ -368,6 +399,50 @@ def test_report_verify_checks_class_tags_against_the_quadric(ostar, ctx4, monkey
             cfg.fig_secants(ostar, ctx4)
     finally:
         cfg._point_fields.cache_clear()
+
+
+def test_report_add_keeps_the_first_role_and_add_all_adds_in_sorted_order():
+    x, y, z = map(word_to_point, ("XXXX", "IIIX", "ZIII"))
+    rep = cfg.ConfigReport("b")
+    rep.add(x, "first")
+    rep.add(x, "second")
+    rep.add_all((z, x, y), "rest")
+    assert [(p.word, p.role) for p in rep.points] == [
+        ("XXXX", "first"), ("IIIX", "rest"), ("ZIII", "rest")]
+    assert rep.index == {x: 0, y: 1, z: 2}
+    assert (rep.points[0].coords, rep.points[0].cls) == (to_string(x, 8), "symmetric")
+
+
+def test_report_line_maps_values_to_indices_and_rejects_unlisted_points():
+    x, y = map(word_to_point, ("XIII", "IXII"))
+    rep = cfg.ConfigReport("b")
+    rep.add_all((x, y, x ^ y), "r")
+    rep.line(x ^ y, y, x)
+    assert rep.lines == [(rep.index[x ^ y], rep.index[y], rep.index[x])]
+    with pytest.raises(KeyError):
+        rep.line(x, y, word_to_point("ZIII"))
+    assert len(rep.lines) == 1
+
+
+def test_report_done_sorts_the_lines_and_verifies():
+    x, y, z = map(word_to_point, ("XIII", "IXII", "IIZI"))
+    rep = cfg.ConfigReport("b")
+    rep.add_all((x, y, z, x ^ y, x ^ z), "r")
+    rep.line(x, z, x ^ z)
+    rep.line(x, y, x ^ y)
+    rep.note("count", 2)
+    assert rep.done() is rep
+    assert rep.lines == sorted(rep.lines) and len(rep.lines) == 2
+    assert rep.annotations == {"count": "2"}
+    rep.points[0].cls = "symmetric" if rep.points[0].cls == "skew" else "skew"
+    with pytest.raises(InternalConsistencyError, match=f"^class tag of {rep.points[0].word}"):
+        rep.done()
+
+
+def test_codec_word_table_is_point_to_word():
+    table = pauli_codec.word_table(4)
+    assert len(table) == 256 and table[0] == "IIII"
+    assert all(table[v] == point_to_word(v, 4) for v in range(1, 256))
 
 
 def _hand_built(*points):

@@ -539,7 +539,8 @@ def test_section_builders_reject_repeated_points(ostar, gens4, quadric4):
     with pytest.raises(UsageError, match="need 7 distinct points"):
         pg.heptad_intersection(ostar, (a, b, c, d, e, f, f), quadric4)
     assert ostar.distinct_points((c, a, b), 3) == (a, b, c)
-    assert pg.heptad_intersection(ostar, (a, b, c, d, e, f, g), quadric4)
+    h, i = ostar.points[7:]
+    assert pg.heptad_intersection(ostar, (a, b, c, d, e, f, g), quadric4) == h ^ i
 
 
 def test_partitions_axes_and_tetrads(ostar, quadric4):
@@ -1383,11 +1384,11 @@ def test_reference_sextet_nucleus(ostar, quadric4):
 
 def test_heptad_sections(ostar, quadric4):
     for heptad in itertools.combinations(ostar.points, 7):
-        section = pg.heptad_intersection(ostar, heptad, quadric4)
-        assert len(section.points) == 63
+        nucleus = pg.heptad_intersection(ostar, heptad, quadric4)
+        assert (span_mask(heptad) & quadric4.mask).bit_count() == 63
         pair = ostar.complement_in(heptad)
-        assert section.nucleus == pair[0] ^ pair[1]
-        assert not quadric4.contains(section.nucleus)
+        assert nucleus == pair[0] ^ pair[1]
+        assert not quadric4.contains(nucleus)
 
 
 def _radical_by_sigma(points, ctx):
