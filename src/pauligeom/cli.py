@@ -42,9 +42,10 @@ def _resolve_ovoid(token: str | None, gens):
 
 
 def _parse_point(token: str, n: int = 4) -> int:
-    """A point of rank `n`, given as a word or as 2n coordinate bits."""
+    """A point of rank `n`, given as a word or as 2n coordinate bits; a
+    word holds no 0 or 1, so a non-empty token of them is coordinates."""
     token = token.strip()
-    if set(token) <= {"0", "1"} and len(token) > 2:
+    if token and set(token) <= {"0", "1"}:
         v = gf2_core.from_string(token)
         if len(token) != 2 * n:
             raise UsageError(f"coordinate string must have {2 * n} bits")
@@ -123,16 +124,13 @@ def _enumeration_lines(args) -> list[str]:
         return lines
     if args.what == "heptads":
         if n == 3:
-            return [join_words(h, 3)
-                    for h in sorted(tuple(sorted(x)) for x in pg.conwell_heptads(ctx))]
+            return [join_words(h, 3) for h in pg.conwell_heptads(ctx)]
         if n != 4:
             raise UsageError("heptads enumeration needs --n 3 or --n 4")
         import itertools
 
-        from . import configurations as cfg
-
         o = _resolve_ovoid(args.ovoid, pg.get_generators(ctx, "quadric"))
-        return [f"{join_words((p1, p2))}\t{join_words(cfg.nuclei_heptad(o, p1, p2))}"
+        return [f"{join_words((p1, p2))}\t{join_words(pg.nuclei_heptad(o, p1, p2))}"
                 for p1, p2 in itertools.combinations(o.points, 2)]
     if n != 4:
         raise UsageError(f"{args.what} enumeration needs --n 4")

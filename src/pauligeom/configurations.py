@@ -11,7 +11,7 @@ of the point's coordinates.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache, partial
+from functools import cache, partial
 from json.encoder import encode_basestring_ascii
 
 from . import polar_geometry as pg
@@ -169,34 +169,29 @@ def _json_block(members: list[str], indent: int, brackets: str) -> str:
             f"\n{' ' * indent}{brackets[1]}")
 
 
-@lru_cache(maxsize=256)
+@cache
 def _point_fields(value: int) -> tuple[str, str, str]:
-    """(coords, word, class) of a rank-4 point: they depend on its value alone.
-
-    Memoized; 256 entries hold all 255 points of four qubits.
-    """
+    """(coords, word, class) of a rank-4 point: they depend on its value alone."""
     return (to_string(value, 8), *point_class(value, 4))
 
 
-@lru_cache(maxsize=512)
+@cache
 def _coords_point(coords: str) -> tuple[int, str]:
     """(value, class) of a coordinate string, the class read off the
     quadric of its length (len // 2 qubits), never off a word: what
-    `ConfigReport.verify` checks each point's tag against.
-
-    Memoized by the string; 512 entries hold every point of ranks 1 to 4.
+    `ConfigReport.verify` checks each point's tag against.  Memoized by
+    the string.
     """
     v = int(coords, 2)
     return v, "symmetric" if pg.standard_quadric(len(coords) // 2).mask >> v & 1 else "skew"
 
 
-@lru_cache(maxsize=512)
+@cache
 def _json_head(coords: str, word: str, cls: str) -> str:
     """A point block of `ConfigReport.to_json` up to its role's value.
 
     Memoized by the exact triple, so an entry whose word or class
-    disagrees with its coordinates gets its own head; 512 entries hold
-    every point of ranks 1 to 4.
+    disagrees with its coordinates gets its own head.
     """
     q = encode_basestring_ascii
     return (f'{{\n      "coords": {q(coords)},\n      "word": {q(word)},'
@@ -405,52 +400,11 @@ def fig_sextet(o: Ovoid, sextet, quadric: Quadric) -> ConfigReport:
     return b.done()
 
 
-class NucleiFan:
-    """The 28 conic nuclei on an ovoid point, split by a singled nucleus."""
-
-    __slots__ = ("common_point", "singled_nucleus", "conic_pair", "six_through_first",
-                 "six_through_second", "fan15", "concurrence", "cross15", "gq_lines")
-
-    def __init__(self, common_point: int, singled_nucleus: int, conic_pair: tuple[int, int],
-                 six_through_first: tuple[int, ...], six_through_second: tuple[int, ...],
-                 fan15: tuple[int, ...], concurrence: int, cross15: tuple[int, ...],
-                 gq_lines: int):
-        self.common_point = common_point
-        self.singled_nucleus = singled_nucleus
-        self.conic_pair = conic_pair
-        self.six_through_first = six_through_first
-        self.six_through_second = six_through_second
-        self.fan15 = fan15
-        self.concurrence = concurrence
-        self.cross15 = cross15
-        self.gq_lines = gq_lines
-
-
-def nuclei_fan_structure(o: Ovoid, p: int, singled_nucleus: int) -> NucleiFan:
-    """The 15 + 2x6 split of the 28 conic nuclei on `p`, behind one of them.
-
-    The singled nucleus p + a + b names the conic {p, a, b}.  The fan is
-    the elliptic section over the six other points of `o`, certified as
-    a GQ(2, 4) by `sextet_intersection` and moved into place part by part
-    by `section_fan`: a move that keeps the 27 points distinct carries
-    the section's 45 lines, and so its quadrangle, onto the fan.
-    """
-    if p not in o:
-        raise UsageError("fan point must lie on the ovoid")
-    fail = partial(pg.fault, ovoid=o.points, point=p, nucleus=singled_nucleus)
-    conics = {p ^ a ^ b: (p, a, b) for a, b in itertools.combinations(o.complement_in((p,)), 2)}
-    if len(conics) != 28:
-        raise fail(f"the 28 conic nuclei are {len(conics)} points")
-    if singled_nucleus not in conics:
-        raise UsageError("singled point is not a nucleus of a conic on the point")
-    section = pg.nested(fail, pg.sextet_intersection, o, o.complement_in(conics[singled_nucleus]),
-                        pg.standard_quadric(4))
-    return section_fan(o, section, p)
-
-
-def section_fan(o: Ovoid, section: pg.SextetSection, p: int) -> NucleiFan:
+def section_fan(o: Ovoid, section: pg.SextetSection, p: int) -> tuple[tuple[int, ...], ...]:
     """The fan of `p` behind the nucleus p + a + b, as `section` moved into
-    place, where {p, a, b} is the conic of `o` off the section's sextet.
+    place, where {p, a, b} is the conic of `o` off the section's sextet:
+    the six nuclei p + a + x, the six p + b + x and the 15 cross points,
+    each sorted.
 
     The sextet moves by p + a onto the nuclei p + a + x, its mates
     x + p + a + b move by a onto the nuclei p + b + x, and the 15 core
@@ -464,7 +418,7 @@ def section_fan(o: Ovoid, section: pg.SextetSection, p: int) -> NucleiFan:
     conic = o.complement_in(section.sextet)
     if p not in conic:
         raise UsageError("fan point must lie on the conic off the sextet")
-    a, b = (x for x in conic if x != p)
+    a, _ = (x for x in conic if x != p)
     fail = partial(pg.fault, ovoid=o.points, point=p, nucleus=section.pairing_nucleus)
     quadric = pg.standard_quadric(4)
     for c in section.core15:
@@ -475,33 +429,49 @@ def section_fan(o: Ovoid, section: pg.SextetSection, p: int) -> NucleiFan:
     cross15 = tuple(sorted(c ^ p for c in section.core15))
     if len(moved := set(six_a + six_b + cross15)) != 27:
         raise fail(f"the 27 moved points are {len(moved)} points")
-    fan15 = tuple(sorted(p ^ x ^ y for x, y in itertools.combinations(section.sextet, 2)))
-    return NucleiFan(p, section.pairing_nucleus, (a, b), six_a, six_b, fan15,
-                     p ^ section.pairing_nucleus, cross15, len(section.lines))
+    return six_a, six_b, cross15
 
 
 def fig_nuclei_fan(o: Ovoid, p: int, singled_nucleus: int) -> ConfigReport:
-    """28 nuclei on a point with the 15 + 2x6 split behind one of them."""
-    fan = nuclei_fan_structure(o, p, singled_nucleus)
+    """28 nuclei on a point with the 15 + 2x6 split behind one of them.
+
+    The singled nucleus p + a + b names the conic {p, a, b}.  The fan is
+    the elliptic section over the six other points of `o`, certified as
+    a GQ(2, 4) by `sextet_intersection` and moved into place part by part
+    by `section_fan`: a move that keeps the 27 points distinct carries
+    the section's 45 lines, and so its quadrangle, onto the fan.  The
+    other 15 nuclei p + x + y, over pairs of the sextet, fan out from p.
+    """
+    if p not in o:
+        raise UsageError("fan point must lie on the ovoid")
+    fail = partial(pg.fault, ovoid=o.points, point=p, nucleus=singled_nucleus)
+    conics = {p ^ a ^ b: (a, b) for a, b in itertools.combinations(o.complement_in((p,)), 2)}
+    if len(conics) != 28:
+        raise fail(f"the 28 conic nuclei are {len(conics)} points")
+    if singled_nucleus not in conics:
+        raise UsageError("singled point is not a nucleus of a conic on the point")
+    a, bb = conics[singled_nucleus]
+    section = pg.nested(fail, pg.sextet_intersection, o, o.complement_in((p, a, bb)),
+                        pg.standard_quadric(4))
+    six_a, six_b, cross15 = section_fan(o, section, p)
+    concurrence = p ^ singled_nucleus
     b = ConfigReport("fig9")
     b.add(p, "common-point")
-    b.add(fan.singled_nucleus, "singled-nucleus")
-    a, bb = fan.conic_pair
+    b.add(singled_nucleus, "singled-nucleus")
     b.add(a, "distinguished-conic-point")
     b.add(bb, "distinguished-conic-point")
-    b.add_all(fan.six_through_first, "six-1")
-    b.add_all(fan.six_through_second, "six-2")
-    b.add_all(fan.fan15, "fan-nucleus")
-    b.add(fan.concurrence, "concurrence-point")
-    b.add_all(fan.cross15, "gq-core")
+    b.add_all(six_a, "six-1")
+    b.add_all(six_b, "six-2")
+    b.add_all((p ^ x ^ y for x, y in itertools.combinations(section.sextet, 2)), "fan-nucleus")
+    b.add(concurrence, "concurrence-point")
+    b.add_all(cross15, "gq-core")
     # the six concurrent pairing lines of the double six
-    for na in fan.six_through_first:
-        nb = na ^ fan.concurrence
-        b.line(na, nb, fan.concurrence)
-    b.line(p, fan.singled_nucleus, fan.concurrence)
-    b.note("concurrence", _word(fan.concurrence))
-    b.note("singled_nucleus", _word(fan.singled_nucleus))
-    b.note("gq_lines", fan.gq_lines)
+    for na in six_a:
+        b.line(na, na ^ concurrence, concurrence)
+    b.line(p, singled_nucleus, concurrence)
+    b.note("concurrence", _word(concurrence))
+    b.note("singled_nucleus", _word(singled_nucleus))
+    b.note("gq_lines", len(section.lines))
     b.note("gq_parameters", "s=2 t=4 points=27")
     return b.done()
 
@@ -510,51 +480,30 @@ def heptad_analogue(o: Ovoid, p1: int, p2: int) -> ConfigReport:
     """Nuclei of the seven conics on two shared ovoid points.
 
     A seven-point external set whose 21 joining lines stay off the
-    quadric, together with the 35 symmetric nuclei of its own triples.
+    quadric, together with the 35 symmetric nuclei of its own triples,
+    as `polar_geometry.certify_heptad` certifies them.
     """
-    quadric = pg.standard_quadric(4)
     o.distinct_points((p1, p2), 2)
     fail = partial(pg.fault, ovoid=o.points, pair=(p1, p2))
-    heptad = nuclei_heptad(o, p1, p2)
+    heptad = pg.nuclei_heptad(o, p1, p2)
     if 0 in heptad:  # the zero vector has no word
         raise fail("collinear triple has no nucleus", triple=sorted((p1, p2, p1 ^ p2)))
-    if len(set(heptad)) != 7 or any(map(quadric.contains, heptad)):
-        raise fail(f"conic nuclei {join_words(heptad)} are not a skew heptad")
-    thirds = {}
-    for u, v in itertools.combinations(heptad, 2):
-        w = u ^ v
-        if quadric.contains(w):
-            raise fail(f"heptad line {join_words((u, v, w))} touches the quadric")
-        thirds[(u, v)] = w
-    if len(set(thirds.values())) != 21 or set(thirds.values()) & set(heptad):
-        raise fail(f"the 28 external points of heptad {join_words(heptad)} "
-                   "are not distinct")
-    triple_nuclei = sorted(
-        {x ^ y ^ z for x, y, z in itertools.combinations(heptad, 3)}
-    )
-    if len(triple_nuclei) != 35 or not all(map(quadric.contains, triple_nuclei)):
-        raise fail(f"the triple nuclei of heptad {join_words(heptad)} "
-                   "are not 35 symmetric points")
+    triple_nuclei = pg.nested(fail, pg.certify_heptad, heptad, pg.standard_quadric(4))
     b = ConfigReport("fig10")
     b.add(p1, "shared-ovoid-point")
     b.add(p2, "shared-ovoid-point")
     b.add_all(heptad, "heptad-nucleus")
-    b.add_all(sorted(thirds.values()), "heptad-line-point")
+    b.add_all((u ^ v for u, v in itertools.combinations(heptad, 2)), "heptad-line-point")
     b.add_all(triple_nuclei, "triple-nucleus")
     # A triple nucleus on p1 or p2, which are on the quadric, merges with it.
     if len(b.points) != 65:
         raise fail(f"configuration is {len(b.points)} points, not 65")
-    for (u, v), w in sorted(thirds.items()):
-        b.line(u, v, w)
+    for u, v in itertools.combinations(heptad, 2):
+        b.line(u, v, u ^ v)
     b.note("shared_points", f"{_word(p1)} {_word(p2)}")
     b.note("heptad", " ".join(map(_word, heptad)))
     b.note("triple_nuclei", len(triple_nuclei))
     return b.done()
-
-
-def nuclei_heptad(o: Ovoid, p1: int, p2: int) -> tuple[int, ...]:
-    """The nuclei p1 ^ p2 ^ x of the seven conics of `o` on p1 and p2, sorted."""
-    return tuple(sorted(p1 ^ p2 ^ x for x in o.complement_in((p1, p2))))
 
 
 def heptad_family(o: Ovoid, pair_set, gens: GeneratorSet, kind: str | None = None
@@ -580,7 +529,7 @@ def _heptad_triangle(o, pairs, vertices, gens) -> ConfigReport:
     nucleus = vertices[0] ^ vertices[1] ^ vertices[2]
     fail = partial(pg.fault, ovoid=o.points, triangle=vertices)
     other = pg.second_ovoid_on_conic(o, tuple(vertices), gens)
-    heptads = [frozenset(nuclei_heptad(ov, *pr)) for ov in (o, other) for pr in pairs]
+    heptads = [frozenset(pg.nuclei_heptad(ov, *pr)) for ov in (o, other) for pr in pairs]
     for h1, h2 in itertools.combinations(heptads, 2):
         if h1 & h2 != {nucleus}:
             raise fail(f"heptads {join_words(sorted(h1))} and {join_words(sorted(h2))} "
@@ -608,7 +557,7 @@ def _heptad_quadrangle(o, pairs, vertices, gens) -> ConfigReport:
         rest.remove(nxt)
         cycle.append(nxt)
     fail = partial(pg.fault, ovoid=o.points, quadrangle=cycle)
-    heptads = [frozenset(nuclei_heptad(o, *pr)) for pr in cycle]
+    heptads = [frozenset(pg.nuclei_heptad(o, *pr)) for pr in cycle]
     meet = pg.nested(fail, pg.solid_extra_point, o, tuple(vertices), gens.quadric)
     shared = []
     for i in range(4):

@@ -220,6 +220,8 @@ def enumerate_generators(ctx: GeometryContext, space_kind: str) -> GeneratorSet:
     if space_kind not in ("symplectic", "quadric"):
         raise UsageError(f"unknown space kind {space_kind!r}")
     n = ctx.n_qubits
+    if not 2 <= n <= 4:  # a flat holds its points as bytes
+        raise UsageError(f"generator enumeration needs rank 2, 3 or 4, not rank {n}")
     quadric = standard_quadric(n)
     perp = quadric.perp
     bands = _column_bands(ctx.dim)
@@ -1129,24 +1131,53 @@ def _radical(span: int, points, quadric: Quadric) -> int:
     return span
 
 
-def conwell_heptads(ctx: GeometryContext):
-    """Maximal exterior sets of the rank-3 hyperbolic quadric.
+def nuclei_heptad(o: Ovoid, p1: int, p2: int) -> tuple[int, ...]:
+    """The nuclei p1 ^ p2 ^ x of the seven conics of `o` on p1 and p2, sorted."""
+    return tuple(sorted(p1 ^ p2 ^ x for x in o.complement_in((p1, p2))))
 
-    Seven external points whose 21 connecting lines all miss the quadric;
-    found as 7-cliques of the "joining line misses the quadric" graph on
+
+def certify_heptad(heptad, quadric: Quadric) -> tuple[int, ...]:
+    """The sorted 35 triple nuclei x + y + z of an exterior heptad of
+    `quadric`, at any rank: seven distinct skew (nonzero) points whose 21
+    joining lines miss the quadric, as a Conwell heptad at rank 3 and the
+    nuclei heptad of two ovoid points at rank 4.  Its 21 third points are
+    then distinct and outside it, and its triple nuclei 35 quadric points.
+    A failure of any of the four names the heptad, or its failing line,
+    in words of the quadric's rank.
+    """
+    h, fail = tuple(heptad), InternalConsistencyError
+    words = partial(join_words, n_qubits=quadric.context.n_qubits)
+    if len(set(h)) != 7 or any(map(quadric.contains, h)):
+        raise fail(f"heptad {words(h)} is not seven distinct skew points")
+    thirds = set()
+    for u, v in itertools.combinations(h, 2):
+        if quadric.contains(u ^ v):
+            raise fail(f"heptad line {words((u, v, u ^ v))} touches the quadric")
+        thirds.add(u ^ v)
+    if len(thirds) != 21 or thirds.intersection(h):
+        raise fail(f"the 28 external points of heptad {words(h)} are not distinct")
+    nuclei = sorted({x ^ y ^ z for x, y, z in itertools.combinations(h, 3)})
+    if len(nuclei) != 35 or not all(map(quadric.contains, nuclei)):
+        raise fail(f"the triple nuclei of heptad {words(h)} are not 35 symmetric points")
+    return tuple(nuclei)
+
+
+def conwell_heptads(ctx: GeometryContext) -> tuple[tuple[int, ...], ...]:
+    """The Conwell heptads, the maximal exterior sets of the rank-3
+    hyperbolic quadric, as ascending point tuples in ascending order.
+
+    Found as 7-cliques of the "joining line misses the quadric" graph on
     the 28 external points.  For skew u and v, Q(u + v) = sigma(u, v), so
-    that graph is the sigma = 1 graph of the skew frame `_skew_frame(3)`.
+    that graph is the sigma = 1 graph of the skew frame `_skew_frame(3)`,
+    whose points ascend with their indices, as the cliques do.  Each one
+    is certified by `certify_heptad`, and a failure names it in rank-3 words.
     """
     if ctx.n_qubits != 3:
         raise UsageError("Conwell heptads live off the rank-3 quadric")
     quadric = standard_quadric(3)
     _, off, anti = _skew_frame(3)
-    cliques = _cliques(anti, 7)
-    heptads = tuple(frozenset(off[i] for i in c) for c in cliques)
+    heptads = tuple(tuple(off[i] for i in c) for c in _cliques(anti, 7))
     for h in heptads:
-        for u, v in itertools.combinations(sorted(h), 2):
-            if quadric.contains(u ^ v):
-                raise InternalConsistencyError(
-                    f"heptad line {join_words((u, v, u ^ v), 3)} touches the quadric:"
-                    f" heptad {join_words(sorted(h), 3)}")
+        nested(lambda what: InternalConsistencyError(f"{what}: heptad {join_words(h, 3)}"),
+               certify_heptad, h, quadric)
     return heptads

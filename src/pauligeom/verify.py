@@ -269,7 +269,7 @@ def _reguli(ctx):
 
 def _conwell_heptads(ctx):
     hs = pg.conwell_heptads(ctx)
-    inter = {len(a & b) for a, b in itertools.combinations(hs, 2)}
+    inter = {len(set(a).intersection(b)) for a, b in itertools.combinations(hs, 2)}
     return f"{len(hs)} heptads, pairwise {sorted(inter)}"
 
 

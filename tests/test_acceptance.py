@@ -150,6 +150,22 @@ def test_nuclei_fans_row_fails_with_the_fan_certificate(monkeypatch):
         f" nucleus {join_words((p ^ a ^ b,))}")
 
 
+@pytest.mark.parametrize("n,row", [(3, "conwell_heptads"), (4, "conwell_heptads_rank3")])
+def test_conwell_rows_fail_on_a_heptad_that_fails_its_certificate(n, row, monkeypatch, capsys):
+    # A clique search that returns the first seven skew points of rank 3:
+    # a line joining two of them has its third point on the quadric.
+    monkeypatch.setattr(pg, "_cliques", lambda adj, size: [tuple(range(7))])
+    quadric = pg.standard_quadric(3)
+    heptad = quadric.off_points[:7]
+    u, v = next((u, v) for u, v in itertools.combinations(heptad, 2) if quadric.contains(u ^ v))
+    assert cli.main(["verify", "--n", str(n), "--no-timings"]) == 1
+    rows = [line.split(" | ") for line in capsys.readouterr().out.splitlines()[2:-1]]
+    assert {name.rstrip(): computed.rstrip() for name, _, computed, status in rows
+            if status.rstrip() == "FAIL"} == {
+        row: f"InternalConsistencyError: heptad line {join_words((u, v, u ^ v), 3)} touches the"
+             f" quadric: heptad {join_words(heptad, 3)}"}
+
+
 def _row(n, level, name):
     return next(fn for row, _, fn in verify.checks(n, level) if row == name)
 

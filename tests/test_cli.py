@@ -58,6 +58,7 @@ def test_cli_import_loads_no_code_generation():
 _COMMAND_LAYERS = {
     "map XXXX": (),
     "enumerate generators": ("polar_geometry",),
+    "enumerate heptads": ("polar_geometry",),
     "config fig3": ("polar_geometry", "configurations"),
     "verify --n 2": ("polar_geometry", "matrix_oracle", "verify"),
     "oracle-check --n 2": ("matrix_oracle",),
@@ -191,6 +192,13 @@ def test_map_bad_token(capsys):
     code, _, err = run(["map", "IYQX"], capsys)
     assert code == 2
     assert "error:" in err
+
+
+@pytest.mark.parametrize("argv,bits", [(["map", "01", "--n", "2"], 4),
+                                       (["config", "fig9", "--point", "1"], 8)])
+def test_short_coordinate_string_is_a_coordinate_usage_error(argv, bits, capsys):
+    # A word holds no 0 or 1, so a short 0/1 token is coordinates, of the wrong length.
+    assert run(argv, capsys) == (2, "", f"error: coordinate string must have {bits} bits\n")
 
 
 def test_verify_quick_n2(capsys):

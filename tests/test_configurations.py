@@ -215,9 +215,9 @@ def test_fig9_fan_sweep_all_points_and_nuclei(ostar):
     for p in ostar.points:
         others = ostar.complement_in((p,))
         for a, b in itertools.combinations(others, 2):
-            fan = cfg.nuclei_fan_structure(ostar, p, p ^ a ^ b)
-            assert fan.gq_lines == 45
-            assert len(fan.fan15) == 15
+            rep = cfg.fig_nuclei_fan(ostar, p, p ^ a ^ b)
+            assert rep.annotations["gq_lines"] == "45"
+            assert rep.roles()["fan-nucleus"] == 15
             checked += 1
     assert checked == 252
 
@@ -237,19 +237,22 @@ def test_fig9_quadrangle_is_the_sextet_section_moved_by_translations(ostar, ovoi
             conic = o.complement_in(sextet)
             for p in conic:
                 a, b = (x for x in conic if x != p)
-                fan = cfg.nuclei_fan_structure(o, p, p ^ a ^ b)
-                assert fan.six_through_first == tuple(sorted(s ^ p ^ a for s in sec.sextet))
-                assert fan.six_through_second == tuple(sorted(m ^ a for m in sec.mates))
-                assert fan.cross15 == tuple(sorted(c ^ p for c in sec.core15))
-                assert fan.concurrence == sec.pairing_nucleus ^ p
+                rep = cfg.fig_nuclei_fan(o, p, p ^ a ^ b)
+                six_a, six_b, cross15 = (
+                    tuple(int(q.coords, 2) for q in rep.points if q.role == role)
+                    for role in ("six-1", "six-2", "gq-core"))
+                assert (six_a, six_b, cross15) == cfg.section_fan(o, sec, p)
+                assert six_a == tuple(sorted(s ^ p ^ a for s in sec.sextet))
+                assert six_b == tuple(sorted(m ^ a for m in sec.mates))
+                assert cross15 == tuple(sorted(c ^ p for c in sec.core15))
+                assert rep.annotations["concurrence"] == point_to_word(sec.pairing_nucleus ^ p, 4)
                 shift = {**dict.fromkeys(sec.sextet, p ^ a), **dict.fromkeys(sec.mates, a),
                          **dict.fromkeys(sec.core15, p)}
                 moved = [tuple(x ^ shift[x] for x in line) for line in sec.lines]
                 sums = sorted((bool(set(line) & set(sec.sextet)), x ^ y ^ z)
                               for line, (x, y, z) in zip(sec.lines, moved))
                 assert sums == [(False, p)] * 15 + [(True, 0)] * 30
-                pg._check_generalized_quadrangle(
-                    fan.six_through_first + fan.six_through_second + fan.cross15, moved)
+                pg._check_generalized_quadrangle(six_a + six_b + cross15, moved)
                 checked += 1
     assert checked == 504
 
@@ -667,7 +670,7 @@ def test_fig9_nucleus_falls_back_when_zyii_is_no_nucleus_on_the_point(ovoids, ge
 
 def test_nuclei_heptad(ostar):
     p1, p2 = ostar.points[:2]
-    heptad = cfg.nuclei_heptad(ostar, p1, p2)
+    heptad = pg.nuclei_heptad(ostar, p1, p2)
     assert heptad == tuple(sorted(p1 ^ p2 ^ x for x in ostar.points[2:]))
     assert len(set(heptad)) == 7
 
@@ -684,7 +687,7 @@ def test_nuclei_fan_failure_names_the_fan(ostar, monkeypatch):
     monkeypatch.setattr(pg, "_mask_lines",
                         lambda pts, mask: [ln for ln in real(pts, mask) if double_six & set(ln)])
     with pytest.raises(InternalConsistencyError) as exc:
-        cfg.nuclei_fan_structure(ostar, p, nucleus)
+        cfg.fig_nuclei_fan(ostar, p, nucleus)
     assert str(exc.value) == (f"sextet section has 30 lines: sextet {join_words(sextet)}: "
                               f"ovoid {join_words(ostar.points)} point XXXX nucleus ZYII")
 
@@ -706,16 +709,14 @@ def test_section_fan_checks_that_the_move_is_a_bijection(ostar, quadric4):
 
 def test_heptad_analogue_failure_names_the_pair(ostar, monkeypatch):
     # A quadric that holds every point: the nuclei are not skew.
-    class EverythingOnTheQuadric:
-        def contains(self, v):
-            return True
-
-    monkeypatch.setattr(pg, "standard_quadric", lambda n: EverythingOnTheQuadric())
+    q = pg.standard_quadric(4)
+    everything = pg.Quadric(q.context, q.points, (1 << 256) - 2, (), q.perp)
+    monkeypatch.setattr(pg, "standard_quadric", lambda n: everything)
     p1, p2 = word_to_point("ZZIZ"), word_to_point("IXXZ")
     heptad = sorted(p1 ^ p2 ^ x for x in ostar.points if x not in (p1, p2))
     with pytest.raises(InternalConsistencyError) as exc:
         cfg.heptad_analogue(ostar, p1, p2)
-    assert str(exc.value) == (f"conic nuclei {join_words(heptad)} are not a skew heptad: "
+    assert str(exc.value) == (f"heptad {join_words(heptad)} is not seven distinct skew points: "
                               f"ovoid {join_words(ostar.points)} pair ZZIZ,IXXZ")
 
 
@@ -724,12 +725,12 @@ def test_heptad_analogue_counts_its_points(ostar, ovoids, gens4, monkeypatch):
     # ZZIZ: it passes every heptad check, but its triple nuclei merge with
     # the shared points.
     zziz = word_to_point("ZZIZ")
-    heptads = (cfg.nuclei_heptad(o, *pr) for o in ovoids
+    heptads = (pg.nuclei_heptad(o, *pr) for o in ovoids
                for pr in itertools.combinations(o.points, 2))
     stranger = next(h for h in heptads
                     if zziz in {x ^ y ^ z for x, y, z in itertools.combinations(h, 3)})
-    heptad = cfg.nuclei_heptad
-    monkeypatch.setattr(cfg, "nuclei_heptad", lambda o, p1, p2: stranger
+    heptad = pg.nuclei_heptad
+    monkeypatch.setattr(pg, "nuclei_heptad", lambda o, p1, p2: stranger
                         if {p1, p2} == set(cfg.REFERENCE_PAIR) else heptad(o, p1, p2))
     with pytest.raises(InternalConsistencyError) as exc:
         cfg.figure("fig10", ostar, gens4)
@@ -772,8 +773,8 @@ def test_heptad_triangle_failure_names_the_triangle(ostar, ovoids, gens4, monkey
     a, b, c = ostar.points[:3]
     with pytest.raises(InternalConsistencyError) as exc:
         cfg.figure("heptad-family", ostar, gens4)
-    base = cfg.nuclei_heptad(ostar, a, b)
-    mate = cfg.nuclei_heptad(stranger, a, b)
+    base = pg.nuclei_heptad(ostar, a, b)
+    mate = pg.nuclei_heptad(stranger, a, b)
     meet = sorted(set(base) & set(mate))
     assert str(exc.value) == (
         f"heptads {join_words(base)} and {join_words(mate)} meet in [{join_words(meet)}], "
@@ -788,13 +789,13 @@ def test_heptad_triangle_checks_every_base_mate_pair(ostar, gens4, monkeypatch):
     a, b, c = ostar.points[:3]
     nucleus = a ^ b ^ c
     other = pg.second_ovoid_on_conic(ostar, (a, b, c), gens4)
-    base_ab = cfg.nuclei_heptad(ostar, a, b)
-    mate_ac = cfg.nuclei_heptad(other, a, c)
+    base_ab = pg.nuclei_heptad(ostar, a, b)
+    mate_ac = pg.nuclei_heptad(other, a, c)
     stray = next(v for v in base_ab if v != nucleus)
     own = next(v for v in mate_ac if v != nucleus)
     planted_ac = tuple(sorted(set(mate_ac) - {own} | {stray}))
-    heptad = cfg.nuclei_heptad
-    monkeypatch.setattr(cfg, "nuclei_heptad", lambda o, p1, p2: planted_ac
+    heptad = pg.nuclei_heptad
+    monkeypatch.setattr(pg, "nuclei_heptad", lambda o, p1, p2: planted_ac
                         if o == other and (p1, p2) == (a, c) else heptad(o, p1, p2))
     with pytest.raises(InternalConsistencyError) as exc:
         cfg.figure("heptad-family", ostar, gens4)

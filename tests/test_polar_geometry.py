@@ -195,6 +195,17 @@ def test_unequal_generator_families_are_named_in_words(monkeypatch):
                               f" against generator {join_words(first, 2)}")
 
 
+@pytest.mark.parametrize("space_kind", ["symplectic", "quadric"])
+@pytest.mark.parametrize("n", [1, 5])
+def test_generators_outside_ranks_two_to_four_are_a_usage_error(n, space_kind):
+    # Rejected before any quadric is built: a flat holds its points as bytes.
+    built = pg.standard_quadric.cache_info().misses
+    with pytest.raises(UsageError, match=f"^generator enumeration needs rank 2, 3 or 4,"
+                                         f" not rank {n}$"):
+        pg.get_generators(GeometryContext(n), space_kind)
+    assert pg.standard_quadric.cache_info().misses == built
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_perp_masks_by_bilinearity_match_direct_masks(n):
     ctx = GeometryContext(n)
@@ -1426,8 +1437,9 @@ def test_conwell_heptads(ctx3):
     heptads = pg.conwell_heptads(ctx3)
     assert len(heptads) == 8
     assert all(len(h) == 7 for h in heptads)
+    assert list(heptads) == sorted(heptads) and all(list(h) == sorted(h) for h in heptads)
     for a, b in itertools.combinations(heptads, 2):
-        assert len(a & b) == 1
+        assert len(set(a) & set(b)) == 1
     quadric = pg.standard_quadric(3)
     for h in heptads:
         lines = {
@@ -1435,6 +1447,55 @@ def test_conwell_heptads(ctx3):
         }
         assert len(lines) == 21
         assert all(not quadric.contains(p) for line in lines for p in line)
+
+
+def test_heptad_certificate_passes_every_conwell_and_nuclei_heptad(ctx3, ostar, quadric4):
+    # Rank 3: a heptad and its 21 third points are the 28 skew points, and
+    # its 35 triple nuclei are the 35 quadric points.  Rank 4: all 36
+    # nuclei heptads of O*.
+    quadric3 = pg.standard_quadric(3)
+    for h in pg.conwell_heptads(ctx3):
+        thirds = {u ^ v for u, v in itertools.combinations(h, 2)}
+        assert sorted(set(h) | thirds) == list(quadric3.off_points)
+        assert pg.certify_heptad(h, quadric3) == quadric3.points
+    for p1, p2 in itertools.combinations(ostar.points, 2):
+        h = pg.nuclei_heptad(ostar, p1, p2)
+        nuclei = pg.certify_heptad(h, quadric4)
+        assert nuclei == tuple(sorted({x ^ y ^ z for x, y, z in itertools.combinations(h, 3)}))
+        assert len(nuclei) == 35
+
+
+def _planted_heptads(n):
+    """Per check of `certify_heptad`, in order, a heptad and a quadric of
+    rank `n` that pass the checks before it and fail it, and the failure's
+    text in rank-`n` words."""
+    q = pg.standard_quadric(n)
+    words = functools.partial(join_words, n_qubits=n)
+    real = (pg.conwell_heptads(q.context)[0] if n == 3
+            else pg.nuclei_heptad(pg.ostar(), *pg.ostar().points[:2]))
+    on = (q.points[0],) + real[1:]
+    u, v = next((u, v) for u, v in itertools.combinations(q.off_points[:7], 2)
+                if q.contains(u ^ v))
+    # A quadric without points, which every line misses: the heptad that
+    # holds the line {1, 2, 3} repeats a third point, and a real heptad has
+    # no triple nucleus on it.
+    empty = pg.Quadric(q.context, (), 0, q.points + q.off_points, q.perp)
+    line = (1, 2, 3, 4, 8, 16, 32)
+    return [
+        (on, q, f"heptad {words(on)} is not seven distinct skew points"),
+        (q.off_points[:7], q, f"heptad line {words((u, v, u ^ v))} touches the quadric"),
+        (line, empty, f"the 28 external points of heptad {words(line)} are not distinct"),
+        (real, empty, f"the triple nuclei of heptad {words(real)} are not 35 symmetric points"),
+    ]
+
+
+@pytest.mark.parametrize("check", range(4))
+@pytest.mark.parametrize("n", [3, 4])
+def test_each_heptad_check_fails_in_its_rank_words(n, check):
+    heptad, quadric, message = _planted_heptads(n)[check]
+    with pytest.raises(InternalConsistencyError) as exc:
+        pg.certify_heptad(heptad, quadric)
+    assert str(exc.value) == message
 
 
 def test_conwell_heptad_line_on_the_quadric_is_named_in_rank3_words(ctx3, monkeypatch):
